@@ -16,7 +16,7 @@ from .validate import (SamplingPlan, ValidationReport, validate_assum1,
                        validate_system)
 from .solver import (NumericsError, OrderingReport, SchemeConfig, compare_ordered,
                      solve_batch, solve_onedim)
-from .system import EnsembleResult, estimate_moments, run_ensemble, solve_system
+from .system import EnsembleResult, run_ensemble, solve_system
 from .staircase import (envelope, grid_modulus, lower_staircase,
                         staircase_diagnostics, upper_staircase)
 from .approx import (ApproxLevel, HierarchyResult, build_level_one,

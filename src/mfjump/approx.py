@@ -7,15 +7,15 @@ consecutive levels holds exactly whenever the level paths are ordered.
 """
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import SystemSpec
+from .coeffs import SystemSpec, drift_values
 from .noise import (JumpEvent, NoiseBatch, NoiseBundle, TimeGrid, make_batch,
                     stream_rng, _cms_standard, _KIND_NESTED)
 from .solver import SchemeConfig, solve_batch
+from .system import map_blocks
 
 MODES = ("realized", "nested-mc", "deterministic")
 
@@ -45,26 +45,6 @@ def _partition_indices(grid: TimeGrid, partition: TimeGrid) -> np.ndarray:
     return idx
 
 
-def _drift_values(drifts, grid: TimeGrid, values: np.ndarray) -> np.ndarray:
-    """b_i(t, state vector) at every grid point along the given paths: (N, P, K+1)."""
-    n_comp, n_paths, n_pts = values.shape
-    out = np.empty((n_comp, n_paths, n_pts))
-    ts = grid.points
-    for i, drift in enumerate(drifts):
-        if drift.kind == "constant":
-            out[i] = drift.value
-        elif drift.kind == "time":
-            out[i] = np.array([float(drift.fn(t)) for t in ts])[None, :]
-        elif drift.kind == "path":
-            out[i] = np.array([drift.path.evaluate(t) for t in ts])[None, :]
-        elif drift.kind == "mean-field":
-            for j in range(n_pts):
-                out[i, :, j] = drift.fn(ts[j], values[:, :, j])
-        else:
-            raise ValueError(f"unknown drift kind '{drift.kind}'")
-    return out
-
-
 def _interval_min(drift_vals: np.ndarray, part_idx: np.ndarray) -> np.ndarray:
     """Min over the closed index span of each partition interval: (N, P, n_int)."""
     n_int = part_idx.size - 1
@@ -84,7 +64,7 @@ def infimum_drift(paths, drifts, partition: TimeGrid) -> np.ndarray:
     grid = paths[0].grid
     values = np.stack([p.values for p in paths])[:, None, :]  # (N, 1, K+1)
     part_idx = _partition_indices(grid, partition)
-    return _interval_min(_drift_values(drifts, grid, values), part_idx)[:, 0, :]
+    return _interval_min(drift_values(drifts, grid.points, values), part_idx)[:, 0, :]
 
 
 @dataclass
@@ -145,29 +125,11 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int
                                   initial=np.broadcast_to(
                                       prev.values[:, p:p + 1, j], (n_comp, n_inner)),
                                   forcing=inner_forcing, record_jumps=False)
-                dv = _drift_values_shifted(spec.drifts, res.values, pts[j:j1 + 1])
+                dv = drift_values(spec.drifts, pts[j:j1 + 1], res.values)
                 future_min = dv.min(axis=2)  # (N, M)
                 est = np.minimum(past_min[:, None], future_min).mean(axis=1)
                 forcing[:, p, j] = est
     return forcing
-
-
-def _drift_values_shifted(drifts, values: np.ndarray, true_times: np.ndarray) -> np.ndarray:
-    """Drift values along inner continuations whose grid starts at 0 but whose
-    physical times are ``true_times``."""
-    n_comp, n_paths, n_pts = values.shape
-    out = np.empty((n_comp, n_paths, n_pts))
-    for i, drift in enumerate(drifts):
-        if drift.kind == "constant":
-            out[i] = drift.value
-        elif drift.kind == "time":
-            out[i] = np.array([float(drift.fn(t)) for t in true_times])[None, :]
-        elif drift.kind == "path":
-            out[i] = np.array([drift.path.evaluate(t) for t in true_times])[None, :]
-        else:
-            for j in range(n_pts):
-                out[i, :, j] = drift.fn(true_times[j], values[:, :, j])
-    return out
 
 
 def _branch_batch(grid: TimeGrid, layout, master_seed, path_index, level, interval,
@@ -221,7 +183,7 @@ def build_level_one(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig) -> L
                       record_jumps=False)
     partition = dyadic_partition(1, grid.horizon)
     part_idx = _partition_indices(grid, partition)
-    dv = _drift_values(spec.drifts, grid, res.values)
+    dv = drift_values(spec.drifts, grid.points, res.values)
     return LevelBatch(n=1, partition=partition, part_idx=part_idx,
                       inf_drifts=_interval_min(dv, part_idx),
                       values=res.values, forcing=forcing)
@@ -247,7 +209,7 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
             raise ValueError("deterministic mode needs state-independent drifts")
         forcing = _forcing_from_intervals(prev.inf_drifts, grid, prev.part_idx)
     else:
-        dv = _drift_values(spec.drifts, grid, prev.values)
+        dv = drift_values(spec.drifts, grid.points, prev.values)
         forcing = _nested_forcing(spec, prev, batch, cfg, n_inner, dv)
 
     res = solve_batch(spec.components, spec.drifts, batch, cfg,
@@ -255,7 +217,7 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
                       record_jumps=False)
     partition = dyadic_partition(prev.n + 1, grid.horizon)
     part_idx = _partition_indices(grid, partition)
-    dv = _drift_values(spec.drifts, grid, res.values)
+    dv = drift_values(spec.drifts, grid.points, res.values)
     return LevelBatch(n=prev.n + 1, partition=partition, part_idx=part_idx,
                       inf_drifts=_interval_min(dv, part_idx),
                       values=res.values, forcing=forcing)
@@ -387,9 +349,8 @@ def moment_bound_check(levels, grid: TimeGrid, a_bar: float, growth_b: float,
         curve_times=grid.points, sup_mean=sup_mean, envelope=envelope)
 
 
-def _hierarchy_block(args):
-    spec, cfg, grid, master_seed, lo, hi, n_max, mode, n_inner = args
-    batch = make_batch(grid, spec.noise_layout(), master_seed, range(lo, hi))
+def _hierarchy_block(spec, cfg, grid, master_seed, n_max, mode, n_inner, bounds):
+    batch = make_batch(grid, spec.noise_layout(), master_seed, range(*bounds))
     return run_hierarchy_batch(spec, batch, cfg, n_max, mode=mode, n_inner=n_inner)
 
 
@@ -405,11 +366,11 @@ class RefinementRow:
     cauchy_gap: float
 
 
-def _refinement_block(args):
-    spec, cfg, horizon, ladder, master_seed, lo, hi, n_max, mode, n_inner = args
+def _refinement_block(spec, cfg, horizon, ladder, master_seed, n_max, mode, n_inner,
+                      bounds):
     finest = max(ladder)
     grid = dyadic_partition(finest.bit_length(), horizon)
-    batch_fine = make_batch(grid, spec.noise_layout(), master_seed, range(lo, hi))
+    batch_fine = make_batch(grid, spec.noise_layout(), master_seed, range(*bounds))
     out = []
     for steps in ladder:
         batch = batch_fine.coarsen(finest // steps)
@@ -442,14 +403,8 @@ def hierarchy_refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: flo
     for s in ladder:
         if s & (s - 1) or max(ladder) % s:
             raise ValueError("ladder entries must be powers of two dividing the finest")
-    ranges = [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
-    tasks = [(spec, cfg, horizon, ladder, master_seed, lo, hi, n_max, mode, n_inner)
-             for lo, hi in ranges]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            parts = pool.map(_refinement_block, tasks)
-    else:
-        parts = [_refinement_block(t) for t in tasks]
+    parts = map_blocks(_refinement_block, n_paths, block, jobs, spec, cfg, horizon,
+                       ladder, master_seed, n_max, mode, n_inner)
     rows = []
     for ri, steps in enumerate(ladder):
         per_path = np.concatenate([p[ri][1] for p in parts])
@@ -470,14 +425,8 @@ def run_hierarchy_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid,
                            jobs: int = 1, block: int = 256) -> HierarchyResult:
     """Hierarchies over an ensemble of shared-noise trajectories, merged in
     path order (parallelism-independent)."""
-    ranges = [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
-    tasks = [(spec, cfg, grid, master_seed, lo, hi, n_max, mode, n_inner)
-             for lo, hi in ranges]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            parts = pool.map(_hierarchy_block, tasks)
-    else:
-        parts = [_hierarchy_block(t) for t in tasks]
+    parts = map_blocks(_hierarchy_block, n_paths, block, jobs, spec, cfg, grid,
+                       master_seed, n_max, mode, n_inner)
     merged_levels = []
     first = parts[0]
     for li in range(len(first.levels)):

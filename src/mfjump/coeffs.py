@@ -354,13 +354,22 @@ class CoefficientSet:
 @dataclass(frozen=True)
 class MeanFieldAverage:
     """b_i(s, x) = (x_1 + ... + x_N) / N, summed in sorted order so the value
-    is exactly invariant under component permutations."""
+    is exactly invariant under component permutations.
+
+    The rows are added one at a time. ``sum(axis=0)`` adds them pairwise when
+    the state has a single column (one path at one time), which rounds
+    differently for N >= 8 and made a path's value depend on the batch it
+    was solved in.
+    """
 
     n: int
 
     def __call__(self, t, states):
-        states = np.asarray(states, dtype=float)
-        return np.sort(states, axis=0).sum(axis=0) / self.n
+        ordered = np.sort(np.asarray(states, dtype=float), axis=0)
+        total = ordered[0].copy()
+        for row in ordered[1:]:
+            total += row
+        return total / self.n
 
 
 @dataclass(frozen=True)
@@ -397,6 +406,13 @@ class DriftSpec:
     @classmethod
     def mean_field(cls, fn, growth_bound: float, growth_slope: float,
                    label: str = "mean-field") -> "DriftSpec":
+        """Drift ``fn(t, states)`` of the whole system state.
+
+        ``states`` has shape (N, ...) with one row per component and is
+        reduced over axis 0; the result has the trailing shape. ``t`` is a
+        scalar or an array that broadcasts over the trailing axis (one time
+        per column). Components that share one ``fn`` object share one call.
+        """
         return cls(kind="mean-field", fn=fn, growth_bound=growth_bound,
                    growth_slope=growth_slope, label=label)
 
@@ -412,6 +428,35 @@ class DriftSpec:
     @property
     def deterministic(self) -> bool:
         return self.kind in ("constant", "time", "path")
+
+
+def drift_values(drifts, times, states) -> np.ndarray:
+    """Drift targets b_i(t_j, states[:, p, j]) of every drift in ``drifts``:
+    shape (len(drifts), P, T) for ``times`` of shape (T,) and the system
+    state ``states`` of shape (N, P, T).
+
+    State-independent drifts ignore ``states`` beyond its shape, so a
+    (0, 1, T) placeholder gives their (., 1, T) table. Each distinct
+    mean-field fn is called once, on the whole state array.
+    """
+    times = np.asarray(times, dtype=float)
+    out = np.empty((len(drifts),) + states.shape[1:])
+    mean_field = {}
+    for i, drift in enumerate(drifts):
+        if drift.kind == "constant":
+            out[i] = drift.value
+        elif drift.kind == "time":
+            out[i] = [float(drift.fn(t)) for t in times]
+        elif drift.kind == "path":
+            out[i] = [drift.path.evaluate(t) for t in times]
+        elif drift.kind == "mean-field":
+            key = id(drift.fn)
+            if key not in mean_field:
+                mean_field[key] = drift.fn(times, states)
+            out[i] = mean_field[key]
+        else:
+            raise ValueError(f"unknown drift kind '{drift.kind}'")
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoefficientSet, DriftSpec
+from .coeffs import CoefficientSet, DriftSpec, drift_values
 from .noise import NoiseBatch, NoiseBundle, TimeGrid
 from .paths import CadlagPath, StaircasePath
 
@@ -22,13 +22,19 @@ IMPLICIT = "drift-implicit"
 
 
 class NumericsError(RuntimeError):
-    """Non-finite state reached during stepping."""
+    """Non-finite state reached during stepping. ``path_index`` is the path's
+    global index from the batch lineage, so the path can be replayed alone."""
 
-    def __init__(self, step: int, time: float, component: int, path_row: int):
-        self.step, self.time, self.component, self.path_row = step, time, component, path_row
+    def __init__(self, step: int, time: float, component: int, path_index: int):
+        self.step, self.time, self.component, self.path_index = \
+            step, time, component, path_index
         super().__init__(
             f"non-finite value at step {step} (t={time:.6g}), "
-            f"component {component}, path row {path_row}")
+            f"component {component}, path {path_index}")
+
+    def __reduce__(self):
+        # pool workers pickle the error back to the parent process
+        return type(self), (self.step, self.time, self.component, self.path_index)
 
 
 @dataclass(frozen=True)
@@ -121,78 +127,17 @@ def _bin_events(components, batch: NoiseBatch):
     return by_step
 
 
-class _DriftEval:
-    """Per-step drift targets, one entry per component (scalar or (P,) array)."""
-
-    def __init__(self, drifts, grid: TimeGrid, forcing: np.ndarray = None):
-        self.n = len(drifts)
-        self.forcing = forcing  # (n_components, n_paths, n_steps) overrides drifts
-        self.warnings = []
-        if forcing is not None:
-            if np.min(forcing) < 0:
-                self.warnings.append("drift forcing takes negative values; the "
-                                     "existence theory assumes b >= 0")
-            return
-        self.static = []  # per component: None (mean-field) or (n_steps,) values
-        self.fns = []
-        ts = grid.points[:-1]
-        for drift in drifts:
-            if drift.kind == "constant":
-                vals = np.full(ts.size, drift.value)
-            elif drift.kind == "time":
-                vals = np.array([float(drift.fn(t)) for t in ts])
-            elif drift.kind == "path":
-                vals = _path_values_on_steps(drift.path, grid)
-            elif drift.kind == "mean-field":
-                self.static.append(None)
-                self.fns.append(drift.fn)
-                continue
-            else:
-                raise ValueError(f"unknown drift kind '{drift.kind}'")
-            if np.min(vals) < 0:
-                self.warnings.append("drift target takes negative values; the "
-                                     "existence theory assumes b >= 0")
-            self.static.append(vals)
-            self.fns.append(None)
-
-    def __call__(self, k: int, t: float, states: np.ndarray):
-        if self.forcing is not None:
-            return [self.forcing[i, :, k] for i in range(self.n)]
-        out = []
-        cache = {}
-        for i in range(self.n):
-            if self.static[i] is not None:
-                out.append(self.static[i][k])
-            else:
-                fn = self.fns[i]
-                key = id(fn)
-                if key not in cache:
-                    cache[key] = fn(t, states)
-                out.append(cache[key])
-        return out
-
-
-def _path_values_on_steps(path, grid: TimeGrid) -> np.ndarray:
-    """Right-continuous drift values at step starts; staircase breakpoints must
+def _check_drift_path(path, grid: TimeGrid) -> None:
+    """Drift paths must share the grid horizon, and staircase breakpoints must
     land on grid points (refine the grid first if they do not)."""
-    ts = grid.points[:-1]
-    if isinstance(path, StaircasePath):
-        if path.horizon != grid.horizon:
-            raise ValueError("drift path horizon differs from the grid horizon")
-        aligned = np.isin(path.breakpoints, grid.points)
-        if not aligned.all():
-            raise ValueError(
-                "staircase breakpoints off the grid; build the grid with "
-                "TimeGrid.refine_with(breakpoints) so discontinuities land on steps")
-        return path.evaluate(ts)
-    if isinstance(path, CadlagPath):
-        if path.horizon != grid.horizon:
-            raise ValueError("drift path horizon differs from the grid horizon")
-        if path.grid.points.size == grid.points.size and \
-                np.array_equal(path.grid.points, grid.points):
-            return path.values[:-1]
-        return np.array([path.evaluate(t) for t in ts])
-    raise TypeError("drift path must be a CadlagPath or StaircasePath")
+    if not isinstance(path, (CadlagPath, StaircasePath)):
+        raise TypeError("drift path must be a CadlagPath or StaircasePath")
+    if path.horizon != grid.horizon:
+        raise ValueError("drift path horizon differs from the grid horizon")
+    if isinstance(path, StaircasePath) and not np.isin(path.breakpoints, grid.points).all():
+        raise ValueError(
+            "staircase breakpoints off the grid; build the grid with "
+            "TimeGrid.refine_with(breakpoints) so discontinuities land on steps")
 
 
 def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
@@ -209,9 +154,27 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
     k_stop = n_steps if k_stop is None else k_stop
     n_comp, n_paths = len(components), batch.n_paths
 
+    pts = grid.points
     parts, warns = _prepare_parts(components, batch, cfg)
-    drift_eval = _DriftEval(drifts, grid, forcing=forcing)
-    warns.extend(drift_eval.warnings)
+    live = []  # indices of mean-field drifts, evaluated per step on the state
+    if forcing is not None:
+        table = forcing  # (n_components, n_paths, n_steps) overrides drifts
+        if np.min(forcing) < 0:
+            warns.append("drift forcing takes negative values; the "
+                         "existence theory assumes b >= 0")
+    else:
+        for drift in drifts:
+            if drift.kind == "path":
+                _check_drift_path(drift.path, grid)
+        live = [i for i, d in enumerate(drifts) if not d.deterministic]
+        fixed = [i for i, d in enumerate(drifts) if d.deterministic]
+        table = np.zeros((n_comp, 1, n_steps))
+        table[fixed] = drift_values([drifts[i] for i in fixed], pts[:-1],
+                                    np.empty((0, 1, n_steps)))
+        if table.min() < 0:
+            warns.append("drift target takes negative values; the "
+                         "existence theory assumes b >= 0")
+    live_drifts = [drifts[i] for i in live]
     events_by_step = _bin_events(components, batch)
 
     values = np.full((n_comp, n_paths, n_steps + 1), np.nan)
@@ -220,11 +183,14 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
     values[:, :, k_start] = state
     jumps: dict = {}
 
-    pts = grid.points
     dts = grid.dt
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for k in range(k_start, k_stop):
-            b = drift_eval(k, pts[k], state)
+            b = table[:, :, k]
+            if live:
+                b = np.broadcast_to(b, (n_comp, n_paths)).copy()
+                b[live] = drift_values(live_drifts, pts[k:k + 1],
+                                       state[:, :, None])[:, :, 0]
             new = np.empty_like(state)
             for i, part in enumerate(parts):
                 y = state[i]
@@ -245,7 +211,8 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
             if not np.isfinite(new).all():
                 bad = np.argwhere(~np.isfinite(new))[0]
                 raise NumericsError(step=k + 1, time=float(pts[k + 1]),
-                                    component=int(bad[0]), path_row=int(bad[1]))
+                                    component=int(bad[0]),
+                                    path_index=int(batch.lineages[bad[1]][1]))
             if cfg.clip_at_zero:
                 np.maximum(new, 0.0, out=new)
             state = new
@@ -306,10 +273,12 @@ def compare_ordered(coeffs: CoefficientSet, drift_low, drift_high,
     if initial_low > initial_high:
         raise ValueError("initial_low must not exceed initial_high")
     low_spec, high_spec = _as_drift_spec(drift_low), _as_drift_spec(drift_high)
-    lo_vals = _DriftEval([low_spec], noise.grid).static[0]
-    hi_vals = _DriftEval([high_spec], noise.grid).static[0]
-    if lo_vals is not None and hi_vals is not None and np.any(lo_vals > hi_vals):
-        raise ValueError("drift_low must be <= drift_high pointwise on the grid")
+    if low_spec.deterministic and high_spec.deterministic:
+        steps = noise.grid.points[:-1]
+        low, high = drift_values((low_spec, high_spec), steps,
+                                 np.empty((0, 1, steps.size)))
+        if np.any(low > high):
+            raise ValueError("drift_low must be <= drift_high pointwise on the grid")
     y_low = solve_onedim(coeffs, low_spec, noise, cfg, initial_low)
     y_high = solve_onedim(coeffs, high_spec, noise, cfg, initial_high)
     gap = y_low.values - y_high.values

@@ -7,6 +7,7 @@ results independent of the parallelism degree.
 """
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass, field
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .coeffs import SystemSpec
 from .noise import NoiseBatch, NoiseBundle, TimeGrid, make_batch
-from .solver import SchemeConfig, solve_batch
+from .solver import NumericsError, SchemeConfig, solve_batch
 
 _BLOCK = 512  # fixed ensemble block size; independent of --jobs
 
@@ -49,12 +50,34 @@ class EnsembleResult:
         return np.quantile(self.section_values, qs, axis=0)
 
 
-def _block_ranges(n_paths: int, block: int = _BLOCK):
-    return [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
+def _pooled_block(task, bounds):
+    """A block's result, or the NumericsError it raised. ``Pool.map`` would
+    re-raise whichever error arrives first; returning it lets the parent
+    raise the first one in block order, as a serial run does."""
+    try:
+        return task(bounds), None
+    except NumericsError as exc:
+        return None, exc
 
 
-def _ensemble_block(args):
-    spec, cfg, grid, master_seed, lo, hi, section_idx, keep_values = args
+def map_blocks(fn, n_paths: int, block: int, jobs: int, *args) -> list:
+    """``fn(*args, (lo, hi))`` for every block [lo, hi) of path indices, in
+    block order. With ``jobs > 1`` and several blocks the calls run in a
+    process pool of at most ``jobs`` workers; results and errors are the same."""
+    task = functools.partial(fn, *args)
+    bounds = [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
+    if jobs < 2 or len(bounds) < 2:
+        return [task(b) for b in bounds]
+    with multiprocessing.Pool(min(jobs, len(bounds))) as pool:
+        outcomes = pool.map(functools.partial(_pooled_block, task), bounds)
+    for _result, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [result for result, _exc in outcomes]
+
+
+def _ensemble_block(spec, cfg, grid, master_seed, section_idx, keep_values, bounds):
+    lo, hi = bounds
     batch = make_batch(grid, spec.noise_layout(), master_seed, range(lo, hi))
     result = solve_batch(spec.components, spec.drifts, batch, cfg,
                          initial=spec.initial[:, None])
@@ -91,13 +114,8 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
     section_idx = np.array([grid.index_of(t) for t in section_times])
     section_times = grid.points[section_idx]
 
-    tasks = [(spec, cfg, grid, master_seed, lo, hi, section_idx, keep_values)
-             for lo, hi in _block_ranges(n_paths)]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            partials = pool.map(_ensemble_block, tasks)
-    else:
-        partials = [_ensemble_block(t) for t in tasks]
+    partials = map_blocks(_ensemble_block, n_paths, _BLOCK, jobs,
+                          spec, cfg, grid, master_seed, section_idx, keep_values)
 
     n_comp, n_pts = spec.n, grid.points.size
     total = np.zeros((n_comp, n_pts))
@@ -136,56 +154,3 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
         section_values=np.concatenate(sections, axis=0),
         warnings=warns,
         values=np.concatenate(values, axis=1) if keep_values else None)
-
-
-@dataclass(frozen=True)
-class MomentRow:
-    component: int
-    time: float
-    mean: float
-    se: float
-    quantiles: tuple  # ((q, value), ...)
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    rows: tuple
-    aggregate: tuple  # ((time, mean, se), ...) for the component average
-    integral_mean: np.ndarray
-    integral_se: np.ndarray
-    n_paths: int
-
-
-def estimate_moments(path_lists, times, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> MomentSummary:
-    """Time-sectioned statistics from explicit path objects.
-
-    ``path_lists`` holds one list of per-component CadlagPaths per trajectory;
-    at least two trajectories are required for standard errors.
-    """
-    n_paths = len(path_lists)
-    if n_paths < 2:
-        raise ValueError("need at least two trajectories")
-    n_comp = len(path_lists[0])
-    times = np.asarray(times, dtype=float)
-    vals = np.array([[[p.evaluate(t) for t in times] for p in comps]
-                     for comps in path_lists])  # (P, N, T)
-    mean = vals.mean(axis=0)
-    se = vals.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    quant = np.quantile(vals, qs, axis=0)  # (Q, N, T)
-    rows = []
-    for i in range(n_comp):
-        for j, t in enumerate(times):
-            rows.append(MomentRow(
-                component=i, time=float(t), mean=float(mean[i, j]), se=float(se[i, j]),
-                quantiles=tuple((float(q), float(quant[qi, i, j]))
-                                for qi, q in enumerate(qs))))
-    avg = vals.mean(axis=1)  # (P, T)
-    aggregate = tuple((float(t), float(avg[:, j].mean()),
-                       float(avg[:, j].std(ddof=1) / np.sqrt(n_paths)))
-                      for j, t in enumerate(times))
-    integ = np.array([[np.trapezoid(p.values, x=p.grid.points) for p in comps]
-                      for comps in path_lists])  # (P, N)
-    return MomentSummary(rows=tuple(rows), aggregate=aggregate,
-                         integral_mean=integ.mean(axis=0),
-                         integral_se=integ.std(axis=0, ddof=1) / np.sqrt(n_paths),
-                         n_paths=n_paths)

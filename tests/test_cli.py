@@ -1,8 +1,12 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import mfjump
 from mfjump.cli import main
 
 
@@ -72,14 +76,26 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")])
         assert code == 3
 
-    def test_numeric_blowup_is_exit_two(self, tmp_path):
+    def test_numeric_blowup_is_exit_two(self, tmp_path, capsys):
         preset = {"kind": "example21", "n_components": 1, "a": 1.0,
                   "sigma": 50.0, "sigma_power": 3.0, "initial": 5.0}
         scen = write_scenario(tmp_path / "s.json", preset=preset,
                               drift={"kind": "constant", "value": 1000.0})
-        code = main(["simulate", "--scenario", str(scen), "--paths", "4",
-                     "--seed", "0", "--out", str(tmp_path / "o"), "--jobs", "1"])
+        # 1200 paths make three blocks, all with failing paths
+        argv = ["simulate", "--scenario", str(scen), "--paths", "1200", "--seed", "0"]
+        code = main(argv + ["--out", str(tmp_path / "o"), "--jobs", "1"])
         assert code == 2
+        serial = capsys.readouterr().err
+        assert re.search(r"component 0, path \d+$", serial.strip())
+        # --jobs 2 sends the error through the pool; a subprocess with a
+        # timeout turns a hang into a failure
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfjump.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfjump.cli"] + argv
+            + ["--out", str(tmp_path / "o2"), "--jobs", "2"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr == serial
 
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         scen = write_scenario(tmp_path / "s.json")

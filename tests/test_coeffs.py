@@ -4,13 +4,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mfjump import (DriftSpec, ExponentialMeasure, PointMassMeasure, PowerModulus,
-                    SamplingPlan, TimeGrid, make_bundle, preset_cbi_thinning,
-                    preset_cir, preset_example21, thinning_system,
+from mfjump import (CadlagPath, DriftSpec, ExponentialMeasure, PointMassMeasure,
+                    PowerModulus, SamplingPlan, StaircasePath, TimeGrid, make_bundle,
+                    preset_cbi_thinning, preset_cir, preset_example21, thinning_system,
                     validate_assum1, validate_assum2, validate_assum_uniq,
                     validate_drift, validate_system, permute_system)
-from mfjump.coeffs import (CoefficientSet, JumpKernel, SqrtDiffusion,
-                           StableJumpMeasure, stable_levy_constant)
+from mfjump.coeffs import (CoefficientSet, JumpKernel, LinearInTime, SqrtDiffusion,
+                           StableJumpMeasure, drift_values, stable_levy_constant)
 from mfjump.noise import MeasureSpec
 
 
@@ -335,3 +335,62 @@ class TestStableLevyConstant:
             limit=4000)
         tail = -c * cut ** (-alpha) / alpha
         assert head + tail == pytest.approx(-1.0, rel=1e-6)
+
+
+class CountingAverage:
+    """Mean-field average that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t, states):
+        self.calls += 1
+        return np.asarray(states, dtype=float).mean(axis=0)
+
+
+class TestDriftValues:
+    def _reference(self, drift, times, states):
+        """Column-by-column evaluation, one call per time."""
+        cols = []
+        for j, t in enumerate(times):
+            if drift.kind == "constant":
+                col = np.full(states.shape[1], drift.value)
+            elif drift.kind == "time":
+                col = np.full(states.shape[1], float(drift.fn(t)))
+            elif drift.kind == "path":
+                col = np.full(states.shape[1], drift.path.evaluate(t))
+            else:
+                col = drift.fn(t, states[:, :, j])
+            cols.append(col)
+        return np.stack(cols, axis=-1)
+
+    @pytest.mark.parametrize("n,p", [(3, 4), (9, 1), (9, 5)])
+    def test_every_kind_matches_columnwise_evaluation(self, n, p):
+        grid = TimeGrid.uniform(1.0, 16)
+        times = grid.points
+        rng = np.random.default_rng(n * 10 + p)
+        states = rng.random((n, p, times.size)) * 10.0 ** rng.integers(-3, 4, (n, p, times.size))
+        drifts = [
+            DriftSpec.constant(0.7),
+            DriftSpec.time_function(LinearInTime(0.2, 0.3), growth_bound=0.5),
+            DriftSpec.external(StaircasePath(np.array([0.0, 0.25, 1.0]),
+                                             np.array([1.0, 2.0]))),
+            DriftSpec.external(CadlagPath(grid, rng.random(times.size))),
+            DriftSpec.mean_field_average(n),
+        ]
+        out = drift_values(drifts, times, states)
+        assert out.shape == (len(drifts), p, times.size)
+        for i, drift in enumerate(drifts):
+            assert np.array_equal(out[i], self._reference(drift, times, states)), drift.kind
+
+    def test_shared_mean_field_fn_is_called_once(self):
+        fn = CountingAverage()
+        drifts = (DriftSpec.mean_field(fn, growth_bound=0.0, growth_slope=0.25),) * 4
+        states = np.arange(4 * 3 * 5, dtype=float).reshape(4, 3, 5)
+        out = drift_values(drifts, np.linspace(0.0, 1.0, 5), states)
+        assert fn.calls == 1
+        assert np.array_equal(out, np.broadcast_to(states.mean(axis=0), (4, 3, 5)))
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown drift kind"):
+            drift_values([DriftSpec(kind="bogus")], np.zeros(2), np.zeros((1, 1, 2)))

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,31 @@ class TestInvariants:
                          SchemeConfig(), initial=5.0)
         assert err.value.step == 9
         assert "step 9" in str(err.value)
+
+    def test_blowup_names_global_path_and_replays_alone(self):
+        from mfjump.coeffs import BrownianTerm
+        coeffs = CoefficientSet(a=1.0, sigma=PowerDiffusion(50.0, 3.0),
+                                brownian=(BrownianTerm(factor=1, weight=1.0),),
+                                rho=PowerModulus(1.0, 0.5))
+        grid = TimeGrid.uniform(1.0, 64)
+        layout = NoiseLayout(brownian_factors=(1,))
+        errors = []
+        for paths in (range(700, 704), range(700, 701)):
+            with pytest.raises(NumericsError) as err:
+                solve_batch([coeffs], [DriftSpec.constant(1000.0)],
+                            make_batch(grid, layout, 0, paths), SchemeConfig(),
+                            initial=np.full((1, len(paths)), 5.0))
+            errors.append(err.value)
+        assert [e.path_index for e in errors] == [700, 700]
+        assert errors[0].step == errors[1].step
+        assert "path 700" in str(errors[0])
+
+    def test_numerics_error_pickles_with_its_fields(self):
+        err = NumericsError(step=3, time=0.25, component=1, path_index=5000)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is NumericsError
+        assert (back.step, back.time, back.component, back.path_index) == (3, 0.25, 1, 5000)
+        assert str(back) == str(err)
 
     def test_explicit_step_precondition_warns(self):
         grid = TimeGrid.uniform(1.0, 2)  # dt = 0.5, a = 3 -> a*dt > 1

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mfjump import (CadlagPath, DriftSpec, SchemeConfig, TimeGrid, estimate_moments,
-                    make_batch, make_bundle, permute_system, preset_cir,
-                    preset_example21, run_ensemble, solve_batch, solve_onedim,
-                    solve_system)
+from mfjump import (DriftSpec, SchemeConfig, TimeGrid, make_batch, make_bundle,
+                    permute_system, preset_cir, preset_example21, run_ensemble,
+                    solve_batch, solve_onedim, solve_system)
 
 
 def example_spec(n=2, **kw):
@@ -98,33 +97,26 @@ class TestEnsemble:
         lone = solve_system(spec, bundle, SchemeConfig())[0]
         assert np.array_equal(res.values[0, 599], lone.values)
 
+    def test_lone_path_matches_its_block_with_many_components(self):
+        # nine mean-field components: the drift's component sum must not
+        # depend on how many paths share the solve
+        spec = example_spec(n=9, initial=np.linspace(0.5, 4.5, 9))
+        grid = TimeGrid.uniform(1.0, 64)
+        block = solve_batch(spec.components, spec.drifts,
+                            make_batch(grid, spec.noise_layout(), 8, range(3)),
+                            SchemeConfig(), spec.initial[:, None]).values
+        lone = solve_batch(spec.components, spec.drifts,
+                           make_batch(grid, spec.noise_layout(), 8, range(2, 3)),
+                           SchemeConfig(), spec.initial[:, None]).values
+        assert np.array_equal(lone[:, 0], block[:, 2])
+
     def test_rejects_empty_ensemble(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         with pytest.raises(ValueError):
             run_ensemble(spec, SchemeConfig(), TimeGrid.uniform(1.0, 8), 0, 0)
 
 
-class TestEstimateMoments:
-    def _paths(self, values, grid):
-        return [[CadlagPath(grid, row)] for row in values]
-
-    def test_zero_paths_have_zero_means(self):
-        grid = TimeGrid.uniform(1.0, 4)
-        summary = estimate_moments(self._paths(np.zeros((5, 5)), grid),
-                                   times=[0.0, 0.5, 1.0])
-        assert all(row.mean == 0.0 and row.se == 0.0 for row in summary.rows)
-        assert np.all(summary.integral_mean == 0.0)
-
-    def test_cir_mean_curve(self):
-        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
-        grid = TimeGrid.uniform(1.0, 128)
-        bundles = [make_bundle(grid, spec.noise_layout(), 37, p) for p in range(800)]
-        paths = [solve_system(spec, b, SchemeConfig()) for b in bundles]
-        summary = estimate_moments(paths, times=[0.5, 1.0])
-        for row in summary.rows:
-            target = 2.0 + (1.0 - 2.0) * math.exp(-row.time)
-            assert abs(row.mean - target) < 3 * row.se
-
+class TestRunEnsemble:
     def test_standard_error_scaling(self):
         # doubling the path count shrinks the SE by about 1/sqrt(2)
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
@@ -133,11 +125,6 @@ class TestEstimateMoments:
         large = run_ensemble(spec, SchemeConfig(), grid, 3000, 11)
         ratio = large.se[0, -1] / small.se[0, -1]
         assert 0.6 <= ratio <= 0.85
-
-    def test_needs_two_trajectories(self):
-        grid = TimeGrid.uniform(1.0, 4)
-        with pytest.raises(ValueError):
-            estimate_moments(self._paths(np.zeros((1, 5)), grid), times=[1.0])
 
     def test_quantiles_are_ordered(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
