@@ -1,8 +1,8 @@
 """Simulation and verification toolkit for mean-field systems of jump SDEs
 with square-root-type (non-Lipschitz) coefficients."""
 
-from .noise import (JumpEvent, MeasureSpec, NoiseBatch, NoiseBundle, NoiseLayout,
-                    TimeGrid, gen_brownian, gen_finite_activity_events,
+from .noise import (EventArrays, JumpEvent, MeasureSpec, NoiseBatch, NoiseBundle,
+                    NoiseLayout, TimeGrid, gen_brownian, gen_finite_activity_events,
                     gen_stable_increments, make_batch, make_bundle, stream_rng)
 from .paths import (CadlagPath, StaircasePath, evaluate, pointwise_max,
                     read_path_csv, write_path_csv, write_staircase_csv)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import SystemSpec, drift_values
-from .noise import (JumpEvent, NoiseBatch, NoiseBundle, TimeGrid, make_batch,
-                    stream_rng, _cms_standard, _KIND_NESTED)
+from .noise import (NoiseBatch, NoiseBundle, TimeGrid, make_batch, stream_rng,
+                    _draw_events, _stable_scale, _stable_standard, _KIND_NESTED)
 from .solver import SchemeConfig, solve_batch
 from .system import map_blocks
 
@@ -100,7 +100,9 @@ def _forcing_from_intervals(per_interval: np.ndarray, grid: TimeGrid,
 def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int,
                     drift_vals: np.ndarray) -> np.ndarray:
     """Adapted estimate of E[b^{i,n}_k | F_s] at every step s by branching
-    n_inner fresh continuations of the level-n system at s."""
+    n_inner fresh continuations of the level-n system at s. One solve per
+    step covers the branches of every path: inner row p * n_inner + m is
+    branch m of path p."""
     if n_inner < 1:
         raise ValueError("nested-mc needs at least one inner branch")
     grid = batch.grid
@@ -108,69 +110,48 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int
     n_comp, n_paths, _ = prev.values.shape
     forcing = np.empty((n_comp, n_paths, grid.n_steps))
     layout = spec.noise_layout()
-    for p in range(n_paths):
-        master_seed, path_index = batch.lineages[p]
-        for k in range(prev.part_idx.size - 1):
-            j0, j1 = prev.part_idx[k], prev.part_idx[k + 1]
-            past_min = None
-            for j in range(j0, j1):
-                current = drift_vals[:, p, j]
-                past_min = current if past_min is None else np.minimum(past_min, current)
-                span = j1 - j
-                inner = _branch_batch(grid, layout, master_seed, path_index,
-                                      prev.n, k, j, span, n_inner)
-                inner_forcing = np.broadcast_to(
-                    prev.forcing[:, p:p + 1, j:j1], (n_comp, n_inner, span)).copy()
-                res = solve_batch(spec.components, spec.drifts, inner, cfg,
-                                  initial=np.broadcast_to(
-                                      prev.values[:, p:p + 1, j], (n_comp, n_inner)),
-                                  forcing=inner_forcing, record_jumps=False)
-                dv = drift_values(spec.drifts, pts[j:j1 + 1], res.values)
-                future_min = dv.min(axis=2)  # (N, M)
-                est = np.minimum(past_min[:, None], future_min).mean(axis=1)
-                forcing[:, p, j] = est
+    for k in range(prev.part_idx.size - 1):
+        j0, j1 = prev.part_idx[k], prev.part_idx[k + 1]
+        past_min = None
+        for j in range(j0, j1):
+            current = drift_vals[:, :, j]
+            past_min = current if past_min is None else np.minimum(past_min, current)
+            inner = _branch_batch(grid, layout, batch.lineages, prev.n, k, j, j1 - j,
+                                  n_inner)
+            res = solve_batch(spec.components, spec.drifts, inner, cfg,
+                              initial=np.repeat(prev.values[:, :, j], n_inner, axis=1),
+                              forcing=np.repeat(prev.forcing[:, :, j:j1], n_inner, axis=1))
+            dv = drift_values(spec.drifts, pts[j:j1 + 1], res.values)
+            future_min = dv.min(axis=2).reshape(n_comp, n_paths, n_inner)
+            forcing[:, :, j] = np.minimum(past_min[:, :, None], future_min).mean(axis=2)
     return forcing
 
 
-def _branch_batch(grid: TimeGrid, layout, master_seed, path_index, level, interval,
-                  step, span, n_inner) -> NoiseBatch:
-    """Fresh inner noise for nested branching, keyed under the parent lineage."""
+def _branch_batch(grid: TimeGrid, layout, lineages, level, interval, step, span,
+                  n_inner) -> NoiseBatch:
+    """Fresh inner noise for nested branching: n_inner rows per lineage, keyed
+    under that lineage, so a path's branches do not depend on the others."""
     sub_pts = grid.points[step:step + span + 1] - grid.points[step]
     sub_pts[0] = 0.0
     sub = TimeGrid(sub_pts)
-    sqrt_dt = np.sqrt(sub.dt)
+    key = (_KIND_NESTED, level, interval, step)
+    rng = lambda lineage, *stream: stream_rng(*lineage, key + stream)
     brownian = {}
     for fac in layout.brownian_factors:
-        rng = stream_rng(master_seed, path_index,
-                         (_KIND_NESTED, level, interval, step, 1, fac))
-        brownian[fac] = rng.standard_normal((n_inner, span)) * sqrt_dt
+        draws = [rng(lin, 1, fac).standard_normal((n_inner, span)) for lin in lineages]
+        brownian[fac] = np.concatenate(draws) * np.sqrt(sub.dt)
     stable = {}
     for fac, alpha in sorted(layout.stable_alphas.items()):
-        rng = stream_rng(master_seed, path_index,
-                         (_KIND_NESTED, level, interval, step, 2, fac))
-        scale = sub.dt ** (1.0 / alpha)
-        if alpha == 2.0:
-            stable[fac] = rng.standard_normal((n_inner, span)) * (np.sqrt(2.0) * scale)
-        else:
-            stable[fac] = _cms_standard(alpha, (n_inner, span), rng) * scale
-    events = []
-    for m in range(n_inner):
-        per_path = {}
-        for mi, ms in enumerate(layout.measures):
-            rng = stream_rng(master_seed, path_index,
-                             (_KIND_NESTED, level, interval, step, 3, mi, m))
-            count = int(rng.poisson(ms.rate * sub.horizon))
-            evs = []
-            if count:
-                times = np.sort(rng.uniform(0.0, sub.horizon, count))
-                marks = ms.mark_sampler(rng, count)
-                evs = [JumpEvent(float(t), mk, ms.measure_id)
-                       for t, mk in zip(times, marks)]
-            per_path[ms.measure_id] = evs
-        events.append(per_path)
-    return NoiseBatch(grid=sub, brownian=brownian, stable=stable,
-                      jump_events=events,
-                      lineages=tuple((master_seed, path_index) for _ in range(n_inner)))
+        draws = [_stable_standard(alpha, (n_inner, span), rng(lin, 2, fac))
+                 for lin in lineages]
+        stable[fac] = np.concatenate(draws) * _stable_scale(alpha, sub.dt)
+    events = {}
+    for mi, ms in enumerate(layout.measures):
+        rngs = (rng(lin, 3, mi, m) for lin in lineages for m in range(n_inner))
+        events[ms.measure_id] = _draw_events(rngs, ms.rate, ms.mark_sampler,
+                                             sub.horizon)
+    return NoiseBatch(grid=sub, brownian=brownian, stable=stable, events=events,
+                      lineages=tuple(lin for lin in lineages for _ in range(n_inner)))
 
 
 def build_level_one(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig) -> LevelBatch:
@@ -179,8 +160,7 @@ def build_level_one(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig) -> L
     n_comp, n_paths = spec.n, batch.n_paths
     forcing = np.zeros((n_comp, n_paths, grid.n_steps))
     res = solve_batch(spec.components, spec.drifts, batch, cfg,
-                      initial=spec.initial[:, None], forcing=forcing,
-                      record_jumps=False)
+                      initial=spec.initial[:, None], forcing=forcing)
     partition = dyadic_partition(1, grid.horizon)
     part_idx = _partition_indices(grid, partition)
     dv = drift_values(spec.drifts, grid.points, res.values)
@@ -213,8 +193,7 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
         forcing = _nested_forcing(spec, prev, batch, cfg, n_inner, dv)
 
     res = solve_batch(spec.components, spec.drifts, batch, cfg,
-                      initial=spec.initial[:, None], forcing=forcing,
-                      record_jumps=False)
+                      initial=spec.initial[:, None], forcing=forcing)
     partition = dyadic_partition(prev.n + 1, grid.horizon)
     part_idx = _partition_indices(grid, partition)
     dv = drift_values(spec.drifts, grid.points, res.values)

@@ -81,6 +81,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _require_count(value: int, flag: str, low: int) -> None:
+    """A count below ``low`` is a usage error, reported before any work."""
+    if value < low:
+        raise ScenarioError(f"{flag} must be at least {low}")
+
+
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("MFJUMP_OUT") or "mfjump-out"
     os.makedirs(out, exist_ok=True)
@@ -115,8 +121,7 @@ def _csv_writer(fh):
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.paths < 1:
-        raise ScenarioError("--paths must be at least 1")
+    _require_count(args.paths, "--paths", 1)
     out = _out_dir(args)
     seed = _seed(scenario, args)
     grid = scenario.grid(_steps(scenario, args))
@@ -179,6 +184,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
+    _require_count(args.budget, "--budget", 1)
     out = _out_dir(args)
     plan = SamplingPlan(budget=args.budget)
     reports = validate_system(scenario.system, plan)
@@ -202,6 +208,10 @@ def cmd_validate(args) -> int:
 
 def cmd_approx(args) -> int:
     scenario = load_scenario(args.scenario)
+    _require_count(args.paths, "--paths", 1)
+    _require_count(args.levels, "--levels", 2)
+    if args.mode == "nested-mc":
+        _require_count(args.inner, "--inner", 1)
     out = _out_dir(args)
     seed = _seed(scenario, args)
     cfg = SchemeConfig()
@@ -297,6 +307,7 @@ def cmd_approx(args) -> int:
 
 def cmd_uniqueness(args) -> int:
     scenario = load_scenario(args.scenario)
+    _require_count(args.paths, "--paths", 2)
     out = _out_dir(args)
     seed = _seed(scenario, args)
     cfg = SchemeConfig()

@@ -68,7 +68,8 @@ class PointMassMeasure:
     def first_moment(self) -> float:
         return float(sum(u * m for u, m in self.atoms))
 
-    def integrate(self, fn) -> float:
+    def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
+        """Sum over the atoms; ``breakpoints`` only matter to quadrature."""
         return float(sum(fn(u) * m for u, m in self.atoms))
 
 
@@ -193,9 +194,14 @@ class ThinningMarkMeasure:
     def total_mass(self) -> float:
         return self.v_max * self.levy.total_mass
 
-    def integrate(self, fn) -> float:
+    def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
+        """``breakpoints`` are v values where ``fn`` may jump, such as the
+        states x at which the thinning indicator 1{v < x} switches."""
+        points = sorted(p for p in breakpoints if 0.0 < p < self.v_max) or None
+
         def over_v(zeta):
-            return integrate.quad(lambda v: fn((v, zeta)), 0.0, self.v_max, limit=200)[0]
+            return integrate.quad(lambda v: fn((v, zeta)), 0.0, self.v_max,
+                                  points=points, limit=200)[0]
         if isinstance(self.levy, PointMassMeasure):
             return float(sum(over_v(z) * m for z, m in self.levy.atoms))
         return self.levy.integrate(over_v)
@@ -249,11 +255,12 @@ class StablePowerKernel:
 
 @dataclass(frozen=True)
 class ThinningKernel:
-    """g0(x, (v, zeta)) = zeta * 1{v < x}."""
+    """g0(x, (v, zeta)) = zeta * 1{v < x}, elementwise over x and the mark
+    rows v, zeta."""
 
     def __call__(self, x, mark):
         v, zeta = mark
-        return zeta if v < x else 0.0
+        return np.where(v < x, zeta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -269,7 +276,8 @@ class ThinningCompensator:
 
 @dataclass(frozen=True)
 class ThinningMarkSampler:
-    """(v, zeta) marks: v uniform on (0, v_max), zeta from the normalized levy law."""
+    """(v, zeta) marks as a (2, size) array: v uniform on (0, v_max), zeta
+    from the normalized levy law."""
 
     v_max: float
     atoms: tuple = ()  # point-mass levy: ((zeta, mass), ...)
@@ -283,7 +291,7 @@ class ThinningMarkSampler:
             z = rng.choice(zetas, size=size, p=probs / probs.sum())
         else:
             z = rng.exponential(self.exp_mean, size)
-        return list(zip(v.tolist(), z.tolist()))
+        return np.stack((v, z))
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +317,13 @@ class StableTerm:
 
 @dataclass(frozen=True)
 class CompensatedKernel:
-    """Finite-activity compensated jump part: events plus a compensator drift."""
+    """Finite-activity compensated jump part: events plus a compensator drift.
 
-    fn: Callable  # (x, mark) -> jump size
+    ``fn(x, marks)`` is the jump size, elementwise: the solver passes states
+    of shape (E,) with marks of shape (E,) or (d, E), the validators scalars.
+    """
+
+    fn: Callable  # (x, marks) -> jump sizes
     measure: MeasureSpec  # generation side
     mu: object  # validation-side measure over marks
     compensator: Callable  # vectorized x -> integral of fn(x, .) d(mu)
@@ -319,7 +331,8 @@ class CompensatedKernel:
 
 @dataclass(frozen=True)
 class JumpKernel:
-    """Uncompensated jump part g1 against a point-process measure."""
+    """Uncompensated jump part g1 against a point-process measure; ``fn`` has
+    the elementwise ``fn(x, marks)`` contract of ``CompensatedKernel.fn``."""
 
     fn: Callable
     measure: MeasureSpec

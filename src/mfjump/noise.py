@@ -82,7 +82,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class JumpEvent:
-    """One atom of a finite-activity random measure."""
+    """One atom of a finite-activity random measure (single-path view)."""
 
     time: float
     mark: object
@@ -90,16 +90,47 @@ class JumpEvent:
 
 
 @dataclass(frozen=True)
+class EventArrays:
+    """The atoms of one finite-activity measure over a batch, as arrays.
+
+    Event e lies on batch row ``rows[e]`` at time ``times[e]`` with mark
+    ``marks[..., e]``: ``marks`` has shape ``(E,)`` for scalar marks and
+    ``(d, E)`` for marks in R^d. Events are ordered by row, then by time.
+    """
+
+    rows: np.ndarray  # (E,) integer batch rows
+    times: np.ndarray  # (E,)
+    marks: np.ndarray  # (E,) or (d, E)
+
+    @classmethod
+    def from_lists(cls, per_row: Sequence[Sequence[JumpEvent]]) -> "EventArrays":
+        """Arrays holding the events of ``per_row[r]`` on row r."""
+        flat = [(row, ev) for row, evs in enumerate(per_row) for ev in evs]
+        return cls(rows=np.array([row for row, _ev in flat], dtype=np.intp),
+                   times=np.array([ev.time for _row, ev in flat], dtype=float),
+                   marks=np.asarray([ev.mark for _row, ev in flat]).T)
+
+    def as_lists(self, n_rows: int, measure_id: str) -> list:
+        """Per-row lists of ``JumpEvent``; marks in R^d become tuples."""
+        marks = self.marks.T.tolist()
+        if self.marks.ndim == 2:
+            marks = [tuple(m) for m in marks]
+        events = [JumpEvent(t, m, measure_id) for t, m in zip(self.times.tolist(), marks)]
+        cuts = np.searchsorted(self.rows, np.arange(n_rows + 1))
+        return [events[cuts[r]:cuts[r + 1]] for r in range(n_rows)]
+
+
+@dataclass(frozen=True)
 class MeasureSpec:
     """Finite-activity measure: total mass (event rate) plus a mark sampler.
 
-    ``mark_sampler(rng, size)`` returns ``size`` marks (an array, or a
-    sequence of tuples for product mark spaces).
+    ``mark_sampler(rng, size)`` returns ``size`` i.i.d. marks as an array of
+    shape ``(size,)``, or ``(d, size)`` for marks in R^d.
     """
 
     measure_id: str
     rate: float
-    mark_sampler: Callable[[np.random.Generator, int], Sequence]
+    mark_sampler: Callable[[np.random.Generator, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -145,6 +176,17 @@ class NoiseBundle:
         )
 
 
+def _brownian_block(grid: TimeGrid, master_seed: int, paths: Sequence[int],
+                    factor: int) -> np.ndarray:
+    """(len(paths), n_steps) N(0, dt) increments of one factor, a stream per path."""
+    out = np.empty((len(paths), grid.n_steps))
+    for row, p in enumerate(paths):
+        rng = stream_rng(master_seed, p, (_KIND_BROWNIAN, factor))
+        out[row] = rng.standard_normal(grid.n_steps)
+    out *= np.sqrt(grid.dt)
+    return out
+
+
 def gen_brownian(grid: TimeGrid, n_factors: int, master_seed: int, path_index: int = 0,
                  factors: Sequence[int] | None = None) -> np.ndarray:
     """Independent Gaussian increments, one row per factor, N(0, dt) per step."""
@@ -152,15 +194,11 @@ def gen_brownian(grid: TimeGrid, n_factors: int, master_seed: int, path_index: i
         raise ValueError("need at least one factor")
     if factors is None:
         factors = range(n_factors)
-    sqrt_dt = np.sqrt(grid.dt)
-    out = np.empty((n_factors, grid.n_steps))
-    for row, fac in enumerate(factors):
-        rng = stream_rng(master_seed, path_index, (_KIND_BROWNIAN, fac))
-        out[row] = rng.standard_normal(grid.n_steps) * sqrt_dt
-    return out
+    return np.stack([_brownian_block(grid, master_seed, [path_index], fac)[0]
+                     for fac in factors])
 
 
-def _cms_standard(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
+def _cms_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
     """Chambers-Mallows-Stuck draw of S_alpha(1, beta=1, 0), alpha in (1, 2)."""
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     w = rng.standard_exponential(size)
@@ -171,6 +209,32 @@ def _cms_standard(alpha: float, size: int, rng: np.random.Generator) -> np.ndarr
             * (np.cos(u - alpha * (u + b)) / w) ** ((1.0 - alpha) / alpha))
 
 
+def _stable_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
+    """Unscaled stable draws; ``_stable_scale`` turns them into increments."""
+    if alpha == 2.0:
+        return rng.standard_normal(size)
+    return _cms_standard(alpha, size, rng)
+
+
+def _stable_scale(alpha: float, dt: np.ndarray) -> np.ndarray:
+    """Per-step factor dt^(1/alpha); at alpha = 2 the law is N(0, 2*dt)."""
+    scale = dt ** (1.0 / alpha)
+    return np.sqrt(2.0) * scale if alpha == 2.0 else scale
+
+
+def _stable_block(grid: TimeGrid, alpha: float, master_seed: int, paths: Sequence[int],
+                  factor: int) -> np.ndarray:
+    """(len(paths), n_steps) stable increments of one factor, a stream per path."""
+    if not 1.0 < alpha <= 2.0:
+        raise ValueError("alpha must lie in (1, 2] (compensation needs alpha > 1)")
+    out = np.empty((len(paths), grid.n_steps))
+    for row, p in enumerate(paths):
+        rng = stream_rng(master_seed, p, (_KIND_STABLE, factor))
+        out[row] = _stable_standard(alpha, grid.n_steps, rng)
+    out *= _stable_scale(alpha, grid.dt)
+    return out
+
+
 def gen_stable_increments(grid: TimeGrid, alpha: float, master_seed: int, path_index: int = 0,
                           factor: int = 0) -> np.ndarray:
     """Spectrally positive compensated stable increments, scale dt^(1/alpha) per step.
@@ -178,52 +242,44 @@ def gen_stable_increments(grid: TimeGrid, alpha: float, master_seed: int, path_i
     Standard S_alpha(scale, beta=1, 0) in the one-parametrization, so the law
     is centered for alpha in (1, 2] and reduces to N(0, 2*dt) at alpha = 2.
     """
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (1, 2] (compensation needs alpha > 1)")
-    rng = stream_rng(master_seed, path_index, (_KIND_STABLE, factor))
-    scale = grid.dt ** (1.0 / alpha)
-    if alpha == 2.0:
-        # 2-stable is exactly Gaussian with variance 2*dt
-        return rng.standard_normal(grid.n_steps) * (np.sqrt(2.0) * scale)
-    return _cms_standard(alpha, grid.n_steps, rng) * scale
+    return _stable_block(grid, alpha, master_seed, [path_index], factor)[0]
+
+
+def _draw_events(rngs, rate: float, mark_sampler, horizon: float) -> EventArrays:
+    """Poisson(rate * horizon) events per row, row r drawn from ``rngs[r]``:
+    times uniform on [0, horizon) and sorted, marks i.i.d. from the sampler."""
+    if not np.isfinite(rate) or rate < 0:
+        raise ValueError("rate must be finite and non-negative")
+    counts, times, marks = [], [], []
+    for rng in rngs:
+        count = int(rng.poisson(rate * horizon))
+        counts.append(count)
+        if count:
+            times.append(np.sort(rng.uniform(0.0, horizon, count)))
+            drawn = np.asarray(mark_sampler(rng, count))
+            if drawn.ndim not in (1, 2) or drawn.shape[-1] != count:
+                raise ValueError("mark_sampler(rng, size) must return an array "
+                                 "of shape (size,) or (d, size)")
+            marks.append(drawn)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    if not times:
+        return EventArrays(rows=rows, times=np.empty(0), marks=np.empty(0))
+    return EventArrays(rows=rows, times=np.concatenate(times),
+                       marks=np.concatenate(marks, axis=-1))
 
 
 def gen_finite_activity_events(rate: float, mark_sampler, grid: TimeGrid, master_seed: int,
                                path_index: int = 0, measure_id: str = "m0",
                                stream: int = 0) -> list[JumpEvent]:
-    """Poisson(rate * T) events, times uniform on (0, T], marks i.i.d., sorted."""
-    if not np.isfinite(rate) or rate < 0:
-        raise ValueError("rate must be finite and non-negative")
+    """Poisson(rate * T) events, times uniform on [0, T), marks i.i.d., sorted."""
     rng = stream_rng(master_seed, path_index, (_KIND_EVENTS, stream))
-    count = int(rng.poisson(rate * grid.horizon))
-    if count == 0:
-        return []
-    times = np.sort(rng.uniform(0.0, grid.horizon, count))
-    marks = mark_sampler(rng, count)
-    return [JumpEvent(float(t), m, measure_id) for t, m in zip(times, marks)]
-
-
-def make_bundle(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
-                path_index: int = 0) -> NoiseBundle:
-    """Build the full bundle for one trajectory; bit-exact replay per lineage."""
-    brownian = {}
-    for fac in layout.brownian_factors:
-        brownian[fac] = gen_brownian(grid, 1, master_seed, path_index, factors=[fac])[0]
-    stable = {}
-    for fac, alpha in sorted(layout.stable_alphas.items()):
-        stable[fac] = gen_stable_increments(grid, alpha, master_seed, path_index, factor=fac)
-    events = {}
-    for idx, ms in enumerate(layout.measures):
-        events[ms.measure_id] = gen_finite_activity_events(
-            ms.rate, ms.mark_sampler, grid, master_seed, path_index,
-            measure_id=ms.measure_id, stream=idx)
-    return NoiseBundle(grid=grid, brownian=brownian, stable=stable,
-                       jump_events=events, seed_lineage=(master_seed, path_index))
+    events = _draw_events([rng], rate, mark_sampler, grid.horizon)
+    return events.as_lists(1, measure_id)[0]
 
 
 @dataclass(frozen=True)
 class NoiseBatch:
-    """Per-path bundles stacked along a leading path axis.
+    """The driving randomness of a block of paths, one row per path.
 
     Row p holds exactly the draws of the single-path bundle with the same
     lineage, so batched and one-at-a-time solves agree bit for bit.
@@ -232,21 +288,32 @@ class NoiseBatch:
     grid: TimeGrid
     brownian: dict  # factor -> (n_paths, n_steps)
     stable: dict  # factor -> (n_paths, n_steps)
-    jump_events: list  # per path: measure_id -> list[JumpEvent]
-    lineages: tuple
+    events: dict  # measure_id -> EventArrays over the rows
+    lineages: tuple  # per row: (master_seed, path_index)
 
     @property
     def n_paths(self) -> int:
-        return len(self.jump_events)
+        return len(self.lineages)
+
+    @property
+    def jump_events(self) -> list:
+        """Per row, ``{measure_id: [JumpEvent, ...]}``: a view built on
+        demand from the event arrays, for inspection rather than hot paths."""
+        per_measure = {mid: ev.as_lists(self.n_paths, mid)
+                       for mid, ev in self.events.items()}
+        return [{mid: lists[row] for mid, lists in per_measure.items()}
+                for row in range(self.n_paths)]
 
     @classmethod
     def from_bundles(cls, bundles: Sequence[NoiseBundle]) -> "NoiseBatch":
         grid = bundles[0].grid
         stack = lambda key: {f: np.stack([getattr(b, key)[f] for b in bundles])
                              for f in getattr(bundles[0], key)}
+        measure_ids = dict.fromkeys(mid for b in bundles for mid in b.jump_events)
+        events = {mid: EventArrays.from_lists([b.jump_events.get(mid, ()) for b in bundles])
+                  for mid in measure_ids}
         return cls(grid=grid, brownian=stack("brownian"), stable=stack("stable"),
-                   jump_events=[b.jump_events for b in bundles],
-                   lineages=tuple(b.seed_lineage for b in bundles))
+                   events=events, lineages=tuple(b.seed_lineage for b in bundles))
 
     def coarsen(self, factor: int) -> "NoiseBatch":
         if factor < 1 or self.grid.n_steps % factor:
@@ -255,10 +322,36 @@ class NoiseBatch:
         return NoiseBatch(grid=TimeGrid(self.grid.points[::factor]),
                           brownian={f: agg(v) for f, v in self.brownian.items()},
                           stable={f: agg(v) for f, v in self.stable.items()},
-                          jump_events=self.jump_events, lineages=self.lineages)
+                          events=self.events, lineages=self.lineages)
 
 
 def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
                path_indices: Sequence[int]) -> NoiseBatch:
-    return NoiseBatch.from_bundles(
-        [make_bundle(grid, layout, master_seed, p) for p in path_indices])
+    """Noise for the paths ``path_indices``, drawn straight into block arrays;
+    every stream is keyed by its path's lineage, so a row does not depend on
+    the other paths of the block."""
+    paths = list(path_indices)
+    events = {}
+    for idx, ms in enumerate(layout.measures):
+        rngs = (stream_rng(master_seed, p, (_KIND_EVENTS, idx)) for p in paths)
+        events[ms.measure_id] = _draw_events(rngs, ms.rate, ms.mark_sampler,
+                                             grid.horizon)
+    return NoiseBatch(
+        grid=grid,
+        brownian={fac: _brownian_block(grid, master_seed, paths, fac)
+                  for fac in layout.brownian_factors},
+        stable={fac: _stable_block(grid, alpha, master_seed, paths, fac)
+                for fac, alpha in sorted(layout.stable_alphas.items())},
+        events=events,
+        lineages=tuple((master_seed, p) for p in paths))
+
+
+def make_bundle(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
+                path_index: int = 0) -> NoiseBundle:
+    """Build the full bundle for one trajectory; bit-exact replay per lineage."""
+    batch = make_batch(grid, layout, master_seed, [path_index])
+    return NoiseBundle(grid=grid,
+                       brownian={f: v[0] for f, v in batch.brownian.items()},
+                       stable={f: v[0] for f, v in batch.stable.items()},
+                       jump_events=batch.jump_events[0],
+                       seed_lineage=batch.lineages[0])

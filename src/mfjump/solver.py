@@ -59,18 +59,36 @@ class _Part:
     compensator: object = None
 
 
+@dataclass(frozen=True)
+class JumpLog:
+    """The non-zero jumps a solve applied, as arrays in application order,
+    which is time order for each (row, component)."""
+
+    rows: np.ndarray
+    components: np.ndarray
+    times: np.ndarray
+    left: np.ndarray  # state just before the jump
+    right: np.ndarray  # state just after it
+
+    def of(self, row: int, component: int) -> tuple:
+        """``((time, left, right), ...)`` of one path, in time order."""
+        sel = (self.rows == row) & (self.components == component)
+        return tuple(zip(self.times[sel].tolist(), self.left[sel].tolist(),
+                         self.right[sel].tolist()))
+
+
 @dataclass
 class BatchResult:
     """Raw arrays from one batched solve."""
 
     grid: TimeGrid
     values: np.ndarray  # (n_components, n_paths, n_points)
-    jumps: dict  # (path_row, component) -> [(time, left, right), ...]
+    jumps: JumpLog
     warnings: list
 
     def path(self, row: int, component: int = 0) -> CadlagPath:
         return CadlagPath(self.grid, self.values[component, row].copy(),
-                          tuple(self.jumps.get((row, component), ())))
+                          self.jumps.of(row, component))
 
     def component_paths(self, row: int):
         return [self.path(row, i) for i in range(self.values.shape[0])]
@@ -103,28 +121,71 @@ def _prepare_parts(components, batch: NoiseBatch, cfg: SchemeConfig):
     return parts, warns
 
 
-def _bin_events(components, batch: NoiseBatch):
-    """events_by_step[k] = [(path_row, component, time, mark, kernel_fn), ...]."""
+@dataclass
+class _EventPlan:
+    """The events a solve applies, flattened into application order.
+
+    ``steps[k - k_start]`` lists the segments of step k as ``(component, fn,
+    rows, marks, lo, hi)``: events ``lo:hi`` share one kernel and one step and
+    touch distinct rows, so one fancy-indexed call ``fn(x[rows], marks)``
+    applies them.
+    """
+
+    rows: np.ndarray
+    times: np.ndarray
+    components: np.ndarray
+    steps: list
+
+
+def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> _EventPlan:
+    """Bin every kernel's events into steps [k_start, k_stop) of the grid.
+
+    An event at time t in (t_k, t_{k+1}] is applied at the end of step k;
+    events outside (0, horizon] are dropped. Each (row, component) cell takes
+    its events in (time, g0_finite before g1, event index) order, one round
+    per event, so each sees the state its predecessor left; events of
+    different cells commute.
+    """
     points = batch.grid.points
-    by_step = [[] for _ in range(batch.grid.n_steps)]
+    sources, cols = [], []
     for ci, comp in enumerate(components):
-        kernels = []
-        if comp.g0_finite is not None:
-            kernels.append((comp.g0_finite.measure.measure_id, comp.g0_finite.fn))
-        if comp.g1 is not None:
-            kernels.append((comp.g1.measure.measure_id, comp.g1.fn))
-        if not kernels:
-            continue
-        for row, per_path in enumerate(batch.jump_events):
-            for measure_id, fn in kernels:
-                for ev in per_path.get(measure_id, ()):
-                    if ev.time <= 0.0 or ev.time > points[-1]:
-                        continue
-                    k = int(np.searchsorted(points, ev.time, side="left")) - 1
-                    by_step[k].append((row, ci, ev.time, ev.mark, fn))
-    for k in range(len(by_step)):
-        by_step[k].sort(key=lambda e: (e[2], e[0], e[1]))
-    return by_step
+        for kernel in (comp.g0_finite, comp.g1):
+            ev = None if kernel is None else batch.events.get(kernel.measure.measure_id)
+            if ev is None:
+                continue
+            step = np.searchsorted(points, ev.times, side="left") - 1
+            idx = np.flatnonzero((ev.times > 0.0) & (ev.times <= points[-1])
+                                 & (step >= k_start) & (step < k_stop))
+            cols.append((step[idx], ev.times[idx], ev.rows[idx], idx,
+                         np.full(idx.size, len(sources))))
+            sources.append((ci, kernel.fn, ev.marks))
+    cols = cols or [(np.empty(0, dtype=np.intp),) * 5]
+    step, times, rows, mark_idx, kern = (np.concatenate(c) for c in zip(*cols))
+    comp = np.array([ci for ci, _fn, _marks in sources], dtype=np.intp)[kern]
+    # sources are concatenated by (component, g0_finite before g1, event
+    # index), so a stable sort on time gives each cell its order
+    order = np.argsort(times, kind="stable")
+    step, times, rows, comp, mark_idx, kern = (
+        a[order] for a in (step, times, rows, comp, mark_idx, kern))
+    # round of an event: how many earlier events its (step, row, component) has
+    cell = (step * batch.n_paths + rows) * len(components) + comp
+    by_cell = np.argsort(cell, kind="stable")
+    pos = np.arange(cell.size)
+    first = np.diff(cell[by_cell], prepend=-1) != 0
+    rounds = np.empty_like(pos)
+    rounds[by_cell] = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    # segments run in (step, round, kernel) order and hold distinct cells
+    seg_key = (step * (rounds.max(initial=0) + 1) + rounds) * len(sources) + kern
+    order = np.argsort(seg_key, kind="stable")
+    seg_key, step, rows, times, comp, mark_idx, kern = (
+        a[order] for a in (seg_key, step, rows, times, comp, mark_idx, kern))
+    starts = np.flatnonzero(np.diff(seg_key, prepend=-1) != 0)
+    steps = [[] for _ in range(k_start, k_stop)]
+    for k, g, lo, hi in zip((step[starts] - k_start).tolist(), kern[starts].tolist(),
+                            starts.tolist(), starts[1:].tolist() + [step.size]):
+        ci, fn, marks = sources[g]
+        steps[k].append((ci, fn, rows[lo:hi], marks[..., mark_idx[lo:hi]], lo, hi))
+    return _EventPlan(rows=rows, times=times, components=comp, steps=steps)
 
 
 def _check_drift_path(path, grid: TimeGrid) -> None:
@@ -142,12 +203,14 @@ def _check_drift_path(path, grid: TimeGrid) -> None:
 
 def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
                 initial: np.ndarray, forcing: np.ndarray = None,
-                k_start: int = 0, k_stop: int = None,
-                record_jumps: bool = True) -> BatchResult:
+                k_start: int = 0, k_stop: int = None) -> BatchResult:
     """Advance all paths of a batch jointly from step k_start to k_stop.
 
     ``initial`` has shape (n_components, n_paths) and seeds the state at
     ``k_start``; values outside the solved span are left as NaN sentinels.
+    Jump kernels are called as ``fn(x, marks)`` on all the events of a step
+    that touch distinct rows at once, so they must act elementwise: ``x`` has
+    shape (E,) and ``marks`` (E,) or (d, E).
     """
     grid = batch.grid
     n_steps = grid.n_steps
@@ -175,13 +238,14 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
             warns.append("drift target takes negative values; the "
                          "existence theory assumes b >= 0")
     live_drifts = [drifts[i] for i in live]
-    events_by_step = _bin_events(components, batch)
+    plan = _bin_events(components, batch, k_start, k_stop)
+    left = np.empty(plan.rows.size)  # per event: state before it, and its size
+    size = np.empty(plan.rows.size)
 
     values = np.full((n_comp, n_paths, n_steps + 1), np.nan)
     state = np.array(np.broadcast_to(np.asarray(initial, dtype=float),
                                      (n_comp, n_paths)), dtype=float)
     values[:, :, k_start] = state
-    jumps: dict = {}
 
     dts = grid.dt
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -202,12 +266,13 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
                 if part.compensator is not None:
                     acc = acc - dts[k] * part.compensator(y)
                 new[i] = acc
-            for row, ci, t_ev, mark, fn in events_by_step[k]:
-                left = float(new[ci, row])
-                size = fn(left, mark)
-                new[ci, row] = left + size
-                if record_jumps and size != 0.0:
-                    jumps.setdefault((row, ci), []).append((t_ev, left, left + size))
+            for ci, fn, rows, marks, lo, hi in plan.steps[k - k_start]:
+                y = new[ci]
+                x = y[rows]
+                jump = fn(x, marks)
+                y[rows] = x + jump
+                left[lo:hi] = x
+                size[lo:hi] = jump
             if not np.isfinite(new).all():
                 bad = np.argwhere(~np.isfinite(new))[0]
                 raise NumericsError(step=k + 1, time=float(pts[k + 1]),
@@ -220,9 +285,11 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
 
     for warn in warns:
         warnings.warn(warn, RuntimeWarning, stacklevel=2)
-    return BatchResult(grid=grid, values=values,
-                       jumps={key: tuple(v) for key, v in jumps.items()},
-                       warnings=warns)
+    done = np.flatnonzero(size != 0.0)
+    jumps = JumpLog(rows=plan.rows[done], components=plan.components[done],
+                    times=plan.times[done], left=left[done],
+                    right=left[done] + size[done])
+    return BatchResult(grid=grid, values=values, jumps=jumps, warnings=warns)
 
 
 def _as_drift_spec(drift) -> DriftSpec:

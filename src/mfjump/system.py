@@ -95,7 +95,6 @@ def _ensemble_block(spec, cfg, grid, master_seed, section_idx, keep_values, boun
         "sections": vals[:, :, section_idx].transpose(1, 0, 2),
         "warnings": result.warnings,
         "values": vals if keep_values else None,
-        "jumps": result.jumps if keep_values else None,
     }
 
 

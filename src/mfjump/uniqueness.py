@@ -244,9 +244,9 @@ def uniqueness_trial(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
     batch_coarse = batch_fine.coarsen(steps_fine // steps_coarse)
 
     res_f = solve_batch(spec.components, spec.drifts, batch_fine, cfg,
-                        initial=spec.initial[:, None], record_jumps=False)
+                        initial=spec.initial[:, None])
     res_c = solve_batch(spec.components, spec.drifts, batch_coarse, cfg,
-                        initial=spec.initial[:, None], record_jumps=False)
+                        initial=spec.initial[:, None])
     stride = steps_fine // steps_coarse
     diff = res_c.values - res_f.values[:, :, ::stride]  # on coarse grid points
     sup = np.abs(diff).max(axis=(0, 2))  # (P,) sup over components and times

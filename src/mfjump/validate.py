@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoefficientSet, PowerModulus, SystemSpec
+from .coeffs import CoefficientSet, PowerModulus, SystemSpec, ThinningMarkMeasure
 
 PASS, FAIL, UNCHECKED = "pass", "fail", "unchecked"
 
@@ -91,6 +91,12 @@ def _sample_marks(mu, rng, n):
         return list(zip(v.tolist(), np.asarray(zetas, dtype=float).tolist()))
     # generic one-dimensional mark space
     return (10.0 ** rng.uniform(-2, 1, n)).tolist()
+
+
+def _state_breakpoints(mu, *states) -> tuple:
+    """Mark points where a kernel integrand over ``mu`` jumps with the state:
+    under a thinning measure the indicator 1{v < x} switches at v = x."""
+    return states if isinstance(mu, ThinningMarkMeasure) else ()
 
 
 def _divergence_status(modulus, which: str):
@@ -195,7 +201,8 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
                 pts = rng.uniform(0.0, m, (12, 2))
                 for x, y in pts:
                     val = c.mu0.integrate(
-                        lambda u: (min(c.g0(x, u), m) - min(c.g0(y, u), m)) ** 2)
+                        lambda u: (min(c.g0(x, u), m) - min(c.g0(y, u), m)) ** 2,
+                        breakpoints=_state_breakpoints(c.mu0, x, y))
                     bound = float(mod(abs(x - y))) ** 2
                     checked += 1
                     if val > bound * (1 + _QUAD_SLACK) + _QUAD_SLACK * _QUAD_SLACK:

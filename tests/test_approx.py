@@ -116,6 +116,23 @@ class TestBuildLevels:
                                mode="deterministic")
         assert np.allclose(nested.forcing, det.forcing)
 
+    def test_nested_mc_path_does_not_depend_on_its_block(self):
+        # the inner branches of all paths share one solve per step; each
+        # path's nested forcing equals that path's forcing solved alone
+        from mfjump import PointMassMeasure, thinning_system
+        for spec in (mean_field_spec(n=2, sigma=0.4, sigma_z=0.2, alpha=1.7),
+                     thinning_system(PointMassMeasure(atoms=((0.4, 3.0),)), v_max=4.0,
+                                     sigma=0.3, drift=DriftSpec.mean_field_average(1))):
+            grid = dyadic_partition(5, 1.0)
+            levels = []
+            for paths in (range(3), range(1, 2)):
+                batch = make_batch(grid, spec.noise_layout(), 4, paths)
+                lvl1 = build_level_one(spec, batch, SchemeConfig())
+                levels.append(build_next_level(lvl1, spec, batch, SchemeConfig(),
+                                               mode="nested-mc", n_inner=3))
+            assert np.array_equal(levels[0].forcing[:, 1:2], levels[1].forcing)
+            assert np.array_equal(levels[0].values[:, 1:2], levels[1].values)
+
     def test_nested_mc_rejects_bad_branch_count(self):
         spec = mean_field_spec(sigma=0.2)
         grid = dyadic_partition(4, 1.0)

@@ -47,6 +47,20 @@ class TestSimulate:
             outs.append(read_tree(out))
         assert outs[0] == outs[1]
 
+    def test_jump_scenario_is_byte_identical_across_jobs(self, tmp_path):
+        # 1100 paths make three blocks; every block carries jump events
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                            "thinned-jumps.json")
+        outs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            code = main(["simulate", "--scenario", scen, "--paths", "1100",
+                         "--out", str(out), "--jobs", str(jobs)])
+            assert code == 0
+            outs.append(read_tree(out))
+        assert sorted(outs[0]) == ["aggregate.csv", "paths.csv", "summary.json"]
+        assert outs[0] == outs[1]
+
     def test_artifacts_exist_and_summary_is_consistent(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json", preset={
             "kind": "example21", "n_components": 3, "a": 1.0, "sigma": 0.4,
@@ -139,6 +153,13 @@ class TestValidate:
         failing = [c for entry in report for c in entry["conditions"]
                    if c["status"] == "fail"]
         assert failing and failing[0]["witness"] is not None
+
+
+    def test_thinned_jumps_scenario_passes(self, tmp_path):
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                            "thinned-jumps.json")
+        code = main(["validate", "--scenario", scen, "--out", str(tmp_path / "o")])
+        assert code == 0
 
 
 class TestApprox:
@@ -251,6 +272,22 @@ class TestUniqueness:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--paths", "0"],
+        ["uniqueness", "--paths", "0"],
+        ["uniqueness", "--paths", "1"],
+        ["approx", "--levels", "1"],
+        ["approx", "--mode", "nested-mc", "--inner", "0"],
+        ["validate", "--budget", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_count_is_usage_error(self, argv, tmp_path, capsys):
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
+        out = tmp_path / "o"
+        code = main(argv + ["--scenario", scen, "--out", str(out), "--jobs", "1"])
+        assert code == 3
+        assert f"{argv[-2]} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +265,8 @@ class TestThinningPreset:
         comp = preset_cbi_thinning(self.levy(), v_max=4.0)
         rng = np.random.default_rng(1)
         marks = comp.g0_finite.measure.mark_sampler(rng, 500)
-        assert all(comp.g0_finite.fn(0.0, m) == 0.0 for m in marks)
+        assert marks.shape == (2, 500)
+        assert np.array_equal(comp.g0_finite.fn(np.zeros(500), marks), np.zeros(500))
         assert comp.g0_finite.compensator(0.0) == 0.0
 
     def test_acceptance_probability_at_clamped_state(self):
@@ -301,6 +303,25 @@ class TestThinningPreset:
             counts[mass] = total / 3000
         ratio = counts[4.0] / counts[2.0]
         assert abs(ratio - 2.0) < 0.15
+
+    def test_truncated_l2_modulus_integral_is_exact(self):
+        # thinned-jumps: exponential levy (mass 2, mean 0.4), v_max 4. For
+        # x < y < v_max the integrand is min(zeta, m)^2 on x <= v < y and 0
+        # elsewhere, so the integral is (y - x) * C2(m) with C2(m) the
+        # truncated second moment. (x, y, m) is the triple the validator once
+        # reported as a false FAIL, when quad ran across the jumps at v = x, y.
+        from mfjump import load_scenario
+        from mfjump.validate import _state_breakpoints
+        root = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+        comp = load_scenario(os.path.join(root, "thinned-jumps.json")).system.components[0]
+        x, y, m = 0.9375815743611593, 1.8990044347176243, 5.0
+        mass, mean = 2.0, 0.4
+        c2 = mass * (2 * mean ** 2 * (1 - math.exp(-m / mean))
+                     - 2 * mean * m * math.exp(-m / mean))
+        val = comp.mu0.integrate(
+            lambda u: (min(comp.g0(x, u), m) - min(comp.g0(y, u), m)) ** 2,
+            breakpoints=_state_breakpoints(comp.mu0, x, y))
+        assert val == pytest.approx((y - x) * c2, rel=1e-9)
 
     def test_compensator_closed_form(self):
         comp = preset_cbi_thinning(self.levy(mass=3.0, size=0.5), v_max=4.0)

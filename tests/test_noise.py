@@ -175,6 +175,24 @@ class TestFiniteActivityEvents:
             with pytest.raises(ValueError):
                 gen_finite_activity_events(rate, lambda rng, size: [], grid, 0)
 
+    def test_marks_in_rd_come_as_columns(self):
+        grid = unit_grid(8)
+        layout = NoiseLayout(measures=(MeasureSpec(
+            "m", 20.0, lambda rng, size: rng.uniform(size=(3, size))),))
+        batch = make_batch(grid, layout, 4, range(5))
+        ev = batch.events["m"]
+        assert ev.marks.shape == (3, ev.times.size)
+        assert np.array_equal(ev.rows, np.sort(ev.rows))
+        for p in range(5):
+            mine = ev.rows == p
+            listed = make_bundle(grid, layout, 4, p).jump_events["m"]
+            assert np.array_equal(ev.times[mine], [e.time for e in listed])
+            assert np.array_equal(ev.marks[:, mine].T, [e.mark for e in listed])
+        # size rows of d marks (the transpose) break the (d, size) contract
+        with pytest.raises(ValueError, match="mark_sampler"):
+            gen_finite_activity_events(
+                20.0, lambda rng, size: rng.uniform(size=(size, 3)), grid, 4)
+
 
 class TestBundles:
     def layout(self):

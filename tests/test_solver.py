@@ -9,9 +9,10 @@ from mfjump import (CadlagPath, DriftSpec, JumpEvent, NoiseBundle, NumericsError
                     SchemeConfig, StaircasePath, TimeGrid, compare_ordered,
                     make_batch, make_bundle, preset_cir, preset_example21,
                     solve_batch, solve_onedim)
-from mfjump.coeffs import (CoefficientSet, JumpKernel, PowerDiffusion,
-                           PowerModulus, SqrtDiffusion)
-from mfjump.noise import MeasureSpec, NoiseLayout
+from mfjump.coeffs import (CoefficientSet, CompensatedKernel, JumpKernel,
+                           PowerDiffusion, PowerModulus, SqrtDiffusion,
+                           ThinningKernel, ThinningMarkSampler, ZeroFn)
+from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout
 
 
 def deterministic_coeffs(a=1.0):
@@ -53,11 +54,6 @@ class TestPureJumpBookkeeping:
                            seed_lineage=(0, 0))
 
     def test_single_event_adds_jump_size(self):
-        @dataclass(frozen=True)
-        class AddMark:
-            def __call__(self, x, mark):
-                return mark
-
         kernel = JumpKernel(fn=AddMark(),
                             measure=MeasureSpec("g1", 0.0, lambda rng, n: []),
                             mu=None)
@@ -73,6 +69,124 @@ class TestPureJumpBookkeeping:
         assert path.evaluate(tau) == 2.75
         assert path.left_limit(tau) == 2.0
         assert path.jumps == ((tau, 2.0, 2.75),)
+
+
+@dataclass(frozen=True)
+class AddMark:
+    def __call__(self, x, mark):
+        return mark
+
+
+@dataclass(frozen=True)
+class ScaleByMark:
+    """Jump size x * u, which depends on the state, so event order matters."""
+
+    def __call__(self, x, mark):
+        return x * mark
+
+
+def pure_jump_component(g0_fn, g0_measure, g1_fn=None, g1_measure=None):
+    """a = 0, no diffusion, zero compensator: only the jumps move the state."""
+    g0 = CompensatedKernel(fn=g0_fn, measure=g0_measure, mu=None, compensator=ZeroFn())
+    g1 = None if g1_fn is None else JumpKernel(fn=g1_fn, measure=g1_measure, mu=None)
+    return CoefficientSet(a=0.0, sigma=SqrtDiffusion(0.0), rho=PowerModulus(1.0, 0.5),
+                          g0_finite=g0, g1=g1)
+
+
+def scalar_event_reference(components, bundles, initial):
+    """Values and jump records of pure-jump components, one event at a time:
+    per (path, component) the events of g0_finite and g1 in (time, g0 before
+    g1, event order), each applied as left + fn(left, mark) on floats."""
+    pts = bundles[0].grid.points
+    values = np.empty((len(components), len(bundles), pts.size))
+    jumps = {}
+    for ci, comp in enumerate(components):
+        for row, bundle in enumerate(bundles):
+            events = []
+            for slot, kernel in enumerate((comp.g0_finite, comp.g1)):
+                if kernel is None:
+                    continue
+                for j, ev in enumerate(bundle.jump_events.get(kernel.measure.measure_id, ())):
+                    if 0.0 < ev.time <= pts[-1]:
+                        events.append((ev.time, slot, j, ev.mark, kernel.fn))
+            events.sort(key=lambda e: e[:3])
+            y = float(initial[ci])
+            values[ci, row, 0] = y
+            for k in range(pts.size - 1):
+                while events and events[0][0] <= pts[k + 1]:
+                    t, _slot, _j, mark, fn = events.pop(0)
+                    size = float(fn(y, mark))
+                    if size != 0.0:
+                        jumps.setdefault((row, ci), []).append((t, y, y + size))
+                    y = y + size
+                values[ci, row, k + 1] = y
+    return values, jumps
+
+
+class TestVectorisedEvents:
+    """Events applied per step in fancy-indexed kernel calls equal a scalar
+    per-event reference bit for bit."""
+
+    def components(self):
+        a = MeasureSpec("a", 30.0, lambda rng, n: rng.uniform(-0.5, 0.5, n))
+        b = MeasureSpec("b", 20.0, lambda rng, n: rng.exponential(0.3, n))
+        c = MeasureSpec("c", 40.0, ThinningMarkSampler(v_max=4.0, exp_mean=0.4))
+        return (pure_jump_component(ScaleByMark(), a, AddMark(), b),
+                pure_jump_component(AddMark(), b, ScaleByMark(), a),
+                pure_jump_component(ThinningKernel(), c))
+
+    def check(self, components, bundles, batch, initial):
+        res = solve_batch(components, [DriftSpec.constant(0.0)] * len(components),
+                          batch, SchemeConfig(), initial[:, None])
+        values, jumps = scalar_event_reference(components, bundles, initial)
+        assert np.array_equal(res.values, values)
+        for row in range(len(bundles)):
+            for ci in range(len(components)):
+                assert res.path(row, ci).jumps == tuple(jumps.get((row, ci), ()))
+        return res
+
+    def test_hand_placed_events(self):
+        # grid 0, .25, .5, .75, 1. Row 0: two "a" events and a "b" event in
+        # step 0, an "a" event on the grid point 0.5, a "b" event at the
+        # horizon and an "a" event at t = 0. Row 1: "a" and "b" at the same
+        # time 0.3, which component 0 takes g0 ("a") first and component 1
+        # takes g0 ("b") first; a "b" event at t = 0. Row 2: no events.
+        grid = TimeGrid.uniform(1.0, 4)
+        ev = lambda mid, *pairs: [JumpEvent(t, m, mid) for t, m in pairs]
+        per_row = [
+            {"a": ev("a", (0.0, 0.3), (0.1, 0.5), (0.2, -0.25), (0.5, 0.125)),
+             "b": ev("b", (0.15, 1.0), (1.0, 0.75)),
+             "c": ev("c", (0.1, (0.5, 0.4)), (0.2, (3.0, 0.4)), (0.22, (0.1, 0.2)))},
+            {"a": ev("a", (0.3, 0.5)), "b": ev("b", (0.0, 2.0), (0.3, 1.0))},
+            {},
+        ]
+        bundles = [NoiseBundle(grid=grid, brownian={}, stable={}, jump_events=evs,
+                               seed_lineage=(0, p)) for p, evs in enumerate(per_row)]
+        initial = np.array([1.0, 2.0, 1.0])
+        res = self.check(self.components(), bundles, NoiseBatch.from_bundles(bundles),
+                         initial)
+        assert 0.0 not in res.jumps.times.tolist()
+        path = res.path(0, 0)
+        assert [t for t, _l, _r in path.jumps] == [0.1, 0.15, 0.2, 0.5, 1.0]
+        assert path.values[2] == path.jumps[3][2]  # the 0.5 event lands on t = 0.5
+        assert path.values[-1] == path.jumps[4][2]  # the horizon event is applied
+        # thinning: accepted at v < x only, two events in one step
+        assert [t for t, _l, _r in res.path(0, 2).jumps] == [0.1, 0.22]
+        assert res.path(1, 0).jumps == ((0.3, 1.0, 1.5), (0.3, 1.5, 2.5))
+        assert res.path(1, 1).jumps == ((0.3, 2.0, 3.0), (0.3, 3.0, 4.5))
+        assert res.path(2, 0).jumps == ()
+
+    def test_dense_random_events(self):
+        # about 7 events per path and measure in each of 4 steps, so most
+        # (row, component) cells get several events per step
+        comps = self.components()
+        layout = NoiseLayout(measures=tuple(
+            k.measure for k in (comps[0].g0_finite, comps[0].g1, comps[2].g0_finite)))
+        grid = TimeGrid.uniform(1.0, 4)
+        bundles = [make_bundle(grid, layout, 5, p) for p in range(40)]
+        batch = make_batch(grid, layout, 5, range(40))
+        res = self.check(comps, bundles, batch, np.array([1.0, 2.0, 1.5]))
+        assert res.jumps.times.size > 1000
 
 
 class TestCirMean:
@@ -196,11 +310,9 @@ class TestThinnedJumps:
         se = terminal.std(ddof=1) / math.sqrt(terminal.size)
         assert abs(terminal.mean() - target) < 3 * se
         # accepted events were recorded with their left limits
-        n_jumps = sum(len(v) for v in res.jumps.values())
+        n_jumps = res.jumps.times.size
         assert n_jumps > 0
-        for (row, comp), events in res.jumps.items():
-            for t, left, right in events:
-                assert right - left == pytest.approx(0.4)
+        assert res.jumps.right - res.jumps.left == pytest.approx(np.full(n_jumps, 0.4))
 
 
 class TestStaircaseDrift:
