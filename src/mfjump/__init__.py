@@ -1,11 +1,9 @@
 """Simulation and verification toolkit for mean-field systems of jump SDEs
 with square-root-type (non-Lipschitz) coefficients."""
 
-from .noise import (EventArrays, JumpEvent, MeasureSpec, NoiseBatch, NoiseBundle,
-                    NoiseLayout, TimeGrid, gen_brownian, gen_finite_activity_events,
-                    gen_stable_increments, make_batch, make_bundle, stream_rng)
-from .paths import (CadlagPath, StaircasePath, evaluate, pointwise_max,
-                    read_path_csv, write_path_csv, write_staircase_csv)
+from .noise import (EventArrays, JumpEvent, MeasureSpec, NoiseBatch, NoiseLayout,
+                    TimeGrid, gen_stable_increments, make_batch, stream_rng)
+from .paths import CadlagPath, StaircasePath, pointwise_max
 from .coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, DriftSpec,
                      ExponentialMeasure, JumpKernel, PointMassMeasure,
                      PowerModulus, StableTerm, SystemSpec, permute_system)
@@ -19,10 +17,9 @@ from .solver import (NumericsError, OrderingReport, SchemeConfig, compare_ordere
 from .system import EnsembleResult, run_ensemble, solve_system
 from .staircase import (envelope, grid_modulus, lower_staircase,
                         staircase_diagnostics, upper_staircase)
-from .approx import (ApproxLevel, HierarchyResult, build_level_one,
-                     build_next_level, check_monotone, dyadic_partition,
-                     hierarchy_refinement_study, infimum_drift,
-                     moment_bound_check, run_hierarchy, run_hierarchy_batch,
+from .approx import (HierarchyResult, build_level_one, build_next_level,
+                     check_monotone, dyadic_partition, hierarchy_refinement_study,
+                     infimum_drift, moment_bound_check, run_hierarchy_batch,
                      run_hierarchy_ensemble)
 from .uniqueness import (DivergenceReport, PhiFunctions, TestFunctionFamily,
                          build_phi, refinement_study, uniqueness_trial,

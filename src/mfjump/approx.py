@@ -7,12 +7,12 @@ consecutive levels holds exactly whenever the level paths are ordered.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import SystemSpec, drift_values
-from .noise import (NoiseBatch, NoiseBundle, TimeGrid, make_batch, stream_rng,
+from .noise import (NoiseBatch, TimeGrid, make_batch, stream_rng,
                     _draw_events, _stable_scale, _stable_standard, _KIND_NESTED)
 from .solver import SchemeConfig, solve_batch
 from .system import map_blocks
@@ -77,16 +77,6 @@ class LevelBatch:
     inf_drifts: np.ndarray  # (N, P, 2^(n-1)) interval infima along this level's paths
     values: np.ndarray  # (N, P, K+1) level paths on the simulation grid
     forcing: np.ndarray  # (N, P, K) drift forcing used to build this level
-
-
-@dataclass(frozen=True)
-class ApproxLevel:
-    """Single-trajectory view of one approximation level."""
-
-    n: int
-    partition: TimeGrid
-    infimum_drifts: np.ndarray  # (N, 2^(n-1))
-    paths: tuple  # per-component CadlagPath
 
 
 def _forcing_from_intervals(per_interval: np.ndarray, grid: TimeGrid,
@@ -235,22 +225,6 @@ def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig,
     return HierarchyResult(levels=levels, mode=mode, sup_gaps=gaps)
 
 
-def run_hierarchy(spec: SystemSpec, noise: NoiseBundle, cfg: SchemeConfig,
-                  n_max: int, mode: str = "realized", n_inner: int = 8):
-    """Single-trajectory hierarchy: list of ApproxLevel plus the limit paths."""
-    from .paths import CadlagPath
-    batch = NoiseBatch.from_bundles([noise])
-    result = run_hierarchy_batch(spec, batch, cfg, n_max, mode=mode, n_inner=n_inner)
-    levels = [ApproxLevel(n=lv.n, partition=lv.partition,
-                          infimum_drifts=lv.inf_drifts[:, 0, :],
-                          paths=tuple(CadlagPath(batch.grid, lv.values[i, 0])
-                                      for i in range(spec.n)))
-              for lv in result.levels]
-    limit = [CadlagPath(batch.grid, result.levels[-1].values[i, 0])
-             for i in range(spec.n)]
-    return levels, limit, result
-
-
 @dataclass(frozen=True)
 class MonotonicityRow:
     level_from: int
@@ -266,11 +240,7 @@ def check_monotone(levels, tolerance: float = 0.0):
         raise ValueError("need at least two levels")
     rows = []
     for a, b in zip(levels, levels[1:]):
-        va = a.values if isinstance(a, LevelBatch) else np.stack(
-            [p.values for p in a.paths])
-        vb = b.values if isinstance(b, LevelBatch) else np.stack(
-            [p.values for p in b.paths])
-        gap = va - vb
+        gap = a.values - b.values
         rows.append(MonotonicityRow(
             level_from=a.n, level_to=b.n,
             max_violation=float(np.maximum(gap, 0.0).max()),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -19,9 +20,8 @@ import numpy as np
 
 from .approx import (check_monotone, hierarchy_refinement_study,
                      moment_bound_check, run_hierarchy_ensemble)
-from .noise import make_batch
 from .scenario import Scenario, ScenarioError, load_scenario
-from .solver import NumericsError, SchemeConfig, solve_batch
+from .solver import NumericsError, SchemeConfig
 from .system import run_ensemble
 from .uniqueness import TestFunctionFamily, refinement_study
 from .validate import SamplingPlan, validate_system
@@ -96,6 +96,8 @@ def _out_dir(args) -> str:
 def _steps(scenario: Scenario, args) -> int:
     if args.dt is None:
         return scenario.grid_steps
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        raise ScenarioError(f"--dt must be finite and positive, got {args.dt}")
     steps = round(scenario.horizon / args.dt)
     if steps < 1 or not np.isclose(steps * args.dt, scenario.horizon):
         raise ScenarioError(f"--dt {args.dt} does not tile the horizon "
@@ -122,13 +124,14 @@ def _csv_writer(fh):
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     _require_count(args.paths, "--paths", 1)
+    grid = scenario.grid(_steps(scenario, args))
     out = _out_dir(args)
     seed = _seed(scenario, args)
-    grid = scenario.grid(_steps(scenario, args))
     cfg = SchemeConfig()
     spec = scenario.system
 
-    result = run_ensemble(spec, cfg, grid, args.paths, seed, jobs=args.jobs)
+    result = run_ensemble(spec, cfg, grid, args.paths, seed, jobs=args.jobs,
+                          keep_paths=args.dump_paths)
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = result.quantiles(qs)
 
@@ -143,18 +146,13 @@ def cmd_simulate(args) -> int:
             w.writerow([repr(float(t)), "average",
                         repr(float(result.avg_mean[j])), repr(float(result.avg_se[j]))])
 
-    dump = min(args.dump_paths, args.paths)
     with open(os.path.join(out, "paths.csv"), "w", encoding="utf-8") as fh:
         w = _csv_writer(fh)
         w.writerow(["path_id", "component", "time", "value"])
-        if dump > 0:
-            batch = make_batch(grid, spec.noise_layout(), seed, range(dump))
-            res = solve_batch(spec.components, spec.drifts, batch, cfg,
-                              initial=spec.initial[:, None])
-            for p in range(dump):
-                for i in range(spec.n):
-                    for t, v in zip(grid.points, res.values[i, p]):
-                        w.writerow([str(p), str(i), repr(float(t)), repr(float(v))])
+        for p in range(result.values.shape[1]):
+            for i in range(spec.n):
+                for t, v in zip(grid.points, result.values[i, p]):
+                    w.writerow([str(p), str(i), repr(float(t)), repr(float(v))])
 
     summary = {
         "name": scenario.name,
@@ -212,14 +210,14 @@ def cmd_approx(args) -> int:
     _require_count(args.levels, "--levels", 2)
     if args.mode == "nested-mc":
         _require_count(args.inner, "--inner", 1)
-    out = _out_dir(args)
-    seed = _seed(scenario, args)
-    cfg = SchemeConfig()
-    spec = scenario.system
     base_steps = _steps(scenario, args)
     if base_steps & (base_steps - 1):
         raise ScenarioError("approx needs a power-of-two step count so dyadic "
                             "partitions land on grid points")
+    out = _out_dir(args)
+    seed = _seed(scenario, args)
+    cfg = SchemeConfig()
+    spec = scenario.system
     mode = args.mode
     if scenario.deterministic_drift and mode == "realized":
         mode = "deterministic"
@@ -308,11 +306,14 @@ def cmd_approx(args) -> int:
 def cmd_uniqueness(args) -> int:
     scenario = load_scenario(args.scenario)
     _require_count(args.paths, "--paths", 2)
+    _require_count(args.levels, "--levels", 1)
+    if args.phi_k:
+        _require_count(min(args.phi_k), "--phi-k", 1)
+    base_steps = _steps(scenario, args)
     out = _out_dir(args)
     seed = _seed(scenario, args)
     cfg = SchemeConfig()
     spec = scenario.system
-    base_steps = _steps(scenario, args)
     ladder = [base_steps * 2 ** r for r in range(args.levels)]
 
     phi_ks = tuple(sorted(set(args.phi_k))) if args.phi_k else ()

@@ -102,14 +102,6 @@ class EventArrays:
     times: np.ndarray  # (E,)
     marks: np.ndarray  # (E,) or (d, E)
 
-    @classmethod
-    def from_lists(cls, per_row: Sequence[Sequence[JumpEvent]]) -> "EventArrays":
-        """Arrays holding the events of ``per_row[r]`` on row r."""
-        flat = [(row, ev) for row, evs in enumerate(per_row) for ev in evs]
-        return cls(rows=np.array([row for row, _ev in flat], dtype=np.intp),
-                   times=np.array([ev.time for _row, ev in flat], dtype=float),
-                   marks=np.asarray([ev.mark for _row, ev in flat]).T)
-
     def as_lists(self, n_rows: int, measure_id: str) -> list:
         """Per-row lists of ``JumpEvent``; marks in R^d become tuples."""
         marks = self.marks.T.tolist()
@@ -135,7 +127,7 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class NoiseLayout:
-    """Which factors a bundle must carry.
+    """Which factors a noise batch must carry.
 
     brownian_factors: sorted factor indices for B^0, B^1, ...
     stable_alphas:    {factor index: alpha} for the stable drivers Z^0, Z^1, ...
@@ -147,35 +139,6 @@ class NoiseLayout:
     measures: tuple = ()
 
 
-@dataclass(frozen=True)
-class NoiseBundle:
-    """All driving randomness for one trajectory."""
-
-    grid: TimeGrid
-    brownian: dict  # factor index -> (n_steps,) increments
-    stable: dict  # factor index -> (n_steps,) increments
-    jump_events: dict  # measure_id -> list[JumpEvent], sorted by time
-    seed_lineage: tuple  # (master_seed, path_index)
-
-    def coarsen(self, factor: int) -> "NoiseBundle":
-        """Aggregate increments onto a grid that keeps every factor-th point.
-
-        The coarse bundle is driven by the same realization: Brownian and
-        stable increments add pathwise, and jump events carry over unchanged.
-        """
-        if factor < 1 or self.grid.n_steps % factor:
-            raise ValueError("coarsening factor must divide the step count")
-        pts = self.grid.points[::factor]
-        agg = lambda a: a.reshape(-1, factor).sum(axis=1)
-        return NoiseBundle(
-            grid=TimeGrid(pts),
-            brownian={f: agg(v) for f, v in self.brownian.items()},
-            stable={f: agg(v) for f, v in self.stable.items()},
-            jump_events=self.jump_events,
-            seed_lineage=self.seed_lineage,
-        )
-
-
 def _brownian_block(grid: TimeGrid, master_seed: int, paths: Sequence[int],
                     factor: int) -> np.ndarray:
     """(len(paths), n_steps) N(0, dt) increments of one factor, a stream per path."""
@@ -185,17 +148,6 @@ def _brownian_block(grid: TimeGrid, master_seed: int, paths: Sequence[int],
         out[row] = rng.standard_normal(grid.n_steps)
     out *= np.sqrt(grid.dt)
     return out
-
-
-def gen_brownian(grid: TimeGrid, n_factors: int, master_seed: int, path_index: int = 0,
-                 factors: Sequence[int] | None = None) -> np.ndarray:
-    """Independent Gaussian increments, one row per factor, N(0, dt) per step."""
-    if n_factors < 1:
-        raise ValueError("need at least one factor")
-    if factors is None:
-        factors = range(n_factors)
-    return np.stack([_brownian_block(grid, master_seed, [path_index], fac)[0]
-                     for fac in factors])
 
 
 def _cms_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
@@ -268,21 +220,14 @@ def _draw_events(rngs, rate: float, mark_sampler, horizon: float) -> EventArrays
                        marks=np.concatenate(marks, axis=-1))
 
 
-def gen_finite_activity_events(rate: float, mark_sampler, grid: TimeGrid, master_seed: int,
-                               path_index: int = 0, measure_id: str = "m0",
-                               stream: int = 0) -> list[JumpEvent]:
-    """Poisson(rate * T) events, times uniform on [0, T), marks i.i.d., sorted."""
-    rng = stream_rng(master_seed, path_index, (_KIND_EVENTS, stream))
-    events = _draw_events([rng], rate, mark_sampler, grid.horizon)
-    return events.as_lists(1, measure_id)[0]
-
-
 @dataclass(frozen=True)
 class NoiseBatch:
     """The driving randomness of a block of paths, one row per path.
 
-    Row p holds exactly the draws of the single-path bundle with the same
-    lineage, so batched and one-at-a-time solves agree bit for bit.
+    Every stream of a row is keyed by the row's lineage, so a row holds the
+    same draws in any block: a single path is the one-row batch
+    ``make_batch(grid, layout, master_seed, [p])``, and batched and
+    one-at-a-time solves agree bit for bit.
     """
 
     grid: TimeGrid
@@ -304,18 +249,12 @@ class NoiseBatch:
         return [{mid: lists[row] for mid, lists in per_measure.items()}
                 for row in range(self.n_paths)]
 
-    @classmethod
-    def from_bundles(cls, bundles: Sequence[NoiseBundle]) -> "NoiseBatch":
-        grid = bundles[0].grid
-        stack = lambda key: {f: np.stack([getattr(b, key)[f] for b in bundles])
-                             for f in getattr(bundles[0], key)}
-        measure_ids = dict.fromkeys(mid for b in bundles for mid in b.jump_events)
-        events = {mid: EventArrays.from_lists([b.jump_events.get(mid, ()) for b in bundles])
-                  for mid in measure_ids}
-        return cls(grid=grid, brownian=stack("brownian"), stable=stack("stable"),
-                   events=events, lineages=tuple(b.seed_lineage for b in bundles))
-
     def coarsen(self, factor: int) -> "NoiseBatch":
+        """Aggregate increments onto a grid that keeps every factor-th point.
+
+        The coarse batch is driven by the same realization: Brownian and
+        stable increments add pathwise, and jump events carry over unchanged.
+        """
         if factor < 1 or self.grid.n_steps % factor:
             raise ValueError("coarsening factor must divide the step count")
         agg = lambda a: a.reshape(a.shape[0], -1, factor).sum(axis=2)
@@ -331,6 +270,8 @@ def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
     every stream is keyed by its path's lineage, so a row does not depend on
     the other paths of the block."""
     paths = list(path_indices)
+    if not paths:
+        raise ValueError("need at least one path")
     events = {}
     for idx, ms in enumerate(layout.measures):
         rngs = (stream_rng(master_seed, p, (_KIND_EVENTS, idx)) for p in paths)
@@ -344,14 +285,3 @@ def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
                 for fac, alpha in sorted(layout.stable_alphas.items())},
         events=events,
         lineages=tuple((master_seed, p) for p in paths))
-
-
-def make_bundle(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
-                path_index: int = 0) -> NoiseBundle:
-    """Build the full bundle for one trajectory; bit-exact replay per lineage."""
-    batch = make_batch(grid, layout, master_seed, [path_index])
-    return NoiseBundle(grid=grid,
-                       brownian={f: v[0] for f, v in batch.brownian.items()},
-                       stable={f: v[0] for f, v in batch.stable.items()},
-                       jump_events=batch.jump_events[0],
-                       seed_lineage=batch.lineages[0])

@@ -1,7 +1,6 @@
-"""Cadlag sample paths on a grid, piecewise-constant staircases, CSV emission."""
+"""Cadlag sample paths on a grid and piecewise-constant staircases."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +97,6 @@ class StaircasePath:
         return CadlagPath(grid, self.evaluate(grid.points))
 
 
-def evaluate(path, t: float) -> float:
-    """Right-continuous evaluation for either path flavor."""
-    return path.evaluate(t)
-
-
 def pointwise_max(paths) -> StaircasePath:
     """Pointwise maximum of staircases; breakpoints are the union of inputs."""
     paths = list(paths)
@@ -120,52 +114,3 @@ def pointwise_max(paths) -> StaircasePath:
     for p in paths[1:]:
         levels = np.maximum(levels, p.evaluate(starts))
     return StaircasePath(bp, levels)
-
-
-def write_path_csv(path: CadlagPath, fh, path_id=None) -> None:
-    """Columns time, value, is_jump, left_limit (plus path_id in long format).
-
-    Off-grid jumps get their own rows, so the file samples the path at every
-    grid point and every recorded discontinuity.
-    """
-    writer = csv.writer(fh, lineterminator="\n")
-    header = ["time", "value", "is_jump", "left_limit"]
-    if path_id is not None:
-        header = ["path_id"] + header
-    writer.writerow(header)
-    jump_times = {t for t, _l, _r in path.jumps}
-    rows = {float(t): (path.evaluate(float(t)), float(t) in jump_times,
-                       path.left_limit(float(t)))
-            for t in path.grid.points}
-    for t, left, right in path.jumps:
-        rows[float(t)] = (float(right), True, float(left))
-    for t in sorted(rows):
-        v, is_jump, left = rows[t]
-        out = [repr(t), repr(v), str(is_jump).lower(), repr(left)]
-        if path_id is not None:
-            out = [str(path_id)] + out
-        writer.writerow(out)
-
-
-def read_path_csv(fh) -> CadlagPath:
-    """Rebuild a path from write_path_csv output.
-
-    Row times become the grid (off-grid jump rows refine it), which preserves
-    evaluation at every original grid point and jump time.
-    """
-    reader = csv.DictReader(fh)
-    times, values, jumps = [], [], []
-    for row in reader:
-        t, v = float(row["time"]), float(row["value"])
-        if row["is_jump"] == "true":
-            jumps.append((t, float(row["left_limit"]), v))
-        times.append(t)
-        values.append(v)
-    return CadlagPath(TimeGrid(np.array(times)), np.array(values), tuple(jumps))
-
-
-def write_staircase_csv(stair: StaircasePath, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["interval_start", "interval_end", "level"])
-    for lo, hi, lv in zip(stair.breakpoints[:-1], stair.breakpoints[1:], stair.levels):
-        writer.writerow([repr(float(lo)), repr(float(hi)), repr(float(lv))])

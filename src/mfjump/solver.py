@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSet, DriftSpec, drift_values
-from .noise import NoiseBatch, NoiseBundle, TimeGrid
+from .noise import NoiseBatch, TimeGrid
 from .paths import CadlagPath, StaircasePath
 
 EXPLICIT = "explicit-euler-clipped"
@@ -302,18 +302,25 @@ def _as_drift_spec(drift) -> DriftSpec:
     raise TypeError("drift must be a DriftSpec, a path, or a constant")
 
 
-def solve_onedim(coeffs: CoefficientSet, drift, noise: NoiseBundle,
+def _require_one_row(noise: NoiseBatch) -> None:
+    """Single-path solves take the one-row batch of that path."""
+    if noise.n_paths != 1:
+        raise ValueError("a single-path solve needs a one-row NoiseBatch, "
+                         f"got {noise.n_paths} rows")
+
+
+def solve_onedim(coeffs: CoefficientSet, drift, noise: NoiseBatch,
                  cfg: SchemeConfig, initial: float) -> CadlagPath:
-    """Solve the scalar auxiliary SDE driven by one noise bundle.
+    """Solve the scalar auxiliary SDE driven by a one-row noise batch.
 
     ``drift`` is a DriftSpec (constant or deterministic-in-time), a cadlag or
     staircase path, or a bare number.
     """
+    _require_one_row(noise)
     spec = _as_drift_spec(drift)
     if spec.kind == "mean-field":
         raise ValueError("mean-field drifts need the system solver")
-    batch = NoiseBatch.from_bundles([noise])
-    result = solve_batch([coeffs], [spec], batch, cfg,
+    result = solve_batch([coeffs], [spec], noise, cfg,
                          initial=np.array([[float(initial)]]))
     return result.path(0, 0)
 
@@ -332,10 +339,11 @@ class OrderingReport:
 
 
 def compare_ordered(coeffs: CoefficientSet, drift_low, drift_high,
-                    noise: NoiseBundle, cfg: SchemeConfig,
+                    noise: NoiseBatch, cfg: SchemeConfig,
                     initial_low: float, initial_high: float = None,
                     tolerance: float = 0.0) -> OrderingReport:
-    """Solve the drift-ordered pair on one bundle and report (Y_low - Y_high)+."""
+    """Solve the drift-ordered pair on a one-row noise batch and report
+    (Y_low - Y_high)+."""
     initial_high = initial_low if initial_high is None else initial_high
     if initial_low > initial_high:
         raise ValueError("initial_low must not exceed initial_high")

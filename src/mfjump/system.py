@@ -14,16 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import SystemSpec
-from .noise import NoiseBatch, NoiseBundle, TimeGrid, make_batch
-from .solver import NumericsError, SchemeConfig, solve_batch
+from .noise import NoiseBatch, TimeGrid, make_batch
+from .solver import NumericsError, SchemeConfig, _require_one_row, solve_batch
 
 _BLOCK = 512  # fixed ensemble block size; independent of --jobs
 
 
-def solve_system(spec: SystemSpec, noise: NoiseBundle, cfg: SchemeConfig):
-    """Solve the N-dimensional system on one noise bundle, one path per component."""
-    batch = NoiseBatch.from_bundles([noise])
-    result = solve_batch(spec.components, spec.drifts, batch, cfg,
+def solve_system(spec: SystemSpec, noise: NoiseBatch, cfg: SchemeConfig):
+    """Solve the N-dimensional system on a one-row noise batch, one path per
+    component."""
+    _require_one_row(noise)
+    result = solve_batch(spec.components, spec.drifts, noise, cfg,
                          initial=spec.initial[:, None])
     return result.component_paths(0)
 
@@ -42,8 +43,8 @@ class EnsembleResult:
     integral_se: np.ndarray
     section_times: np.ndarray
     section_values: np.ndarray  # (n_paths, n_components, n_sections)
+    values: np.ndarray  # (n_components, min(keep_paths, n_paths), n_points)
     warnings: list = field(default_factory=list)
-    values: np.ndarray = None  # (n_components, n_paths, n_points) if retained
 
     def quantiles(self, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> np.ndarray:
         """(len(qs), n_components, n_sections) quantiles at the section times."""
@@ -76,7 +77,7 @@ def map_blocks(fn, n_paths: int, block: int, jobs: int, *args) -> list:
     return [result for result, _exc in outcomes]
 
 
-def _ensemble_block(spec, cfg, grid, master_seed, section_idx, keep_values, bounds):
+def _ensemble_block(spec, cfg, grid, master_seed, section_idx, keep_paths, bounds):
     lo, hi = bounds
     batch = make_batch(grid, spec.noise_layout(), master_seed, range(lo, hi))
     result = solve_batch(spec.components, spec.drifts, batch, cfg,
@@ -94,17 +95,19 @@ def _ensemble_block(spec, cfg, grid, master_seed, section_idx, keep_values, boun
         "integ_sumsq": (integ ** 2).sum(axis=1),
         "sections": vals[:, :, section_idx].transpose(1, 0, 2),
         "warnings": result.warnings,
-        "values": vals if keep_values else None,
+        # a copy, so the block's full value array is not kept alive
+        "values": vals[:, :max(0, keep_paths - lo)].copy(),
     }
 
 
 def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: int,
                  master_seed: int, jobs: int = 1, section_times=None,
-                 keep_values: bool = False) -> EnsembleResult:
+                 keep_paths: int = 0) -> EnsembleResult:
     """Simulate n_paths independent trajectories of the system.
 
-    Path p always uses the bundle with lineage (master_seed, p); blocks are
+    Path p always uses the noise with lineage (master_seed, p); blocks are
     merged in index order, so the output is byte-identical for any ``jobs``.
+    The values of paths ``0 .. keep_paths-1`` are kept in ``values``.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -114,7 +117,7 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
     section_times = grid.points[section_idx]
 
     partials = map_blocks(_ensemble_block, n_paths, _BLOCK, jobs,
-                          spec, cfg, grid, master_seed, section_idx, keep_values)
+                          spec, cfg, grid, master_seed, section_idx, keep_paths)
 
     n_comp, n_pts = spec.n, grid.points.size
     total = np.zeros((n_comp, n_pts))
@@ -133,8 +136,7 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
         integ_total_sq += part["integ_sumsq"]
         sections.append(part["sections"])
         warns.extend(w for w in part["warnings"] if w not in warns)
-        if keep_values:
-            values.append(part["values"])
+        values.append(part["values"])
 
     def _mean_se(s, ssq):
         mean = s / n_paths
@@ -151,5 +153,5 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
         integral_mean=integ_mean, integral_se=integ_se,
         section_times=section_times,
         section_values=np.concatenate(sections, axis=0),
-        warnings=warns,
-        values=np.concatenate(values, axis=1) if keep_values else None)
+        values=np.concatenate(values, axis=1),
+        warnings=warns)

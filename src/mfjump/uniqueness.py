@@ -232,8 +232,9 @@ def uniqueness_trial(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
                      phi_ks=(2, 4)) -> DivergenceRow:
     """Solve the system at two nested resolutions under identical randomness.
 
-    The fine bundle is generated once and aggregated onto the coarse grid, so
-    both solves see the same Brownian/stable path and the same jump events.
+    The fine noise batch is generated once and aggregated onto the coarse
+    grid, so both solves see the same Brownian/stable path and the same jump
+    events.
     """
     if steps_fine % steps_coarse:
         raise ValueError("fine steps must be a multiple of coarse steps")

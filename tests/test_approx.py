@@ -4,9 +4,8 @@ import pytest
 from mfjump import (CadlagPath, DriftSpec, SchemeConfig, TimeGrid, build_level_one,
                     build_next_level, check_monotone, dyadic_partition,
                     hierarchy_refinement_study, infimum_drift, make_batch,
-                    make_bundle, moment_bound_check, preset_example21,
-                    run_hierarchy, run_hierarchy_batch, run_hierarchy_ensemble,
-                    solve_batch)
+                    moment_bound_check, preset_example21, run_hierarchy_batch,
+                    run_hierarchy_ensemble, solve_batch)
 
 
 def mean_field_spec(n=2, sigma=0.0, **kw):
@@ -145,8 +144,8 @@ class TestBuildLevels:
     def test_partitions_refine(self):
         spec = mean_field_spec(sigma=0.3)
         grid = dyadic_partition(6, 1.0)
-        bundle = make_bundle(grid, spec.noise_layout(), 5, 0)
-        levels, _limit, _res = run_hierarchy(spec, bundle, SchemeConfig(), 4)
+        batch = make_batch(grid, spec.noise_layout(), 5, [0])
+        levels = run_hierarchy_batch(spec, batch, SchemeConfig(), 4).levels
         for prev, cur in zip(levels, levels[1:]):
             assert np.array_equal(cur.partition.points[::2], prev.partition.points)
             assert cur.partition.points.size == 2 ** (cur.n - 1) + 1

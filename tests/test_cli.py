@@ -4,9 +4,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mfjump
+from mfjump import SchemeConfig, load_scenario, make_batch, solve_batch
 from mfjump.cli import main
 
 
@@ -60,6 +62,32 @@ class TestSimulate:
             outs.append(read_tree(out))
         assert sorted(outs[0]) == ["aggregate.csv", "paths.csv", "summary.json"]
         assert outs[0] == outs[1]
+
+    def test_dumped_paths_span_blocks(self, tmp_path):
+        # 600 dumped paths cover two blocks; path 599 is written from the
+        # second block's solve and equals the path solved alone
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                            "thinned-jumps.json")
+        dumps = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            code = main(["simulate", "--scenario", scen, "--paths", "600",
+                         "--dump-paths", "600", "--out", str(out),
+                         "--jobs", str(jobs)])
+            assert code == 0
+            dumps.append((out / "paths.csv").read_text())
+        assert dumps[0] == dumps[1]
+        scenario = load_scenario(scen)
+        spec = scenario.system
+        batch = make_batch(scenario.grid(scenario.grid_steps), spec.noise_layout(),
+                           scenario.seed, [599])
+        lone = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+                           initial=spec.initial[:, None]).values[:, 0]
+        rows = [line.split(",") for line in dumps[0].splitlines()[1:]]
+        assert len(rows) == 600 * spec.n * lone.shape[1]
+        for i in range(spec.n):
+            dumped = [float(r[3]) for r in rows if r[0] == "599" and r[1] == str(i)]
+            assert np.array_equal(dumped, lone[i])
 
     def test_artifacts_exist_and_summary_is_consistent(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json", preset={
@@ -279,13 +307,24 @@ class TestUsage:
         ["approx", "--levels", "1"],
         ["approx", "--mode", "nested-mc", "--inner", "0"],
         ["validate", "--budget", "0"],
+        ["uniqueness", "--levels", "0"],
+        ["uniqueness", "--phi-k", "0"],
+        ["uniqueness", "--phi-k", "-1"],
+        ["simulate", "--paths", "5", "--dt", "0"],
+        ["simulate", "--paths", "5", "--dt", "-0.0"],
+        ["simulate", "--paths", "5", "--dt", "nan"],
+        ["approx", "--dt", "0"],
+        ["approx", "--dt", "-0.0"],
+        ["approx", "--dt", "nan"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_count_is_usage_error(self, argv, tmp_path, capsys):
         scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
         out = tmp_path / "o"
         code = main(argv + ["--scenario", scen, "--out", str(out), "--jobs", "1"])
         assert code == 3
-        assert f"{argv[-2]} must be at least" in capsys.readouterr().err
+        flag = argv[-2]
+        rule = "must be finite and positive" if flag == "--dt" else "must be at least"
+        assert f"{flag} {rule}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_command_is_usage_error(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mfjump import (CadlagPath, DriftSpec, ExponentialMeasure, PointMassMeasure,
-                    PowerModulus, SamplingPlan, StaircasePath, TimeGrid, make_bundle,
+                    PowerModulus, SamplingPlan, StaircasePath, TimeGrid, make_batch,
                     preset_cbi_thinning, preset_cir, preset_example21, thinning_system,
                     validate_assum1, validate_assum2, validate_assum_uniq,
                     validate_drift, validate_system, permute_system)
@@ -201,10 +201,10 @@ class TestExamplePreset:
         # sigma_i = sigma0 makes corr(dW^i, dW^j) = 1/2
         spec = preset_example21(2, a=1.0, sigma=0.5, sigma0=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 20000)
-        bundle = make_bundle(grid, spec.noise_layout(), master_seed=4)
+        batch = make_batch(grid, spec.noise_layout(), 4, [0])
         dw = []
         for comp in spec.components:
-            dw.append(sum(t.weight * bundle.brownian[t.factor] for t in comp.brownian))
+            dw.append(sum(t.weight * batch.brownian[t.factor][0] for t in comp.brownian))
         corr = np.corrcoef(dw[0], dw[1])[0, 1]
         # correlation-estimator sd at n=2e4 is about (1-rho^2)/sqrt(n) ~ 0.005
         assert abs(corr - 0.5) < 0.03
@@ -280,8 +280,7 @@ class TestThinningPreset:
         spec_sys = thinning_system(self.levy(mass=mass), v_max=v_max)
         layout = spec_sys.noise_layout()
         for p in range(n_rep):
-            bundle = make_bundle(grid, layout, master_seed=23, path_index=p)
-            events = bundle.jump_events["thin:0"]
+            events = make_batch(grid, layout, 23, [p]).jump_events[0]["thin:0"]
             total += sum(1 for e in events if comp.g0_finite.fn(x, e.mark) != 0.0)
         expected = mass * x * grid.horizon  # per path
         se = math.sqrt(expected / n_rep)
@@ -297,8 +296,8 @@ class TestThinningPreset:
             grid = TimeGrid.uniform(2.0, 4)
             total = 0
             for p in range(3000):
-                bundle = make_bundle(grid, spec_sys.noise_layout(), 31, path_index=p)
-                total += sum(1 for e in bundle.jump_events["thin:0"]
+                batch = make_batch(grid, spec_sys.noise_layout(), 31, [p])
+                total += sum(1 for e in batch.jump_events[0]["thin:0"]
                              if comp.g0_finite.fn(x, e.mark) != 0.0)
             counts[mass] = total / 3000
         ratio = counts[4.0] / counts[2.0]

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mfjump import (MeasureSpec, NoiseLayout, TimeGrid, gen_brownian,
-                    gen_finite_activity_events, gen_stable_increments,
-                    make_batch, make_bundle)
+from mfjump import (MeasureSpec, NoiseLayout, TimeGrid, gen_stable_increments,
+                    make_batch)
 
 
 def unit_grid(steps, horizon=1.0):
@@ -40,39 +39,50 @@ class TestTimeGrid:
         assert np.array_equal(g.points, [0.0, 0.3, 0.5, 1.0])
 
 
+def brownian(grid, master_seed, paths=(0,), factors=(0,)):
+    """Brownian increments of ``factors`` for ``paths``: factor -> (P, K)."""
+    layout = NoiseLayout(brownian_factors=tuple(factors))
+    return make_batch(grid, layout, master_seed, paths).brownian
+
+
+def events(rate, sampler, grid, master_seed, paths=(0,)):
+    """Events of one finite-activity measure for ``paths``, as arrays."""
+    layout = NoiseLayout(measures=(MeasureSpec("m0", rate, sampler),))
+    return make_batch(grid, layout, master_seed, paths).events["m0"]
+
+
 class TestBrownian:
     def test_unit_step_variance(self):
         # var of N(0, dt) with dt=1 is 1; chi-square sd of the sample variance
         # at n=1e5 is ~0.0045, so [0.99, 1.01] is a ~2.2 sigma window
         grid = TimeGrid.uniform(100000.0, 100000)
-        inc = gen_brownian(grid, 1, master_seed=101)[0]
+        inc = brownian(grid, master_seed=101)[0][0]
         assert 0.99 <= inc.var() <= 1.01
 
     def test_determinism(self):
         grid = unit_grid(64)
-        a = gen_brownian(grid, 3, master_seed=7, path_index=5)
-        b = gen_brownian(grid, 3, master_seed=7, path_index=5)
-        assert np.array_equal(a, b)
+        a = brownian(grid, master_seed=7, paths=[5], factors=(0, 1, 2))
+        b = brownian(grid, master_seed=7, paths=[5], factors=(0, 1, 2))
+        for f in range(3):
+            assert np.array_equal(a[f], b[f])
 
     def test_sum_is_brownian_marginal(self):
         # sum over the grid ~ N(0, T); one-sample KS against the exact CDF
         grid = unit_grid(16, horizon=1.0)
-        sums = np.array([gen_brownian(grid, 1, master_seed=11, path_index=p)[0].sum()
-                         for p in range(10000)])
+        sums = brownian(grid, master_seed=11, paths=range(10000))[0].sum(axis=1)
         assert stats.kstest(sums, stats.norm(scale=1.0).cdf).pvalue > 0.01
 
     def test_cross_factor_and_cross_path_independence(self):
         n = 100000
         grid = TimeGrid.uniform(float(n), n)
-        x = gen_brownian(grid, 2, master_seed=3, path_index=0)
-        y = gen_brownian(grid, 1, master_seed=3, path_index=1)[0]
+        x = brownian(grid, master_seed=3, paths=[0, 1], factors=(0, 1))
         bound = 4.0 / np.sqrt(n)
-        assert abs(np.corrcoef(x[0], x[1])[0, 1]) < bound
-        assert abs(np.corrcoef(x[0], y)[0, 1]) < bound
+        assert abs(np.corrcoef(x[0][0], x[1][0])[0, 1]) < bound
+        assert abs(np.corrcoef(x[0][0], x[0][1])[0, 1]) < bound
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            gen_brownian(unit_grid(4), 0, master_seed=0)
+            brownian(unit_grid(4), master_seed=0, paths=[])
 
 
 class TestStable:
@@ -142,59 +152,73 @@ class TestStable:
 
 class TestFiniteActivityEvents:
     def test_zero_rate(self):
-        events = gen_finite_activity_events(
-            0.0, lambda rng, size: rng.uniform(size=size), unit_grid(8), 1)
-        assert events == []
+        ev = events(0.0, lambda rng, size: rng.uniform(size=size), unit_grid(8), 1)
+        assert ev.times.size == 0
 
     def test_poisson_mean(self):
         # rate 3 over T=2: mean count 6, se = sqrt(6/1e4)
         grid = unit_grid(16, horizon=2.0)
-        counts = [len(gen_finite_activity_events(
-            3.0, lambda rng, size: rng.uniform(size=size), grid, 17, path_index=p))
-            for p in range(10000)]
+        ev = events(3.0, lambda rng, size: rng.uniform(size=size), grid, 17,
+                    paths=range(10000))
+        counts = np.bincount(ev.rows, minlength=10000)
         se = np.sqrt(6.0 / len(counts))
         assert abs(np.mean(counts) - 6.0) < 3 * se
 
     def test_sorted_and_in_range(self):
         grid = unit_grid(8, horizon=2.0)
-        events = gen_finite_activity_events(
-            20.0, lambda rng, size: rng.uniform(size=size), grid, 3)
-        times = [e.time for e in events]
-        assert times == sorted(times)
-        assert all(0 < t <= 2.0 for t in times)
+        times = events(20.0, lambda rng, size: rng.uniform(size=size), grid, 3).times
+        assert np.array_equal(times, np.sort(times))
+        assert np.all((times > 0) & (times <= 2.0))
 
     def test_determinism(self):
         grid = unit_grid(8)
-        mk = lambda: gen_finite_activity_events(
-            5.0, lambda rng, size: list(rng.uniform(size=size)), grid, 9, path_index=2)
-        assert mk() == mk()
+        mk = lambda: events(5.0, lambda rng, size: list(rng.uniform(size=size)),
+                            grid, 9, paths=[2])
+        a, b = mk(), mk()
+        for name in ("rows", "times", "marks"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_rejects_bad_rate(self):
         grid = unit_grid(4)
         for rate in (np.inf, np.nan, -1.0):
             with pytest.raises(ValueError):
-                gen_finite_activity_events(rate, lambda rng, size: [], grid, 0)
+                events(rate, lambda rng, size: [], grid, 0)
 
     def test_marks_in_rd_come_as_columns(self):
         grid = unit_grid(8)
-        layout = NoiseLayout(measures=(MeasureSpec(
-            "m", 20.0, lambda rng, size: rng.uniform(size=(3, size))),))
-        batch = make_batch(grid, layout, 4, range(5))
-        ev = batch.events["m"]
+        sampler = lambda rng, size: rng.uniform(size=(3, size))
+        ev = events(20.0, sampler, grid, 4, paths=range(5))
         assert ev.marks.shape == (3, ev.times.size)
         assert np.array_equal(ev.rows, np.sort(ev.rows))
         for p in range(5):
             mine = ev.rows == p
-            listed = make_bundle(grid, layout, 4, p).jump_events["m"]
-            assert np.array_equal(ev.times[mine], [e.time for e in listed])
-            assert np.array_equal(ev.marks[:, mine].T, [e.mark for e in listed])
+            alone = events(20.0, sampler, grid, 4, paths=[p])
+            assert np.array_equal(ev.times[mine], alone.times)
+            assert np.array_equal(ev.marks[:, mine], alone.marks)
         # size rows of d marks (the transpose) break the (d, size) contract
         with pytest.raises(ValueError, match="mark_sampler"):
-            gen_finite_activity_events(
-                20.0, lambda rng, size: rng.uniform(size=(size, 3)), grid, 4)
+            events(20.0, lambda rng, size: rng.uniform(size=(size, 3)), grid, 4)
+
+
+def assert_same_row(a, ra, b, rb):
+    """Row ra of batch a holds bit for bit the draws of row rb of batch b:
+    Brownian, stable and event arrays."""
+    assert a.brownian.keys() == b.brownian.keys()
+    assert a.stable.keys() == b.stable.keys()
+    assert a.events.keys() == b.events.keys()
+    for f in a.brownian:
+        assert np.array_equal(a.brownian[f][ra], b.brownian[f][rb])
+    for f in a.stable:
+        assert np.array_equal(a.stable[f][ra], b.stable[f][rb])
+    for mid in a.events:
+        ea, eb = a.events[mid], b.events[mid]
+        assert np.array_equal(ea.times[ea.rows == ra], eb.times[eb.rows == rb])
+        assert np.array_equal(ea.marks[..., ea.rows == ra], eb.marks[..., eb.rows == rb])
 
 
 class TestBundles:
+    """A single path's noise is the one-row batch of its lineage."""
+
     def layout(self):
         sampler = lambda rng, size: list(rng.exponential(1.0, size))
         return NoiseLayout(
@@ -204,39 +228,47 @@ class TestBundles:
 
     def test_replay_bit_exact(self):
         grid = unit_grid(32)
-        a = make_bundle(grid, self.layout(), master_seed=99, path_index=4)
-        b = make_bundle(grid, self.layout(), master_seed=99, path_index=4)
-        assert a.seed_lineage == (99, 4)
-        for f in a.brownian:
-            assert np.array_equal(a.brownian[f], b.brownian[f])
-        for f in a.stable:
-            assert np.array_equal(a.stable[f], b.stable[f])
-        assert a.jump_events == b.jump_events
+        a = make_batch(grid, self.layout(), master_seed=99, path_indices=[4])
+        b = make_batch(grid, self.layout(), master_seed=99, path_indices=[4])
+        assert a.lineages == ((99, 4),)
+        assert a.events["m0"].times.size > 0
+        assert_same_row(a, 0, b, 0)
+        assert np.array_equal(a.events["m0"].rows, b.events["m0"].rows)
 
     def test_batch_rows_match_bundles(self):
+        # a row of a block equals the one-row batch of its path, whatever the
+        # block's other paths and their order
         grid = unit_grid(16)
-        batch = make_batch(grid, self.layout(), master_seed=1, path_indices=range(3))
-        for p in range(3):
-            bundle = make_bundle(grid, self.layout(), master_seed=1, path_index=p)
-            for f in bundle.brownian:
-                assert np.array_equal(batch.brownian[f][p], bundle.brownian[f])
-            assert batch.jump_events[p] == bundle.jump_events
+        paths = [5, 2, 9]
+        batch = make_batch(grid, self.layout(), master_seed=1, path_indices=paths)
+        assert batch.lineages == tuple((1, p) for p in paths)
+        assert batch.events["m0"].times.size > 0
+        for row, p in enumerate(paths):
+            alone = make_batch(grid, self.layout(), master_seed=1, path_indices=[p])
+            assert_same_row(batch, row, alone, 0)
 
     def test_coarsen_aggregates_increments(self):
         grid = unit_grid(16)
-        bundle = make_bundle(grid, self.layout(), master_seed=2)
-        coarse = bundle.coarsen(4)
+        batch = make_batch(grid, self.layout(), master_seed=2, path_indices=[0, 3])
+        coarse = batch.coarsen(4)
         assert coarse.grid.n_steps == 4
-        assert np.allclose(coarse.brownian[0],
-                           bundle.brownian[0].reshape(4, 4).sum(axis=1))
-        assert coarse.jump_events == bundle.jump_events
+        assert np.array_equal(coarse.grid.points, grid.points[::4])
+        for key in ("brownian", "stable"):
+            fine, agg = getattr(batch, key), getattr(coarse, key)
+            assert fine.keys() == agg.keys()
+            for f in fine:
+                assert np.allclose(agg[f], fine[f].reshape(2, 4, 4).sum(axis=2))
+        for mid, ev in batch.events.items():
+            for name in ("rows", "times", "marks"):
+                assert np.array_equal(getattr(coarse.events[mid], name), getattr(ev, name))
+        assert coarse.lineages == batch.lineages
         with pytest.raises(ValueError):
-            bundle.coarsen(5)
+            batch.coarsen(5)
 
     def test_factor_draws_do_not_depend_on_layout(self):
         # streams are keyed by factor index, so adding factors leaves the
         # existing ones untouched
         grid = unit_grid(16)
-        small = make_bundle(grid, NoiseLayout(brownian_factors=(1,)), 7)
-        big = make_bundle(grid, NoiseLayout(brownian_factors=(0, 1, 2)), 7)
+        small = make_batch(grid, NoiseLayout(brownian_factors=(1,)), 7, [0])
+        big = make_batch(grid, NoiseLayout(brownian_factors=(0, 1, 2)), 7, [0])
         assert np.array_equal(small.brownian[1], big.brownian[1])

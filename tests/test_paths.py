@@ -1,11 +1,8 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfjump import (CadlagPath, StaircasePath, TimeGrid, pointwise_max,
-                    read_path_csv, write_path_csv, write_staircase_csv)
+from mfjump import CadlagPath, StaircasePath, TimeGrid, pointwise_max
 
 
 def grid(steps=8, horizon=1.0):
@@ -131,34 +128,3 @@ class TestPointwiseMax:
         abc1 = pointwise_max([pointwise_max([s1, s2]), s3]).evaluate(ts)
         abc2 = pointwise_max([s1, pointwise_max([s2, s3])]).evaluate(ts)
         assert np.array_equal(abc1, abc2)
-
-
-class TestCsv:
-    def test_path_round_trip(self):
-        g = grid(4)
-        p = CadlagPath(g, np.array([1.0, 2.0, 2.5, 2.5, 0.5]),
-                       jumps=((0.3, 1.0, 2.2), (0.75, 2.5, 0.5)))
-        buf = io.StringIO()
-        write_path_csv(p, buf)
-        buf.seek(0)
-        q = read_path_csv(buf)
-        for t in g.points:
-            assert q.evaluate(float(t)) == p.evaluate(float(t))
-        assert q.jumps == p.jumps
-        assert q.evaluate(0.3) == 2.2
-        assert q.left_limit(0.3) == 1.0
-
-    def test_long_format_has_path_id(self):
-        buf = io.StringIO()
-        write_path_csv(CadlagPath.constant(grid(2), 1.0), buf, path_id=7)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "path_id,time,value,is_jump,left_limit"
-        assert lines[1].startswith("7,")
-
-    def test_staircase_csv(self):
-        s = StaircasePath(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0]))
-        buf = io.StringIO()
-        write_staircase_csv(s, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "interval_start,interval_end,level"
-        assert len(lines) == 3

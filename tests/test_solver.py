@@ -5,10 +5,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mfjump import (CadlagPath, DriftSpec, JumpEvent, NoiseBundle, NumericsError,
+from mfjump import (CadlagPath, DriftSpec, EventArrays, NumericsError,
                     SchemeConfig, StaircasePath, TimeGrid, compare_ordered,
-                    make_batch, make_bundle, preset_cir, preset_example21,
-                    solve_batch, solve_onedim)
+                    make_batch, preset_cir, preset_example21, solve_batch,
+                    solve_onedim)
 from mfjump.coeffs import (CoefficientSet, CompensatedKernel, JumpKernel,
                            PowerDiffusion, PowerModulus, SqrtDiffusion,
                            ThinningKernel, ThinningMarkSampler, ZeroFn)
@@ -19,9 +19,18 @@ def deterministic_coeffs(a=1.0):
     return CoefficientSet(a=a, sigma=SqrtDiffusion(0.0), rho=PowerModulus(1.0, 0.5))
 
 
-def empty_bundle(grid):
-    return NoiseBundle(grid=grid, brownian={}, stable={}, jump_events={},
-                       seed_lineage=(0, 0))
+def empty_batch(grid):
+    return NoiseBatch(grid=grid, brownian={}, stable={}, events={},
+                      lineages=((0, 0),))
+
+
+def event_arrays(*events):
+    """``EventArrays`` from ``(row, time, mark)`` triples in row, time order;
+    tuple marks become the columns of a ``(d, E)`` array."""
+    rows, times, marks = zip(*events)
+    return EventArrays(rows=np.array(rows, dtype=np.intp),
+                       times=np.array(times, dtype=float),
+                       marks=np.array(marks, dtype=float).T)
 
 
 class TestLinearDrift:
@@ -32,7 +41,7 @@ class TestLinearDrift:
         for steps in (64, 128):
             grid = TimeGrid.uniform(1.0, steps)
             path = solve_onedim(deterministic_coeffs(), DriftSpec.constant(2.0),
-                                empty_bundle(grid), SchemeConfig(), initial=0.0)
+                                empty_batch(grid), SchemeConfig(), initial=0.0)
             errors.append(abs(path.values[-1] - target))
         assert errors[0] < 0.02
         assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.1)
@@ -42,16 +51,16 @@ class TestLinearDrift:
         target = 2.0 + (0.5 - 2.0) * math.exp(-1.0)
         grid = TimeGrid.uniform(1.0, 16)
         path = solve_onedim(deterministic_coeffs(), DriftSpec.constant(2.0),
-                            empty_bundle(grid),
+                            empty_batch(grid),
                             SchemeConfig(scheme="drift-implicit"), initial=0.5)
         assert path.values[-1] == pytest.approx(target, abs=1e-12)
 
 
 class TestPureJumpBookkeeping:
-    def _single_event_bundle(self, grid, tau, mark):
-        return NoiseBundle(grid=grid, brownian={}, stable={},
-                           jump_events={"g1": [JumpEvent(tau, mark, "g1")]},
-                           seed_lineage=(0, 0))
+    def _single_event_batch(self, grid, tau, mark):
+        return NoiseBatch(grid=grid, brownian={}, stable={},
+                          events={"g1": event_arrays((0, tau, mark))},
+                          lineages=((0, 0),))
 
     def test_single_event_adds_jump_size(self):
         kernel = JumpKernel(fn=AddMark(),
@@ -62,7 +71,7 @@ class TestPureJumpBookkeeping:
         grid = TimeGrid.uniform(1.0, 8)
         tau, jump = 0.3, 0.75
         path = solve_onedim(coeffs, DriftSpec.constant(0.0),
-                            self._single_event_bundle(grid, tau, jump),
+                            self._single_event_batch(grid, tau, jump),
                             SchemeConfig(), initial=2.0)
         assert np.all(path.values[grid.points < tau] == 2.0)
         assert np.all(path.values[grid.points >= tau] == 2.75)
@@ -93,20 +102,20 @@ def pure_jump_component(g0_fn, g0_measure, g1_fn=None, g1_measure=None):
                           g0_finite=g0, g1=g1)
 
 
-def scalar_event_reference(components, bundles, initial):
+def scalar_event_reference(components, batch, initial):
     """Values and jump records of pure-jump components, one event at a time:
     per (path, component) the events of g0_finite and g1 in (time, g0 before
     g1, event order), each applied as left + fn(left, mark) on floats."""
-    pts = bundles[0].grid.points
-    values = np.empty((len(components), len(bundles), pts.size))
+    pts = batch.grid.points
+    values = np.empty((len(components), batch.n_paths, pts.size))
     jumps = {}
     for ci, comp in enumerate(components):
-        for row, bundle in enumerate(bundles):
+        for row, per_measure in enumerate(batch.jump_events):
             events = []
             for slot, kernel in enumerate((comp.g0_finite, comp.g1)):
                 if kernel is None:
                     continue
-                for j, ev in enumerate(bundle.jump_events.get(kernel.measure.measure_id, ())):
+                for j, ev in enumerate(per_measure.get(kernel.measure.measure_id, ())):
                     if 0.0 < ev.time <= pts[-1]:
                         events.append((ev.time, slot, j, ev.mark, kernel.fn))
             events.sort(key=lambda e: e[:3])
@@ -135,12 +144,12 @@ class TestVectorisedEvents:
                 pure_jump_component(AddMark(), b, ScaleByMark(), a),
                 pure_jump_component(ThinningKernel(), c))
 
-    def check(self, components, bundles, batch, initial):
+    def check(self, components, batch, initial):
         res = solve_batch(components, [DriftSpec.constant(0.0)] * len(components),
                           batch, SchemeConfig(), initial[:, None])
-        values, jumps = scalar_event_reference(components, bundles, initial)
+        values, jumps = scalar_event_reference(components, batch, initial)
         assert np.array_equal(res.values, values)
-        for row in range(len(bundles)):
+        for row in range(batch.n_paths):
             for ci in range(len(components)):
                 assert res.path(row, ci).jumps == tuple(jumps.get((row, ci), ()))
         return res
@@ -152,19 +161,18 @@ class TestVectorisedEvents:
         # time 0.3, which component 0 takes g0 ("a") first and component 1
         # takes g0 ("b") first; a "b" event at t = 0. Row 2: no events.
         grid = TimeGrid.uniform(1.0, 4)
-        ev = lambda mid, *pairs: [JumpEvent(t, m, mid) for t, m in pairs]
-        per_row = [
-            {"a": ev("a", (0.0, 0.3), (0.1, 0.5), (0.2, -0.25), (0.5, 0.125)),
-             "b": ev("b", (0.15, 1.0), (1.0, 0.75)),
-             "c": ev("c", (0.1, (0.5, 0.4)), (0.2, (3.0, 0.4)), (0.22, (0.1, 0.2)))},
-            {"a": ev("a", (0.3, 0.5)), "b": ev("b", (0.0, 2.0), (0.3, 1.0))},
-            {},
-        ]
-        bundles = [NoiseBundle(grid=grid, brownian={}, stable={}, jump_events=evs,
-                               seed_lineage=(0, p)) for p, evs in enumerate(per_row)]
+        events = {
+            "a": event_arrays((0, 0.0, 0.3), (0, 0.1, 0.5), (0, 0.2, -0.25),
+                              (0, 0.5, 0.125), (1, 0.3, 0.5)),
+            "b": event_arrays((0, 0.15, 1.0), (0, 1.0, 0.75), (1, 0.0, 2.0),
+                              (1, 0.3, 1.0)),
+            "c": event_arrays((0, 0.1, (0.5, 0.4)), (0, 0.2, (3.0, 0.4)),
+                              (0, 0.22, (0.1, 0.2))),
+        }
+        batch = NoiseBatch(grid=grid, brownian={}, stable={}, events=events,
+                           lineages=((0, 0), (0, 1), (0, 2)))
         initial = np.array([1.0, 2.0, 1.0])
-        res = self.check(self.components(), bundles, NoiseBatch.from_bundles(bundles),
-                         initial)
+        res = self.check(self.components(), batch, initial)
         assert 0.0 not in res.jumps.times.tolist()
         path = res.path(0, 0)
         assert [t for t, _l, _r in path.jumps] == [0.1, 0.15, 0.2, 0.5, 1.0]
@@ -183,9 +191,8 @@ class TestVectorisedEvents:
         layout = NoiseLayout(measures=tuple(
             k.measure for k in (comps[0].g0_finite, comps[0].g1, comps[2].g0_finite)))
         grid = TimeGrid.uniform(1.0, 4)
-        bundles = [make_bundle(grid, layout, 5, p) for p in range(40)]
         batch = make_batch(grid, layout, 5, range(40))
-        res = self.check(comps, bundles, batch, np.array([1.0, 2.0, 1.5]))
+        res = self.check(comps, batch, np.array([1.0, 2.0, 1.5]))
         assert res.jumps.times.size > 1000
 
 
@@ -220,10 +227,10 @@ class TestInvariants:
     def test_determinism(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 64)
-        bundle = make_bundle(grid, spec.noise_layout(), 3, 0)
-        a = solve_onedim(spec.components[0], spec.drifts[0], bundle,
+        batch = make_batch(grid, spec.noise_layout(), 3, [0])
+        a = solve_onedim(spec.components[0], spec.drifts[0], batch,
                          SchemeConfig(), initial=1.0)
-        b = solve_onedim(spec.components[0], spec.drifts[0], bundle,
+        b = solve_onedim(spec.components[0], spec.drifts[0], batch,
                          SchemeConfig(), initial=1.0)
         assert np.array_equal(a.values, b.values)
 
@@ -242,9 +249,9 @@ class TestInvariants:
                                 brownian=(BrownianTerm(factor=1, weight=1.0),),
                                 rho=PowerModulus(1.0, 0.5))
         grid = TimeGrid.uniform(1.0, 64)
-        bundle = make_bundle(grid, NoiseLayout(brownian_factors=(1,)), 0, 0)
+        batch = make_batch(grid, NoiseLayout(brownian_factors=(1,)), 0, [0])
         with pytest.raises(NumericsError) as err:
-            solve_onedim(coeffs, DriftSpec.constant(1000.0), bundle,
+            solve_onedim(coeffs, DriftSpec.constant(1000.0), batch,
                          SchemeConfig(), initial=5.0)
         assert err.value.step == 9
         assert "step 9" in str(err.value)
@@ -278,19 +285,31 @@ class TestInvariants:
         grid = TimeGrid.uniform(1.0, 2)  # dt = 0.5, a = 3 -> a*dt > 1
         with pytest.warns(RuntimeWarning, match="monotonicity precondition"):
             solve_onedim(deterministic_coeffs(a=3.0), DriftSpec.constant(1.0),
-                         empty_bundle(grid), SchemeConfig(), initial=0.0)
+                         empty_batch(grid), SchemeConfig(), initial=0.0)
 
     def test_negative_drift_warns(self):
         grid = TimeGrid.uniform(1.0, 4)
         with pytest.warns(RuntimeWarning, match="negative"):
             solve_onedim(deterministic_coeffs(), DriftSpec.constant(-1.0),
-                         empty_bundle(grid), SchemeConfig(), initial=1.0)
+                         empty_batch(grid), SchemeConfig(), initial=1.0)
+
+    def test_single_path_solves_take_one_row(self):
+        spec = preset_cir(a=1.0, b=1.0, sigma=0.5, initial=1.0)
+        grid = TimeGrid.uniform(1.0, 8)
+        two_rows = make_batch(grid, spec.noise_layout(), 0, range(2))
+        with pytest.raises(ValueError, match="one-row"):
+            solve_onedim(spec.components[0], DriftSpec.constant(1.0), two_rows,
+                         SchemeConfig(), initial=1.0)
+        with pytest.raises(ValueError, match="one-row"):
+            compare_ordered(spec.components[0], DriftSpec.constant(1.0),
+                            DriftSpec.constant(2.0), two_rows, SchemeConfig(),
+                            initial_low=1.0)
 
     def test_rejects_mean_field_drift(self):
         grid = TimeGrid.uniform(1.0, 4)
         with pytest.raises(ValueError):
             solve_onedim(deterministic_coeffs(), DriftSpec.mean_field_average(2),
-                         empty_bundle(grid), SchemeConfig(), initial=1.0)
+                         empty_batch(grid), SchemeConfig(), initial=1.0)
 
 
 class TestThinnedJumps:
@@ -320,20 +339,20 @@ class TestStaircaseDrift:
         stair = StaircasePath(np.array([0.0, 0.3, 1.0]), np.array([1.0, 2.0]))
         grid = TimeGrid.uniform(1.0, 4)  # 0.3 off the grid
         with pytest.raises(ValueError, match="refine_with"):
-            solve_onedim(deterministic_coeffs(), stair, empty_bundle(grid),
+            solve_onedim(deterministic_coeffs(), stair, empty_batch(grid),
                          SchemeConfig(), initial=1.0)
         aligned = grid.refine_with(stair.breakpoints)
-        path = solve_onedim(deterministic_coeffs(), stair, empty_bundle(aligned),
+        path = solve_onedim(deterministic_coeffs(), stair, empty_batch(aligned),
                             SchemeConfig(), initial=1.0)
         assert path.values.size == aligned.points.size
 
     def test_cadlag_drift_on_same_grid(self):
         grid = TimeGrid.uniform(1.0, 8)
         forcing = CadlagPath.constant(grid, 2.0)
-        a = solve_onedim(deterministic_coeffs(), forcing, empty_bundle(grid),
+        a = solve_onedim(deterministic_coeffs(), forcing, empty_batch(grid),
                          SchemeConfig(), initial=0.0)
         b = solve_onedim(deterministic_coeffs(), DriftSpec.constant(2.0),
-                         empty_bundle(grid), SchemeConfig(), initial=0.0)
+                         empty_batch(grid), SchemeConfig(), initial=0.0)
         assert np.array_equal(a.values, b.values)
 
     def test_cadlag_drift_on_coarser_grid(self):
@@ -341,7 +360,7 @@ class TestStaircaseDrift:
         coarse = TimeGrid.uniform(1.0, 4)
         fine = TimeGrid.uniform(1.0, 8)
         forcing = CadlagPath(coarse, np.array([1.0, 2.0, 3.0, 4.0, 4.0]))
-        a = solve_onedim(deterministic_coeffs(), forcing, empty_bundle(fine),
+        a = solve_onedim(deterministic_coeffs(), forcing, empty_batch(fine),
                          SchemeConfig(), initial=0.0)
         assert a.values.size == fine.points.size
 
@@ -349,7 +368,7 @@ class TestStaircaseDrift:
         forcing = CadlagPath.constant(TimeGrid.uniform(2.0, 4), 1.0)
         with pytest.raises(ValueError, match="horizon"):
             solve_onedim(deterministic_coeffs(), forcing,
-                         empty_bundle(TimeGrid.uniform(1.0, 4)),
+                         empty_batch(TimeGrid.uniform(1.0, 4)),
                          SchemeConfig(), initial=0.0)
 
     def test_rejects_unknown_scheme(self):
@@ -361,9 +380,9 @@ class TestCompareOrdered:
     def test_identical_drifts_no_violation(self):
         spec = preset_cir(a=1.0, b=1.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 64)
-        bundle = make_bundle(grid, spec.noise_layout(), 2, 0)
+        batch = make_batch(grid, spec.noise_layout(), 2, [0])
         report = compare_ordered(spec.components[0], DriftSpec.constant(1.0),
-                                 DriftSpec.constant(1.0), bundle, SchemeConfig(),
+                                 DriftSpec.constant(1.0), batch, SchemeConfig(),
                                  initial_low=1.0)
         assert report.max_violation == 0.0
         assert report.violating_fraction == 0.0
@@ -373,7 +392,7 @@ class TestCompareOrdered:
         # 1 - a*dt >= 0, so ordering is exact, zero tolerance
         grid = TimeGrid.uniform(1.0, 64)
         report = compare_ordered(deterministic_coeffs(), DriftSpec.constant(1.0),
-                                 DriftSpec.constant(2.0), empty_bundle(grid),
+                                 DriftSpec.constant(2.0), empty_batch(grid),
                                  SchemeConfig(), initial_low=1.0)
         assert report.max_violation == 0.0
 
@@ -381,11 +400,11 @@ class TestCompareOrdered:
         grid = TimeGrid.uniform(1.0, 8)
         with pytest.raises(ValueError):
             compare_ordered(deterministic_coeffs(), DriftSpec.constant(2.0),
-                            DriftSpec.constant(1.0), empty_bundle(grid),
+                            DriftSpec.constant(1.0), empty_batch(grid),
                             SchemeConfig(), initial_low=1.0)
         with pytest.raises(ValueError):
             compare_ordered(deterministic_coeffs(), DriftSpec.constant(1.0),
-                            DriftSpec.constant(1.0), empty_bundle(grid),
+                            DriftSpec.constant(1.0), empty_batch(grid),
                             SchemeConfig(), initial_low=2.0, initial_high=1.0)
 
     def test_diffusive_violations_shrink_under_refinement(self):

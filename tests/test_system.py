@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mfjump import (DriftSpec, SchemeConfig, TimeGrid, make_batch, make_bundle,
-                    permute_system, preset_cir, preset_example21, run_ensemble,
-                    solve_batch, solve_onedim, solve_system)
+from mfjump import (DriftSpec, SchemeConfig, TimeGrid, make_batch, permute_system,
+                    preset_cir, preset_example21, run_ensemble, solve_batch,
+                    solve_onedim, solve_system)
 
 
 def example_spec(n=2, **kw):
@@ -21,11 +21,17 @@ class TestSolveSystem:
         spec = preset_example21(1, a=1.0, sigma=0.5, sigma_z=0.4, alpha=1.7,
                                 initial=1.0, drift=DriftSpec.constant(2.0))
         grid = TimeGrid.uniform(1.0, 128)
-        bundle = make_bundle(grid, spec.noise_layout(), 21, 0)
-        via_system = solve_system(spec, bundle, SchemeConfig())[0]
-        via_onedim = solve_onedim(spec.components[0], spec.drifts[0], bundle,
+        batch = make_batch(grid, spec.noise_layout(), 21, [0])
+        via_system = solve_system(spec, batch, SchemeConfig())[0]
+        via_onedim = solve_onedim(spec.components[0], spec.drifts[0], batch,
                                   SchemeConfig(), initial=1.0)
         assert np.array_equal(via_system.values, via_onedim.values)
+
+    def test_rejects_multi_row_batch(self):
+        spec = example_spec()
+        batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 0, range(2))
+        with pytest.raises(ValueError, match="one-row"):
+            solve_system(spec, batch, SchemeConfig())
 
     def test_nonnegative(self):
         spec = example_spec(sigma=1.5)
@@ -51,7 +57,7 @@ class TestSolveSystem:
     def test_exchangeable_components_have_same_marginal(self):
         spec = example_spec(n=2, initial=[1.0, 1.0])
         grid = TimeGrid.uniform(1.0, 64)
-        res = run_ensemble(spec, SchemeConfig(), grid, 4000, 23, keep_values=True)
+        res = run_ensemble(spec, SchemeConfig(), grid, 4000, 23, keep_paths=4000)
         terminal = res.values[:, :, -1]
         assert stats.ks_2samp(terminal[0], terminal[1]).pvalue > 0.01
 
@@ -92,10 +98,20 @@ class TestEnsemble:
         # 600 paths spans two blocks; per-path streams make the split invisible
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 32)
-        res = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_values=True)
-        bundle = make_bundle(grid, spec.noise_layout(), 3, 599)
-        lone = solve_system(spec, bundle, SchemeConfig())[0]
+        res = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=600)
+        lone = solve_system(spec, make_batch(grid, spec.noise_layout(), 3, [599]),
+                            SchemeConfig())[0]
         assert np.array_equal(res.values[0, 599], lone.values)
+
+    def test_keep_paths_keeps_the_leading_paths(self):
+        # 520 kept paths end 8 rows into the second block
+        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
+        grid = TimeGrid.uniform(1.0, 32)
+        full = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=600).values
+        part = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=520).values
+        none = run_ensemble(spec, SchemeConfig(), grid, 600, 3).values
+        assert np.array_equal(part, full[:, :520])
+        assert none.shape == (1, 0, 33)
 
     def test_lone_path_matches_its_block_with_many_components(self):
         # nine mean-field components: the drift's component sum must not
