@@ -18,6 +18,7 @@ from .solver import SchemeConfig, solve_batch
 from .system import map_blocks
 
 MODES = ("realized", "nested-mc", "deterministic")
+_BLOCK = 256  # paths per hierarchy block; independent of --jobs
 
 
 def dyadic_partition(n: int, horizon: float) -> TimeGrid:
@@ -340,8 +341,7 @@ def _refinement_block(spec, cfg, horizon, ladder, master_seed, n_max, mode, n_in
 def hierarchy_refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
                                steps_ladder, n_paths: int, master_seed: int,
                                n_max: int, mode: str = "realized",
-                               n_inner: int = 8, jobs: int = 1,
-                               block: int = 256):
+                               n_inner: int = 8, jobs: int = 1):
     """Hierarchy ordering statistics across a step ladder under shared noise.
 
     Noise is generated once per path on the finest grid and aggregated onto
@@ -352,7 +352,7 @@ def hierarchy_refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: flo
     for s in ladder:
         if s & (s - 1) or max(ladder) % s:
             raise ValueError("ladder entries must be powers of two dividing the finest")
-    parts = map_blocks(_refinement_block, n_paths, block, jobs, spec, cfg, horizon,
+    parts = map_blocks(_refinement_block, n_paths, _BLOCK, jobs, spec, cfg, horizon,
                        ladder, master_seed, n_max, mode, n_inner)
     rows = []
     for ri, steps in enumerate(ladder):
@@ -371,10 +371,10 @@ def hierarchy_refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: flo
 def run_hierarchy_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid,
                            n_paths: int, master_seed: int, n_max: int,
                            mode: str = "realized", n_inner: int = 8,
-                           jobs: int = 1, block: int = 256) -> HierarchyResult:
+                           jobs: int = 1) -> HierarchyResult:
     """Hierarchies over an ensemble of shared-noise trajectories, merged in
     path order (parallelism-independent)."""
-    parts = map_blocks(_hierarchy_block, n_paths, block, jobs, spec, cfg, grid,
+    parts = map_blocks(_hierarchy_block, n_paths, _BLOCK, jobs, spec, cfg, grid,
                        master_seed, n_max, mode, n_inner)
     merged_levels = []
     first = parts[0]

@@ -41,15 +41,16 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, dt=True):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", default=None,
                        help="output directory (default $MFJUMP_OUT or ./mfjump-out)")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        help="worker processes (results are jobs-independent)")
-        p.add_argument("--dt", type=float, default=None,
-                       help="override the scenario grid resolution")
+        if dt:
+            p.add_argument("--dt", type=float, default=None,
+                           help="override the scenario grid resolution")
 
     p = sub.add_parser("simulate", help="Monte Carlo ensemble of the system")
     common(p)
@@ -68,7 +69,7 @@ def _build_parser() -> _Parser:
                    help="repeat with halved steps this many times")
 
     p = sub.add_parser("validate", help="run the coefficient assumption validators")
-    common(p)
+    common(p, dt=False)
     p.add_argument("--budget", type=int, default=400, help="sample budget")
 
     p = sub.add_parser("uniqueness", help="shared-noise refinement diagnostic")
@@ -124,6 +125,7 @@ def _csv_writer(fh):
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     _require_count(args.paths, "--paths", 1)
+    _require_count(args.dump_paths, "--dump-paths", 0)
     grid = scenario.grid(_steps(scenario, args))
     out = _out_dir(args)
     seed = _seed(scenario, args)
@@ -322,7 +324,7 @@ def cmd_uniqueness(args) -> int:
         family = TestFunctionFamily(rho=spec.components[0].rho, x_m=scenario.x_m,
                                     k_max=max(phi_ks))
     report = refinement_study(spec, cfg, scenario.horizon, ladder, args.paths,
-                              seed, family=family, phi_ks=phi_ks)
+                              seed, family=family, phi_ks=phi_ks, jobs=args.jobs)
 
     with open(os.path.join(out, "divergence.csv"), "w", encoding="utf-8") as fh:
         w = _csv_writer(fh)

@@ -73,28 +73,15 @@ class PointMassMeasure:
         return float(sum(fn(u) * m for u, m in self.atoms))
 
 
-@dataclass(frozen=True)
-class DensityMeasure:
-    density: Callable
-    lo: float
-    hi: float  # may be inf
-
-    @property
-    def total_mass(self) -> float:
-        return self.integrate(lambda _u: 1.0)
-
-    def first_moment(self) -> float:
-        return self.integrate(lambda u: u)
-
-    def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
-        f = lambda u: fn(u) * self.density(u)
-        pts = sorted(p for p in breakpoints if self.lo < p < self.hi)
-        total, lo = 0.0, self.lo
-        for p in pts:
-            total += integrate.quad(f, lo, p, limit=200)[0]
-            lo = p
-        total += integrate.quad(f, lo, self.hi, limit=200)[0]
-        return float(total)
+def _quad_pieces(f, lo: float, points, hi: float) -> float:
+    """Integral of f over (lo, hi) as one ``quad`` per piece between the
+    sorted ``points``."""
+    total = 0.0
+    for p in points:
+        total += integrate.quad(f, lo, p, limit=200)[0]
+        lo = p
+    total += integrate.quad(f, lo, hi, limit=200)[0]
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -115,14 +102,8 @@ class ExponentialMeasure:
         return self.mass * self.mean
 
     def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
-        f = lambda u: fn(u) * self.density(u)
         pts = sorted(p for p in breakpoints if p > 0.0)
-        total, lo = 0.0, 0.0
-        for p in pts:
-            total += integrate.quad(f, lo, p, limit=200)[0]
-            lo = p
-        total += integrate.quad(f, lo, np.inf, limit=200)[0]
-        return float(total)
+        return _quad_pieces(lambda u: fn(u) * self.density(u), 0.0, pts, np.inf)
 
 
 def stable_levy_constant(alpha: float) -> float:
@@ -145,14 +126,8 @@ class StableJumpMeasure:
         return stable_levy_constant(self.alpha) * u ** (-1.0 - self.alpha)
 
     def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
-        f = lambda u: fn(u) * self.density(u)
         pts = sorted(p for p in breakpoints if p > 0.0) or [1.0]
-        total, lo = 0.0, 0.0
-        for p in pts:
-            total += integrate.quad(f, lo, p, limit=200)[0]
-            lo = p
-        total += integrate.quad(f, lo, np.inf, limit=200)[0]
-        return float(total)
+        return _quad_pieces(lambda u: fn(u) * self.density(u), 0.0, pts, np.inf)
 
 
 @dataclass(frozen=True)
@@ -187,7 +162,7 @@ class AxisSumMeasure:
 class ThinningMarkMeasure:
     """Product measure dv x levy(dzeta) on (0, v_max) x R+, total mass v_max * |levy|."""
 
-    levy: object  # PointMassMeasure or DensityMeasure, finite mass
+    levy: object  # PointMassMeasure or ExponentialMeasure, finite mass
     v_max: float
 
     @property

@@ -257,6 +257,8 @@ class NoiseBatch:
         """
         if factor < 1 or self.grid.n_steps % factor:
             raise ValueError("coarsening factor must divide the step count")
+        if factor == 1:
+            return self
         agg = lambda a: a.reshape(a.shape[0], -1, factor).sum(axis=2)
         return NoiseBatch(grid=TimeGrid(self.grid.points[::factor]),
                           brownian={f: agg(v) for f, v in self.brownian.items()},

@@ -77,22 +77,37 @@ def map_blocks(fn, n_paths: int, block: int, jobs: int, *args) -> list:
     return [result for result, _exc in outcomes]
 
 
+def _moments(x: np.ndarray):
+    """(count, mean, M2) over the leading (path) axis, by two passes."""
+    mean = x.mean(axis=0)
+    return x.shape[0], mean, ((x - mean) ** 2).sum(axis=0)
+
+
+def _chan_merge(a, b):
+    """Merge two (count, mean, M2) summaries (Chan, Golub & LeVeque 1983)."""
+    (na, ma, qa), (nb, mb, qb) = a, b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * (nb / n), qa + qb + delta ** 2 * (na * nb / n)
+
+
+def _mean_se(summaries):
+    """Mean and standard error from per-block summaries merged in block order."""
+    n, mean, m2 = functools.reduce(_chan_merge, summaries)
+    return mean, np.sqrt(m2 / (n * max(n - 1, 1)))
+
+
 def _ensemble_block(spec, cfg, grid, master_seed, section_idx, keep_paths, bounds):
     lo, hi = bounds
     batch = make_batch(grid, spec.noise_layout(), master_seed, range(lo, hi))
     result = solve_batch(spec.components, spec.drifts, batch, cfg,
                          initial=spec.initial[:, None])
     vals = result.values  # (N, P, K+1)
-    avg = vals.mean(axis=0)  # (P, K+1)
     integ = np.trapezoid(vals, x=grid.points, axis=2)  # (N, P)
     return {
-        "count": hi - lo,
-        "sum": vals.sum(axis=1),
-        "sumsq": (vals ** 2).sum(axis=1),
-        "avg_sum": avg.sum(axis=0),
-        "avg_sumsq": (avg ** 2).sum(axis=0),
-        "integ_sum": integ.sum(axis=1),
-        "integ_sumsq": (integ ** 2).sum(axis=1),
+        # per path-axis statistic: the components, their average, the integrals
+        "moments": [_moments(vals.transpose(1, 0, 2)), _moments(vals.mean(axis=0)),
+                    _moments(integ.T)],
         "sections": vals[:, :, section_idx].transpose(1, 0, 2),
         "warnings": result.warnings,
         # a copy, so the block's full value array is not kept alive
@@ -119,39 +134,16 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
     partials = map_blocks(_ensemble_block, n_paths, _BLOCK, jobs,
                           spec, cfg, grid, master_seed, section_idx, keep_paths)
 
-    n_comp, n_pts = spec.n, grid.points.size
-    total = np.zeros((n_comp, n_pts))
-    total_sq = np.zeros((n_comp, n_pts))
-    avg_total = np.zeros(n_pts)
-    avg_total_sq = np.zeros(n_pts)
-    integ_total = np.zeros(n_comp)
-    integ_total_sq = np.zeros(n_comp)
-    sections, values, warns = [], [], []
+    warns = []
     for part in partials:  # fixed block order
-        total += part["sum"]
-        total_sq += part["sumsq"]
-        avg_total += part["avg_sum"]
-        avg_total_sq += part["avg_sumsq"]
-        integ_total += part["integ_sum"]
-        integ_total_sq += part["integ_sumsq"]
-        sections.append(part["sections"])
         warns.extend(w for w in part["warnings"] if w not in warns)
-        values.append(part["values"])
-
-    def _mean_se(s, ssq):
-        mean = s / n_paths
-        var = np.maximum(ssq / n_paths - mean ** 2, 0.0)
-        se = np.sqrt(var / max(n_paths - 1, 1))
-        return mean, se
-
-    mean, se = _mean_se(total, total_sq)
-    avg_mean, avg_se = _mean_se(avg_total, avg_total_sq)
-    integ_mean, integ_se = _mean_se(integ_total, integ_total_sq)
+    (mean, se), (avg_mean, avg_se), (integ_mean, integ_se) = (
+        _mean_se([part["moments"][i] for part in partials]) for i in range(3))
     return EnsembleResult(
         grid=grid, n_paths=n_paths, mean=mean, se=se,
         avg_mean=avg_mean, avg_se=avg_se,
         integral_mean=integ_mean, integral_se=integ_se,
         section_times=section_times,
-        section_values=np.concatenate(sections, axis=0),
-        values=np.concatenate(values, axis=1),
+        section_values=np.concatenate([part["sections"] for part in partials]),
+        values=np.concatenate([part["values"] for part in partials], axis=1),
         warnings=warns)

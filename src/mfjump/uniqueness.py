@@ -18,6 +18,7 @@ from scipy import integrate, optimize
 from .coeffs import PowerModulus, SystemSpec
 from .noise import TimeGrid, make_batch
 from .solver import SchemeConfig, solve_batch
+from .system import _BLOCK, map_blocks
 
 
 def _inv_rho_sq_integral(rho, a: float, b: float) -> float:
@@ -226,56 +227,83 @@ class DivergenceReport:
         return bool(np.all(np.diff(d) < 0))
 
 
+def _divergence_block(spec, cfg, horizon, resolutions, master_seed, bounds):
+    """Per-path divergences of consecutive resolutions on one block of paths.
+
+    The noise is drawn once on the finest grid and aggregated onto every
+    coarser one, so all resolutions see the same Brownian/stable path and the
+    same jump events, and each resolution is solved once. Per consecutive
+    pair this returns the sup over components and coarse grid points of
+    |coarse - fine|, shape (P,), and the signed difference at T, shape (N, P).
+    """
+    finest = resolutions[-1]
+    batch = make_batch(TimeGrid.uniform(horizon, finest), spec.noise_layout(),
+                       master_seed, range(*bounds))
+    out, coarse = [], None  # coarse: (steps, values) of the previous resolution
+    for steps in resolutions:
+        values = solve_batch(spec.components, spec.drifts,
+                             batch.coarsen(finest // steps), cfg,
+                             initial=spec.initial[:, None]).values
+        if coarse is not None:
+            diff = coarse[1] - values[:, :, ::steps // coarse[0]]
+            # a copy, so the full difference array is not kept alive
+            out.append((np.abs(diff).max(axis=(0, 2)), diff[:, :, -1].copy()))
+        coarse = steps, values
+    return out
+
+
+def _divergence_rows(spec, cfg, horizon, resolutions, n_paths, master_seed,
+                     family, phi_ks, jobs) -> list:
+    """One DivergenceRow per consecutive pair of ``resolutions``, from the
+    per-path divergences of every block concatenated in path order."""
+    for coarse, fine in zip(resolutions, resolutions[1:]):
+        if fine % coarse:
+            raise ValueError("fine steps must be a multiple of coarse steps")
+    if n_paths < 2:
+        raise ValueError("need at least two paths")
+    parts = map_blocks(_divergence_block, n_paths, _BLOCK, jobs, spec, cfg,
+                       horizon, tuple(resolutions), master_seed)
+    rows = []
+    for r, (coarse, fine) in enumerate(zip(resolutions, resolutions[1:])):
+        sup = np.concatenate([part[r][0] for part in parts])
+        diff_t = np.concatenate([part[r][1] for part in parts], axis=1)
+        phi_moments = {} if family is None else {
+            k: float(np.mean(family.phi(k).phi(diff_t))) for k in phi_ks}
+        rows.append(DivergenceRow(
+            steps_coarse=coarse, steps_fine=fine, dt_coarse=horizon / coarse,
+            mean_sup_diff=float(sup.mean()),
+            mean_sup_diff_se=float(sup.std(ddof=1) / math.sqrt(n_paths)),
+            mean_abs_terminal=float(np.abs(diff_t).max(axis=0).mean()),
+            phi_moments=phi_moments))
+    return rows
+
+
 def uniqueness_trial(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
                      steps_coarse: int, steps_fine: int, n_paths: int,
                      master_seed: int, family: TestFunctionFamily = None,
                      phi_ks=(2, 4)) -> DivergenceRow:
-    """Solve the system at two nested resolutions under identical randomness.
-
-    The fine noise batch is generated once and aggregated onto the coarse
-    grid, so both solves see the same Brownian/stable path and the same jump
-    events.
-    """
-    if steps_fine % steps_coarse:
-        raise ValueError("fine steps must be a multiple of coarse steps")
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
-    grid_fine = TimeGrid.uniform(horizon, steps_fine)
-    batch_fine = make_batch(grid_fine, spec.noise_layout(), master_seed, range(n_paths))
-    batch_coarse = batch_fine.coarsen(steps_fine // steps_coarse)
-
-    res_f = solve_batch(spec.components, spec.drifts, batch_fine, cfg,
-                        initial=spec.initial[:, None])
-    res_c = solve_batch(spec.components, spec.drifts, batch_coarse, cfg,
-                        initial=spec.initial[:, None])
-    stride = steps_fine // steps_coarse
-    diff = res_c.values - res_f.values[:, :, ::stride]  # on coarse grid points
-    sup = np.abs(diff).max(axis=(0, 2))  # (P,) sup over components and times
-    terminal = np.abs(diff[:, :, -1]).max(axis=0)
-    phi_moments = {}
-    if family is not None:
-        for k in phi_ks:
-            member = family.phi(k)
-            phi_moments[k] = float(np.mean(member.phi(diff[:, :, -1])))
-    return DivergenceRow(
-        steps_coarse=steps_coarse, steps_fine=steps_fine,
-        dt_coarse=horizon / steps_coarse,
-        mean_sup_diff=float(sup.mean()),
-        mean_sup_diff_se=float(sup.std(ddof=1) / math.sqrt(n_paths)),
-        mean_abs_terminal=float(terminal.mean()),
-        phi_moments=phi_moments)
+    """Solve the system at two nested resolutions under identical randomness:
+    the two-rung case of ``refinement_study``."""
+    return _divergence_rows(spec, cfg, horizon, (steps_coarse, steps_fine),
+                            n_paths, master_seed, family, phi_ks, jobs=1)[0]
 
 
 def refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
                      steps_ladder, n_paths: int, master_seed: int,
-                     family: TestFunctionFamily = None,
-                     phi_ks=(2, 4)) -> DivergenceReport:
-    """Divergence rows for a ladder of step counts, each against its refinement."""
-    rows = []
-    for steps in steps_ladder:
-        rows.append(uniqueness_trial(spec, cfg, horizon, steps, 2 * steps,
-                                     n_paths, master_seed, family=family,
-                                     phi_ks=phi_ks))
+                     family: TestFunctionFamily = None, phi_ks=(2, 4),
+                     jobs: int = 1) -> DivergenceReport:
+    """Divergence rows for a doubling ladder of step counts, each against its
+    refinement.
+
+    Every path's noise is drawn once on the finest grid, twice the last rung,
+    and shared by all rungs; paths run in fixed blocks, so the report is the
+    same for any ``jobs``.
+    """
+    ladder = [int(s) for s in steps_ladder]
+    if any(fine != 2 * coarse for coarse, fine in zip(ladder, ladder[1:])):
+        raise ValueError("each ladder rung must double the previous one")
+    rows = _divergence_rows(spec, cfg, horizon, ladder + [2 * ladder[-1]],
+                            n_paths, master_seed, family, phi_ks, jobs)
     a_seq = family.a_seq if family is not None else np.array([])
     return DivergenceReport(rows=tuple(rows), phi_ks=tuple(phi_ks),
                             a_seq=a_seq, n_paths=n_paths)

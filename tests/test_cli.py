@@ -36,6 +36,30 @@ def read_tree(out_dir):
     return {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
 
 
+def assert_blowup_exits_two(command, tmp_path, capsys):
+    """``command`` on a blowing-up scenario exits 2 with the same error at
+    --jobs 1 and --jobs 2."""
+    preset = {"kind": "example21", "n_components": 1, "a": 1.0,
+              "sigma": 50.0, "sigma_power": 3.0, "initial": 5.0}
+    scen = write_scenario(tmp_path / "s.json", preset=preset,
+                          drift={"kind": "constant", "value": 1000.0})
+    # 1200 paths make three blocks, all with failing paths
+    argv = [command, "--scenario", str(scen), "--paths", "1200", "--seed", "0"]
+    code = main(argv + ["--out", str(tmp_path / "o"), "--jobs", "1"])
+    assert code == 2
+    serial = capsys.readouterr().err
+    assert re.search(r"component 0, path \d+$", serial.strip())
+    # --jobs 2 sends the error through the pool; a subprocess with a
+    # timeout turns a hang into a failure
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfjump.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfjump.cli"] + argv
+        + ["--out", str(tmp_path / "o2"), "--jobs", "2"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == serial
+
+
 class TestSimulate:
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json")
@@ -119,25 +143,7 @@ class TestSimulate:
         assert code == 3
 
     def test_numeric_blowup_is_exit_two(self, tmp_path, capsys):
-        preset = {"kind": "example21", "n_components": 1, "a": 1.0,
-                  "sigma": 50.0, "sigma_power": 3.0, "initial": 5.0}
-        scen = write_scenario(tmp_path / "s.json", preset=preset,
-                              drift={"kind": "constant", "value": 1000.0})
-        # 1200 paths make three blocks, all with failing paths
-        argv = ["simulate", "--scenario", str(scen), "--paths", "1200", "--seed", "0"]
-        code = main(argv + ["--out", str(tmp_path / "o"), "--jobs", "1"])
-        assert code == 2
-        serial = capsys.readouterr().err
-        assert re.search(r"component 0, path \d+$", serial.strip())
-        # --jobs 2 sends the error through the pool; a subprocess with a
-        # timeout turns a hang into a failure
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfjump.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mfjump.cli"] + argv
-            + ["--out", str(tmp_path / "o2"), "--jobs", "2"],
-            capture_output=True, text=True, timeout=60, env=env)
-        assert proc.returncode == 2
-        assert proc.stderr == serial
+        assert_blowup_exits_two("simulate", tmp_path, capsys)
 
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         scen = write_scenario(tmp_path / "s.json")
@@ -298,6 +304,23 @@ class TestUniqueness:
         rows = (out / "divergence.csv").read_text().splitlines()
         assert len(rows) == 2
 
+    def test_byte_identical_across_jobs(self, tmp_path):
+        # 600 paths make two blocks
+        scen = write_scenario(tmp_path / "s.json", grid_steps=64)
+        trees = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            code = main(["uniqueness", "--scenario", str(scen), "--paths", "600",
+                         "--seed", "3", "--out", str(out), "--jobs", str(jobs)])
+            assert code == 0
+            trees.append(read_tree(out))
+        assert sorted(trees[0]) == ["ak_table.csv", "divergence.csv",
+                                    "uniqueness_report.json"]
+        assert trees[0] == trees[1]
+
+    def test_numeric_blowup_is_exit_two(self, tmp_path, capsys):
+        assert_blowup_exits_two("uniqueness", tmp_path, capsys)
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [
@@ -310,12 +333,14 @@ class TestUsage:
         ["uniqueness", "--levels", "0"],
         ["uniqueness", "--phi-k", "0"],
         ["uniqueness", "--phi-k", "-1"],
+        ["simulate", "--paths", "5", "--dump-paths", "-3"],
         ["simulate", "--paths", "5", "--dt", "0"],
         ["simulate", "--paths", "5", "--dt", "-0.0"],
         ["simulate", "--paths", "5", "--dt", "nan"],
         ["approx", "--dt", "0"],
         ["approx", "--dt", "-0.0"],
         ["approx", "--dt", "nan"],
+        ["uniqueness", "--dt", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_count_is_usage_error(self, argv, tmp_path, capsys):
         scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
@@ -331,6 +356,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 3
+
+    def test_validate_has_no_dt_flag(self, tmp_path):
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "--scenario", scen, "--dt", "0",
+                  "--out", str(tmp_path / "o")])
+        assert err.value.code == 3
+        assert not (tmp_path / "o").exists()
 
     def test_missing_scenario_flag(self):
         with pytest.raises(SystemExit) as err:

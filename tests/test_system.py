@@ -156,3 +156,19 @@ class TestRunEnsemble:
         res = run_ensemble(spec, SchemeConfig(), grid, 4000, 13)
         target = 2.0 - (1.0 - math.exp(-1.0))
         assert abs(res.integral_mean[0] - target) < 3 * res.integral_se[0] + 2e-3
+
+    def test_statistics_match_two_pass_reference(self):
+        # states near 1e8: sumsq/n - mean^2 cancels about 2e-6 of the SE
+        # away, block-order (count, mean, M2) merges keep it
+        spec = preset_cir(a=1.0, b=1e8, sigma=0.5, initial=1e8)
+        grid = TimeGrid.uniform(1.0, 16)
+        n = 600  # two blocks
+        res = run_ensemble(spec, SchemeConfig(), grid, n, 0, keep_paths=n)
+        vals = res.values
+        integ = np.trapezoid(vals, x=grid.points, axis=2)
+        for mean, se, x, axis in ((res.mean, res.se, vals, 1),
+                                  (res.avg_mean, res.avg_se, vals.mean(axis=0), 0),
+                                  (res.integral_mean, res.integral_se, integ, 1)):
+            np.testing.assert_allclose(mean, x.mean(axis=axis), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(se, x.std(axis=axis, ddof=1) / math.sqrt(n),
+                                       rtol=1e-9, atol=0)

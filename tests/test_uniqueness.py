@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mfjump.uniqueness
 from mfjump import (PowerModulus, SchemeConfig, TestFunctionFamily, build_phi,
                     preset_cir, refinement_study, uniqueness_trial, yw_sequence)
 from mfjump.coeffs import CallableModulus
@@ -167,3 +168,31 @@ class TestDivergenceDiagnostic:
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         with pytest.raises(ValueError):
             uniqueness_trial(spec, SchemeConfig(), 1.0, 48, 64, 8, 0)
+
+    def test_one_draw_and_one_solve_per_rung_per_block(self, monkeypatch):
+        calls = {"make_batch": [], "solve_batch": 0}
+        draw, solve = mfjump.uniqueness.make_batch, mfjump.uniqueness.solve_batch
+
+        def counting_draw(grid, layout, seed, paths):
+            calls["make_batch"].append((grid.n_steps, paths[0], paths[-1]))
+            return draw(grid, layout, seed, paths)
+
+        def counting_solve(*args, **kwargs):
+            calls["solve_batch"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mfjump.uniqueness, "make_batch", counting_draw)
+        monkeypatch.setattr(mfjump.uniqueness, "solve_batch", counting_solve)
+        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
+        ladder = [8, 16, 32]
+        report = refinement_study(spec, SchemeConfig(), 1.0, ladder, 600, 3)
+        # two blocks, each drawn once on the finest grid (twice the last rung)
+        assert calls["make_batch"] == [(64, 0, 511), (64, 512, 599)]
+        assert calls["solve_batch"] == 2 * (len(ladder) + 1)
+        assert [r.steps_coarse for r in report.rows] == ladder
+        assert [r.steps_fine for r in report.rows] == [16, 32, 64]
+
+    def test_rejects_non_doubling_ladder(self):
+        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
+        with pytest.raises(ValueError):
+            refinement_study(spec, SchemeConfig(), 1.0, [16, 64], 8, 0)
