@@ -2,7 +2,7 @@
 with square-root-type (non-Lipschitz) coefficients."""
 
 from .noise import (EventArrays, JumpEvent, MeasureSpec, NoiseBatch, NoiseLayout,
-                    TimeGrid, gen_stable_increments, make_batch, stream_rng)
+                    TimeGrid, gen_stable_increments, make_batch)
 from .paths import CadlagPath, StaircasePath, pointwise_max
 from .coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, DriftSpec,
                      ExponentialMeasure, JumpKernel, PointMassMeasure,

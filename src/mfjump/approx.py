@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import SystemSpec, drift_values
-from .noise import (NoiseBatch, TimeGrid, make_batch, stream_rng,
-                    _draw_events, _stable_scale, _stable_standard, _KIND_NESTED)
+from .noise import (NoiseBatch, TimeGrid, draw_rows, make_batch, _event_arrays,
+                    _event_draw, _stable_scale, _stable_standard, _KIND_NESTED)
 from .solver import SchemeConfig, solve_batch
 from .system import map_blocks
 
@@ -125,22 +125,24 @@ def _branch_batch(grid: TimeGrid, layout, lineages, level, interval, step, span,
     sub_pts = grid.points[step:step + span + 1] - grid.points[step]
     sub_pts[0] = 0.0
     sub = TimeGrid(sub_pts)
+    (master,) = {seed for seed, _ in lineages}  # a batch has one master seed
+    paths = [p for _, p in lineages]
     key = (_KIND_NESTED, level, interval, step)
-    rng = lambda lineage, *stream: stream_rng(*lineage, key + stream)
+    rows = lambda stream, fn: draw_rows(master, paths, key + stream, fn)
     brownian = {}
     for fac in layout.brownian_factors:
-        draws = [rng(lin, 1, fac).standard_normal((n_inner, span)) for lin in lineages]
+        draws = rows((1, fac), lambda rng: rng.standard_normal((n_inner, span)))
         brownian[fac] = np.concatenate(draws) * np.sqrt(sub.dt)
     stable = {}
     for fac, alpha in sorted(layout.stable_alphas.items()):
-        draws = [_stable_standard(alpha, (n_inner, span), rng(lin, 2, fac))
-                 for lin in lineages]
+        draws = rows((2, fac), lambda rng: _stable_standard(alpha, (n_inner, span), rng))
         stable[fac] = np.concatenate(draws) * _stable_scale(alpha, sub.dt)
     events = {}
     for mi, ms in enumerate(layout.measures):
-        rngs = (rng(lin, 3, mi, m) for lin in lineages for m in range(n_inner))
-        events[ms.measure_id] = _draw_events(rngs, ms.rate, ms.mark_sampler,
-                                             sub.horizon)
+        draw = _event_draw(ms.rate, ms.mark_sampler, sub.horizon)
+        per_branch = [rows((3, mi, m), draw) for m in range(n_inner)]
+        # rows are lineage-major, then branch m
+        events[ms.measure_id] = _event_arrays([d for lin in zip(*per_branch) for d in lin])
     return NoiseBatch(grid=sub, brownian=brownian, stable=stable, events=events,
                       lineages=tuple(lin for lin in lineages for _ in range(n_inner)))
 

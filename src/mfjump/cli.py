@@ -108,6 +108,7 @@ def _steps(scenario: Scenario, args) -> int:
 
 def _seed(scenario: Scenario, args) -> int:
     if args.seed is not None:
+        _require_count(args.seed, "--seed", 0)
         return args.seed
     return scenario.seed if scenario.seed is not None else 0
 
@@ -127,8 +128,8 @@ def cmd_simulate(args) -> int:
     _require_count(args.paths, "--paths", 1)
     _require_count(args.dump_paths, "--dump-paths", 0)
     grid = scenario.grid(_steps(scenario, args))
-    out = _out_dir(args)
     seed = _seed(scenario, args)
+    out = _out_dir(args)
     cfg = SchemeConfig()
     spec = scenario.system
 
@@ -216,8 +217,8 @@ def cmd_approx(args) -> int:
     if base_steps & (base_steps - 1):
         raise ScenarioError("approx needs a power-of-two step count so dyadic "
                             "partitions land on grid points")
-    out = _out_dir(args)
     seed = _seed(scenario, args)
+    out = _out_dir(args)
     cfg = SchemeConfig()
     spec = scenario.system
     mode = args.mode
@@ -312,8 +313,8 @@ def cmd_uniqueness(args) -> int:
     if args.phi_k:
         _require_count(min(args.phi_k), "--phi-k", 1)
     base_steps = _steps(scenario, args)
-    out = _out_dir(args)
     seed = _seed(scenario, args)
+    out = _out_dir(args)
     cfg = SchemeConfig()
     spec = scenario.system
     ladder = [base_steps * 2 ** r for r in range(args.levels)]

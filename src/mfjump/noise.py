@@ -1,8 +1,11 @@
 """Driving randomness: time grids, Brownian/stable increments, finite-activity events.
 
-Every stream is keyed by (master_seed, path_index, stream kind, stream index)
-through a ``SeedSequence`` spawn key, so generation is replayable per path and
-independent of execution order.
+Every stream is keyed by (master_seed, path_index, stream kind, stream index):
+it is numpy's ``default_rng(SeedSequence(master_seed, spawn_key=(path_index,
+kind, index)))`` PCG64 stream, so generation is replayable per path and
+independent of execution order. ``draw_rows`` seeds a whole block of paths at
+once: it hashes every path's spawn key in one vectorised pass and reseeds a
+single generator per row, with the same draws as per-path ``SeedSequence``s.
 """
 from __future__ import annotations
 
@@ -18,15 +21,104 @@ _KIND_STABLE = 2
 _KIND_EVENTS = 3
 _KIND_NESTED = 4
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's LCG
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-def stream_rng(master_seed: int, path_index: int, stream: Sequence[int]) -> np.random.Generator:
-    """Deterministic generator for one (path, stream) pair.
 
-    Distinct streams are statistically independent and may be drawn in any
-    order; the same key always reproduces the same draws.
+def _words(n: int) -> list:
+    """The little-endian uint32 words SeedSequence splits an integer into."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_states(entropy: np.ndarray) -> list:
+    """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence)`` for each row of
+    a (P, L) uint32 assembled-entropy array: SeedSequence's pool mix and
+    ``generate_state(4, np.uint64)`` on the columns, then PCG64's srandom."""
+    const = _INIT_A
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    cols = list(entropy.T)
+    pool = [hashmix(c) for c in cols[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for c in cols[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(c))
+    const, words = _INIT_B, []
+    for i in range(8):
+        v = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        v = v * np.uint32(const)
+        words.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
+    # generate_state's uint64 words (uint32 pairs read little-endian) are the
+    # high and low halves of PCG64's seed, then of its increment
+    s_hi, s_lo, i_hi, i_lo = ((words[2 * i] | words[2 * i + 1] << np.uint64(32)).tolist()
+                              for i in range(4))
+    states = []
+    for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((ih << 64 | il) << 1 | 1) & _MASK128
+        states.append((((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def draw_rows(master_seed: int, paths: Sequence[int], stream: Sequence[int],
+              fn: Callable[[np.random.Generator], object]) -> list:
+    """``[fn(rng) for each path]``, where for path p ``rng`` draws bit for bit
+    as ``default_rng(SeedSequence(master_seed, spawn_key=(p,) + stream))``.
+
+    One generator is reseeded in place for each row, so ``rng`` is valid only
+    inside its ``fn`` call.
     """
-    key = (int(path_index),) + tuple(int(s) for s in stream)
-    return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=key))
+    head = _words(master_seed)
+    head += [0] * (_POOL_SIZE - len(head))  # SeedSequence pads before a spawn key
+    tail = [w for s in stream for w in _words(s)]
+    paths = [int(p) for p in paths]
+    if paths and (min(paths) < 0 or max(paths) >> 64):
+        raise ValueError("path indices must lie in [0, 2^64)")
+    words = np.array(paths, dtype=np.uint64).reshape(-1, 1) >> np.uint64([0, 32])
+    words = (words & np.uint64(_MASK32)).astype(np.uint32)  # (P, 2): low, high
+    states = [None] * len(paths)
+    # path indices of 2^32 and more take two words, so they hash a longer key
+    for rows, width in ((np.flatnonzero(words[:, 1] == 0), 1),
+                        (np.flatnonzero(words[:, 1]), 2)):
+        if rows.size:
+            entropy = np.hstack([np.tile(np.array(head, np.uint32), (rows.size, 1)),
+                                 words[rows, :width],
+                                 np.tile(np.array(tail, np.uint32), (rows.size, 1))])
+            for row, state in zip(rows.tolist(), _pcg64_states(entropy)):
+                states[row] = state
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    out = []
+    for state, inc in states:
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        out.append(fn(rng))
+    return out
 
 
 @dataclass(frozen=True)
@@ -142,10 +234,8 @@ class NoiseLayout:
 def _brownian_block(grid: TimeGrid, master_seed: int, paths: Sequence[int],
                     factor: int) -> np.ndarray:
     """(len(paths), n_steps) N(0, dt) increments of one factor, a stream per path."""
-    out = np.empty((len(paths), grid.n_steps))
-    for row, p in enumerate(paths):
-        rng = stream_rng(master_seed, p, (_KIND_BROWNIAN, factor))
-        out[row] = rng.standard_normal(grid.n_steps)
+    out = np.array(draw_rows(master_seed, paths, (_KIND_BROWNIAN, factor),
+                             lambda rng: rng.standard_normal(grid.n_steps)))
     out *= np.sqrt(grid.dt)
     return out
 
@@ -179,10 +269,8 @@ def _stable_block(grid: TimeGrid, alpha: float, master_seed: int, paths: Sequenc
     """(len(paths), n_steps) stable increments of one factor, a stream per path."""
     if not 1.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (1, 2] (compensation needs alpha > 1)")
-    out = np.empty((len(paths), grid.n_steps))
-    for row, p in enumerate(paths):
-        rng = stream_rng(master_seed, p, (_KIND_STABLE, factor))
-        out[row] = _stable_standard(alpha, grid.n_steps, rng)
+    out = np.array(draw_rows(master_seed, paths, (_KIND_STABLE, factor),
+                             lambda rng: _stable_standard(alpha, grid.n_steps, rng)))
     out *= _stable_scale(alpha, grid.dt)
     return out
 
@@ -197,27 +285,35 @@ def gen_stable_increments(grid: TimeGrid, alpha: float, master_seed: int, path_i
     return _stable_block(grid, alpha, master_seed, [path_index], factor)[0]
 
 
-def _draw_events(rngs, rate: float, mark_sampler, horizon: float) -> EventArrays:
-    """Poisson(rate * horizon) events per row, row r drawn from ``rngs[r]``:
-    times uniform on [0, horizon) and sorted, marks i.i.d. from the sampler."""
+def _event_draw(rate: float, mark_sampler, horizon: float):
+    """The row draw of one measure, for ``draw_rows``: Poisson(rate * horizon)
+    events with times uniform on [0, horizon) and sorted, marks i.i.d. from
+    the sampler. A row yields ``(times, marks)``, or None without events."""
     if not np.isfinite(rate) or rate < 0:
         raise ValueError("rate must be finite and non-negative")
-    counts, times, marks = [], [], []
-    for rng in rngs:
+
+    def draw(rng):
         count = int(rng.poisson(rate * horizon))
-        counts.append(count)
-        if count:
-            times.append(np.sort(rng.uniform(0.0, horizon, count)))
-            drawn = np.asarray(mark_sampler(rng, count))
-            if drawn.ndim not in (1, 2) or drawn.shape[-1] != count:
-                raise ValueError("mark_sampler(rng, size) must return an array "
-                                 "of shape (size,) or (d, size)")
-            marks.append(drawn)
-    rows = np.repeat(np.arange(len(counts)), counts)
-    if not times:
+        if not count:
+            return None
+        times = np.sort(rng.uniform(0.0, horizon, count))
+        marks = np.asarray(mark_sampler(rng, count))
+        if marks.ndim not in (1, 2) or marks.shape[-1] != count:
+            raise ValueError("mark_sampler(rng, size) must return an array "
+                             "of shape (size,) or (d, size)")
+        return times, marks
+    return draw
+
+
+def _event_arrays(drawn: list) -> EventArrays:
+    """Row r's ``_event_draw`` result ``drawn[r]``, stacked into one EventArrays."""
+    counts = [0 if d is None else d[0].size for d in drawn]
+    rows = np.repeat(np.arange(len(drawn)), counts)
+    hits = [d for d in drawn if d is not None]
+    if not hits:
         return EventArrays(rows=rows, times=np.empty(0), marks=np.empty(0))
-    return EventArrays(rows=rows, times=np.concatenate(times),
-                       marks=np.concatenate(marks, axis=-1))
+    return EventArrays(rows=rows, times=np.concatenate([t for t, _ in hits]),
+                       marks=np.concatenate([m for _, m in hits], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -276,9 +372,9 @@ def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
         raise ValueError("need at least one path")
     events = {}
     for idx, ms in enumerate(layout.measures):
-        rngs = (stream_rng(master_seed, p, (_KIND_EVENTS, idx)) for p in paths)
-        events[ms.measure_id] = _draw_events(rngs, ms.rate, ms.mark_sampler,
-                                             grid.horizon)
+        draw = _event_draw(ms.rate, ms.mark_sampler, grid.horizon)
+        events[ms.measure_id] = _event_arrays(
+            draw_rows(master_seed, paths, (_KIND_EVENTS, idx), draw))
     return NoiseBatch(
         grid=grid,
         brownian={fac: _brownian_block(grid, master_seed, paths, fac)

@@ -132,6 +132,35 @@ class TestBuildLevels:
             assert np.array_equal(levels[0].forcing[:, 1:2], levels[1].forcing)
             assert np.array_equal(levels[0].values[:, 1:2], levels[1].values)
 
+    def test_branch_rows_are_lineage_major_numpy_streams(self):
+        # inner row l * n_inner + m is branch m of lineage l; its Brownian
+        # stream is shared by the lineage's branches, its events stream is
+        # its own, and both are numpy's spawn-key streams
+        from mfjump.approx import _branch_batch
+        from mfjump.noise import MeasureSpec, NoiseLayout
+        sampler = lambda rng, size: rng.exponential(1.0, size)
+        layout = NoiseLayout(brownian_factors=(0,),
+                             measures=(MeasureSpec("m0", 3.0, sampler),))
+        grid = dyadic_partition(4, 1.0)
+        lineages, n_inner, span = ((3, 7), (3, 2**32)), 3, 4
+        inner = _branch_batch(grid, layout, lineages, 2, 1, 4, span, n_inner)
+        assert inner.lineages == tuple(lin for lin in lineages for _ in range(n_inner))
+        ev = inner.events["m0"]
+        assert ev.times.size > 0
+        for l, (master, path) in enumerate(lineages):
+            oracle = lambda *stream: np.random.default_rng(np.random.SeedSequence(
+                master, spawn_key=(path, 4, 2, 1, 4) + stream))
+            normals = oracle(1, 0).standard_normal((n_inner, span))
+            for m in range(n_inner):
+                row = l * n_inner + m
+                assert np.array_equal(inner.brownian[0][row],
+                                      normals[m] * np.sqrt(inner.grid.dt))
+                rng = oracle(3, 0, m)
+                count = rng.poisson(3.0 * inner.grid.horizon)
+                times = np.sort(rng.uniform(0.0, inner.grid.horizon, count))
+                assert np.array_equal(ev.times[ev.rows == row], times)
+                assert np.array_equal(ev.marks[ev.rows == row], sampler(rng, count))
+
     def test_nested_mc_rejects_bad_branch_count(self):
         spec = mean_field_spec(sigma=0.2)
         grid = dyadic_partition(4, 1.0)

@@ -341,6 +341,9 @@ class TestUsage:
         ["approx", "--dt", "-0.0"],
         ["approx", "--dt", "nan"],
         ["uniqueness", "--dt", "0"],
+        ["simulate", "--paths", "5", "--seed", "-1"],
+        ["approx", "--seed", "-1"],
+        ["uniqueness", "--seed", "-1"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_count_is_usage_error(self, argv, tmp_path, capsys):
         scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")

@@ -4,6 +4,7 @@ from scipy import stats
 
 from mfjump import (MeasureSpec, NoiseLayout, TimeGrid, gen_stable_increments,
                     make_batch)
+from mfjump.noise import draw_rows
 
 
 def unit_grid(steps, horizon=1.0):
@@ -237,15 +238,15 @@ class TestBundles:
 
     def test_batch_rows_match_bundles(self):
         # a row of a block equals the one-row batch of its path, whatever the
-        # block's other paths and their order
+        # block's other paths and their order; 2**32 takes two seed words
         grid = unit_grid(16)
-        paths = [5, 2, 9]
-        batch = make_batch(grid, self.layout(), master_seed=1, path_indices=paths)
-        assert batch.lineages == tuple((1, p) for p in paths)
-        assert batch.events["m0"].times.size > 0
-        for row, p in enumerate(paths):
-            alone = make_batch(grid, self.layout(), master_seed=1, path_indices=[p])
-            assert_same_row(batch, row, alone, 0)
+        for paths in ([5, 2, 9], [5, 2**32, 9]):
+            batch = make_batch(grid, self.layout(), master_seed=1, path_indices=paths)
+            assert batch.lineages == tuple((1, p) for p in paths)
+            assert batch.events["m0"].times.size > 0
+            for row, p in enumerate(paths):
+                alone = make_batch(grid, self.layout(), master_seed=1, path_indices=[p])
+                assert_same_row(batch, row, alone, 0)
 
     def test_coarsen_aggregates_increments(self):
         grid = unit_grid(16)
@@ -272,3 +273,65 @@ class TestBundles:
         small = make_batch(grid, NoiseLayout(brownian_factors=(1,)), 7, [0])
         big = make_batch(grid, NoiseLayout(brownian_factors=(0, 1, 2)), 7, [0])
         assert np.array_equal(small.brownian[1], big.brownian[1])
+
+
+def numpy_stream(master, path, stream):
+    """The oracle: numpy's own per-path spawn-key stream."""
+    return np.random.default_rng(np.random.SeedSequence(master, spawn_key=(path,) + stream))
+
+
+def sample(rng):
+    """Normals, uniforms, exponentials and Poisson counts, plus an odd number
+    of uint32 draws, which leaves half a 64-bit output buffered."""
+    return (rng.standard_normal(5), rng.uniform(size=3), rng.standard_exponential(3),
+            rng.poisson(4.0, 4), rng.integers(0, 1000, 3, dtype=np.uint32))
+
+
+class TestBlockSeeding:
+    """``draw_rows`` seeds all paths of a block in one vectorised pass and
+    must reproduce numpy's per-path SeedSequence streams bit for bit."""
+
+    MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3]
+    PATHS = [0, 1, 511, 2**32 - 1, 2**32, 2**40]
+    # Brownian factor 0, events of measure 2, and a nested-mc events key
+    STREAMS = [(1, 0), (3, 2), (4, 3, 2, 17, 3, 1, 5)]
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_rows_match_numpy_seed_sequence(self, master, stream):
+        got = draw_rows(master, self.PATHS, stream, sample)
+        assert len(got) == len(self.PATHS)
+        for path, row in zip(self.PATHS, got):
+            for a, b in zip(row, sample(numpy_stream(master, path, stream))):
+                assert np.array_equal(a, b)
+
+    def test_row_does_not_depend_on_block(self):
+        stream = (2, 1)
+        block = draw_rows(9, [2**40, 3, 2**32, 3], stream, sample)
+        for path, row in zip([2**40, 3, 2**32, 3], block):
+            (alone,) = draw_rows(9, [path], stream, sample)
+            for a, b in zip(row, alone):
+                assert np.array_equal(a, b)
+        assert draw_rows(9, [], stream, sample) == []
+
+    def test_rejects_negative_keys(self):
+        with pytest.raises(ValueError):
+            draw_rows(-1, [0], (1, 0), sample)
+        with pytest.raises(ValueError):
+            draw_rows(0, [3, -2], (1, 0), sample)
+        with pytest.raises(ValueError):
+            draw_rows(0, [0], (1, -1), sample)
+
+    def test_make_batch_builds_no_seed_sequence(self, monkeypatch):
+        # 512 paths and 5 streams: one generator per stream, none per path
+        made = {"SeedSequence": 0, "PCG64": 0}
+        for name in made:
+            real = getattr(np.random, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                made[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, counted)
+        batch = make_batch(unit_grid(8), TestBundles().layout(), 3, range(512))
+        assert batch.n_paths == 512
+        assert made == {"SeedSequence": 0, "PCG64": 5}
