@@ -4,9 +4,16 @@ drifts, the level recursion, and its diagnostics.
 All levels of one hierarchy share a single noise realization; the infimum
 drifts are minima over grid samples, so the subset inequality between
 consecutive levels holds exactly whenever the level paths are ordered.
+
+Ensembles run in one pass over fixed path blocks. A block draws its noise once
+on the finest rung of a step ladder, solves the hierarchy on that draw
+coarsened onto every rung, and returns only reductions: per-level path
+moments, per-pair ordering statistics and per-path sup gaps, which the parent
+merges in block order. A single grid is the one-rung ladder.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +22,7 @@ from .coeffs import SystemSpec, drift_values
 from .noise import (NoiseBatch, TimeGrid, draw_rows, make_batch, _event_arrays,
                     _event_draw, _stable_scale, _stable_standard, _KIND_NESTED)
 from .solver import SchemeConfig, solve_batch
-from .system import map_blocks
+from .system import _chan_merge, _mean_se, _moments, map_blocks
 
 MODES = ("realized", "nested-mc", "deterministic")
 _BLOCK = 256  # paths per hierarchy block; independent of --jobs
@@ -196,25 +203,16 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
 
 
 @dataclass
-class HierarchyResult:
-    """Levels of one hierarchy run plus the limit estimate."""
+class HierarchyBatch:
+    """The levels of one hierarchy over a path batch, and the forcing mode used."""
 
     levels: list
     mode: str
-    sup_gaps: np.ndarray  # (n_levels-1, N, P) sup_t |level_{n+1} - level_n|
-
-    @property
-    def limit_values(self) -> np.ndarray:
-        return self.levels[-1].values
-
-    def cauchy_gap(self) -> float:
-        """Sup gap between the two highest levels (reported, not extrapolated)."""
-        return float(self.sup_gaps[-1].max()) if len(self.levels) > 1 else 0.0
 
 
 def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig,
                         n_max: int, mode: str = "realized",
-                        n_inner: int = 8) -> HierarchyResult:
+                        n_inner: int = 8) -> HierarchyBatch:
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     if mode == "realized" and all(d.deterministic for d in spec.drifts):
@@ -223,9 +221,7 @@ def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig,
     while levels[-1].n < n_max:
         levels.append(build_next_level(levels[-1], spec, batch, cfg,
                                        mode=mode, n_inner=n_inner))
-    gaps = np.stack([np.abs(b.values - a.values).max(axis=2)
-                     for a, b in zip(levels, levels[1:])])
-    return HierarchyResult(levels=levels, mode=mode, sup_gaps=gaps)
+    return HierarchyBatch(levels=levels, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -236,6 +232,15 @@ class MonotonicityRow:
     violating_fraction: float
 
 
+def _pair_stats(a: LevelBatch, b: LevelBatch, tolerance: float = 0.0):
+    """One consecutive level pair over a batch: the sup gap |b - a| per
+    (component, path), the sup violation (a - b)+ per path, and how many grid
+    points violate beyond the tolerance, out of how many."""
+    gap = a.values - b.values
+    return (np.abs(gap).max(axis=2), np.maximum(gap, 0.0).max(axis=(0, 2)),
+            int((gap > tolerance).sum()), gap.size)
+
+
 def check_monotone(levels, tolerance: float = 0.0):
     """Per consecutive level pair: worst (lambda^n - lambda^{n+1})+ and the
     fraction of grid points violating beyond the tolerance."""
@@ -243,11 +248,10 @@ def check_monotone(levels, tolerance: float = 0.0):
         raise ValueError("need at least two levels")
     rows = []
     for a, b in zip(levels, levels[1:]):
-        gap = a.values - b.values
-        rows.append(MonotonicityRow(
-            level_from=a.n, level_to=b.n,
-            max_violation=float(np.maximum(gap, 0.0).max()),
-            violating_fraction=float(np.mean(gap > tolerance))))
+        _gaps, sup, count, total = _pair_stats(a, b, tolerance)
+        rows.append(MonotonicityRow(level_from=a.n, level_to=b.n,
+                                    max_violation=float(sup.max()),
+                                    violating_fraction=count / total))
     return rows
 
 
@@ -273,14 +277,12 @@ def moment_bound_check(levels, grid: TimeGrid, a_bar: float, growth_b: float,
                        k_provenance: str = "declared") -> MomentBoundReport:
     """Check the empirical sup-component mean curves against M*exp(L't).
 
-    ``levels`` is a list of LevelBatch over an ensemble (>= 100 paths for a
-    meaningful check); M is calibrated from the level-1 curve plus the
-    initial-value requirement, with a 3*SE margin.
+    ``levels`` holds each level's (count, mean, M2) summary over an ensemble,
+    as in ``HierarchyResult.levels`` (>= 100 paths for a meaningful check); M
+    is calibrated from the level-1 curve plus the initial-value requirement,
+    with a 3*SE margin.
     """
-    n_paths = levels[0].values.shape[1]
-    means = np.stack([lv.values.mean(axis=1) for lv in levels])  # (L, N, K+1)
-    ses = np.stack([lv.values.std(axis=1, ddof=1) / np.sqrt(n_paths)
-                    for lv in levels])
+    means, ses = (np.stack(s) for s in zip(*(_mean_se([lv]) for lv in levels)))
     b_prime = a_bar * growth_b + k_const
     l_prime = a_bar * growth_l * means.shape[1] + k_const
     init_sup = float(means[0, :, 0].max())
@@ -301,50 +303,75 @@ def moment_bound_check(levels, grid: TimeGrid, a_bar: float, growth_b: float,
         curve_times=grid.points, sup_mean=sup_mean, envelope=envelope)
 
 
-def _hierarchy_block(spec, cfg, grid, master_seed, n_max, mode, n_inner, bounds):
-    batch = make_batch(grid, spec.noise_layout(), master_seed, range(*bounds))
-    return run_hierarchy_batch(spec, batch, cfg, n_max, mode=mode, n_inner=n_inner)
-
-
 @dataclass(frozen=True)
-class RefinementRow:
-    """Hierarchy ordering statistics at one grid resolution."""
+class HierarchyResult:
+    """One rung of a hierarchy over an ensemble of shared-noise trajectories,
+    reduced over the paths in path order."""
 
     steps: int
     dt: float
+    mode: str
+    levels: list  # per level: (count, mean, M2) of its values over the paths
+    monotonicity: list  # MonotonicityRow per consecutive level pair
+    sup_gaps: np.ndarray  # (n_levels-1, N, P) sup_t |level_{n+1} - level_n|
     max_violation: float  # ensemble max over paths, level pairs, grid points
     mean_sup_violation: float  # ensemble mean of the per-path sup violation
-    violating_fraction: float
-    cauchy_gap: float
+    violating_fraction: float  # over all level pairs and grid points
+    cauchy_gap: float  # sup gap between the two highest levels (not extrapolated)
 
 
-def _refinement_block(spec, cfg, horizon, ladder, master_seed, n_max, mode, n_inner,
-                      bounds):
-    finest = max(ladder)
-    grid = dyadic_partition(finest.bit_length(), horizon)
-    batch_fine = make_batch(grid, spec.noise_layout(), master_seed, range(*bounds))
+def _ladder_block(spec, cfg, grid, factors, master_seed, n_max, mode, n_inner,
+                  bounds):
+    """One block of paths: noise drawn once on ``grid`` and coarsened by each
+    factor, one hierarchy per rung, each reduced to its mode, its per-level
+    path moments and its per-pair statistics."""
+    batch = make_batch(grid, spec.noise_layout(), master_seed, range(*bounds))
     out = []
-    for steps in ladder:
-        batch = batch_fine.coarsen(finest // steps)
-        hier = run_hierarchy_batch(spec, batch, cfg, n_max, mode=mode,
-                                   n_inner=n_inner)
-        per_path = np.zeros(batch.n_paths)
-        frac_num = frac_den = 0
-        for a, b in zip(hier.levels, hier.levels[1:]):
-            viol = np.maximum(a.values - b.values, 0.0)
-            per_path = np.maximum(per_path, viol.max(axis=(0, 2)))
-            frac_num += int((viol > 0).sum())
-            frac_den += viol.size
-        out.append((steps, per_path, frac_num, frac_den,
-                    float(hier.sup_gaps[-1].max())))
+    for factor in factors:
+        hier = run_hierarchy_batch(spec, batch.coarsen(factor), cfg, n_max,
+                                   mode=mode, n_inner=n_inner)
+        out.append((hier.mode,
+                    [_moments(lv.values.transpose(1, 0, 2)) for lv in hier.levels],
+                    [_pair_stats(a, b) for a, b in zip(hier.levels, hier.levels[1:])]))
     return out
+
+
+def _merge_rung(blocks, steps: int, horizon: float) -> HierarchyResult:
+    """One rung's block statistics, merged in block order."""
+    levels = [functools.reduce(_chan_merge, lv) for lv in zip(*(b[1] for b in blocks))]
+    pairs = list(zip(*(b[2] for b in blocks)))  # per level pair, its blocks
+    sup_gaps = np.stack([np.concatenate([blk[0] for blk in pair], axis=1)
+                         for pair in pairs])
+    sup_viol = np.stack([np.concatenate([blk[1] for blk in pair]) for pair in pairs])
+    counts = [sum(blk[2] for blk in pair) for pair in pairs]
+    totals = [sum(blk[3] for blk in pair) for pair in pairs]
+    mono = [MonotonicityRow(level_from=i + 1, level_to=i + 2,
+                            max_violation=float(sup_viol[i].max()),
+                            violating_fraction=counts[i] / totals[i])
+            for i in range(len(pairs))]
+    return HierarchyResult(
+        steps=steps, dt=horizon / steps, mode=blocks[0][0], levels=levels, monotonicity=mono,
+        sup_gaps=sup_gaps, max_violation=float(sup_viol.max()),
+        mean_sup_violation=float(sup_viol.max(axis=0).mean()),
+        violating_fraction=sum(counts) / sum(totals),
+        cauchy_gap=float(sup_gaps[-1].max()))
+
+
+def _hierarchy_ladder(spec, cfg, grid, factors, n_paths, master_seed, n_max, mode,
+                      n_inner, jobs) -> list:
+    """One HierarchyResult per coarsening factor of ``grid``, all from one pass
+    over fixed path blocks, so the results do not depend on ``jobs``."""
+    parts = map_blocks(_ladder_block, n_paths, _BLOCK, jobs, spec, cfg, grid,
+                       factors, master_seed, n_max, mode, n_inner)
+    return [_merge_rung([p[r] for p in parts], grid.n_steps // factor, grid.horizon)
+            for r, factor in enumerate(factors)]
 
 
 def hierarchy_refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
                                steps_ladder, n_paths: int, master_seed: int,
                                n_max: int, mode: str = "realized",
-                               n_inner: int = 8, jobs: int = 1):
-    """Hierarchy ordering statistics across a step ladder under shared noise.
+                               n_inner: int = 8, jobs: int = 1) -> list:
+    """One HierarchyResult per rung of a step ladder, coarsest first.
 
     Noise is generated once per path on the finest grid and aggregated onto
     the coarser rungs, so every rung sees the same realization; all ladder
@@ -352,41 +379,18 @@ def hierarchy_refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: flo
     """
     ladder = sorted(int(s) for s in steps_ladder)
     for s in ladder:
-        if s & (s - 1) or max(ladder) % s:
+        if s & (s - 1) or ladder[-1] % s:
             raise ValueError("ladder entries must be powers of two dividing the finest")
-    parts = map_blocks(_refinement_block, n_paths, _BLOCK, jobs, spec, cfg, horizon,
-                       ladder, master_seed, n_max, mode, n_inner)
-    rows = []
-    for ri, steps in enumerate(ladder):
-        per_path = np.concatenate([p[ri][1] for p in parts])
-        frac_num = sum(p[ri][2] for p in parts)
-        frac_den = sum(p[ri][3] for p in parts)
-        rows.append(RefinementRow(
-            steps=steps, dt=horizon / steps,
-            max_violation=float(per_path.max()),
-            mean_sup_violation=float(per_path.mean()),
-            violating_fraction=frac_num / frac_den,
-            cauchy_gap=max(p[ri][4] for p in parts)))
-    return rows
+    grid = dyadic_partition(ladder[-1].bit_length(), horizon)
+    return _hierarchy_ladder(spec, cfg, grid, [ladder[-1] // s for s in ladder],
+                             n_paths, master_seed, n_max, mode, n_inner, jobs)
 
 
 def run_hierarchy_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid,
                            n_paths: int, master_seed: int, n_max: int,
                            mode: str = "realized", n_inner: int = 8,
                            jobs: int = 1) -> HierarchyResult:
-    """Hierarchies over an ensemble of shared-noise trajectories, merged in
-    path order (parallelism-independent)."""
-    parts = map_blocks(_hierarchy_block, n_paths, _BLOCK, jobs, spec, cfg, grid,
-                       master_seed, n_max, mode, n_inner)
-    merged_levels = []
-    first = parts[0]
-    for li in range(len(first.levels)):
-        merged_levels.append(LevelBatch(
-            n=first.levels[li].n,
-            partition=first.levels[li].partition,
-            part_idx=first.levels[li].part_idx,
-            inf_drifts=np.concatenate([p.levels[li].inf_drifts for p in parts], axis=1),
-            values=np.concatenate([p.levels[li].values for p in parts], axis=1),
-            forcing=np.concatenate([p.levels[li].forcing for p in parts], axis=1)))
-    gaps = np.concatenate([p.sup_gaps for p in parts], axis=2)
-    return HierarchyResult(levels=merged_levels, mode=first.mode, sup_gaps=gaps)
+    """Hierarchies over an ensemble of shared-noise trajectories on ``grid``:
+    the one-rung case of ``hierarchy_refinement_study``."""
+    return _hierarchy_ladder(spec, cfg, grid, [1], n_paths, master_seed, n_max,
+                             mode, n_inner, jobs)[0]

@@ -18,8 +18,7 @@ import sys
 
 import numpy as np
 
-from .approx import (check_monotone, hierarchy_refinement_study,
-                     moment_bound_check, run_hierarchy_ensemble)
+from .approx import hierarchy_refinement_study, moment_bound_check
 from .scenario import Scenario, ScenarioError, load_scenario
 from .solver import NumericsError, SchemeConfig
 from .system import run_ensemble
@@ -66,7 +65,7 @@ def _build_parser() -> _Parser:
                    default="realized")
     p.add_argument("--inner", type=int, default=8, help="nested-mc branch count")
     p.add_argument("--refinements", type=int, default=1,
-                   help="repeat with halved steps this many times")
+                   help="rungs in the step ladder, base included")
 
     p = sub.add_parser("validate", help="run the coefficient assumption validators")
     common(p, dt=False)
@@ -211,6 +210,7 @@ def cmd_approx(args) -> int:
     scenario = load_scenario(args.scenario)
     _require_count(args.paths, "--paths", 1)
     _require_count(args.levels, "--levels", 2)
+    _require_count(args.refinements, "--refinements", 1)
     if args.mode == "nested-mc":
         _require_count(args.inner, "--inner", 1)
     base_steps = _steps(scenario, args)
@@ -221,9 +221,6 @@ def cmd_approx(args) -> int:
     out = _out_dir(args)
     cfg = SchemeConfig()
     spec = scenario.system
-    mode = args.mode
-    if scenario.deterministic_drift and mode == "realized":
-        mode = "deterministic"
 
     a_bar = max(c.a for c in spec.components)
     growth_b = max(d.growth_bound for d in spec.drifts)
@@ -231,18 +228,15 @@ def cmd_approx(args) -> int:
     k_const = max(c.growth_k for c in spec.components)
 
     grid = scenario.grid(base_steps)
-    hier = run_hierarchy_ensemble(spec, cfg, grid, args.paths, seed,
-                                  args.levels, mode=mode, n_inner=args.inner,
-                                  jobs=args.jobs)
-    mono = check_monotone(hier.levels)
+    # one pass: the base-grid report is rung 0 of the ladder's shared draw
+    ladder = [base_steps * 2 ** r for r in range(args.refinements)]
+    rungs = hierarchy_refinement_study(
+        spec, cfg, scenario.horizon, ladder, args.paths, seed, args.levels,
+        mode=args.mode, n_inner=args.inner, jobs=args.jobs)
+    hier = rungs[0]
+    refinement_rows = rungs if args.refinements > 1 else []
     bound = moment_bound_check(hier.levels, grid, a_bar, growth_b, growth_l,
                                k_const)
-    refinement_rows = []
-    if args.refinements > 1:
-        ladder = [base_steps * 2 ** r for r in range(args.refinements)]
-        refinement_rows = hierarchy_refinement_study(
-            spec, cfg, scenario.horizon, ladder, args.paths, seed, args.levels,
-            mode=mode, n_inner=args.inner, jobs=args.jobs)
 
     with open(os.path.join(out, "level_gaps.csv"), "w", encoding="utf-8") as fh:
         w = _csv_writer(fh)
@@ -255,7 +249,7 @@ def cmd_approx(args) -> int:
         w = _csv_writer(fh)
         w.writerow(["steps", "level_from", "level_to",
                     "max_violation", "violating_fraction"])
-        for row in mono:
+        for row in hier.monotonicity:
             w.writerow([str(grid.n_steps), str(row.level_from), str(row.level_to),
                         repr(row.max_violation), repr(row.violating_fraction)])
 
@@ -286,11 +280,11 @@ def cmd_approx(args) -> int:
         "steps": grid.n_steps,
         "constants": {"a_bar": a_bar, "B": growth_b, "L": growth_l,
                       "K": k_const, "K_provenance": "declared"},
-        "cauchy_gap": hier.cauchy_gap(),
+        "cauchy_gap": hier.cauchy_gap,
         "monotonicity": [{
             "level_from": m.level_from, "level_to": m.level_to,
             "max_violation": m.max_violation,
-            "violating_fraction": m.violating_fraction} for m in mono],
+            "violating_fraction": m.violating_fraction} for m in hier.monotonicity],
         "moment_bound": {
             "M": bound.m_const, "B_prime": bound.b_prime,
             "L_prime": bound.l_prime, "K": bound.k_const,

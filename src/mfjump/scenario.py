@@ -91,10 +91,6 @@ class Scenario:
             return dyadic_partition(steps.bit_length(), self.horizon)
         return TimeGrid.uniform(self.horizon, steps)
 
-    @property
-    def deterministic_drift(self) -> bool:
-        return all(d.deterministic for d in self.system.drifts)
-
 
 def _build_drift(info: dict, path: str, n: int, horizon: float):
     kind = info.get("kind")

@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
+import mfjump.approx
 from mfjump import (CadlagPath, DriftSpec, SchemeConfig, TimeGrid, build_level_one,
                     build_next_level, check_monotone, dyadic_partition,
                     hierarchy_refinement_study, infimum_drift, make_batch,
                     moment_bound_check, preset_example21, run_hierarchy_batch,
                     run_hierarchy_ensemble, solve_batch)
+from mfjump.cli import main
 
 
 def mean_field_spec(n=2, sigma=0.0, **kw):
@@ -301,6 +305,24 @@ class TestMomentBound:
         assert report.l_prime == pytest.approx(1.0)
         assert report.passed
 
+    def test_block_reductions_match_the_whole_batch(self):
+        # three blocks, merged in order, against one batch of all 600 paths
+        spec = mean_field_spec(n=2, sigma=1.0, a=2.0, initial=[0.4, 0.8])
+        grid = dyadic_partition(5, 1.0)
+        hier = run_hierarchy_ensemble(spec, SchemeConfig(), grid, 600, 3, 3)
+        whole = run_hierarchy_batch(spec, make_batch(grid, spec.noise_layout(), 3,
+                                                     range(600)), SchemeConfig(), 3)
+        for (n, mean, m2), lv in zip(hier.levels, whole.levels):
+            assert n == 600
+            np.testing.assert_allclose(mean, lv.values.mean(axis=1), rtol=1e-12)
+            np.testing.assert_allclose(m2 / (n - 1), lv.values.var(axis=1, ddof=1),
+                                       rtol=1e-10, atol=1e-14)
+        assert hier.monotonicity == check_monotone(whole.levels)
+        assert hier.max_violation > 0.0
+        assert np.array_equal(hier.sup_gaps, np.stack(
+            [np.abs(b.values - a.values).max(axis=2)
+             for a, b in zip(whole.levels, whole.levels[1:])]))
+
     def test_larger_k_only_loosens_the_bound(self):
         spec = mean_field_spec(n=2, sigma=0.5, initial=[1.0, 2.0])
         grid = dyadic_partition(6, 1.0)
@@ -333,3 +355,60 @@ class TestRefinementStudy:
                                           [64, 128, 256], 400, 1, 5)
         means = [r.mean_sup_violation for r in rows]
         assert means[0] > means[-1]
+
+
+class TestApproxCommand:
+    """``approx`` serves the base-grid report and the step ladder from one pass."""
+
+    @pytest.fixture
+    def scenario(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "name": "approx-pass", "horizon": 1.0,
+            "grid_steps": 16, "drift": {"kind": "mean-field-average"},
+            "preset": {"kind": "example21", "n_components": 2, "a": 4.0,
+                       "sigma": 2.0, "initial": [0.4, 0.8]}}))
+        return str(path)
+
+    def run(self, scenario, out, paths):
+        return main(["approx", "--scenario", scenario, "--paths", str(paths),
+                     "--levels", "3", "--refinements", "3", "--seed", "0",
+                     "--jobs", "1", "--out", str(out)])
+
+    def test_one_draw_and_one_pass_per_block(self, scenario, tmp_path, monkeypatch):
+        calls = {"map_blocks": 0, "make_batch": [], "solve_batch": 0}
+        blocks = mfjump.approx.map_blocks
+        draw, solve = mfjump.approx.make_batch, mfjump.approx.solve_batch
+
+        def counting_blocks(*args):
+            calls["map_blocks"] += 1
+            return blocks(*args)
+
+        def counting_draw(grid, layout, seed, paths):
+            calls["make_batch"].append((grid.n_steps, paths[0], paths[-1]))
+            return draw(grid, layout, seed, paths)
+
+        def counting_solve(*args, **kwargs):
+            calls["solve_batch"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mfjump.approx, "map_blocks", counting_blocks)
+        monkeypatch.setattr(mfjump.approx, "make_batch", counting_draw)
+        monkeypatch.setattr(mfjump.approx, "solve_batch", counting_solve)
+        assert self.run(scenario, tmp_path / "o", 600) == 0
+        # three blocks, each drawn once on the finest rung (16 * 2^2 steps)
+        assert calls["map_blocks"] == 1
+        assert calls["make_batch"] == [(64, 0, 255), (64, 256, 511), (64, 512, 599)]
+        assert calls["solve_batch"] == 3 * 3 * 3  # blocks x levels x rungs
+
+    def test_report_describes_one_realization(self, scenario, tmp_path):
+        out = tmp_path / "o"
+        assert self.run(scenario, out, 300) == 0
+        report = json.loads((out / "approx_report.json").read_text())
+        base = report["refinements"][0]
+        assert base["steps"] == report["steps"]
+        assert report["cauchy_gap"] == base["cauchy_gap"]
+        worst = max(m["max_violation"] for m in report["monotonicity"])
+        assert worst == base["max_violation"] > 0.0
+        gaps = (out / "level_gaps.csv").read_text().splitlines()
+        assert float(gaps[-1].split(",")[-1]) == report["cauchy_gap"]

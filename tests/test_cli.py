@@ -219,6 +219,9 @@ class TestApprox:
         assert code == 0
         report = json.loads((out / "approx_report.json").read_text())
         assert report["cauchy_gap"] == 0.0
+        # one rung: no ladder rows, only the header
+        assert report["refinements"] == []
+        assert len((out / "refinements.csv").read_text().splitlines()) == 1
 
     def test_refinement_run_reports_decreasing_violations(self, tmp_path):
         # the pinned diffusive configuration: ordering violations shrink
@@ -268,15 +271,16 @@ class TestApprox:
                               preset={"kind": "example21", "n_components": 2,
                                       "a": 1.0, "sigma": 0.6,
                                       "initial": [1.0, 2.0]})
-        trees = []
-        for name, jobs in (("a1", 1), ("a2", 3)):
-            out = tmp_path / name
-            code = main(["approx", "--scenario", str(scen), "--paths", "300",
-                         "--levels", "3", "--seed", "5", "--out", str(out),
-                         "--jobs", str(jobs)])
-            assert code == 0
-            trees.append(read_tree(out))
-        assert trees[0] == trees[1]
+        for refinements in ("1", "2"):
+            trees = []
+            for jobs in ("1", "3"):
+                out = tmp_path / f"r{refinements}-j{jobs}"
+                code = main(["approx", "--scenario", str(scen), "--paths", "300",
+                             "--levels", "3", "--seed", "5", "--out", str(out),
+                             "--jobs", jobs, "--refinements", refinements])
+                assert code == 0
+                trees.append(read_tree(out))
+            assert trees[0] == trees[1]
 
 
 class TestUniqueness:
@@ -328,6 +332,7 @@ class TestUsage:
         ["uniqueness", "--paths", "0"],
         ["uniqueness", "--paths", "1"],
         ["approx", "--levels", "1"],
+        ["approx", "--refinements", "0"],
         ["approx", "--mode", "nested-mc", "--inner", "0"],
         ["validate", "--budget", "0"],
         ["uniqueness", "--levels", "0"],

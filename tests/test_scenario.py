@@ -31,7 +31,6 @@ class TestParsing:
         assert sc.system.n == 2
         assert sc.horizon == 1.0
         assert sc.system.drifts[0].label == "average"
-        assert sc.deterministic_drift is False
 
     def test_unknown_top_level_field(self):
         with pytest.raises(ScenarioError, match=r"\$\.bogus"):
