@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import SystemSpec, drift_values
-from .noise import (NoiseBatch, TimeGrid, draw_rows, make_batch, _event_arrays,
-                    _event_draw, _stable_scale, _stable_standard, _KIND_NESTED)
+from .noise import NoiseBatch, TimeGrid, make_batch
 from .solver import SchemeConfig, solve_batch
 from .system import _chan_merge, _mean_se, _moments, map_blocks
 
@@ -100,7 +99,8 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int
     """Adapted estimate of E[b^{i,n}_k | F_s] at every step s by branching
     n_inner fresh continuations of the level-n system at s. One solve per
     step covers the branches of every path: inner row p * n_inner + m is
-    branch m of path p."""
+    branch m of path p, keyed under that path's lineage, so a path's branches
+    do not depend on the others."""
     if n_inner < 1:
         raise ValueError("nested-mc needs at least one inner branch")
     grid = batch.grid
@@ -108,14 +108,16 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int
     n_comp, n_paths, _ = prev.values.shape
     forcing = np.empty((n_comp, n_paths, grid.n_steps))
     layout = spec.noise_layout()
+    (master,) = {seed for seed, _ in batch.lineages}  # a batch has one master seed
+    paths = [p for _, p in batch.lineages]
     for k in range(prev.part_idx.size - 1):
         j0, j1 = prev.part_idx[k], prev.part_idx[k + 1]
         past_min = None
         for j in range(j0, j1):
             current = drift_vals[:, :, j]
             past_min = current if past_min is None else np.minimum(past_min, current)
-            inner = _branch_batch(grid, layout, batch.lineages, prev.n, k, j, j1 - j,
-                                  n_inner)
+            inner = make_batch(TimeGrid(pts[j:j1 + 1] - pts[j]), layout, master, paths,
+                               branch=((prev.n, k, j), n_inner))
             res = solve_batch(spec.components, spec.drifts, inner, cfg,
                               initial=np.repeat(prev.values[:, :, j], n_inner, axis=1),
                               forcing=np.repeat(prev.forcing[:, :, j:j1], n_inner, axis=1))
@@ -125,48 +127,25 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int
     return forcing
 
 
-def _branch_batch(grid: TimeGrid, layout, lineages, level, interval, step, span,
-                  n_inner) -> NoiseBatch:
-    """Fresh inner noise for nested branching: n_inner rows per lineage, keyed
-    under that lineage, so a path's branches do not depend on the others."""
-    sub_pts = grid.points[step:step + span + 1] - grid.points[step]
-    sub_pts[0] = 0.0
-    sub = TimeGrid(sub_pts)
-    (master,) = {seed for seed, _ in lineages}  # a batch has one master seed
-    paths = [p for _, p in lineages]
-    key = (_KIND_NESTED, level, interval, step)
-    rows = lambda stream, fn: draw_rows(master, paths, key + stream, fn)
-    brownian = {}
-    for fac in layout.brownian_factors:
-        draws = rows((1, fac), lambda rng: rng.standard_normal((n_inner, span)))
-        brownian[fac] = np.concatenate(draws) * np.sqrt(sub.dt)
-    stable = {}
-    for fac, alpha in sorted(layout.stable_alphas.items()):
-        draws = rows((2, fac), lambda rng: _stable_standard(alpha, (n_inner, span), rng))
-        stable[fac] = np.concatenate(draws) * _stable_scale(alpha, sub.dt)
-    events = {}
-    for mi, ms in enumerate(layout.measures):
-        draw = _event_draw(ms.rate, ms.mark_sampler, sub.horizon)
-        per_branch = [rows((3, mi, m), draw) for m in range(n_inner)]
-        # rows are lineage-major, then branch m
-        events[ms.measure_id] = _event_arrays([d for lin in zip(*per_branch) for d in lin])
-    return NoiseBatch(grid=sub, brownian=brownian, stable=stable, events=events,
-                      lineages=tuple(lin for lin in lineages for _ in range(n_inner)))
+def _solve_level(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig, n: int,
+                 forcing: np.ndarray) -> LevelBatch:
+    """Level n driven by ``forcing``: its paths and their interval-infimum
+    drifts over the level-n partition."""
+    grid = batch.grid
+    res = solve_batch(spec.components, spec.drifts, batch, cfg,
+                      initial=spec.initial[:, None], forcing=forcing)
+    partition = dyadic_partition(n, grid.horizon)
+    part_idx = _partition_indices(grid, partition)
+    dv = drift_values(spec.drifts, grid.points, res.values)
+    return LevelBatch(n=n, partition=partition, part_idx=part_idx,
+                      inf_drifts=_interval_min(dv, part_idx),
+                      values=res.values, forcing=forcing)
 
 
 def build_level_one(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig) -> LevelBatch:
     """Base level: zero drift target (pure decay plus noise)."""
-    grid = batch.grid
-    n_comp, n_paths = spec.n, batch.n_paths
-    forcing = np.zeros((n_comp, n_paths, grid.n_steps))
-    res = solve_batch(spec.components, spec.drifts, batch, cfg,
-                      initial=spec.initial[:, None], forcing=forcing)
-    partition = dyadic_partition(1, grid.horizon)
-    part_idx = _partition_indices(grid, partition)
-    dv = drift_values(spec.drifts, grid.points, res.values)
-    return LevelBatch(n=1, partition=partition, part_idx=part_idx,
-                      inf_drifts=_interval_min(dv, part_idx),
-                      values=res.values, forcing=forcing)
+    return _solve_level(spec, batch, cfg, 1,
+                        np.zeros((spec.n, batch.n_paths, batch.grid.n_steps)))
 
 
 def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
@@ -181,25 +160,15 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if mode == "deterministic" and any(d.kind == "mean-field" for d in spec.drifts):
+        raise ValueError("deterministic mode needs state-independent drifts")
     grid = batch.grid
-    if mode == "realized":
-        forcing = _forcing_from_intervals(prev.inf_drifts, grid, prev.part_idx)
-    elif mode == "deterministic":
-        if any(d.kind == "mean-field" for d in spec.drifts):
-            raise ValueError("deterministic mode needs state-independent drifts")
-        forcing = _forcing_from_intervals(prev.inf_drifts, grid, prev.part_idx)
-    else:
+    if mode == "nested-mc":
         dv = drift_values(spec.drifts, grid.points, prev.values)
         forcing = _nested_forcing(spec, prev, batch, cfg, n_inner, dv)
-
-    res = solve_batch(spec.components, spec.drifts, batch, cfg,
-                      initial=spec.initial[:, None], forcing=forcing)
-    partition = dyadic_partition(prev.n + 1, grid.horizon)
-    part_idx = _partition_indices(grid, partition)
-    dv = drift_values(spec.drifts, grid.points, res.values)
-    return LevelBatch(n=prev.n + 1, partition=partition, part_idx=part_idx,
-                      inf_drifts=_interval_min(dv, part_idx),
-                      values=res.values, forcing=forcing)
+    else:
+        forcing = _forcing_from_intervals(prev.inf_drifts, grid, prev.part_idx)
+    return _solve_level(spec, batch, cfg, prev.n + 1, forcing)
 
 
 @dataclass

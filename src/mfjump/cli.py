@@ -217,6 +217,12 @@ def cmd_approx(args) -> int:
     if base_steps & (base_steps - 1):
         raise ScenarioError("approx needs a power-of-two step count so dyadic "
                             "partitions land on grid points")
+    if args.levels > base_steps.bit_length():  # level L needs 2^(L-1) steps
+        raise ScenarioError(f"--levels must be at most {base_steps.bit_length()} "
+                            f"on a {base_steps}-step grid")
+    if args.mode == "deterministic" and any(d.kind == "mean-field"
+                                            for d in scenario.system.drifts):
+        raise ScenarioError("--mode deterministic needs state-independent drifts")
     seed = _seed(scenario, args)
     out = _out_dir(args)
     cfg = SchemeConfig()

@@ -6,6 +6,11 @@ kind, index)))`` PCG64 stream, so generation is replayable per path and
 independent of execution order. ``draw_rows`` seeds a whole block of paths at
 once: it hashes every path's spawn key in one vectorised pass and reseeds a
 single generator per row, with the same draws as per-path ``SeedSequence``s.
+
+Nested Monte Carlo branches (``make_batch(..., branch=(key, n))``) are keyed
+under the prefix ``(_KIND_NESTED,) + key`` of their path's spawn key, followed
+by the stream kind and index as above (events add the branch index), and sit
+in n consecutive rows per path.
 """
 from __future__ import annotations
 
@@ -231,15 +236,6 @@ class NoiseLayout:
     measures: tuple = ()
 
 
-def _brownian_block(grid: TimeGrid, master_seed: int, paths: Sequence[int],
-                    factor: int) -> np.ndarray:
-    """(len(paths), n_steps) N(0, dt) increments of one factor, a stream per path."""
-    out = np.array(draw_rows(master_seed, paths, (_KIND_BROWNIAN, factor),
-                             lambda rng: rng.standard_normal(grid.n_steps)))
-    out *= np.sqrt(grid.dt)
-    return out
-
-
 def _cms_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
     """Chambers-Mallows-Stuck draw of S_alpha(1, beta=1, 0), alpha in (1, 2)."""
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
@@ -262,27 +258,6 @@ def _stable_scale(alpha: float, dt: np.ndarray) -> np.ndarray:
     """Per-step factor dt^(1/alpha); at alpha = 2 the law is N(0, 2*dt)."""
     scale = dt ** (1.0 / alpha)
     return np.sqrt(2.0) * scale if alpha == 2.0 else scale
-
-
-def _stable_block(grid: TimeGrid, alpha: float, master_seed: int, paths: Sequence[int],
-                  factor: int) -> np.ndarray:
-    """(len(paths), n_steps) stable increments of one factor, a stream per path."""
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (1, 2] (compensation needs alpha > 1)")
-    out = np.array(draw_rows(master_seed, paths, (_KIND_STABLE, factor),
-                             lambda rng: _stable_standard(alpha, grid.n_steps, rng)))
-    out *= _stable_scale(alpha, grid.dt)
-    return out
-
-
-def gen_stable_increments(grid: TimeGrid, alpha: float, master_seed: int, path_index: int = 0,
-                          factor: int = 0) -> np.ndarray:
-    """Spectrally positive compensated stable increments, scale dt^(1/alpha) per step.
-
-    Standard S_alpha(scale, beta=1, 0) in the one-parametrization, so the law
-    is centered for alpha in (1, 2] and reduces to N(0, 2*dt) at alpha = 2.
-    """
-    return _stable_block(grid, alpha, master_seed, [path_index], factor)[0]
 
 
 def _event_draw(rate: float, mark_sampler, horizon: float):
@@ -363,23 +338,55 @@ class NoiseBatch:
 
 
 def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
-               path_indices: Sequence[int]) -> NoiseBatch:
+               path_indices: Sequence[int], branch: tuple = None) -> NoiseBatch:
     """Noise for the paths ``path_indices``, drawn straight into block arrays;
     every stream is keyed by its path's lineage, so a row does not depend on
-    the other paths of the block."""
+    the other paths of the block.
+
+    ``branch=(key, n)`` draws n fresh branches per path for nested Monte
+    Carlo instead: row ``l * n + m`` is branch m of path l, and every stream
+    key gains the prefix ``(_KIND_NESTED,) + key``. A path's Brownian and
+    stable streams hold all n of its branches, as (n, n_steps) draws; branch m
+    draws events from its own stream ``(_KIND_EVENTS, idx, m)``.
+    """
     paths = list(path_indices)
     if not paths:
         raise ValueError("need at least one path")
+    prefix, n = ((), 1) if branch is None else ((_KIND_NESTED, *branch[0]), branch[1])
+    shape = (n, grid.n_steps)
+
+    def block(stream, draw, scale):
+        out = np.concatenate(draw_rows(master_seed, paths, prefix + stream, draw))
+        out *= scale
+        return out
+
+    brownian = {fac: block((_KIND_BROWNIAN, fac), lambda rng: rng.standard_normal(shape),
+                           np.sqrt(grid.dt))
+                for fac in layout.brownian_factors}
+    stable = {}
+    for fac, alpha in sorted(layout.stable_alphas.items()):
+        if not 1.0 < alpha <= 2.0:
+            raise ValueError("alpha must lie in (1, 2] (compensation needs alpha > 1)")
+        stable[fac] = block((_KIND_STABLE, fac),
+                            lambda rng: _stable_standard(alpha, shape, rng),
+                            _stable_scale(alpha, grid.dt))
     events = {}
+    subs = [()] if branch is None else [(m,) for m in range(n)]
     for idx, ms in enumerate(layout.measures):
         draw = _event_draw(ms.rate, ms.mark_sampler, grid.horizon)
-        events[ms.measure_id] = _event_arrays(
-            draw_rows(master_seed, paths, (_KIND_EVENTS, idx), draw))
-    return NoiseBatch(
-        grid=grid,
-        brownian={fac: _brownian_block(grid, master_seed, paths, fac)
-                  for fac in layout.brownian_factors},
-        stable={fac: _stable_block(grid, alpha, master_seed, paths, fac)
-                for fac, alpha in sorted(layout.stable_alphas.items())},
-        events=events,
-        lineages=tuple((master_seed, p) for p in paths))
+        per_sub = [draw_rows(master_seed, paths, prefix + (_KIND_EVENTS, idx) + sub, draw)
+                   for sub in subs]
+        events[ms.measure_id] = _event_arrays([d for row in zip(*per_sub) for d in row])
+    return NoiseBatch(grid=grid, brownian=brownian, stable=stable, events=events,
+                      lineages=tuple((master_seed, p) for p in paths for _ in range(n)))
+
+
+def gen_stable_increments(grid: TimeGrid, alpha: float, master_seed: int, path_index: int = 0,
+                          factor: int = 0) -> np.ndarray:
+    """Spectrally positive compensated stable increments, scale dt^(1/alpha) per step.
+
+    Standard S_alpha(scale, beta=1, 0) in the one-parametrization, so the law
+    is centered for alpha in (1, 2] and reduces to N(0, 2*dt) at alpha = 2.
+    """
+    layout = NoiseLayout(stable_alphas={factor: alpha})
+    return make_batch(grid, layout, master_seed, [path_index]).stable[factor][0]

@@ -78,7 +78,6 @@ class Scenario:
     horizon: float
     grid_steps: int
     system: object
-    drift_info: dict
     seed: int = None
     x_m: float = 1.0
     raw: dict = field(default_factory=dict)
@@ -206,14 +205,12 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError(f"$.schema_version: expected {SCHEMA_VERSION}")
     if got["horizon"] <= 0:
         raise ScenarioError("$.horizon: must be positive")
-    drift_info = got.get("drift")
-    system = _build_system(got["preset"], drift_info, got["horizon"])
+    system = _build_system(got["preset"], got.get("drift"), got["horizon"])
     return Scenario(
         name=got.get("name", "scenario"),
         horizon=got["horizon"],
         grid_steps=got["grid_steps"],
         system=system,
-        drift_info=drift_info or {"kind": "mean-field-average"},
         seed=got.get("seed"),
         x_m=got.get("x_m", 1.0),
         raw=data)

@@ -137,17 +137,20 @@ class TestBuildLevels:
             assert np.array_equal(levels[0].values[:, 1:2], levels[1].values)
 
     def test_branch_rows_are_lineage_major_numpy_streams(self):
-        # inner row l * n_inner + m is branch m of lineage l; its Brownian
-        # stream is shared by the lineage's branches, its events stream is
-        # its own, and both are numpy's spawn-key streams
-        from mfjump.approx import _branch_batch
-        from mfjump.noise import MeasureSpec, NoiseLayout
+        # branch row l * n_inner + m is branch m of lineage l; its Brownian
+        # and stable streams are shared by the lineage's branches, its events
+        # stream is its own, and all are numpy's spawn-key streams
+        from mfjump.noise import MeasureSpec, NoiseLayout, _stable_standard
         sampler = lambda rng, size: rng.exponential(1.0, size)
-        layout = NoiseLayout(brownian_factors=(0,),
+        alpha = 1.6
+        layout = NoiseLayout(brownian_factors=(0,), stable_alphas={1: alpha},
                              measures=(MeasureSpec("m0", 3.0, sampler),))
-        grid = dyadic_partition(4, 1.0)
+        pts = dyadic_partition(4, 1.0).points
+        sub = TimeGrid(pts[4:] - pts[4])
         lineages, n_inner, span = ((3, 7), (3, 2**32)), 3, 4
-        inner = _branch_batch(grid, layout, lineages, 2, 1, 4, span, n_inner)
+        inner = make_batch(sub, layout, 3, [p for _, p in lineages],
+                           branch=((2, 1, 4), n_inner))
+        assert inner.grid.n_steps == span
         assert inner.lineages == tuple(lin for lin in lineages for _ in range(n_inner))
         ev = inner.events["m0"]
         assert ev.times.size > 0
@@ -155,10 +158,13 @@ class TestBuildLevels:
             oracle = lambda *stream: np.random.default_rng(np.random.SeedSequence(
                 master, spawn_key=(path, 4, 2, 1, 4) + stream))
             normals = oracle(1, 0).standard_normal((n_inner, span))
+            stables = _stable_standard(alpha, (n_inner, span), oracle(2, 1))
             for m in range(n_inner):
                 row = l * n_inner + m
                 assert np.array_equal(inner.brownian[0][row],
                                       normals[m] * np.sqrt(inner.grid.dt))
+                assert np.array_equal(inner.stable[1][row],
+                                      stables[m] * inner.grid.dt ** (1.0 / alpha))
                 rng = oracle(3, 0, m)
                 count = rng.poisson(3.0 * inner.grid.horizon)
                 times = np.sort(rng.uniform(0.0, inner.grid.horizon, count))

@@ -360,6 +360,34 @@ class TestUsage:
         assert f"{flag} {rule}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, argv, message", [
+        ("cir", ["--levels", "12"], "--levels must be at most 11 on a 1024-step grid"),
+        ("cir", ["--levels", "12", "--refinements", "2"], "--levels must be at most 11"),
+        ("cir", ["--dt", "0.25", "--levels", "4"], "--levels must be at most 3"),
+        ("correlated-intensities", ["--levels", "10"], "--levels must be at most 9"),
+        ("correlated-intensities", ["--mode", "deterministic"],
+         "--mode deterministic needs state-independent drifts"),
+    ], ids=["cir --levels 12", "cir --levels 12 --refinements 2",
+            "cir --dt 0.25 --levels 4", "correlated-intensities --levels 10",
+            "correlated-intensities --mode deterministic"])
+    def test_approx_flag_the_scenario_cannot_take(self, scenario, argv, message,
+                                                 tmp_path, capsys):
+        # level L needs 2^(L-1) steps on the base grid; deterministic
+        # forcing needs a drift that does not depend on the state
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                            f"{scenario}.json")
+        out = tmp_path / "o"
+        code = main(["approx", "--scenario", scen, "--out", str(out), "--jobs", "1",
+                     "--paths", "4", "--levels", "2"] + argv)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_approx_levels_up_to_the_grid_run(self, tmp_path):
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
+        assert main(["approx", "--scenario", scen, "--out", str(tmp_path / "o"),
+                     "--jobs", "1", "--paths", "4", "--dt", "0.25", "--levels", "3"]) == 0
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
