@@ -75,8 +75,9 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--levels", type=int, default=3, help="refinement rung count")
-    p.add_argument("--phi-k", type=int, nargs="*", default=[2, 4],
-                   help="test-function indices for the phi-moment curves")
+    p.add_argument("--phi-k", type=int, nargs="*", default=None,
+                   help="test-function indices for the phi-moment curves "
+                        "(default: 2 and 4, those the scenario's modulus resolves)")
 
     return parser
 
@@ -306,6 +307,36 @@ def cmd_approx(args) -> int:
     return EXIT_OK
 
 
+def _phi_family(scenario: Scenario, asked):
+    """The test-function family of the first component's modulus and the
+    indices to report, with every member built. An index whose threshold a_k
+    the floats cannot resolve does not build: asked for with --phi-k it is a
+    usage error that names the largest index that builds, and the default
+    indices 2 and 4 leave it out."""
+    phi_ks = tuple(sorted(set((2, 4) if asked is None else asked)))
+    if not phi_ks:
+        return None, ()
+    family = TestFunctionFamily(rho=scenario.system.components[0].rho,
+                                x_m=scenario.x_m, k_max=max(phi_ks))
+
+    def builds(k: int) -> bool:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                family.phi(k)
+        except (RuntimeError, ValueError):
+            return False
+        return True
+    usable = tuple(k for k in phi_ks if builds(k))
+    bad = next((k for k in phi_ks if k not in usable), None)
+    if bad is not None and asked is not None:
+        below = min(bad, np.count_nonzero(family.a_seq))  # no a_k = 0.0 builds
+        top = next((k for k in range(below - 1, 0, -1) if builds(k)), "none")
+        raise ScenarioError(f"--phi-k {bad} is beyond this scenario's modulus "
+                            f"(a_{bad} = {float(family.a_seq[bad])!r}); the largest "
+                            f"usable index is {top}")
+    return family, usable
+
+
 def cmd_uniqueness(args) -> int:
     scenario = load_scenario(args.scenario)
     _require_count(args.paths, "--paths", 2)
@@ -314,16 +345,11 @@ def cmd_uniqueness(args) -> int:
         _require_count(min(args.phi_k), "--phi-k", 1)
     base_steps = _steps(scenario, args)
     seed = _seed(scenario, args)
+    family, phi_ks = _phi_family(scenario, args.phi_k)
     out = _out_dir(args)
     cfg = SchemeConfig()
     spec = scenario.system
     ladder = [base_steps * 2 ** r for r in range(args.levels)]
-
-    phi_ks = tuple(sorted(set(args.phi_k))) if args.phi_k else ()
-    family = None
-    if phi_ks:
-        family = TestFunctionFamily(rho=spec.components[0].rho, x_m=scenario.x_m,
-                                    k_max=max(phi_ks))
     report = refinement_study(spec, cfg, scenario.horizon, ladder, args.paths,
                               seed, family=family, phi_ks=phi_ks, jobs=args.jobs)
 

@@ -5,6 +5,9 @@ The stepping kernel is written so the drift update is c1*Y + c2*b with
 non-negative c1, c2 (for admissible steps): floating-point monotonicity in
 both arguments then holds exactly, which the comparison and monotone-level
 checks rely on.
+
+Each step advances a group of equal-coefficient components as one (G, P)
+array, with the same operations on the same scalars per element: no bit moves.
 """
 from __future__ import annotations
 
@@ -49,13 +52,15 @@ class SchemeConfig:
 
 @dataclass
 class _Part:
-    """Per-component prepared arrays for the step loop."""
+    """Prepared arrays for one group of equal-coefficient components. ``idx`` is a
+    singleton's index or a group's member list, the leading axis of its noise."""
 
+    idx: object
     c1: np.ndarray  # (n_steps,)
     c2: np.ndarray
     sigma: object = None
-    dw: np.ndarray = None  # (n_paths, n_steps) combined driving Brownian
-    stable: list = field(default_factory=list)  # (coef, exponent, (P, K) array)
+    dw: np.ndarray = None  # ([G,] n_paths, n_steps) combined driving Brownian
+    stable: list = field(default_factory=list)  # (coef, exponent, ([G,] P, K) array)
     compensator: object = None
 
 
@@ -94,30 +99,45 @@ class BatchResult:
         return [self.path(row, i) for i in range(self.values.shape[0])]
 
 
+def _stack(arrays):
+    """One noise array for a group: a singleton's own, a broadcast view of
+    one that every member shares, or the members' arrays stacked."""
+    if len(arrays) > 1 and all(x is arrays[0] for x in arrays):
+        return np.broadcast_to(arrays[0], (len(arrays),) + arrays[0].shape)
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _prepare_parts(components, batch: NoiseBatch, cfg: SchemeConfig):
     dts = batch.grid.dt
-    parts, warns = [], []
+    groups, warns = {}, []  # coefficient key -> member indices
     for idx, comp in enumerate(components):
+        if cfg.scheme == EXPLICIT and np.any(comp.a * dts > 1.0):
+            warns.append(f"component {idx}: a*dt = {(comp.a * dts).max():.4g} > 1 breaks "
+                         f"the monotonicity precondition of the explicit scheme")
+        key = (comp.a, comp.sigma if comp.brownian else None,
+               tuple((t.coef, t.alpha) for t in comp.stable_terms if t.coef != 0.0),
+               comp.g0_finite.compensator if comp.g0_finite is not None else None)
+        groups.setdefault(key, []).append(idx)
+    parts = []
+    for (a, sigma, stable, compensator), members in groups.items():
         if cfg.scheme == EXPLICIT:
-            c2 = comp.a * dts
+            c2 = a * dts
             c1 = 1.0 - c2
-            if np.any(c2 > 1.0):
-                warns.append(
-                    f"component {idx}: a*dt = {c2.max():.4g} > 1 breaks the "
-                    f"monotonicity precondition of the explicit scheme")
         else:
-            c1 = np.exp(-comp.a * dts)
+            c1 = np.exp(-a * dts)
             c2 = 1.0 - c1
+        comps = [components[i] for i in members]
         dw = None
-        if comp.brownian:
-            dw = sum(term.weight * batch.brownian[term.factor] for term in comp.brownian)
-        stable = [(term.coef, 1.0 / term.alpha, batch.stable[term.factor])
-                  for term in comp.stable_terms if term.coef != 0.0]
-        parts.append(_Part(c1=c1, c2=c2,
-                           sigma=comp.sigma if dw is not None else None,
-                           dw=dw, stable=stable,
-                           compensator=comp.g0_finite.compensator
-                           if comp.g0_finite is not None else None))
+        if sigma is not None:  # row by row, so no member's sum is held twice
+            dw = np.empty((len(comps), batch.n_paths, batch.grid.n_steps))
+            for row, c in zip(dw, comps):
+                row[...] = sum(t.weight * batch.brownian[t.factor] for t in c.brownian)
+            dw = dw[0] if len(comps) == 1 else dw
+        factors = zip(*([t.factor for t in c.stable_terms if t.coef != 0.0] for c in comps))
+        dz = [(coef, 1.0 / alpha, _stack([batch.stable[f] for f in fs]))
+              for (coef, alpha), fs in zip(stable, factors)]
+        parts.append(_Part(idx=members[0] if len(members) == 1 else members, c1=c1, c2=c2,
+                           sigma=sigma, dw=dw, stable=dz, compensator=compensator))
     return parts, warns
 
 
@@ -256,16 +276,16 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
                 b[live] = drift_values(live_drifts, pts[k:k + 1],
                                        state[:, :, None])[:, :, 0]
             new = np.empty_like(state)
-            for i, part in enumerate(parts):
-                y = state[i]
-                acc = part.c1[k] * y + part.c2[k] * b[i]
+            for part in parts:
+                y = state[part.idx]
+                acc = part.c1[k] * y + part.c2[k] * b[part.idx]
                 if part.dw is not None:
-                    acc = acc + part.sigma(y) * part.dw[:, k]
+                    acc = acc + part.sigma(y) * part.dw[..., k]
                 for coef, expo, dz in part.stable:
-                    acc = acc + coef * np.power(np.maximum(y, 0.0), expo) * dz[:, k]
+                    acc = acc + coef * np.power(np.maximum(y, 0.0), expo) * dz[..., k]
                 if part.compensator is not None:
                     acc = acc - dts[k] * part.compensator(y)
-                new[i] = acc
+                new[part.idx] = acc
             for ci, fn, rows, marks, lo, hi in plan.steps[k - k_start]:
                 y = new[ci]
                 x = y[rows]

@@ -388,6 +388,36 @@ class TestUsage:
         assert main(["approx", "--scenario", scen, "--out", str(tmp_path / "o"),
                      "--jobs", "1", "--paths", "4", "--dt", "0.25", "--levels", "3"]) == 0
 
+    @pytest.mark.parametrize("k, code", [(74, 0), (75, 3), (77, 3)])
+    def test_phi_k_beyond_the_modulus_is_usage_error(self, k, code, tmp_path, capsys):
+        # cir's a_k = exp(-k(k+1)/8) is subnormal from k = 75 and 0 from k = 77
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
+        out = tmp_path / "o"
+        assert main(["uniqueness", "--scenario", scen, "--out", str(out), "--jobs", "1",
+                     "--paths", "10", "--levels", "1", "--phi-k", "2", str(k)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert f"--phi-k {k} is beyond this scenario's modulus" in err
+            assert "the largest usable index is 74" in err
+            assert not out.exists()
+        else:
+            assert (out / "uniqueness_report.json").exists()
+
+    def test_default_phi_k_leaves_out_what_the_modulus_cannot_resolve(self, tmp_path,
+                                                                   capsys):
+        # rho = 50 sqrt(z) gives a_1 = exp(-2500) = 0.0, so no phi_k builds
+        preset = {"kind": "example21", "n_components": 1, "a": 1.0,
+                  "sigma": 50.0, "initial": 1.0}
+        scen = str(write_scenario(tmp_path / "s.json", preset=preset))
+        argv = ["uniqueness", "--scenario", scen, "--jobs", "1", "--paths", "4",
+                "--levels", "1"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "divergence.csv", encoding="utf-8") as fh:
+            assert "phi_moment" not in fh.readline()
+        assert main(argv + ["--out", str(tmp_path / "o2"), "--phi-k", "2"]) == 3
+        assert "the largest usable index is none" in capsys.readouterr().err
+        assert not (tmp_path / "o2").exists()
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -13,6 +13,7 @@ from mfjump.coeffs import (CoefficientSet, CompensatedKernel, JumpKernel,
                            PowerDiffusion, PowerModulus, SqrtDiffusion,
                            ThinningKernel, ThinningMarkSampler, ZeroFn)
 from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout
+from mfjump.solver import EXPLICIT, IMPLICIT, _prepare_parts
 
 
 def deterministic_coeffs(a=1.0):
@@ -447,3 +448,37 @@ class TestSubRangeSolve:
             pieces.append(part.values[:, :, k0 + (0 if k0 == 0 else 1):k0 + 9])
         chained = np.concatenate(pieces, axis=2)
         assert np.array_equal(chained, full.values)
+
+
+class TestStackedGroups:
+    @pytest.mark.parametrize("scheme", [EXPLICIT, IMPLICIT])
+    @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]])
+    def test_group_solve_equals_each_component_alone(self, scheme, a):
+        # forcing decouples the components, so a grouped solve must equal
+        # each component solved on its own, bit for bit
+        spec = preset_example21(3, a=a, sigma=0.4, sigma0=0.2, sigma_z=0.2,
+                                sigma_z0=0.1, alpha=1.8, alpha0=1.5,
+                                initial=[1.0, 1.5, 2.0])
+        grid = TimeGrid.uniform(1.0, 64)
+        batch = make_batch(grid, spec.noise_layout(), 5, range(16))
+        forcing = np.random.default_rng(3).uniform(0.5, 2.0, (3, 16, 64))
+        initial = spec.initial[:, None]
+        cfg = SchemeConfig(scheme=scheme)
+        joint = solve_batch(spec.components, spec.drifts, batch, cfg, initial,
+                            forcing=forcing).values
+        for i in range(3):
+            alone = solve_batch([spec.components[i]], [spec.drifts[i]], batch, cfg,
+                                initial[i:i + 1], forcing=forcing[i:i + 1]).values
+            assert np.array_equal(joint[i:i + 1], alone)
+
+    @pytest.mark.parametrize("a, groups", [(1.0, [[0, 1, 2]]),
+                                           ([1.0, 2.0, 1.0], [[0, 2], 1])])
+    def test_equal_coefficients_share_one_group(self, a, groups):
+        spec = preset_example21(3, a=a, sigma=0.4, sigma0=0.2, sigma_z=0.2,
+                                sigma_z0=0.1)
+        batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 5, range(2))
+        parts, _warns = _prepare_parts(spec.components, batch, SchemeConfig())
+        assert [part.idx for part in parts] == groups
+        # the common stable factor Z^0 is one array seen by every member
+        common = parts[0].stable[0][2]
+        assert np.shares_memory(common, batch.stable[0])

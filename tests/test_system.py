@@ -75,6 +75,22 @@ class TestSolveSystem:
                                SchemeConfig(), spec_p.initial[:, None]).values
         assert np.array_equal(permuted, base[perm])
 
+    def test_permutation_equivariance_with_a_split_group(self):
+        # components 0 and 2 share every coefficient and step as one group
+        # around component 1; the mean-field drift is evaluated every step
+        spec = example_spec(n=3, a=[1.0, 2.0, 1.0], sigma=0.4,
+                            initial=[1.0, 2.0, 3.0])
+        grid = TimeGrid.uniform(1.0, 64)
+        base = solve_batch(spec.components, spec.drifts,
+                           make_batch(grid, spec.noise_layout(), 31, range(8)),
+                           SchemeConfig(), spec.initial[:, None]).values
+        for perm in ([2, 0, 1], [1, 0, 2]):
+            spec_p = permute_system(spec, perm)
+            batch_p = make_batch(grid, spec_p.noise_layout(), 31, range(8))
+            permuted = solve_batch(spec_p.components, spec_p.drifts, batch_p,
+                                   SchemeConfig(), spec_p.initial[:, None]).values
+            assert np.array_equal(permuted, base[perm])
+
     def test_monotone_coupling_at_drift_level(self):
         # raising one component's initial raises the drift argument of all
         spec = example_spec(n=2, initial=[1.0, 2.0])
