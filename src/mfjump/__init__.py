@@ -22,8 +22,7 @@ from .approx import (HierarchyResult, build_level_one, build_next_level,
                      infimum_drift, moment_bound_check, run_hierarchy_batch,
                      run_hierarchy_ensemble)
 from .uniqueness import (DivergenceReport, PhiFunctions, TestFunctionFamily,
-                         build_phi, refinement_study, uniqueness_trial,
-                         yw_sequence)
+                         build_phi, refinement_study, yw_sequence)
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .noise import NoiseBatch, TimeGrid, make_batch
 from .solver import SchemeConfig, solve_batch
 from .system import _chan_merge, _mean_se, _moments, map_blocks
 
-MODES = ("realized", "nested-mc", "deterministic")
+MODES = ("realized", "nested-mc")
 _BLOCK = 256  # paths per hierarchy block; independent of --jobs
 
 
@@ -154,14 +154,12 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
     """Solve the next-level recursion on the shared noise realization.
 
     Modes realize the conditional expectation of the interval infimum as:
-    ``realized`` the pathwise infimum itself, ``nested-mc`` an adapted inner
-    Monte Carlo estimate, ``deterministic`` the exact infimum when the drift
-    depends on time only.
+    ``realized`` the pathwise infimum itself, which is exact when the drift
+    depends on time only, and ``nested-mc`` an adapted inner Monte Carlo
+    estimate.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if mode == "deterministic" and any(d.kind == "mean-field" for d in spec.drifts):
-        raise ValueError("deterministic mode needs state-independent drifts")
     grid = batch.grid
     if mode == "nested-mc":
         dv = drift_values(spec.drifts, grid.points, prev.values)
@@ -173,7 +171,9 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
 
 @dataclass
 class HierarchyBatch:
-    """The levels of one hierarchy over a path batch, and the forcing mode used."""
+    """The levels of one hierarchy over a path batch, and the forcing mode
+    used: ``realized`` forcing of time-only drifts is reported as
+    ``deterministic``, since it is then the exact infimum."""
 
     levels: list
     mode: str
@@ -184,12 +184,12 @@ def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig,
                         n_inner: int = 8) -> HierarchyBatch:
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    if mode == "realized" and all(d.deterministic for d in spec.drifts):
-        mode = "deterministic"
     levels = [build_level_one(spec, batch, cfg)]
     while levels[-1].n < n_max:
         levels.append(build_next_level(levels[-1], spec, batch, cfg,
                                        mode=mode, n_inner=n_inner))
+    if mode == "realized" and all(d.deterministic for d in spec.drifts):
+        mode = "deterministic"
     return HierarchyBatch(levels=levels, mode=mode)
 
 
@@ -201,23 +201,23 @@ class MonotonicityRow:
     violating_fraction: float
 
 
-def _pair_stats(a: LevelBatch, b: LevelBatch, tolerance: float = 0.0):
+def _pair_stats(a: LevelBatch, b: LevelBatch):
     """One consecutive level pair over a batch: the sup gap |b - a| per
     (component, path), the sup violation (a - b)+ per path, and how many grid
-    points violate beyond the tolerance, out of how many."""
+    points violate, out of how many."""
     gap = a.values - b.values
     return (np.abs(gap).max(axis=2), np.maximum(gap, 0.0).max(axis=(0, 2)),
-            int((gap > tolerance).sum()), gap.size)
+            int((gap > 0.0).sum()), gap.size)
 
 
-def check_monotone(levels, tolerance: float = 0.0):
+def check_monotone(levels):
     """Per consecutive level pair: worst (lambda^n - lambda^{n+1})+ and the
-    fraction of grid points violating beyond the tolerance."""
+    fraction of grid points that violate."""
     if len(levels) < 2:
         raise ValueError("need at least two levels")
     rows = []
     for a, b in zip(levels, levels[1:]):
-        _gaps, sup, count, total = _pair_stats(a, b, tolerance)
+        _gaps, sup, count, total = _pair_stats(a, b)
         rows.append(MonotonicityRow(level_from=a.n, level_to=b.n,
                                     max_violation=float(sup.max()),
                                     violating_fraction=count / total))

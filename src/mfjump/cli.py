@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .approx import hierarchy_refinement_study, moment_bound_check
+from .approx import MODES, hierarchy_refinement_study, moment_bound_check
 from .scenario import Scenario, ScenarioError, load_scenario
 from .solver import NumericsError, SchemeConfig
 from .system import run_ensemble
@@ -61,8 +61,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--levels", type=int, default=6, help="highest level n_max")
-    p.add_argument("--mode", choices=("realized", "nested-mc", "deterministic"),
-                   default="realized")
+    p.add_argument("--mode", choices=MODES, default="realized")
     p.add_argument("--inner", type=int, default=8, help="nested-mc branch count")
     p.add_argument("--refinements", type=int, default=1,
                    help="rungs in the step ladder, base included")
@@ -119,8 +118,11 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(out: str, name: str, header, rows) -> None:
+    with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def cmd_simulate(args) -> int:
@@ -138,24 +140,15 @@ def cmd_simulate(args) -> int:
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = result.quantiles(qs)
 
-    with open(os.path.join(out, "aggregate.csv"), "w", encoding="utf-8") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["time", "component", "mean", "se"])
-        for i in range(spec.n):
-            for j, t in enumerate(grid.points):
-                w.writerow([repr(float(t)), str(i),
-                            repr(float(result.mean[i, j])), repr(float(result.se[i, j]))])
-        for j, t in enumerate(grid.points):
-            w.writerow([repr(float(t)), "average",
-                        repr(float(result.avg_mean[j])), repr(float(result.avg_se[j]))])
-
-    with open(os.path.join(out, "paths.csv"), "w", encoding="utf-8") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["path_id", "component", "time", "value"])
-        for p in range(result.values.shape[1]):
-            for i in range(spec.n):
-                for t, v in zip(grid.points, result.values[i, p]):
-                    w.writerow([str(p), str(i), repr(float(t)), repr(float(v))])
+    curves = [*zip(map(str, range(spec.n)), result.mean, result.se),
+              ("average", result.avg_mean, result.avg_se)]
+    _write_csv(out, "aggregate.csv", ["time", "component", "mean", "se"], (
+        [repr(float(t)), label, repr(float(mean[j])), repr(float(se[j]))]
+        for label, mean, se in curves for j, t in enumerate(grid.points)))
+    _write_csv(out, "paths.csv", ["path_id", "component", "time", "value"], (
+        [str(p), str(i), repr(float(t)), repr(float(v))]
+        for p in range(result.values.shape[1]) for i in range(spec.n)
+        for t, v in zip(grid.points, result.values[i, p])))
 
     summary = {
         "name": scenario.name,
@@ -221,9 +214,6 @@ def cmd_approx(args) -> int:
     if args.levels > base_steps.bit_length():  # level L needs 2^(L-1) steps
         raise ScenarioError(f"--levels must be at most {base_steps.bit_length()} "
                             f"on a {base_steps}-step grid")
-    if args.mode == "deterministic" and any(d.kind == "mean-field"
-                                            for d in scenario.system.drifts):
-        raise ScenarioError("--mode deterministic needs state-independent drifts")
     seed = _seed(scenario, args)
     out = _out_dir(args)
     cfg = SchemeConfig()
@@ -245,38 +235,27 @@ def cmd_approx(args) -> int:
     bound = moment_bound_check(hier.levels, grid, a_bar, growth_b, growth_l,
                                k_const)
 
-    with open(os.path.join(out, "level_gaps.csv"), "w", encoding="utf-8") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["steps", "level_from", "level_to", "mean_sup_gap", "max_sup_gap"])
-        for li, pair_gap in enumerate(hier.sup_gaps):
-            w.writerow([str(grid.n_steps), str(li + 1), str(li + 2),
-                        repr(float(pair_gap.mean())), repr(float(pair_gap.max()))])
-
-    with open(os.path.join(out, "monotonicity.csv"), "w", encoding="utf-8") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["steps", "level_from", "level_to",
-                    "max_violation", "violating_fraction"])
-        for row in hier.monotonicity:
-            w.writerow([str(grid.n_steps), str(row.level_from), str(row.level_to),
-                        repr(row.max_violation), repr(row.violating_fraction)])
-
-    with open(os.path.join(out, "refinements.csv"), "w", encoding="utf-8") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["steps", "dt", "max_violation", "mean_sup_violation",
-                    "violating_fraction", "cauchy_gap"])
-        for row in refinement_rows:
-            w.writerow([str(row.steps), repr(row.dt), repr(row.max_violation),
-                        repr(row.mean_sup_violation), repr(row.violating_fraction),
-                        repr(row.cauchy_gap)])
-
-    with open(os.path.join(out, "moment_bound.csv"), "w", encoding="utf-8") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["time", "level", "sup_mean", "envelope"])
-        for li in range(bound.sup_mean.shape[0]):
-            for j, t in enumerate(bound.curve_times):
-                w.writerow([repr(float(t)), str(li + 1),
-                            repr(float(bound.sup_mean[li, j])),
-                            repr(float(bound.envelope[j]))])
+    _write_csv(out, "level_gaps.csv",
+               ["steps", "level_from", "level_to", "mean_sup_gap", "max_sup_gap"], (
+                   [str(grid.n_steps), str(li + 1), str(li + 2),
+                    repr(float(pair_gap.mean())), repr(float(pair_gap.max()))]
+                   for li, pair_gap in enumerate(hier.sup_gaps)))
+    _write_csv(out, "monotonicity.csv",
+               ["steps", "level_from", "level_to", "max_violation", "violating_fraction"], (
+                   [str(grid.n_steps), str(row.level_from), str(row.level_to),
+                    repr(row.max_violation), repr(row.violating_fraction)]
+                   for row in hier.monotonicity))
+    _write_csv(out, "refinements.csv",
+               ["steps", "dt", "max_violation", "mean_sup_violation",
+                "violating_fraction", "cauchy_gap"], (
+                   [str(row.steps), repr(row.dt), repr(row.max_violation),
+                    repr(row.mean_sup_violation), repr(row.violating_fraction),
+                    repr(row.cauchy_gap)] for row in refinement_rows))
+    _write_csv(out, "moment_bound.csv", ["time", "level", "sup_mean", "envelope"], (
+        [repr(float(t)), str(li + 1), repr(float(bound.sup_mean[li, j])),
+         repr(float(bound.envelope[j]))]
+        for li in range(bound.sup_mean.shape[0])
+        for j, t in enumerate(bound.curve_times)))
 
     report = {
         "mode_requested": args.mode,
@@ -312,7 +291,8 @@ def _phi_family(scenario: Scenario, asked):
     indices to report, with every member built. An index whose threshold a_k
     the floats cannot resolve does not build: asked for with --phi-k it is a
     usage error that names the largest index that builds, and the default
-    indices 2 and 4 leave it out."""
+    indices 2 and 4 leave it out. An index past the end of the threshold
+    sequence, which stops at its first zero, reads a_k = 0.0."""
     phi_ks = tuple(sorted(set((2, 4) if asked is None else asked)))
     if not phi_ks:
         return None, ()
@@ -331,9 +311,9 @@ def _phi_family(scenario: Scenario, asked):
     if bad is not None and asked is not None:
         below = min(bad, np.count_nonzero(family.a_seq))  # no a_k = 0.0 builds
         top = next((k for k in range(below - 1, 0, -1) if builds(k)), "none")
+        a_bad = float(family.a_seq[bad]) if bad < family.a_seq.size else 0.0
         raise ScenarioError(f"--phi-k {bad} is beyond this scenario's modulus "
-                            f"(a_{bad} = {float(family.a_seq[bad])!r}); the largest "
-                            f"usable index is {top}")
+                            f"(a_{bad} = {a_bad!r}); the largest usable index is {top}")
     return family, usable
 
 
@@ -353,23 +333,14 @@ def cmd_uniqueness(args) -> int:
     report = refinement_study(spec, cfg, scenario.horizon, ladder, args.paths,
                               seed, family=family, phi_ks=phi_ks, jobs=args.jobs)
 
-    with open(os.path.join(out, "divergence.csv"), "w", encoding="utf-8") as fh:
-        w = _csv_writer(fh)
-        header = ["steps", "dt", "mean_sup_diff", "mean_sup_diff_se",
-                  "mean_abs_terminal"] + [f"phi_moment_k{k}" for k in phi_ks]
-        w.writerow(header)
-        for row in report.rows:
-            cells = [str(row.steps_coarse), repr(row.dt_coarse),
-                     repr(row.mean_sup_diff), repr(row.mean_sup_diff_se),
-                     repr(row.mean_abs_terminal)]
-            cells += [repr(row.phi_moments[k]) for k in phi_ks]
-            w.writerow(cells)
-
-    with open(os.path.join(out, "ak_table.csv"), "w", encoding="utf-8") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["k", "a_k"])
-        for k, a in enumerate(report.a_seq):
-            w.writerow([str(k), repr(float(a))])
+    _write_csv(out, "divergence.csv",
+               ["steps", "dt", "mean_sup_diff", "mean_sup_diff_se", "mean_abs_terminal"]
+               + [f"phi_moment_k{k}" for k in phi_ks], (
+                   [str(row.steps_coarse), repr(row.dt_coarse), repr(row.mean_sup_diff),
+                    repr(row.mean_sup_diff_se), repr(row.mean_abs_terminal)]
+                   + [repr(row.phi_moments[k]) for k in phi_ks] for row in report.rows))
+    _write_csv(out, "ak_table.csv", ["k", "a_k"],
+               ([str(k), repr(float(a))] for k, a in enumerate(report.a_seq)))
 
     _write_json(os.path.join(out, "uniqueness_report.json"), {
         "seed": seed,

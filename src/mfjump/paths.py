@@ -54,10 +54,6 @@ class CadlagPath:
     def constant(cls, grid: TimeGrid, value: float) -> "CadlagPath":
         return cls(grid, np.full(grid.points.size, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "CadlagPath":
-        return cls(grid, np.array([fn(t) for t in grid.points], dtype=float))
-
 
 @dataclass(frozen=True)
 class StaircasePath:
@@ -92,9 +88,6 @@ class StaircasePath:
         idx = np.minimum(idx, self.levels.size - 1)
         out = self.levels[idx]
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-    def sample(self, grid: TimeGrid) -> CadlagPath:
-        return CadlagPath(grid, self.evaluate(grid.points))
 
 
 def pointwise_max(paths) -> StaircasePath:

@@ -43,7 +43,6 @@ class NumericsError(RuntimeError):
 @dataclass(frozen=True)
 class SchemeConfig:
     scheme: str = EXPLICIT
-    clip_at_zero: bool = True
 
     def __post_init__(self):
         if self.scheme not in (EXPLICIT, IMPLICIT):
@@ -298,8 +297,7 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
                 raise NumericsError(step=k + 1, time=float(pts[k + 1]),
                                     component=int(bad[0]),
                                     path_index=int(batch.lineages[bad[1]][1]))
-            if cfg.clip_at_zero:
-                np.maximum(new, 0.0, out=new)
+            np.maximum(new, 0.0, out=new)
             state = new
             values[:, :, k + 1] = state
 
@@ -360,8 +358,7 @@ class OrderingReport:
 
 def compare_ordered(coeffs: CoefficientSet, drift_low, drift_high,
                     noise: NoiseBatch, cfg: SchemeConfig,
-                    initial_low: float, initial_high: float = None,
-                    tolerance: float = 0.0) -> OrderingReport:
+                    initial_low: float, initial_high: float = None) -> OrderingReport:
     """Solve the drift-ordered pair on a one-row noise batch and report
     (Y_low - Y_high)+."""
     initial_high = initial_low if initial_high is None else initial_high
@@ -379,5 +376,5 @@ def compare_ordered(coeffs: CoefficientSet, drift_low, drift_high,
     gap = y_low.values - y_high.values
     return OrderingReport(
         max_violation=float(np.maximum(gap, 0.0).max()),
-        violating_fraction=float(np.mean(gap > tolerance)),
+        violating_fraction=float(np.mean(gap > 0.0)),
         n_points=gap.size)

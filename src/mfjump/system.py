@@ -116,20 +116,17 @@ def _ensemble_block(spec, cfg, grid, master_seed, section_idx, keep_paths, bound
 
 
 def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: int,
-                 master_seed: int, jobs: int = 1, section_times=None,
-                 keep_paths: int = 0) -> EnsembleResult:
+                 master_seed: int, jobs: int = 1, keep_paths: int = 0) -> EnsembleResult:
     """Simulate n_paths independent trajectories of the system.
 
     Path p always uses the noise with lineage (master_seed, p); blocks are
     merged in index order, so the output is byte-identical for any ``jobs``.
-    The values of paths ``0 .. keep_paths-1`` are kept in ``values``.
+    The values of paths ``0 .. keep_paths-1`` are kept in ``values``, and
+    every ``max(1, n_steps // 8)``-th grid point is a section time.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if section_times is None:
-        section_times = grid.points[:: max(1, grid.n_steps // 8)]
-    section_idx = np.array([grid.index_of(t) for t in section_times])
-    section_times = grid.points[section_idx]
+    section_idx = np.arange(0, grid.n_steps + 1, max(1, grid.n_steps // 8))
 
     partials = map_blocks(_ensemble_block, n_paths, _BLOCK, jobs,
                           spec, cfg, grid, master_seed, section_idx, keep_paths)
@@ -143,7 +140,7 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
         grid=grid, n_paths=n_paths, mean=mean, se=se,
         avg_mean=avg_mean, avg_se=avg_se,
         integral_mean=integ_mean, integral_se=integ_se,
-        section_times=section_times,
+        section_times=grid.points[section_idx],
         section_values=np.concatenate([part["sections"] for part in partials]),
         values=np.concatenate([part["values"] for part in partials], axis=1),
         warnings=warns)

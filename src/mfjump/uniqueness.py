@@ -20,6 +20,9 @@ from .noise import TimeGrid, make_batch
 from .solver import SchemeConfig, solve_batch
 from .system import _BLOCK, map_blocks
 
+_PHI_NODES = 4001  # log-spaced quadrature nodes on (a_k, a_{k-1})
+_FLATTEN_RETRIES = 60  # ramp halvings before build_phi gives up
+
 
 def _inv_rho_sq_integral(rho, a: float, b: float) -> float:
     """Integral of 1/rho^2 over [a, b], computed in log space (the integrand
@@ -29,11 +32,13 @@ def _inv_rho_sq_integral(rho, a: float, b: float) -> float:
 
 
 def yw_sequence(rho, x_m: float, k_max: int) -> np.ndarray:
-    """The decreasing thresholds a_0 = x_m > a_1 > ... with
+    """The decreasing thresholds a_0 = x_m > a_1 > ... > a_{k_max} with
     integral_{a_k}^{a_{k-1}} dz / rho(z)^2 = k.
 
     Closed forms for power-law moduli; otherwise bracketed root finding, which
-    requires the modulus to declare a divergent integral.
+    requires the modulus to declare a divergent integral. A power-law sequence
+    stops at its first threshold that underflows to 0.0: every later one is
+    0.0 too.
     """
     if x_m <= 0:
         raise ValueError("x_m must be positive")
@@ -54,6 +59,8 @@ def yw_sequence(rho, x_m: float, k_max: int) -> np.ndarray:
             else:
                 expo = 1.0 - 2.0 * gamma  # negative for gamma in (1/2, 1]
                 seq.append((prev ** expo + c2 * k * (2.0 * gamma - 1.0)) ** (1.0 / expo))
+            if seq[-1] == 0.0:
+                break
         return np.array(seq)
     if getattr(rho, "sq_integral_diverges", None) is not True:
         raise ValueError("supply a power-law modulus or declare divergence "
@@ -142,8 +149,7 @@ class TestFunctionFamily:
         return self._members[k]
 
 
-def build_phi(family: TestFunctionFamily, k: int, n_nodes: int = 4001,
-              max_retries: int = 60) -> PhiFunctions:
+def build_phi(family: TestFunctionFamily, k: int) -> PhiFunctions:
     """Construct psi_k = c*h((x-a_k)/(a_{k-1}-a_k))/rho^2(x) on (a_k, a_{k-1})
     and integrate it twice.
 
@@ -158,13 +164,13 @@ def build_phi(family: TestFunctionFamily, k: int, n_nodes: int = 4001,
     rho = family.rho
     span = a_hi - a_lo
 
-    s_nodes = np.linspace(math.log(a_lo), math.log(a_hi), n_nodes)
+    s_nodes = np.linspace(math.log(a_lo), math.log(a_hi), _PHI_NODES)
     x_nodes = np.exp(s_nodes)
     x_nodes[0], x_nodes[-1] = a_lo, a_hi
     inv_rho_sq = 1.0 / np.asarray(rho(x_nodes), dtype=float) ** 2
 
     ramp = 0.25
-    for _ in range(max_retries):
+    for _ in range(_FLATTEN_RETRIES):
         h = _plateau_bump((x_nodes - a_lo) / span, ramp)
         raw = h * inv_rho_sq
         # cumulative integral of raw in x = integral of raw * e^s in s
@@ -252,42 +258,6 @@ def _divergence_block(spec, cfg, horizon, resolutions, master_seed, bounds):
     return out
 
 
-def _divergence_rows(spec, cfg, horizon, resolutions, n_paths, master_seed,
-                     family, phi_ks, jobs) -> list:
-    """One DivergenceRow per consecutive pair of ``resolutions``, from the
-    per-path divergences of every block concatenated in path order."""
-    for coarse, fine in zip(resolutions, resolutions[1:]):
-        if fine % coarse:
-            raise ValueError("fine steps must be a multiple of coarse steps")
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
-    parts = map_blocks(_divergence_block, n_paths, _BLOCK, jobs, spec, cfg,
-                       horizon, tuple(resolutions), master_seed)
-    rows = []
-    for r, (coarse, fine) in enumerate(zip(resolutions, resolutions[1:])):
-        sup = np.concatenate([part[r][0] for part in parts])
-        diff_t = np.concatenate([part[r][1] for part in parts], axis=1)
-        phi_moments = {} if family is None else {
-            k: float(np.mean(family.phi(k).phi(diff_t))) for k in phi_ks}
-        rows.append(DivergenceRow(
-            steps_coarse=coarse, steps_fine=fine, dt_coarse=horizon / coarse,
-            mean_sup_diff=float(sup.mean()),
-            mean_sup_diff_se=float(sup.std(ddof=1) / math.sqrt(n_paths)),
-            mean_abs_terminal=float(np.abs(diff_t).max(axis=0).mean()),
-            phi_moments=phi_moments))
-    return rows
-
-
-def uniqueness_trial(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
-                     steps_coarse: int, steps_fine: int, n_paths: int,
-                     master_seed: int, family: TestFunctionFamily = None,
-                     phi_ks=(2, 4)) -> DivergenceRow:
-    """Solve the system at two nested resolutions under identical randomness:
-    the two-rung case of ``refinement_study``."""
-    return _divergence_rows(spec, cfg, horizon, (steps_coarse, steps_fine),
-                            n_paths, master_seed, family, phi_ks, jobs=1)[0]
-
-
 def refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
                      steps_ladder, n_paths: int, master_seed: int,
                      family: TestFunctionFamily = None, phi_ks=(2, 4),
@@ -297,13 +267,28 @@ def refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
 
     Every path's noise is drawn once on the finest grid, twice the last rung,
     and shared by all rungs; paths run in fixed blocks, so the report is the
-    same for any ``jobs``.
+    same for any ``jobs``. A rung's row comes from the per-path divergences
+    of every block concatenated in path order.
     """
     ladder = [int(s) for s in steps_ladder]
     if any(fine != 2 * coarse for coarse, fine in zip(ladder, ladder[1:])):
         raise ValueError("each ladder rung must double the previous one")
-    rows = _divergence_rows(spec, cfg, horizon, ladder + [2 * ladder[-1]],
-                            n_paths, master_seed, family, phi_ks, jobs)
+    if n_paths < 2:
+        raise ValueError("need at least two paths")
+    parts = map_blocks(_divergence_block, n_paths, _BLOCK, jobs, spec, cfg,
+                       horizon, tuple(ladder + [2 * ladder[-1]]), master_seed)
+    rows = []
+    for r, coarse in enumerate(ladder):
+        sup = np.concatenate([part[r][0] for part in parts])
+        diff_t = np.concatenate([part[r][1] for part in parts], axis=1)
+        phi_moments = {} if family is None else {
+            k: float(np.mean(family.phi(k).phi(diff_t))) for k in phi_ks}
+        rows.append(DivergenceRow(
+            steps_coarse=coarse, steps_fine=2 * coarse, dt_coarse=horizon / coarse,
+            mean_sup_diff=float(sup.mean()),
+            mean_sup_diff_se=float(sup.std(ddof=1) / math.sqrt(n_paths)),
+            mean_abs_terminal=float(np.abs(diff_t).max(axis=0).mean()),
+            phi_moments=phi_moments))
     a_seq = family.a_seq if family is not None else np.array([])
     return DivergenceReport(rows=tuple(rows), phi_ks=tuple(phi_ks),
                             a_seq=a_seq, n_paths=n_paths)

@@ -17,15 +17,16 @@ PASS, FAIL, UNCHECKED = "pass", "fail", "unchecked"
 
 _REL_SLACK = 1e-9  # inequalities that are tight in exact arithmetic
 _QUAD_SLACK = 1e-6  # checks whose sides come out of numeric quadrature
+_X_MAX = 10.0  # states are sampled on [0, _X_MAX]
+_TRUNCATIONS = (1.0, 5.0)  # truncation levels m of the modulus checks
+_N_MARKS = 24  # marks per sampled kernel check
+_SEED = 0  # the validators' rng seeds are _SEED, _SEED + 1 and _SEED + 2
+_UNIQ_POINTS = 512  # sample points of rho_m <= rho on (0, x_m]
 
 
 @dataclass(frozen=True)
 class SamplingPlan:
     budget: int = 400
-    x_max: float = 10.0
-    truncations: tuple = (1.0, 5.0)
-    n_marks: int = 24
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.conditions)
-
-    def failures(self):
-        return [c for c in self.conditions if c.status == FAIL]
 
     def lines(self):
         out = [f"[{self.subject}]"]
@@ -118,11 +116,62 @@ def _divergence_status(modulus, which: str):
     return UNCHECKED, "non-power-law modulus without a divergence declaration"
 
 
+def _witness(fn, marks, states, violates):
+    """``(*state, u)`` for the first mark u and, under it, the first state
+    whose kernel values ``violates`` flags, or None. ``states`` is (n,), or
+    (n, 2) for a condition on ordered pairs; ``violates(states, g)`` gets the
+    values g = fn(x, u) in the same shape and returns one flag per state."""
+    for u in marks:
+        g = np.array([fn(x, u) for x in states.ravel()]).reshape(states.shape)
+        bad = np.flatnonzero(violates(states, g))
+        if bad.size:
+            return (*np.atleast_1d(states[bad[0]]).tolist(), u)
+    return None
+
+
+def _decreasing(_pairs, g):
+    """Ordered pairs x <= y at which g(x, u) > g(y, u) beyond slack."""
+    return g[:, 0] > g[:, 1] + _REL_SLACK * (1.0 + np.abs(g[:, 1]))
+
+
+def _below_minus_state(xs, g):
+    """States at which g(x, u) + x < 0 beyond slack."""
+    return g + xs < -_REL_SLACK
+
+
+def _check_truncated_modulus(report, rng, kernel, modulus, name, power, distance):
+    """The truncated L^power modulus condition distance(x, y, m) <=
+    modulus(m)(|x-y|)^power on 12 sampled (x, y) in [0, m]^2 per truncation m,
+    stopping at the first witness, and the divergence of the integral of
+    dz / modulus(m)^power at 0."""
+    if modulus is None:
+        report.add(f"{kernel} truncated L{power} modulus", UNCHECKED, f"no {name} supplied")
+        return
+    label = name if power == 1 else f"{name}^{power}"
+    witness, checked = None, 0
+    for m in _TRUNCATIONS:
+        mod = modulus(m)
+        for x, y in rng.uniform(0.0, m, (12, 2)):
+            val = distance(x, y, m)
+            bound = float(mod(abs(x - y))) ** power
+            checked += 1
+            if val > bound * (1 + _QUAD_SLACK) + _QUAD_SLACK * _QUAD_SLACK:
+                witness = (float(x), float(y), float(m), val, bound)
+                break
+        if witness:
+            break
+    report.add(f"{kernel} truncated L{power} modulus <= {label}", FAIL if witness else PASS,
+               detail=f"{checked} sampled (x, y, m) triples", witness=witness)
+    status, detail = _divergence_status(modulus(_TRUNCATIONS[0]),
+                                        "sq" if power == 2 else "lin")
+    report.add(f"integral dz/{label} diverges at 0", status, detail)
+
+
 def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> ValidationReport:
     """Regularity conditions on sigma, g0, g1 and their moduli."""
     if plan.budget < 1:
         raise ValueError("sample budget must be at least 1")
-    rng = np.random.default_rng(plan.seed)
+    rng = np.random.default_rng(_SEED)
     report = ValidationReport("assumption-set-1")
 
     # sigma vanishes on the non-positive half line
@@ -132,15 +181,15 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
                witness=None if not bad.size else float(xs_neg[bad[0]]))
 
     # |sigma(x) - sigma(y)| <= rho(|x - y|)
-    xs = rng.uniform(0.0, plan.x_max, plan.budget)
-    ys = rng.uniform(0.0, plan.x_max, plan.budget)
+    xs = rng.uniform(0.0, _X_MAX, plan.budget)
+    ys = rng.uniform(0.0, _X_MAX, plan.budget)
     lhs = np.abs(np.asarray(c.sigma(xs)) - np.asarray(c.sigma(ys)))
     rhs = np.asarray(c.rho(np.abs(xs - ys)))
     slack = _REL_SLACK * (1.0 + rhs)
     bad = np.flatnonzero(lhs > rhs + slack)
     report.add("sigma modulus |sigma(x)-sigma(y)| <= rho(|x-y|)",
                FAIL if bad.size else PASS,
-               detail=f"{plan.budget} sampled pairs on [0, {plan.x_max}]",
+               detail=f"{plan.budget} sampled pairs on [0, {_X_MAX}]",
                witness=None if not bad.size else (float(xs[bad[0]]), float(ys[bad[0]])))
 
     status, detail = _divergence_status(c.rho, "sq")
@@ -148,38 +197,20 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 
     # g0 block
     if c.g0 is not None and c.mu0 is not None:
-        marks = _sample_marks(c.mu0, rng, plan.n_marks)
-        pairs = np.sort(rng.uniform(0.0, plan.x_max, (plan.budget // 4, 2)), axis=1)
-        witness = None
-        for u in marks:
-            lo = np.array([c.g0(x, u) for x in pairs[:, 0]])
-            hi = np.array([c.g0(x, u) for x in pairs[:, 1]])
-            bad = np.flatnonzero(lo > hi + _REL_SLACK * (1.0 + np.abs(hi)))
-            if bad.size:
-                witness = (float(pairs[bad[0], 0]), float(pairs[bad[0], 1]), u)
-                break
+        marks = _sample_marks(c.mu0, rng, _N_MARKS)
+        pairs = np.sort(rng.uniform(0.0, _X_MAX, (plan.budget // 4, 2)), axis=1)
+        witness = _witness(c.g0, marks, pairs, _decreasing)
         report.add("g0 increasing in the state", FAIL if witness else PASS, witness=witness)
 
-        witness = None
-        for u in marks:
-            vals = np.array([c.g0(x, u) + x for x in pairs[:, 1]])
-            bad = np.flatnonzero(vals < -_REL_SLACK)
-            if bad.size:
-                witness = (float(pairs[bad[0], 1]), u)
-                break
+        witness = _witness(c.g0, marks, pairs[:, 1], _below_minus_state)
         report.add("g0(x,u) + x >= 0 for x >= 0", FAIL if witness else PASS, witness=witness)
 
-        witness = None
-        for u in marks:
-            vals = np.array([c.g0(x, u) for x in xs_neg[:: max(1, xs_neg.size // 32)]])
-            bad = np.flatnonzero(np.abs(vals) > 0)
-            if bad.size:
-                witness = (float(xs_neg[bad[0]]), u)
-                break
+        witness = _witness(c.g0, marks, xs_neg[:: max(1, xs_neg.size // 32)],
+                           lambda _xs, g: np.abs(g) > 0)
         report.add("g0(x,u) = 0 for x <= 0", FAIL if witness else PASS, witness=witness)
 
         # local boundedness of the (|g0| ^ |g0|^2)-integral
-        states = np.linspace(0.0, plan.x_max, 9)[1:]
+        states = np.linspace(0.0, _X_MAX, 9)[1:]
         vals = []
         for x in states:
             vals.append(c.mu0.integrate(lambda u: min(abs(c.g0(x, u)),
@@ -191,47 +222,23 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
                    detail=f"max over sampled states: {vals.max():.4g}" if finite else "",
                    witness=None if finite else float(states[np.argmax(~np.isfinite(vals))]))
 
-        # truncated L2 modulus bound
-        if c.rho_m is None:
-            report.add("g0 truncated L2 modulus", UNCHECKED, "no rho_m supplied")
-        else:
-            witness, checked = None, 0
-            for m in plan.truncations:
-                mod = c.rho_m(m)
-                pts = rng.uniform(0.0, m, (12, 2))
-                for x, y in pts:
-                    val = c.mu0.integrate(
-                        lambda u: (min(c.g0(x, u), m) - min(c.g0(y, u), m)) ** 2,
-                        breakpoints=_state_breakpoints(c.mu0, x, y))
-                    bound = float(mod(abs(x - y))) ** 2
-                    checked += 1
-                    if val > bound * (1 + _QUAD_SLACK) + _QUAD_SLACK * _QUAD_SLACK:
-                        witness = (float(x), float(y), float(m), val, bound)
-                        break
-                if witness:
-                    break
-            report.add("g0 truncated L2 modulus <= rho_m^2", FAIL if witness else PASS,
-                       detail=f"{checked} sampled (x, y, m) triples", witness=witness)
-            status, detail = _divergence_status(c.rho_m(plan.truncations[0]), "sq")
-            report.add("integral dz/rho_m^2 diverges at 0", status, detail)
+        _check_truncated_modulus(
+            report, rng, "g0", c.rho_m, "rho_m", 2,
+            lambda x, y, m: c.mu0.integrate(
+                lambda u: (min(c.g0(x, u), m) - min(c.g0(y, u), m)) ** 2,
+                breakpoints=_state_breakpoints(c.mu0, x, y)))
     else:
         report.add("g0 conditions", PASS, "vacuous: component has no compensated jump kernel")
 
     # g1 block
     if c.g1 is not None:
-        marks = _sample_marks(c.g1.mu, rng, plan.n_marks)
-        states = rng.uniform(0.0, plan.x_max, plan.budget // 4)
-        witness = None
-        for u in marks:
-            vals = np.array([c.g1.fn(x, u) + x for x in states])
-            bad = np.flatnonzero(vals < -_REL_SLACK)
-            if bad.size:
-                witness = (float(states[bad[0]]), u)
-                break
+        marks = _sample_marks(c.g1.mu, rng, _N_MARKS)
+        states = rng.uniform(0.0, _X_MAX, plan.budget // 4)
+        witness = _witness(c.g1.fn, marks, states, _below_minus_state)
         report.add("g1(x,u) + x >= 0", FAIL if witness else PASS, witness=witness)
 
         growth = []
-        for x in np.linspace(0.0, plan.x_max, 9)[1:]:
+        for x in np.linspace(0.0, _X_MAX, 9)[1:]:
             growth.append((x, c.g1.mu.integrate(lambda u: abs(c.g1.fn(x, u)))))
         bad = [(x, v) for x, v in growth if v > c.growth_k * (1.0 + x) + _REL_SLACK]
         report.add("integral |g1| d(mu1) <= K(1+x) (declared K)",
@@ -242,27 +249,10 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
                    PASS if math.isfinite(c.g1.remainder_mass) else FAIL,
                    detail=f"mu1(U1 \\ U2) = {c.g1.remainder_mass}")
 
-        if c.r_m is None:
-            report.add("g1 truncated L1 modulus", UNCHECKED, "no r_m supplied")
-        else:
-            witness, checked = None, 0
-            for m in plan.truncations:
-                mod = c.r_m(m)
-                pts = rng.uniform(0.0, m, (12, 2))
-                for x, y in pts:
-                    val = c.g1.mu.integrate(
-                        lambda u: abs(min(c.g1.fn(x, u), m) - min(c.g1.fn(y, u), m)))
-                    bound = float(mod(abs(x - y)))
-                    checked += 1
-                    if val > bound * (1 + _QUAD_SLACK) + _QUAD_SLACK * _QUAD_SLACK:
-                        witness = (float(x), float(y), float(m), val, bound)
-                        break
-                if witness:
-                    break
-            report.add("g1 truncated L1 modulus <= r_m", FAIL if witness else PASS,
-                       detail=f"{checked} sampled (x, y, m) triples", witness=witness)
-            status, detail = _divergence_status(c.r_m(plan.truncations[0]), "lin")
-            report.add("integral dz/r_m diverges at 0", status, detail)
+        _check_truncated_modulus(
+            report, rng, "g1", c.r_m, "r_m", 1,
+            lambda x, y, m: c.g1.mu.integrate(
+                lambda u: abs(min(c.g1.fn(x, u), m) - min(c.g1.fn(y, u), m))))
     else:
         report.add("g1 conditions", PASS, "vacuous: component has no uncompensated jump kernel")
 
@@ -274,10 +264,10 @@ def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
     monotonicity-or-domination of g1."""
     if plan.budget < 1:
         raise ValueError("sample budget must be at least 1")
-    rng = np.random.default_rng(plan.seed + 1)
+    rng = np.random.default_rng(_SEED + 1)
     report = ValidationReport("assumption-set-2")
 
-    xs = np.sort(rng.uniform(0.0, plan.x_max, plan.budget))
+    xs = np.sort(rng.uniform(0.0, _X_MAX, plan.budget))
     vals = np.asarray(c.sigma(xs), dtype=float)
     increasing = bool(np.all(np.diff(vals) >= -_REL_SLACK * (1.0 + np.abs(vals[:-1]))))
     if increasing:
@@ -285,7 +275,7 @@ def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
     else:
         # boundedness probe: the range on a 10x wider window must not grow
         # beyond sampling slack over the range seen on [0, x_max]
-        wide = np.asarray(c.sigma(np.linspace(0.0, 10.0 * plan.x_max, 4 * plan.budget)))
+        wide = np.asarray(c.sigma(np.linspace(0.0, 10.0 * _X_MAX, 4 * plan.budget)))
         bounded = bool(np.max(np.abs(wide)) <= np.max(np.abs(vals)) * 1.05 + 1e-9)
         report.add("sigma bounded or increasing on R+",
                    PASS if bounded else FAIL,
@@ -293,8 +283,8 @@ def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
                    else "neither increasing on samples nor bounded on a wider probe")
 
     def left_cont_probe(fn, mu, name):
-        marks = _sample_marks(mu, rng, plan.n_marks)
-        states = rng.uniform(1e-3, plan.x_max, 16)
+        marks = _sample_marks(mu, rng, _N_MARKS)
+        states = rng.uniform(1e-3, _X_MAX, 16)
         worst = 0.0
         for u in marks[:8]:
             for x in states:
@@ -307,16 +297,9 @@ def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
         left_cont_probe(c.g0, c.mu0, "g0 left-continuous in x (probe)")
     if c.g1 is not None:
         left_cont_probe(c.g1.fn, c.g1.mu, "g1 left-continuous in x (probe)")
-        marks = _sample_marks(c.g1.mu, rng, plan.n_marks)
-        pairs = np.sort(rng.uniform(0.0, plan.x_max, (plan.budget // 4, 2)), axis=1)
-        monotone = True
-        for u in marks:
-            lo = np.array([c.g1.fn(x, u) for x in pairs[:, 0]])
-            hi = np.array([c.g1.fn(x, u) for x in pairs[:, 1]])
-            if np.any(lo > hi + _REL_SLACK * (1.0 + np.abs(hi))):
-                monotone = False
-                break
-        if monotone:
+        marks = _sample_marks(c.g1.mu, rng, _N_MARKS)
+        pairs = np.sort(rng.uniform(0.0, _X_MAX, (plan.budget // 4, 2)), axis=1)
+        if _witness(c.g1.fn, marks, pairs, _decreasing) is None:
             report.add("g1 increasing or dominated", PASS, "increasing branch")
         elif c.g1.dominator is not None:
             m1 = c.g1.mu.integrate(lambda u: abs(c.g1.dominator(u)))
@@ -332,13 +315,13 @@ def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
     return report
 
 
-def validate_assum_uniq(rho, rho_m, x_m: float, n_points: int = 512) -> ValidationReport:
+def validate_assum_uniq(rho, rho_m, x_m: float) -> ValidationReport:
     """rho_m <= rho on a dense sample of (0, x_m]."""
     if x_m <= 0:
         raise ValueError("x_m must be positive")
     report = ValidationReport("uniqueness-modulus")
-    xs = np.concatenate([10.0 ** np.linspace(-9, 0, n_points // 2) * x_m,
-                         np.linspace(x_m / n_points, x_m, n_points // 2)])
+    xs = np.concatenate([10.0 ** np.linspace(-9, 0, _UNIQ_POINTS // 2) * x_m,
+                         np.linspace(x_m / _UNIQ_POINTS, x_m, _UNIQ_POINTS // 2)])
     lo = np.asarray(rho_m(xs), dtype=float)
     hi = np.asarray(rho(xs), dtype=float)
     bad = np.flatnonzero(lo > hi * (1 + _REL_SLACK))
@@ -352,11 +335,11 @@ def validate_assum_uniq(rho, rho_m, x_m: float, n_points: int = 512) -> Validati
 def validate_drift(spec: SystemSpec, plan: SamplingPlan = SamplingPlan()) -> ValidationReport:
     """Mean-field drift conditions: non-negative, increasing per argument,
     within the declared linear-growth envelope B + L * sum(states)."""
-    rng = np.random.default_rng(plan.seed + 2)
+    rng = np.random.default_rng(_SEED + 2)
     report = ValidationReport("mean-field-drift")
     n = spec.n
     times = rng.uniform(0.0, 1.0, 8)
-    states = rng.uniform(0.0, plan.x_max, (plan.budget // 4, n))
+    states = rng.uniform(0.0, _X_MAX, (plan.budget // 4, n))
 
     for i, drift in enumerate(spec.drifts):
         if drift.kind != "mean-field":

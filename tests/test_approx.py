@@ -97,9 +97,9 @@ class TestBuildLevels:
         batch = make_batch(grid, spec.noise_layout(), 0, range(1))
         lvl1 = build_level_one(spec, batch, SchemeConfig())
         lvl2 = build_next_level(lvl1, spec, batch, SchemeConfig(),
-                                mode="deterministic")
+                                mode="realized")
         lvl3 = build_next_level(lvl2, spec, batch, SchemeConfig(),
-                                mode="deterministic")
+                                mode="realized")
         half = grid.n_steps // 2
         assert np.all(lvl3.forcing[0, 0, :half] == 0.0)
         assert np.all(lvl3.forcing[0, 0, half:] == 0.5)
@@ -116,7 +116,7 @@ class TestBuildLevels:
         nested = build_next_level(lvl1, spec, batch, SchemeConfig(),
                                   mode="nested-mc", n_inner=2)
         det = build_next_level(lvl1, spec, batch, SchemeConfig(),
-                               mode="deterministic")
+                               mode="realized")
         assert np.allclose(nested.forcing, det.forcing)
 
     def test_nested_mc_path_does_not_depend_on_its_block(self):

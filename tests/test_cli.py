@@ -366,19 +366,23 @@ class TestUsage:
         ("cir", ["--dt", "0.25", "--levels", "4"], "--levels must be at most 3"),
         ("correlated-intensities", ["--levels", "10"], "--levels must be at most 9"),
         ("correlated-intensities", ["--mode", "deterministic"],
-         "--mode deterministic needs state-independent drifts"),
+         "invalid choice: 'deterministic'"),
+        ("cir", ["--mode", "deterministic"], "invalid choice: 'deterministic'"),
     ], ids=["cir --levels 12", "cir --levels 12 --refinements 2",
             "cir --dt 0.25 --levels 4", "correlated-intensities --levels 10",
-            "correlated-intensities --mode deterministic"])
+            "correlated-intensities --mode deterministic", "cir --mode deterministic"])
     def test_approx_flag_the_scenario_cannot_take(self, scenario, argv, message,
                                                  tmp_path, capsys):
-        # level L needs 2^(L-1) steps on the base grid; deterministic
-        # forcing needs a drift that does not depend on the state
+        # level L needs 2^(L-1) steps on the base grid; deterministic is
+        # the reported label of realized forcing, not a mode to ask for
         scen = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                             f"{scenario}.json")
         out = tmp_path / "o"
-        code = main(["approx", "--scenario", scen, "--out", str(out), "--jobs", "1",
-                     "--paths", "4", "--levels", "2"] + argv)
+        try:
+            code = main(["approx", "--scenario", scen, "--out", str(out), "--jobs", "1",
+                         "--paths", "4", "--levels", "2"] + argv)
+        except SystemExit as exc:  # argparse rejects a --mode it does not offer
+            code = exc.code
         assert code == 3
         assert message in capsys.readouterr().err
         assert not out.exists()

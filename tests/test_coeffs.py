@@ -63,7 +63,7 @@ class TestAssum1:
 
     def test_quadratic_sigma_fails_with_witness(self):
         c = CoefficientSet(a=1.0, sigma=QuadraticSigma(), rho=PowerModulus(1.0, 0.5))
-        report = validate_assum1(c, SamplingPlan(budget=2000, x_max=10.0))
+        report = validate_assum1(c, SamplingPlan(budget=2000))
         bad = condition(report, "sigma modulus")
         assert bad.status == "fail"
         x, y = bad.witness
@@ -108,6 +108,19 @@ class TestAssum1:
                            r_m=lambda m: PowerModulus(mu.first_moment(), 1.0))
         report = validate_assum1(c, SamplingPlan(budget=400))
         assert report.passed
+
+    def test_g0_vanishing_witness_is_a_sampled_violation(self):
+        # g0 is non-zero only below -5: the witness must be a state the
+        # check evaluated, where g0 really is non-zero
+        def g0(x, u):
+            return u * x if x < -5.0 else 0.0
+        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0), rho=PowerModulus(1.0, 0.5),
+                           g0=g0, mu0=PointMassMeasure(atoms=((1.0, 1.0),)))
+        cond = condition(validate_assum1(c, SamplingPlan(budget=400)),
+                         "g0(x,u) = 0 for x <= 0")
+        assert cond.status == "fail"
+        x, u = cond.witness
+        assert x <= 0.0 and g0(x, u) != 0.0
 
 
 class TestAssum2:

@@ -5,7 +5,7 @@ import pytest
 
 import mfjump.uniqueness
 from mfjump import (PowerModulus, SchemeConfig, TestFunctionFamily, build_phi,
-                    preset_cir, refinement_study, uniqueness_trial, yw_sequence)
+                    preset_cir, refinement_study, yw_sequence)
 from mfjump.coeffs import CallableModulus
 from mfjump.uniqueness import _inv_rho_sq_integral
 
@@ -54,6 +54,12 @@ class TestThresholdSequence:
             yw_sequence(PowerModulus(1.0, 0.5), x_m=0.0, k_max=3)
         with pytest.raises(ValueError):
             yw_sequence(PowerModulus(1.0, 0.5), x_m=1.0, k_max=0)
+
+    def test_stops_at_the_first_threshold_that_underflows(self):
+        # a_k = exp(-k(k+1)/8) is 0.0 from k = 77 on; the sequence ends there
+        seq = TestFunctionFamily(rho=PowerModulus(0.5, 0.5), x_m=1.0, k_max=10**7).a_seq
+        assert seq.size == 78
+        assert seq[-1] == 0.0 and np.all(seq[:-1] > 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -143,12 +149,6 @@ class TestPhiFamily:
 
 
 class TestDivergenceDiagnostic:
-    def test_identical_resolutions_have_zero_divergence(self):
-        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
-        row = uniqueness_trial(spec, SchemeConfig(), 1.0, 64, 64, 16, 5)
-        assert row.mean_sup_diff == 0.0
-        assert row.mean_abs_terminal == 0.0
-
     def test_refinement_ladder_strictly_decreases(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         family = TestFunctionFamily(rho=spec.components[0].rho, x_m=1.0, k_max=4)
@@ -159,15 +159,10 @@ class TestDivergenceDiagnostic:
     def test_phi_moment_dominated_by_mean_abs(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.8, initial=1.0)
         family = TestFunctionFamily(rho=PowerModulus(1.0, 0.5), x_m=1.0, k_max=6)
-        row = uniqueness_trial(spec, SchemeConfig(), 1.0, 32, 64, 200, 7,
-                               family=family, phi_ks=(2, 4, 6))
+        row = refinement_study(spec, SchemeConfig(), 1.0, [32], 200, 7,
+                               family=family, phi_ks=(2, 4, 6)).rows[0]
         for k, val in row.phi_moments.items():
             assert val <= row.mean_abs_terminal + 1e-15
-
-    def test_rejects_non_nested_grids(self):
-        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
-        with pytest.raises(ValueError):
-            uniqueness_trial(spec, SchemeConfig(), 1.0, 48, 64, 8, 0)
 
     def test_one_draw_and_one_solve_per_rung_per_block(self, monkeypatch):
         calls = {"make_batch": [], "solve_batch": 0}
