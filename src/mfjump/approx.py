@@ -5,11 +5,12 @@ All levels of one hierarchy share a single noise realization; the infimum
 drifts are minima over grid samples, so the subset inequality between
 consecutive levels holds exactly whenever the level paths are ordered.
 
-Ensembles run in one pass over fixed path blocks. A block draws its noise once
-on the finest rung of a step ladder, solves the hierarchy on that draw
-coarsened onto every rung, and returns only reductions: per-level path
-moments, per-pair ordering statistics and per-path sup gaps, which the parent
-merges in block order. A single grid is the one-rung ladder.
+Ensembles run in one pass over fixed path blocks. ``system.map_blocks`` draws
+a block's noise once, on the finest rung of a step ladder; the block solves
+the hierarchy on that draw coarsened onto every rung and returns only
+reductions: per-level path moments, per-pair ordering statistics and per-path
+sup gaps, which the parent merges in block order. A single grid is the
+one-rung ladder.
 """
 from __future__ import annotations
 
@@ -28,17 +29,10 @@ _BLOCK = 256  # paths per hierarchy block; independent of --jobs
 
 
 def dyadic_partition(n: int, horizon: float) -> TimeGrid:
-    """Level-n halving grid: 2^(n-1) intervals, built by midpoint insertion so
-    coarser partitions are exact subsets of finer ones."""
-    if n < 1:
-        raise ValueError("partition level must be at least 1")
-    pts = np.array([0.0, float(horizon)])
-    for _ in range(n - 1):
-        out = np.empty(2 * pts.size - 1)
-        out[0::2] = pts
-        out[1::2] = (pts[:-1] + pts[1:]) / 2.0
-        pts = out
-    return TimeGrid(pts)
+    """Level-n halving grid: the uniform grid of 2^(n-1) intervals. Point i of
+    a power-of-two grid is i * (horizon / 2^m), and halving the step is exact,
+    so coarser partitions are exact subsets of finer ones."""
+    return TimeGrid.uniform(horizon, 2 ** (n - 1))
 
 
 def _partition_indices(grid: TimeGrid, partition: TimeGrid) -> np.ndarray:
@@ -171,12 +165,9 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
 
 @dataclass
 class HierarchyBatch:
-    """The levels of one hierarchy over a path batch, and the forcing mode
-    used: ``realized`` forcing of time-only drifts is reported as
-    ``deterministic``, since it is then the exact infimum."""
+    """The levels of one hierarchy over a path batch."""
 
     levels: list
-    mode: str
 
 
 def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig,
@@ -188,9 +179,7 @@ def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig,
     while levels[-1].n < n_max:
         levels.append(build_next_level(levels[-1], spec, batch, cfg,
                                        mode=mode, n_inner=n_inner))
-    if mode == "realized" and all(d.deterministic for d in spec.drifts):
-        mode = "deterministic"
-    return HierarchyBatch(levels=levels, mode=mode)
+    return HierarchyBatch(levels=levels)
 
 
 @dataclass(frozen=True)
@@ -279,7 +268,6 @@ class HierarchyResult:
 
     steps: int
     dt: float
-    mode: str
     levels: list  # per level: (count, mean, M2) of its values over the paths
     monotonicity: list  # MonotonicityRow per consecutive level pair
     sup_gaps: np.ndarray  # (n_levels-1, N, P) sup_t |level_{n+1} - level_n|
@@ -289,26 +277,23 @@ class HierarchyResult:
     cauchy_gap: float  # sup gap between the two highest levels (not extrapolated)
 
 
-def _ladder_block(spec, cfg, grid, factors, master_seed, n_max, mode, n_inner,
-                  bounds):
-    """One block of paths: noise drawn once on ``grid`` and coarsened by each
-    factor, one hierarchy per rung, each reduced to its mode, its per-level
-    path moments and its per-pair statistics."""
-    batch = make_batch(grid, spec.noise_layout(), master_seed, range(*bounds))
+def _ladder_block(spec, cfg, n_max, mode, n_inner, _lo, rungs):
+    """One block of paths: one hierarchy per rung of the block's draw, each
+    reduced to its per-level path moments and its per-pair statistics."""
     out = []
-    for factor in factors:
-        hier = run_hierarchy_batch(spec, batch.coarsen(factor), cfg, n_max,
-                                   mode=mode, n_inner=n_inner)
-        out.append((hier.mode,
-                    [_moments(lv.values.transpose(1, 0, 2)) for lv in hier.levels],
-                    [_pair_stats(a, b) for a, b in zip(hier.levels, hier.levels[1:])]))
+    for batch in rungs:
+        levels = run_hierarchy_batch(spec, batch, cfg, n_max, mode=mode,
+                                     n_inner=n_inner).levels
+        del batch  # the reductions do not need the rung's noise
+        out.append(([_moments(lv.values.transpose(1, 0, 2)) for lv in levels],
+                    [_pair_stats(a, b) for a, b in zip(levels, levels[1:])]))
     return out
 
 
 def _merge_rung(blocks, steps: int, horizon: float) -> HierarchyResult:
     """One rung's block statistics, merged in block order."""
-    levels = [functools.reduce(_chan_merge, lv) for lv in zip(*(b[1] for b in blocks))]
-    pairs = list(zip(*(b[2] for b in blocks)))  # per level pair, its blocks
+    levels = [functools.reduce(_chan_merge, lv) for lv in zip(*(b[0] for b in blocks))]
+    pairs = list(zip(*(b[1] for b in blocks)))  # per level pair, its blocks
     sup_gaps = np.stack([np.concatenate([blk[0] for blk in pair], axis=1)
                          for pair in pairs])
     sup_viol = np.stack([np.concatenate([blk[1] for blk in pair]) for pair in pairs])
@@ -319,7 +304,7 @@ def _merge_rung(blocks, steps: int, horizon: float) -> HierarchyResult:
                             violating_fraction=counts[i] / totals[i])
             for i in range(len(pairs))]
     return HierarchyResult(
-        steps=steps, dt=horizon / steps, mode=blocks[0][0], levels=levels, monotonicity=mono,
+        steps=steps, dt=horizon / steps, levels=levels, monotonicity=mono,
         sup_gaps=sup_gaps, max_violation=float(sup_viol.max()),
         mean_sup_violation=float(sup_viol.max(axis=0).mean()),
         violating_fraction=sum(counts) / sum(totals),
@@ -330,8 +315,8 @@ def _hierarchy_ladder(spec, cfg, grid, factors, n_paths, master_seed, n_max, mod
                       n_inner, jobs) -> list:
     """One HierarchyResult per coarsening factor of ``grid``, all from one pass
     over fixed path blocks, so the results do not depend on ``jobs``."""
-    parts = map_blocks(_ladder_block, n_paths, _BLOCK, jobs, spec, cfg, grid,
-                       factors, master_seed, n_max, mode, n_inner)
+    parts = map_blocks(_ladder_block, spec, grid, factors, n_paths, _BLOCK, master_seed,
+                       jobs, spec, cfg, n_max, mode, n_inner)
     return [_merge_rung([p[r] for p in parts], grid.n_steps // factor, grid.horizon)
             for r, factor in enumerate(factors)]
 
@@ -350,9 +335,9 @@ def hierarchy_refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: flo
     for s in ladder:
         if s & (s - 1) or ladder[-1] % s:
             raise ValueError("ladder entries must be powers of two dividing the finest")
-    grid = dyadic_partition(ladder[-1].bit_length(), horizon)
-    return _hierarchy_ladder(spec, cfg, grid, [ladder[-1] // s for s in ladder],
-                             n_paths, master_seed, n_max, mode, n_inner, jobs)
+    return _hierarchy_ladder(spec, cfg, TimeGrid.uniform(horizon, ladder[-1]),
+                             [ladder[-1] // s for s in ladder], n_paths, master_seed,
+                             n_max, mode, n_inner, jobs)
 
 
 def run_hierarchy_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid,

@@ -105,6 +105,17 @@ def _steps(scenario: Scenario, args) -> int:
     return steps
 
 
+def _require_breakpoints_on(grid, scenario: Scenario) -> None:
+    """A staircase drift switches only at grid points, so a breakpoint off
+    the simulation grid is a usage error, reported before any work."""
+    for drift in scenario.system.drifts:
+        if drift.kind == "path":
+            off = drift.path.breakpoints[~np.isin(drift.path.breakpoints, grid.points)]
+            if off.size:
+                raise ScenarioError(f"drift.breakpoints: {float(off[0])!r} is not a "
+                                    f"point of the {grid.n_steps}-step grid")
+
+
 def _seed(scenario: Scenario, args) -> int:
     if args.seed is not None:
         _require_count(args.seed, "--seed", 0)
@@ -130,6 +141,7 @@ def cmd_simulate(args) -> int:
     _require_count(args.paths, "--paths", 1)
     _require_count(args.dump_paths, "--dump-paths", 0)
     grid = scenario.grid(_steps(scenario, args))
+    _require_breakpoints_on(grid, scenario)
     seed = _seed(scenario, args)
     out = _out_dir(args)
     cfg = SchemeConfig()
@@ -232,6 +244,8 @@ def cmd_approx(args) -> int:
         mode=args.mode, n_inner=args.inner, jobs=args.jobs)
     hier = rungs[0]
     refinement_rows = rungs if args.refinements > 1 else []
+    # realized forcing of time-only drifts is the exact interval infimum
+    deterministic = args.mode == "realized" and all(d.deterministic for d in spec.drifts)
     bound = moment_bound_check(hier.levels, grid, a_bar, growth_b, growth_l,
                                k_const)
 
@@ -259,7 +273,7 @@ def cmd_approx(args) -> int:
 
     report = {
         "mode_requested": args.mode,
-        "mode_used": hier.mode,
+        "mode_used": "deterministic" if deterministic else args.mode,
         "levels": args.levels,
         "paths": args.paths,
         "seed": seed,
@@ -324,6 +338,7 @@ def cmd_uniqueness(args) -> int:
     if args.phi_k:
         _require_count(min(args.phi_k), "--phi-k", 1)
     base_steps = _steps(scenario, args)
+    _require_breakpoints_on(scenario.grid(base_steps), scenario)
     seed = _seed(scenario, args)
     family, phi_ks = _phi_family(scenario, args.phi_k)
     out = _out_dir(args)
@@ -361,8 +376,10 @@ def cmd_uniqueness(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # EXIT_USAGE from _Parser.error, 0 after --help
+        return exc.code
     handlers = {"simulate": cmd_simulate, "approx": cmd_approx,
                 "validate": cmd_validate, "uniqueness": cmd_uniqueness}
     try:

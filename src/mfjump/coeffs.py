@@ -6,7 +6,7 @@ specifications pickle cleanly into worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -151,10 +151,7 @@ class AxisSumMeasure:
                 mark = [0.0] * dim
                 mark[axis] = u
                 return fn(tuple(mark))
-            if isinstance(measure, PointMassMeasure):
-                total += measure.integrate(on_axis)
-            else:
-                total += measure.integrate(on_axis, breakpoints=breakpoints)
+            total += measure.integrate(on_axis, breakpoints=breakpoints)
         return float(total)
 
 
@@ -177,8 +174,6 @@ class ThinningMarkMeasure:
         def over_v(zeta):
             return integrate.quad(lambda v: fn((v, zeta)), 0.0, self.v_max,
                                   points=points, limit=200)[0]
-        if isinstance(self.levy, PointMassMeasure):
-            return float(sum(over_v(z) * m for z, m in self.levy.atoms))
         return self.levy.integrate(over_v)
 
 
@@ -380,20 +375,18 @@ class DriftSpec:
     path: object = None
     growth_bound: float = 0.0  # B with b <= B + L * sum(states)
     growth_slope: float = 0.0  # L
-    label: str = ""
 
     @classmethod
     def constant(cls, value: float) -> "DriftSpec":
         return cls(kind="constant", value=float(value),
-                   growth_bound=float(value), growth_slope=0.0, label="constant")
+                   growth_bound=float(value), growth_slope=0.0)
 
     @classmethod
-    def time_function(cls, fn, growth_bound: float, label: str = "time") -> "DriftSpec":
-        return cls(kind="time", fn=fn, growth_bound=growth_bound, growth_slope=0.0, label=label)
+    def time_function(cls, fn, growth_bound: float) -> "DriftSpec":
+        return cls(kind="time", fn=fn, growth_bound=growth_bound, growth_slope=0.0)
 
     @classmethod
-    def mean_field(cls, fn, growth_bound: float, growth_slope: float,
-                   label: str = "mean-field") -> "DriftSpec":
+    def mean_field(cls, fn, growth_bound: float, growth_slope: float) -> "DriftSpec":
         """Drift ``fn(t, states)`` of the whole system state.
 
         ``states`` has shape (N, ...) with one row per component and is
@@ -402,16 +395,16 @@ class DriftSpec:
         per column). Components that share one ``fn`` object share one call.
         """
         return cls(kind="mean-field", fn=fn, growth_bound=growth_bound,
-                   growth_slope=growth_slope, label=label)
+                   growth_slope=growth_slope)
 
     @classmethod
     def mean_field_average(cls, n: int) -> "DriftSpec":
         return cls(kind="mean-field", fn=MeanFieldAverage(n), growth_bound=0.0,
-                   growth_slope=1.0 / n, label="average")
+                   growth_slope=1.0 / n)
 
     @classmethod
     def external(cls, path, growth_bound: float = 0.0) -> "DriftSpec":
-        return cls(kind="path", path=path, growth_bound=growth_bound, label="path")
+        return cls(kind="path", path=path, growth_bound=growth_bound)
 
     @property
     def deterministic(self) -> bool:
@@ -454,7 +447,6 @@ class SystemSpec:
     components: tuple
     drifts: tuple
     initial: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         init = np.asarray(self.initial, dtype=float)
@@ -496,5 +488,4 @@ def permute_system(spec: SystemSpec, perm: Sequence[int]) -> SystemSpec:
     perm = list(perm)
     return SystemSpec(components=tuple(spec.components[p] for p in perm),
                       drifts=tuple(spec.drifts[p] for p in perm),
-                      initial=spec.initial[perm],
-                      meta=dict(spec.meta))
+                      initial=spec.initial[perm])

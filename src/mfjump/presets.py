@@ -139,11 +139,7 @@ def preset_example21(n: int, a=1.0, sigma=1.0, sigma0: float = 0.0, sigma_z=0.0,
             growth_k=0.0,
         ))
 
-    meta = {"preset": "example21", "n": n, "a": a.tolist(), "sigma": sigma.tolist(),
-            "sigma0": sigma0, "sigma_z": sigma_z.tolist(), "sigma_z0": sigma_z0,
-            "alpha": alpha.tolist(), "alpha0": alpha0, "sigma_power": sigma_power}
-    return SystemSpec(components=tuple(components), drifts=drifts,
-                      initial=initial, meta=meta)
+    return SystemSpec(components=tuple(components), drifts=drifts, initial=initial)
 
 
 def preset_cir(a: float, b: float, sigma: float, initial: float,
@@ -217,5 +213,4 @@ def thinning_system(levy, v_max: float, a: float = 1.0, sigma: float = 0.0,
     if drift is None:
         drift = DriftSpec.constant(initial)
     return SystemSpec(components=(comp,), drifts=(drift,),
-                      initial=np.array([initial]),
-                      meta={"preset": "cbi-thinning", "v_max": v_max})
+                      initial=np.array([initial]))

@@ -14,7 +14,6 @@ from .coeffs import DriftSpec, ExponentialMeasure, LinearInTime, PointMassMeasur
 from .noise import TimeGrid
 from .paths import StaircasePath
 from .presets import preset_example21, thinning_system
-from .approx import dyadic_partition
 
 SCHEMA_VERSION = 1
 
@@ -83,12 +82,10 @@ class Scenario:
     raw: dict = field(default_factory=dict)
 
     def grid(self, steps: int = None) -> TimeGrid:
-        """Simulation grid; dyadic construction when the step count is a power
-        of two (so approximation partitions are exact subsets)."""
-        steps = self.grid_steps if steps is None else steps
-        if steps >= 1 and steps & (steps - 1) == 0:
-            return dyadic_partition(steps.bit_length(), self.horizon)
-        return TimeGrid.uniform(self.horizon, steps)
+        """Uniform simulation grid; with a power-of-two step count it is the
+        dyadic partition of that many intervals, so coarser approximation
+        partitions are exact subsets of it."""
+        return TimeGrid.uniform(self.horizon, self.grid_steps if steps is None else steps)
 
 
 def _build_drift(info: dict, path: str, n: int, horizon: float):
@@ -107,7 +104,7 @@ def _build_drift(info: dict, path: str, n: int, horizon: float):
         if got["intercept"] + min(0.0, got["slope"] * horizon) < 0:
             raise ScenarioError(f"{path}: drift goes negative on [0, horizon]")
         return DriftSpec.time_function(LinearInTime(got["intercept"], got["slope"]),
-                                       growth_bound=bound, label="linear")
+                                       growth_bound=bound)
     if kind == "staircase":
         got = _require(info, path, {"kind": _string, "breakpoints": _passthrough,
                                     "levels": _passthrough}, ("kind", "breakpoints", "levels"))

@@ -2,8 +2,9 @@
 
 All components advance simultaneously off the pre-step state vector
 (Jacobi-style), so component relabeling commutes with solving. Ensembles are
-processed in fixed path-index blocks and reduced in block order, which makes
-results independent of the parallelism degree.
+processed in fixed path-index blocks, each drawing its noise once in
+``map_blocks``, and reduced in block order, which makes results independent
+of the parallelism degree.
 """
 from __future__ import annotations
 
@@ -61,11 +62,23 @@ def _pooled_block(task, bounds):
         return None, exc
 
 
-def map_blocks(fn, n_paths: int, block: int, jobs: int, *args) -> list:
-    """``fn(*args, (lo, hi))`` for every block [lo, hi) of path indices, in
-    block order. With ``jobs > 1`` and several blocks the calls run in a
-    process pool of at most ``jobs`` workers; results and errors are the same."""
-    task = functools.partial(fn, *args)
+def _drawn_block(fn, spec, grid, factors, master_seed, args, bounds):
+    """``fn(*args, lo, rungs)`` on block [lo, hi): its noise is drawn once on
+    ``grid``, and ``rungs`` yields that draw coarsened by each factor in turn."""
+    lo, hi = bounds
+    batch = make_batch(grid, spec.noise_layout(), master_seed, range(lo, hi))
+    return fn(*args, lo, (batch.coarsen(factor) for factor in factors))
+
+
+def map_blocks(fn, spec: SystemSpec, grid: TimeGrid, factors, n_paths: int, block: int,
+               master_seed: int, jobs: int, *args) -> list:
+    """``fn(*args, lo, rungs)`` for every block [lo, hi) of path indices, in
+    block order. Each block draws its noise once, on the finest ``grid``, and
+    every rung reuses that draw, coarsened by its factor; path p's noise is
+    keyed by (master_seed, p) alone. With ``jobs > 1`` and several blocks the
+    calls run in a process pool of at most ``jobs`` workers; results and
+    errors are the same."""
+    task = functools.partial(_drawn_block, fn, spec, grid, tuple(factors), master_seed, args)
     bounds = [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
     if jobs < 2 or len(bounds) < 2:
         return [task(b) for b in bounds]
@@ -97,13 +110,12 @@ def _mean_se(summaries):
     return mean, np.sqrt(m2 / (n * max(n - 1, 1)))
 
 
-def _ensemble_block(spec, cfg, grid, master_seed, section_idx, keep_paths, bounds):
-    lo, hi = bounds
-    batch = make_batch(grid, spec.noise_layout(), master_seed, range(lo, hi))
+def _ensemble_block(spec, cfg, section_idx, keep_paths, lo, rungs):
+    (batch,) = rungs
     result = solve_batch(spec.components, spec.drifts, batch, cfg,
                          initial=spec.initial[:, None])
     vals = result.values  # (N, P, K+1)
-    integ = np.trapezoid(vals, x=grid.points, axis=2)  # (N, P)
+    integ = np.trapezoid(vals, x=batch.grid.points, axis=2)  # (N, P)
     return {
         # per path-axis statistic: the components, their average, the integrals
         "moments": [_moments(vals.transpose(1, 0, 2)), _moments(vals.mean(axis=0)),
@@ -128,8 +140,8 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
         raise ValueError("need at least one path")
     section_idx = np.arange(0, grid.n_steps + 1, max(1, grid.n_steps // 8))
 
-    partials = map_blocks(_ensemble_block, n_paths, _BLOCK, jobs,
-                          spec, cfg, grid, master_seed, section_idx, keep_paths)
+    partials = map_blocks(_ensemble_block, spec, grid, [1], n_paths, _BLOCK, master_seed,
+                          jobs, spec, cfg, section_idx, keep_paths)
 
     warns = []
     for part in partials:  # fixed block order

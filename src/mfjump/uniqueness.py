@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .coeffs import PowerModulus, SystemSpec
-from .noise import TimeGrid, make_batch
+from .noise import TimeGrid
 from .solver import SchemeConfig, solve_batch
 from .system import _BLOCK, map_blocks
 
@@ -233,28 +233,25 @@ class DivergenceReport:
         return bool(np.all(np.diff(d) < 0))
 
 
-def _divergence_block(spec, cfg, horizon, resolutions, master_seed, bounds):
+def _divergence_block(spec, cfg, _lo, rungs):
     """Per-path divergences of consecutive resolutions on one block of paths.
 
-    The noise is drawn once on the finest grid and aggregated onto every
-    coarser one, so all resolutions see the same Brownian/stable path and the
-    same jump events, and each resolution is solved once. Per consecutive
-    pair this returns the sup over components and coarse grid points of
-    |coarse - fine|, shape (P,), and the signed difference at T, shape (N, P).
+    ``rungs`` is the block's one draw on the finest grid, coarsened onto each
+    resolution of a doubling ladder in turn, so all resolutions see the same
+    Brownian/stable path and the same jump events, and each is solved once.
+    Per consecutive pair this returns the sup over components and coarse grid
+    points of |coarse - fine|, shape (P,), and the signed difference at T,
+    shape (N, P).
     """
-    finest = resolutions[-1]
-    batch = make_batch(TimeGrid.uniform(horizon, finest), spec.noise_layout(),
-                       master_seed, range(*bounds))
-    out, coarse = [], None  # coarse: (steps, values) of the previous resolution
-    for steps in resolutions:
-        values = solve_batch(spec.components, spec.drifts,
-                             batch.coarsen(finest // steps), cfg,
+    out, coarse = [], None  # coarse: the values of the previous resolution
+    for batch in rungs:
+        values = solve_batch(spec.components, spec.drifts, batch, cfg,
                              initial=spec.initial[:, None]).values
         if coarse is not None:
-            diff = coarse[1] - values[:, :, ::steps // coarse[0]]
+            diff = coarse - values[:, :, ::2]
             # a copy, so the full difference array is not kept alive
             out.append((np.abs(diff).max(axis=(0, 2)), diff[:, :, -1].copy()))
-        coarse = steps, values
+        coarse = values
     return out
 
 
@@ -275,8 +272,10 @@ def refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
         raise ValueError("each ladder rung must double the previous one")
     if n_paths < 2:
         raise ValueError("need at least two paths")
-    parts = map_blocks(_divergence_block, n_paths, _BLOCK, jobs, spec, cfg,
-                       horizon, tuple(ladder + [2 * ladder[-1]]), master_seed)
+    finest = 2 * ladder[-1]
+    parts = map_blocks(_divergence_block, spec, TimeGrid.uniform(horizon, finest),
+                       [finest // s for s in ladder + [finest]], n_paths, _BLOCK,
+                       master_seed, jobs, spec, cfg)
     rows = []
     for r, coarse in enumerate(ladder):
         sup = np.concatenate([part[r][0] for part in parts])

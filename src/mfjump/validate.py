@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoefficientSet, PowerModulus, SystemSpec, ThinningMarkMeasure
+from .coeffs import (CoefficientSet, PowerModulus, SystemSpec, ThinningMarkMeasure,
+                     drift_values)
 
 PASS, FAIL, UNCHECKED = "pass", "fail", "unchecked"
 
@@ -340,31 +341,37 @@ def validate_drift(spec: SystemSpec, plan: SamplingPlan = SamplingPlan()) -> Val
     n = spec.n
     times = rng.uniform(0.0, 1.0, 8)
     states = rng.uniform(0.0, _X_MAX, (plan.budget // 4, n))
+    rows = states[:32]
+    bumped = np.repeat(rows[:, None, :], n, axis=1)  # [r, j]: row r with x_j + 1
+    bumped[:, range(n), range(n)] += 1.0
+    mean_field = [d for d in spec.drifts if d.kind == "mean-field"]
 
+    def at(times, samples):
+        """The mean-field drifts at every time on every sampled state (last
+        axis: the components), from one ``drift_values`` call: shape
+        (len(mean_field), len(times)) + samples.shape[:-1]."""
+        flat = np.repeat(samples.reshape(-1, n).T[:, :, None], times.size, axis=2)
+        values = drift_values(mean_field, times, flat).transpose(0, 2, 1)
+        return values.reshape((len(mean_field), times.size) + samples.shape[:-1])
+
+    evaluated = zip(at(times, states), at(times[:4], bumped))
     for i, drift in enumerate(spec.drifts):
         if drift.kind != "mean-field":
             report.add(f"component {i}: drift kind '{drift.kind}'", PASS,
                        "state-independent drift; mean-field conditions vacuous")
             continue
-        vals = np.array([[drift.fn(t, row[:, None])[0] for row in states] for t in times])
+        vals, raised = next(evaluated)  # (time, row) and (time, row, bumped j)
         neg = vals < -_REL_SLACK
         report.add(f"component {i}: b_i non-negative", FAIL if neg.any() else PASS,
                    witness=None if not neg.any() else float(vals[neg][0]))
 
+        # the first (time, row, bumped component) at which the value falls
+        base = vals[:4, :len(rows), None]
+        drops = np.argwhere(raised < base - _REL_SLACK * (1 + np.abs(base)))
         witness = None
-        for t in times[:4]:
-            for row in states[:32]:
-                base = drift.fn(t, row[:, None])[0]
-                for j in range(n):
-                    bumped = row.copy()
-                    bumped[j] += 1.0
-                    if drift.fn(t, bumped[:, None])[0] < base - _REL_SLACK * (1 + abs(base)):
-                        witness = (float(t), row.tolist(), j)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        if drops.size:
+            ti, ri, j = drops[0]
+            witness = (float(times[ti]), rows[ri].tolist(), int(j))
         report.add(f"component {i}: b_i increasing in each state", FAIL if witness else PASS,
                    witness=witness)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mfjump.approx
+import mfjump.system
 from mfjump import (CadlagPath, DriftSpec, SchemeConfig, TimeGrid, build_level_one,
                     build_next_level, check_monotone, dyadic_partition,
                     hierarchy_refinement_study, infimum_drift, make_batch,
@@ -384,7 +385,7 @@ class TestApproxCommand:
     def test_one_draw_and_one_pass_per_block(self, scenario, tmp_path, monkeypatch):
         calls = {"map_blocks": 0, "make_batch": [], "solve_batch": 0}
         blocks = mfjump.approx.map_blocks
-        draw, solve = mfjump.approx.make_batch, mfjump.approx.solve_batch
+        draw, solve = mfjump.system.make_batch, mfjump.approx.solve_batch
 
         def counting_blocks(*args):
             calls["map_blocks"] += 1
@@ -399,7 +400,7 @@ class TestApproxCommand:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(mfjump.approx, "map_blocks", counting_blocks)
-        monkeypatch.setattr(mfjump.approx, "make_batch", counting_draw)
+        monkeypatch.setattr(mfjump.system, "make_batch", counting_draw)
         monkeypatch.setattr(mfjump.approx, "solve_batch", counting_solve)
         assert self.run(scenario, tmp_path / "o", 600) == 0
         # three blocks, each drawn once on the finest rung (16 * 2^2 steps)

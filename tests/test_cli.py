@@ -378,11 +378,8 @@ class TestUsage:
         scen = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                             f"{scenario}.json")
         out = tmp_path / "o"
-        try:
-            code = main(["approx", "--scenario", scen, "--out", str(out), "--jobs", "1",
-                         "--paths", "4", "--levels", "2"] + argv)
-        except SystemExit as exc:  # argparse rejects a --mode it does not offer
-            code = exc.code
+        code = main(["approx", "--scenario", scen, "--out", str(out), "--jobs", "1",
+                     "--paths", "4", "--levels", "2"] + argv)
         assert code == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -423,22 +420,37 @@ class TestUsage:
         assert not (tmp_path / "o2").exists()
 
     def test_unknown_command_is_usage_error(self):
-        with pytest.raises(SystemExit) as err:
-            main(["frobnicate"])
-        assert err.value.code == 3
+        assert main(["frobnicate"]) == 3
 
     def test_validate_has_no_dt_flag(self, tmp_path):
         scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
-        with pytest.raises(SystemExit) as err:
-            main(["validate", "--scenario", scen, "--dt", "0",
-                  "--out", str(tmp_path / "o")])
-        assert err.value.code == 3
+        assert main(["validate", "--scenario", scen, "--dt", "0",
+                     "--out", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
 
     def test_missing_scenario_flag(self):
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", "--paths", "5"])
-        assert err.value.code == 3
+        assert main(["simulate", "--paths", "5"]) == 3
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["approx", "--help"]) == 0
+        assert "--refinements" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, code", [
+        ("simulate", 3), ("uniqueness", 3), ("approx", 0), ("validate", 0)])
+    def test_staircase_breakpoint_off_the_grid(self, command, code, tmp_path, capsys):
+        # 0.3 is no point of the 64-step grid: a staircase drift must switch
+        # on a step, approx and validate only sample the drift at grid points
+        scen = write_scenario(tmp_path / "s.json", drift={
+            "kind": "staircase", "breakpoints": [0.0, 0.3, 1.0], "levels": [1.0, 2.0]})
+        out = tmp_path / "o"
+        argv = [command, "--scenario", str(scen), "--out", str(out), "--jobs", "1"]
+        if command != "validate":
+            argv += ["--paths", "4", "--seed", "0"]
+        assert main(argv) == code
+        if code:
+            assert ("drift.breakpoints: 0.3 is not a point of the 64-step grid"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_unreadable_scenario(self, tmp_path):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"),

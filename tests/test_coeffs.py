@@ -270,6 +270,38 @@ class TestDriftConditions:
         assert np.all(vals <= bound + 1e-12)
 
 
+@dataclass(frozen=True)
+class KinkedDrift:
+    """b(t, x) = x_0 + 0.1 x_1 - 2 (x_1 + 4t - 9)+ - 4t + shift. It falls in
+    x_1 once x_1 + 4t > 8.05, so which sampled row is the first witness
+    depends on the time; it is negative somewhere for shift = 0 and
+    non-negative for shift = 13."""
+
+    shift: float
+
+    def __call__(self, t, states):
+        x = np.asarray(states, dtype=float)
+        return (x[0] + 0.1 * x[1] - 2.0 * np.maximum(x[1] + 4.0 * t - 9.0, 0.0)
+                - 4.0 * t + self.shift)
+
+
+class TestDriftWitnesses:
+    """The first sampled violation, in (time, row, bumped component) order."""
+
+    FALLS = (0.2616121342493164, [8.912094095005791, 7.755639424726894], 1)
+
+    @pytest.mark.parametrize("shift, negative", [(0.0, -0.0008083868915282899),
+                                                 (13.0, None)])
+    def test_witnesses_are_pinned(self, shift, negative):
+        drift = DriftSpec.mean_field(KinkedDrift(shift), growth_bound=13.0, growth_slope=1.0)
+        report = validate_drift(preset_example21(2, sigma=0.5, drift=drift),
+                                SamplingPlan(budget=200))
+        for i in range(2):
+            assert condition(report, f"{i}: b_i non-negative").witness == negative
+            assert condition(report, f"{i}: b_i increasing").witness == self.FALLS
+            assert condition(report, f"{i}: b_i <= B").status == "pass"
+
+
 class TestThinningPreset:
     def levy(self, mass=3.0, size=0.5):
         return PointMassMeasure(atoms=((size, mass),))

@@ -1,0 +1,34 @@
+"""The names the benchmark's tracer binds must keep resolving: ``perfbench``
+wraps them by module and attribute, and a traced run fails when one is gone."""
+import importlib
+import importlib.util
+import inspect
+import os
+
+from mfjump.noise import NoiseBatch
+from mfjump.solver import solve_batch
+
+SPANS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    for _layer, module, attr, _count in load_spans()._FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_solve_batch_keeps_the_parameters_the_solver_counts_bind():
+    params = inspect.signature(solve_batch).parameters
+    for name in ("components", "batch", "k_start", "k_stop"):
+        assert name in params
+
+
+def test_noise_batch_keeps_coarsen_and_jump_events():
+    assert callable(NoiseBatch.coarsen)
+    assert isinstance(NoiseBatch.jump_events, property)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mfjump import ScenarioError, load_scenario, parse_scenario
+from mfjump.coeffs import MeanFieldAverage
 
 
 def base_scenario(**overrides):
@@ -30,7 +31,7 @@ class TestParsing:
         sc = parse_scenario(base_scenario())
         assert sc.system.n == 2
         assert sc.horizon == 1.0
-        assert sc.system.drifts[0].label == "average"
+        assert isinstance(sc.system.drifts[0].fn, MeanFieldAverage)
 
     def test_unknown_top_level_field(self):
         with pytest.raises(ScenarioError, match=r"\$\.bogus"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import mfjump.system
 from mfjump import (DriftSpec, SchemeConfig, TimeGrid, make_batch, permute_system,
                     preset_cir, preset_example21, run_ensemble, solve_batch,
                     solve_onedim, solve_system)
@@ -141,6 +142,18 @@ class TestEnsemble:
                            make_batch(grid, spec.noise_layout(), 8, range(2, 3)),
                            SchemeConfig(), spec.initial[:, None]).values
         assert np.array_equal(lone[:, 0], block[:, 2])
+
+    def test_one_draw_per_block(self, monkeypatch):
+        draws, draw = [], mfjump.system.make_batch
+
+        def counting_draw(grid, layout, seed, paths):
+            draws.append((paths[0], paths[-1]))
+            return draw(grid, layout, seed, paths)
+
+        monkeypatch.setattr(mfjump.system, "make_batch", counting_draw)
+        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
+        run_ensemble(spec, SchemeConfig(), TimeGrid.uniform(1.0, 8), 1200, 0)
+        assert draws == [(0, 511), (512, 1023), (1024, 1199)]
 
     def test_rejects_empty_ensemble(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mfjump.system
 import mfjump.uniqueness
 from mfjump import (PowerModulus, SchemeConfig, TestFunctionFamily, build_phi,
                     preset_cir, refinement_study, yw_sequence)
@@ -166,7 +167,7 @@ class TestDivergenceDiagnostic:
 
     def test_one_draw_and_one_solve_per_rung_per_block(self, monkeypatch):
         calls = {"make_batch": [], "solve_batch": 0}
-        draw, solve = mfjump.uniqueness.make_batch, mfjump.uniqueness.solve_batch
+        draw, solve = mfjump.system.make_batch, mfjump.uniqueness.solve_batch
 
         def counting_draw(grid, layout, seed, paths):
             calls["make_batch"].append((grid.n_steps, paths[0], paths[-1]))
@@ -176,7 +177,7 @@ class TestDivergenceDiagnostic:
             calls["solve_batch"] += 1
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(mfjump.uniqueness, "make_batch", counting_draw)
+        monkeypatch.setattr(mfjump.system, "make_batch", counting_draw)
         monkeypatch.setattr(mfjump.uniqueness, "solve_batch", counting_solve)
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         ladder = [8, 16, 32]
