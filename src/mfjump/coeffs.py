@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .noise import MeasureSpec, NoiseLayout
 
@@ -57,6 +56,78 @@ class CallableModulus:
 # measures (validation-side integrals; generation uses noise.MeasureSpec)
 
 
+# Every measure's ``integrate(fn, breakpoints)`` calls ``fn`` on an array of
+# marks, or on a tuple of equal-shape arrays for product marks, and ``fn``
+# must answer elementwise with an array of that shape (``np.minimum`` and
+# ``np.abs``, not ``min`` and ``abs``). This is the ``CompensatedKernel.fn``
+# contract of the solver. ``breakpoints`` are marks where ``fn`` may jump or
+# kink; each becomes a panel edge.
+
+
+def _lobatto(n: int):
+    """n-point Gauss-Lobatto nodes and weights on [-1, 1]: both edges plus the
+    roots of P'_{n-1}, exact for polynomials of degree 2n - 3."""
+    p = np.polynomial.legendre.Legendre.basis(n - 1)
+    nodes = np.concatenate(([-1.0], np.sort(p.deriv().roots().real), [1.0]))
+    return nodes, 2.0 / (n * (n - 1) * p(nodes) ** 2)
+
+
+_LOBATTO = _lobatto(10)  # the adaptive rule, per panel
+_GAUSS = np.polynomial.legendre.leggauss(8)  # the fixed rule over v, per piece
+_SPLIT = 4  # children of a panel that fails its check
+_RTOL = 1e-11  # accepted: |children - panel| <= _RTOL * |running total|
+_MAX_PASSES = 40  # the last pass accepts every panel still open
+_MAX_PANELS = 4096  # active children beyond which a pass accepts every panel
+_LOG_SPAN = 40.0  # log-space reach of the stable rule, in decay lengths
+_EXP_SPAN = 50.0  # the exponential rule covers (0, _EXP_SPAN * mean)
+_PANEL = 2.0  # widest first panel of panel_quadrature
+
+
+def panel_quadrature(fn, lo: float, hi: float, points=()) -> float:
+    """Integral of ``fn`` over [lo, hi] by adaptive composite Gauss-Lobatto
+    quadrature, in passes.
+
+    The first pass applies the rule to panels at most _PANEL wide, split at
+    the ``points`` inside (lo, hi). Each later pass splits every open panel
+    into _SPLIT children and accepts the panel, at its children's sum, when
+    that sum is within _RTOL of the running total from the panel's own value;
+    the children of the others stay open. A pass calls ``fn`` once, on the
+    nodes of all its panels. The panel edges are nodes: an open
+    (Gauss-Legendre) rule does not see a kink between a panel edge and its
+    outermost node, and neither do the children that share the edge, so that
+    check would agree to rounding on a wrong value.
+    """
+    nodes, weights = _LOBATTO
+    frac = np.arange(_SPLIT + 1) / _SPLIT
+
+    def rule(left, right):
+        half = 0.5 * (right - left)
+        x = (0.5 * (right + left))[:, None] + half[:, None] * nodes
+        values = np.broadcast_to(np.asarray(fn(x.ravel()), dtype=float), (x.size,))
+        return values.reshape(x.shape) @ weights * half
+
+    edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL)) + 1)
+    inner = [p for p in points if lo < p < hi]
+    if inner:
+        edges = np.unique(np.concatenate((edges, inner)))
+    left, right = edges[:-1], edges[1:]
+    own, done = rule(left, right), 0.0
+    for n_pass in range(2, _MAX_PASSES + 1):
+        if not left.size:
+            break
+        cuts = left[:, None] + (right - left)[:, None] * frac
+        left, right = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        children = rule(left, right)
+        fine = children.reshape(-1, _SPLIT).sum(axis=1)
+        ok = np.abs(fine - own) <= _RTOL * abs(done + fine.sum())
+        if n_pass == _MAX_PASSES or np.count_nonzero(~ok) * _SPLIT > _MAX_PANELS:
+            ok[:] = True
+        done += fine[ok].sum()
+        still = np.repeat(~ok, _SPLIT)
+        left, right, own = left[still], right[still], children[still]
+    return float(done)
+
+
 @dataclass(frozen=True)
 class PointMassMeasure:
     atoms: tuple  # ((mark, mass), ...)
@@ -69,19 +140,11 @@ class PointMassMeasure:
         return float(sum(u * m for u, m in self.atoms))
 
     def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
-        """Sum over the atoms; ``breakpoints`` only matter to quadrature."""
-        return float(sum(fn(u) * m for u, m in self.atoms))
-
-
-def _quad_pieces(f, lo: float, points, hi: float) -> float:
-    """Integral of f over (lo, hi) as one ``quad`` per piece between the
-    sorted ``points``."""
-    total = 0.0
-    for p in points:
-        total += integrate.quad(f, lo, p, limit=200)[0]
-        lo = p
-    total += integrate.quad(f, lo, hi, limit=200)[0]
-    return float(total)
+        """Sum over the atoms, from one call of ``fn`` on the array of their
+        marks; ``breakpoints`` only matter to quadrature."""
+        marks = np.array([u for u, _m in self.atoms], dtype=float)
+        masses = np.array([m for _u, m in self.atoms], dtype=float)
+        return float(np.sum(np.asarray(fn(marks), dtype=float) * masses))
 
 
 @dataclass(frozen=True)
@@ -95,15 +158,16 @@ class ExponentialMeasure:
     def total_mass(self) -> float:
         return self.mass
 
-    def density(self, u):
-        return self.mass * np.exp(-u / self.mean) / self.mean
-
     def first_moment(self) -> float:
         return self.mass * self.mean
 
     def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
-        pts = sorted(p for p in breakpoints if p > 0.0)
-        return _quad_pieces(lambda u: fn(u) * self.density(u), 0.0, pts, np.inf)
+        """Over s = u / mean on (0, _EXP_SPAN), with ``fn`` called on arrays
+        of marks u: the dropped tail is below e^-_EXP_SPAN of the integral
+        unless ``fn`` grows exponentially."""
+        return self.mass * panel_quadrature(
+            lambda s: fn(self.mean * s) * np.exp(-s), 0.0, _EXP_SPAN,
+            [p / self.mean for p in breakpoints])
 
 
 def stable_levy_constant(alpha: float) -> float:
@@ -122,12 +186,29 @@ class StableJumpMeasure:
     def total_mass(self) -> float:
         return math.inf
 
-    def density(self, u):
-        return stable_levy_constant(self.alpha) * u ** (-1.0 - self.alpha)
-
     def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
-        pts = sorted(p for p in breakpoints if p > 0.0) or [1.0]
-        return _quad_pieces(lambda u: fn(u) * self.density(u), 0.0, pts, np.inf)
+        """c * integral of fn(e^t) e^(-alpha t) dt over t = log u, with
+        ``fn`` called on arrays of marks u = e^t.
+
+        Near 0 an integrand with fn ~ u^2 decays like e^((2 - alpha) t), and
+        far out one with fn ~ u like e^((1 - alpha) t). The rule covers
+        _LOG_SPAN of those decay lengths below the smallest breakpoint (or 1)
+        and above the largest, within |t| <= 300 where u^2 and u^-alpha are
+        normal floats, and adds the head and tail beyond in closed form for
+        those two laws. They are exact for the validators' stable-kernel
+        integrands, which are proportional to u^2 near 0 and to u, or 0, far
+        out."""
+        alpha = self.alpha
+        logs = [math.log(p) for p in breakpoints if p > 0.0] or [0.0]
+        lo = max(min(logs) - _LOG_SPAN / (2.0 - alpha), -300.0)
+        hi = min(max(logs) + _LOG_SPAN / (alpha - 1.0), 300.0)
+
+        def in_log_space(t):
+            return fn(np.exp(t)) * np.exp(-alpha * t)
+        head, tail = in_log_space(np.array([lo, hi]))
+        return stable_levy_constant(alpha) * (
+            head / (2.0 - alpha) + panel_quadrature(in_log_space, lo, hi, logs)
+            + tail / (alpha - 1.0))
 
 
 @dataclass(frozen=True)
@@ -145,12 +226,13 @@ class AxisSumMeasure:
         return float(sum(m.total_mass for m, _a, _d in self.terms))
 
     def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
+        """Sum of the axis measures' integrals; ``fn`` gets a tuple of ``dim``
+        equal-shape arrays, zero off the term's axis."""
         total = 0.0
         for measure, axis, dim in self.terms:
             def on_axis(u, axis=axis, dim=dim):
-                mark = [0.0] * dim
-                mark[axis] = u
-                return fn(tuple(mark))
+                zero = np.zeros_like(u)
+                return fn(tuple(u if j == axis else zero for j in range(dim)))
             total += measure.integrate(on_axis, breakpoints=breakpoints)
         return float(total)
 
@@ -167,13 +249,24 @@ class ThinningMarkMeasure:
         return self.v_max * self.levy.total_mass
 
     def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
-        """``breakpoints`` are v values where ``fn`` may jump, such as the
-        states x at which the thinning indicator 1{v < x} switches."""
-        points = sorted(p for p in breakpoints if 0.0 < p < self.v_max) or None
+        """Tensor-product rule: fixed Gauss-Legendre nodes in v on each piece
+        of (0, v_max) between ``breakpoints``, times the levy measure's rule
+        in zeta. ``breakpoints`` are v values where ``fn`` may jump, such as
+        the states x at which the thinning indicator 1{v < x} switches;
+        between them ``fn`` must be smooth in v (the rule is exact for
+        polynomials of degree 15). ``fn`` gets (v, zeta) as two arrays of
+        one shape."""
+        edges = np.array([0.0, *sorted(p for p in breakpoints if 0.0 < p < self.v_max),
+                          self.v_max])
+        nodes, weights = _GAUSS
+        half = 0.5 * np.diff(edges)[:, None]
+        v = ((0.5 * (edges[1:] + edges[:-1]))[:, None] + half * nodes).ravel()
+        w = (half * weights).ravel()
 
         def over_v(zeta):
-            return integrate.quad(lambda v: fn((v, zeta)), 0.0, self.v_max,
-                                  points=points, limit=200)[0]
+            marks = np.broadcast_arrays(v[:, None], np.asarray(zeta, dtype=float)[None, :])
+            return w @ np.broadcast_to(np.asarray(fn(tuple(marks)), dtype=float),
+                                       marks[0].shape)
         return self.levy.integrate(over_v)
 
 
@@ -290,7 +383,9 @@ class CompensatedKernel:
     """Finite-activity compensated jump part: events plus a compensator drift.
 
     ``fn(x, marks)`` is the jump size, elementwise: the solver passes states
-    of shape (E,) with marks of shape (E,) or (d, E), the validators scalars.
+    of shape (E,) with marks of shape (E,) or (d, E), a measure's
+    ``integrate`` a scalar state with arrays of marks, and the validators'
+    sampled checks scalars.
     """
 
     fn: Callable  # (x, marks) -> jump sizes

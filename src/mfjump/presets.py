@@ -202,7 +202,7 @@ class ThinningTruncModulus:
     levy: object
 
     def __call__(self, m: float) -> PowerModulus:
-        c2 = self.levy.integrate(lambda z: min(z, m) ** 2)
+        c2 = self.levy.integrate(lambda z: np.minimum(z, m) ** 2)
         return PowerModulus(math.sqrt(c2), 0.5)
 
 

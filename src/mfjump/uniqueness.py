@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize
 
-from .coeffs import PowerModulus, SystemSpec
+from .coeffs import PowerModulus, SystemSpec, panel_quadrature
 from .noise import TimeGrid
 from .solver import SchemeConfig, solve_batch
 from .system import _BLOCK, map_blocks
@@ -26,19 +25,20 @@ _FLATTEN_RETRIES = 60  # ramp halvings before build_phi gives up
 
 def _inv_rho_sq_integral(rho, a: float, b: float) -> float:
     """Integral of 1/rho^2 over [a, b], computed in log space (the integrand
-    is singular toward 0)."""
-    f = lambda s: math.exp(s) / float(rho(math.exp(s))) ** 2
-    return integrate.quad(f, math.log(a), math.log(b), limit=400)[0]
+    is singular toward 0); ``rho`` must act elementwise."""
+    return panel_quadrature(
+        lambda s: np.exp(s) / np.asarray(rho(np.exp(s)), dtype=float) ** 2,
+        math.log(a), math.log(b))
 
 
 def yw_sequence(rho, x_m: float, k_max: int) -> np.ndarray:
     """The decreasing thresholds a_0 = x_m > a_1 > ... > a_{k_max} with
     integral_{a_k}^{a_{k-1}} dz / rho(z)^2 = k.
 
-    Closed forms for power-law moduli; otherwise bracketed root finding, which
-    requires the modulus to declare a divergent integral. A power-law sequence
-    stops at its first threshold that underflows to 0.0: every later one is
-    0.0 too.
+    Closed forms for power-law moduli; otherwise bisection on the monotone
+    integral, to adjacent floats, which requires the modulus to declare a
+    divergent integral. A power-law sequence stops at its first threshold
+    that underflows to 0.0: every later one is 0.0 too.
     """
     if x_m <= 0:
         raise ValueError("x_m must be positive")
@@ -67,13 +67,18 @@ def yw_sequence(rho, x_m: float, k_max: int) -> np.ndarray:
                          "of integral dz/rho^2")
     for k in range(1, k_max + 1):
         prev = seq[-1]
-        target = lambda a: _inv_rho_sq_integral(rho, a, prev) - k
-        lo = prev / 2.0
-        while target(lo) < 0.0:
-            lo /= 2.0
+        # the integral over [a, prev] falls as a rises: it is >= k at lo, < k at hi
+        lo, hi = prev / 2.0, prev
+        while _inv_rho_sq_integral(rho, lo, prev) < k:
+            lo, hi = lo / 2.0, lo
             if lo < 1e-300:
                 raise ValueError("failed to bracket the next threshold")
-        seq.append(float(optimize.brentq(target, lo, prev * (1 - 1e-12))))
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if _inv_rho_sq_integral(rho, mid, prev) < k:
+                hi = mid
+            else:
+                lo = mid
+        seq.append(lo)
     return np.array(seq)
 
 
@@ -221,7 +226,6 @@ class DivergenceRow:
 @dataclass(frozen=True)
 class DivergenceReport:
     rows: tuple
-    phi_ks: tuple
     a_seq: np.ndarray
     n_paths: int
 
@@ -289,5 +293,4 @@ def refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
             mean_abs_terminal=float(np.abs(diff_t).max(axis=0).mean()),
             phi_moments=phi_moments))
     a_seq = family.a_seq if family is not None else np.array([])
-    return DivergenceReport(rows=tuple(rows), phi_ks=tuple(phi_ks),
-                            a_seq=a_seq, n_paths=n_paths)
+    return DivergenceReport(rows=tuple(rows), a_seq=a_seq, n_paths=n_paths)

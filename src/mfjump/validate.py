@@ -212,11 +212,12 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 
         # local boundedness of the (|g0| ^ |g0|^2)-integral
         states = np.linspace(0.0, _X_MAX, 9)[1:]
-        vals = []
-        for x in states:
-            vals.append(c.mu0.integrate(lambda u: min(abs(c.g0(x, u)),
-                                                      c.g0(x, u) ** 2)))
-        vals = np.array(vals)
+
+        def small_or_square(g):
+            return np.minimum(np.abs(g), g ** 2)
+        vals = np.array([c.mu0.integrate(lambda u: small_or_square(c.g0(x, u)),
+                                         breakpoints=_state_breakpoints(c.mu0, x))
+                         for x in states])
         finite = np.all(np.isfinite(vals))
         report.add("integral |g0| ^ |g0|^2 d(mu0) locally bounded",
                    PASS if finite else FAIL,
@@ -226,7 +227,7 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
         _check_truncated_modulus(
             report, rng, "g0", c.rho_m, "rho_m", 2,
             lambda x, y, m: c.mu0.integrate(
-                lambda u: (min(c.g0(x, u), m) - min(c.g0(y, u), m)) ** 2,
+                lambda u: (np.minimum(c.g0(x, u), m) - np.minimum(c.g0(y, u), m)) ** 2,
                 breakpoints=_state_breakpoints(c.mu0, x, y)))
     else:
         report.add("g0 conditions", PASS, "vacuous: component has no compensated jump kernel")
@@ -240,7 +241,9 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 
         growth = []
         for x in np.linspace(0.0, _X_MAX, 9)[1:]:
-            growth.append((x, c.g1.mu.integrate(lambda u: abs(c.g1.fn(x, u)))))
+            growth.append((x, c.g1.mu.integrate(
+                lambda u: np.abs(c.g1.fn(x, u)),
+                breakpoints=_state_breakpoints(c.g1.mu, x))))
         bad = [(x, v) for x, v in growth if v > c.growth_k * (1.0 + x) + _REL_SLACK]
         report.add("integral |g1| d(mu1) <= K(1+x) (declared K)",
                    FAIL if bad else PASS,
@@ -253,7 +256,9 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
         _check_truncated_modulus(
             report, rng, "g1", c.r_m, "r_m", 1,
             lambda x, y, m: c.g1.mu.integrate(
-                lambda u: abs(min(c.g1.fn(x, u), m) - min(c.g1.fn(y, u), m))))
+                lambda u: np.abs(np.minimum(c.g1.fn(x, u), m)
+                                 - np.minimum(c.g1.fn(y, u), m)),
+                breakpoints=_state_breakpoints(c.g1.mu, x, y)))
     else:
         report.add("g1 conditions", PASS, "vacuous: component has no uncompensated jump kernel")
 
@@ -303,7 +308,7 @@ def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
         if _witness(c.g1.fn, marks, pairs, _decreasing) is None:
             report.add("g1 increasing or dominated", PASS, "increasing branch")
         elif c.g1.dominator is not None:
-            m1 = c.g1.mu.integrate(lambda u: abs(c.g1.dominator(u)))
+            m1 = c.g1.mu.integrate(lambda u: np.abs(c.g1.dominator(u)))
             m2 = c.g1.mu.integrate(lambda u: c.g1.dominator(u) ** 2)
             dominated = all(abs(c.g1.fn(x, u)) <= abs(c.g1.dominator(u)) + _REL_SLACK
                             for u in marks for x in pairs[:, 1][:16])

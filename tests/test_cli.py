@@ -195,6 +195,37 @@ class TestValidate:
         code = main(["validate", "--scenario", scen, "--out", str(tmp_path / "o")])
         assert code == 0
 
+    SIGMA = ["sigma vanishes for x <= 0", "sigma modulus |sigma(x)-sigma(y)| <= rho(|x-y|)",
+             "integral dz/rho^2 diverges at 0"]
+    G0 = ["g0 increasing in the state", "g0(x,u) + x >= 0 for x >= 0",
+          "g0(x,u) = 0 for x <= 0", "integral |g0| ^ |g0|^2 d(mu0) locally bounded",
+          "g0 truncated L2 modulus <= rho_m^2", "integral dz/rho_m^2 diverges at 0"]
+    JUMPS = [SIGMA + G0 + ["g1 conditions"],
+             ["sigma bounded or increasing on R+", "g0 left-continuous in x (probe)"]]
+    CONSTANT = [["component 0: drift kind 'constant'"]]
+
+    @pytest.mark.parametrize("name, reports, bounded", [
+        ("cir", [SIGMA + ["g0 conditions", "g1 conditions"],
+                 ["sigma bounded or increasing on R+"]] + CONSTANT, None),
+        ("thinned-jumps", JUMPS + CONSTANT, "max over sampled states: 2.087"),
+        ("correlated-intensities", JUMPS * 3 + [
+            [f"component {i}: {cond}" for i in range(3)
+             for cond in ("b_i non-negative", "b_i increasing in each state",
+                          "b_i <= B + L*sum(x) (B=0.0, L=0.3333333333333333)")]],
+         "max over sampled states: 1.895"),
+    ])
+    def test_shipped_scenario_verdicts_are_pinned(self, name, reports, bounded, tmp_path):
+        # every condition of every report passes, in this order, and the
+        # local-boundedness integral reads the same four digits
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", f"{name}.json")
+        assert main(["validate", "--scenario", scen, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "validation.json").read_text())
+        assert [[c["name"] for c in entry["conditions"]] for entry in report] == reports
+        assert all(c["status"] == "pass" for entry in report for c in entry["conditions"])
+        details = {c["detail"] for entry in report for c in entry["conditions"]
+                   if c["name"] == "integral |g0| ^ |g0|^2 d(mu0) locally bounded"}
+        assert details == ({bounded} if bounded else set())
+
 
 class TestApprox:
     def test_deterministic_mode_is_selected_and_noted(self, tmp_path):

@@ -363,7 +363,7 @@ class TestThinningPreset:
         c2 = mass * (2 * mean ** 2 * (1 - math.exp(-m / mean))
                      - 2 * mean * m * math.exp(-m / mean))
         val = comp.mu0.integrate(
-            lambda u: (min(comp.g0(x, u), m) - min(comp.g0(y, u), m)) ** 2,
+            lambda u: (np.minimum(comp.g0(x, u), m) - np.minimum(comp.g0(y, u), m)) ** 2,
             breakpoints=_state_breakpoints(comp.mu0, x, y))
         assert val == pytest.approx((y - x) * c2, rel=1e-9)
 
