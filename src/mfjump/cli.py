@@ -152,15 +152,17 @@ def cmd_simulate(args) -> int:
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = result.quantiles(qs)
 
+    times = [repr(t) for t in grid.points.tolist()]
     curves = [*zip(map(str, range(spec.n)), result.mean, result.se),
               ("average", result.avg_mean, result.avg_se)]
     _write_csv(out, "aggregate.csv", ["time", "component", "mean", "se"], (
-        [repr(float(t)), label, repr(float(mean[j])), repr(float(se[j]))]
-        for label, mean, se in curves for j, t in enumerate(grid.points)))
+        [t, label, repr(m), repr(s)]
+        for label, mean, se in curves
+        for t, m, s in zip(times, mean.tolist(), se.tolist())))
     _write_csv(out, "paths.csv", ["path_id", "component", "time", "value"], (
-        [str(p), str(i), repr(float(t)), repr(float(v))]
+        [str(p), str(i), t, repr(v)]
         for p in range(result.values.shape[1]) for i in range(spec.n)
-        for t, v in zip(grid.points, result.values[i, p])))
+        for t, v in zip(times, result.values[i, p].tolist())))
 
     summary = {
         "name": scenario.name,

@@ -354,7 +354,7 @@ class ThinningMarkSampler:
             z = rng.choice(zetas, size=size, p=probs / probs.sum())
         else:
             z = rng.exponential(self.exp_mean, size)
-        return np.stack((v, z))
+        return np.array((v, z))
 
 
 # ---------------------------------------------------------------------------

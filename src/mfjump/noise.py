@@ -291,6 +291,22 @@ def _event_arrays(drawn: list) -> EventArrays:
                        marks=np.concatenate([m for _, m in hits], axis=-1))
 
 
+def _consecutive_rows(arrays: list):
+    """``base[i:i + len(arrays)]``, a view, when ``arrays`` are the rows i,
+    i + 1, ... of one array ``base`` in order; None otherwise."""
+    base = arrays[0].base
+    if not isinstance(base, np.ndarray) or base.ndim != arrays[0].ndim + 1 \
+            or base.strides[0] <= 0:
+        return None
+    start = (arrays[0].ctypes.data - base.ctypes.data) // base.strides[0]
+    rows = base[start:start + len(arrays)]
+    if len(rows) == len(arrays) and all(
+            x.base is base and x.ctypes.data == r.ctypes.data and x.shape == r.shape
+            and x.strides == r.strides for x, r in zip(arrays, rows)):
+        return rows
+    return None
+
+
 @dataclass(frozen=True)
 class NoiseBatch:
     """The driving randomness of a block of paths, one row per path.
@@ -302,8 +318,8 @@ class NoiseBatch:
     """
 
     grid: TimeGrid
-    brownian: dict  # factor -> (n_paths, n_steps)
-    stable: dict  # factor -> (n_paths, n_steps)
+    brownian: dict  # factor -> (n_paths, n_steps); from make_batch, rows of one array
+    stable: dict  # factor -> (n_paths, n_steps); likewise
     events: dict  # measure_id -> EventArrays over the rows
     lineages: tuple  # per row: (master_seed, path_index)
 
@@ -330,10 +346,16 @@ class NoiseBatch:
             raise ValueError("coarsening factor must divide the step count")
         if factor == 1:
             return self
-        agg = lambda a: a.reshape(a.shape[0], -1, factor).sum(axis=2)
+        agg = lambda a: a.reshape(*a.shape[:-1], -1, factor).sum(axis=-1)
+
+        def agg_views(views: dict) -> dict:
+            # the rows of one stacked draw are aggregated as one array
+            rows = _consecutive_rows(list(views.values())) if views else None
+            if rows is None:
+                return {f: agg(v) for f, v in views.items()}
+            return dict(zip(views, agg(rows)))
         return NoiseBatch(grid=TimeGrid(self.grid.points[::factor]),
-                          brownian={f: agg(v) for f, v in self.brownian.items()},
-                          stable={f: agg(v) for f, v in self.stable.items()},
+                          brownian=agg_views(self.brownian), stable=agg_views(self.stable),
                           events=self.events, lineages=self.lineages)
 
 
@@ -355,21 +377,29 @@ def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
     prefix, n = ((), 1) if branch is None else ((_KIND_NESTED, *branch[0]), branch[1])
     shape = (n, grid.n_steps)
 
-    def block(stream, draw, scale):
-        out = np.concatenate(draw_rows(master_seed, paths, prefix + stream, draw))
-        out *= scale
-        return out
+    alphas = dict(sorted(layout.stable_alphas.items()))
+    if not all(1.0 < alpha <= 2.0 for alpha in alphas.values()):
+        raise ValueError("alpha must lie in (1, 2] (compensation needs alpha > 1)")
 
-    brownian = {fac: block((_KIND_BROWNIAN, fac), lambda rng: rng.standard_normal(shape),
-                           np.sqrt(grid.dt))
-                for fac in layout.brownian_factors}
-    stable = {}
-    for fac, alpha in sorted(layout.stable_alphas.items()):
-        if not 1.0 < alpha <= 2.0:
-            raise ValueError("alpha must lie in (1, 2] (compensation needs alpha > 1)")
-        stable[fac] = block((_KIND_STABLE, fac),
-                            lambda rng: _stable_standard(alpha, shape, rng),
-                            _stable_scale(alpha, grid.dt))
+    def stacked(kind, factors, fill, scale):
+        """Every factor's scaled draws in one (F, rows, n_steps) array, returned
+        as its rows by factor; path p's draws fill its n rows of each."""
+        out = np.empty((len(factors), len(paths) * n, grid.n_steps))
+        for fac, arr in zip(factors, out):
+            rows = iter(arr.reshape(len(paths), *shape))
+            draw_rows(master_seed, paths, prefix + (kind, fac),
+                      lambda rng: fill(rng, fac, next(rows)))
+            arr *= scale(fac)
+        return dict(zip(factors, out))
+
+    def fill_stable(rng, fac, row):
+        row[...] = _stable_standard(alphas[fac], shape, rng)
+
+    brownian = stacked(_KIND_BROWNIAN, layout.brownian_factors,
+                       lambda rng, _fac, row: rng.standard_normal(out=row),
+                       lambda _fac: np.sqrt(grid.dt))
+    stable = stacked(_KIND_STABLE, list(alphas), fill_stable,
+                     lambda fac: _stable_scale(alphas[fac], grid.dt))
     events = {}
     subs = [()] if branch is None else [(m,) for m in range(n)]
     for idx, ms in enumerate(layout.measures):

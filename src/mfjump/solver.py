@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSet, DriftSpec, drift_values
-from .noise import NoiseBatch, TimeGrid
+from .noise import NoiseBatch, TimeGrid, _consecutive_rows
 from .paths import CadlagPath, StaircasePath
 
 EXPLICIT = "explicit-euler-clipped"
@@ -100,10 +100,14 @@ class BatchResult:
 
 def _stack(arrays):
     """One noise array for a group: a singleton's own, a broadcast view of
-    one that every member shares, or the members' arrays stacked."""
-    if len(arrays) > 1 and all(x is arrays[0] for x in arrays):
+    one that every member shares, a slice of the batch's stacked draw when the
+    members' arrays are consecutive rows of it, or else the arrays stacked."""
+    if len(arrays) == 1:
+        return arrays[0]
+    if all(x is arrays[0] for x in arrays):
         return np.broadcast_to(arrays[0], (len(arrays),) + arrays[0].shape)
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+    rows = _consecutive_rows(arrays)
+    return np.stack(arrays) if rows is None else rows
 
 
 def _prepare_parts(components, batch: NoiseBatch, cfg: SchemeConfig):
@@ -127,10 +131,14 @@ def _prepare_parts(components, batch: NoiseBatch, cfg: SchemeConfig):
             c2 = 1.0 - c1
         comps = [components[i] for i in members]
         dw = None
-        if sigma is not None:  # row by row, so no member's sum is held twice
+        if sigma is not None:  # in place, one row per member
             dw = np.empty((len(comps), batch.n_paths, batch.grid.n_steps))
             for row, c in zip(dw, comps):
-                row[...] = sum(t.weight * batch.brownian[t.factor] for t in c.brownian)
+                first, *rest = c.brownian
+                np.multiply(first.weight, batch.brownian[first.factor], out=row)
+                row += 0.0  # the sum starts at 0, which turns -0.0 into 0.0
+                for t in rest:
+                    row += t.weight * batch.brownian[t.factor]
             dw = dw[0] if len(comps) == 1 else dw
         factors = zip(*([t.factor for t in c.stable_terms if t.coef != 0.0] for c in comps))
         dz = [(coef, 1.0 / alpha, _stack([batch.stable[f] for f in fs]))

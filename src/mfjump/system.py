@@ -4,7 +4,10 @@ All components advance simultaneously off the pre-step state vector
 (Jacobi-style), so component relabeling commutes with solving. Ensembles are
 processed in fixed path-index blocks, each drawing its noise once in
 ``map_blocks``, and reduced in block order, which makes results independent
-of the parallelism degree.
+of the parallelism degree. ``run_ensemble`` solves a slab of consecutive
+``_BLOCK``-path blocks at once, as wide as the scenario's value array allows,
+and still reduces each block on its own: the solve unit is the slab, the
+reduction unit the block, and every path is solved row by row the same.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from .noise import NoiseBatch, TimeGrid, make_batch
 from .solver import NumericsError, SchemeConfig, _require_one_row, solve_batch
 
 _BLOCK = 512  # fixed ensemble block size; independent of --jobs
+_SLAB_BYTES = 4 << 20  # value-array budget of one simulate solve (whole blocks)
 
 
 def solve_system(spec: SystemSpec, noise: NoiseBatch, cfg: SchemeConfig):
@@ -62,12 +66,21 @@ def _pooled_block(task, bounds):
         return None, exc
 
 
+def _rungs(grid, layout, master_seed, paths, factors):
+    """The draw on ``grid`` coarsened by each factor in turn. The generator
+    lets go of the draw before it yields the last rung, so a block that drops
+    that rung frees its noise."""
+    held = [make_batch(grid, layout, master_seed, paths)]
+    for factor in factors[:-1]:
+        yield held[0].coarsen(factor)
+    yield held.pop().coarsen(factors[-1])
+
+
 def _drawn_block(fn, spec, grid, factors, master_seed, args, bounds):
     """``fn(*args, lo, rungs)`` on block [lo, hi): its noise is drawn once on
     ``grid``, and ``rungs`` yields that draw coarsened by each factor in turn."""
     lo, hi = bounds
-    batch = make_batch(grid, spec.noise_layout(), master_seed, range(lo, hi))
-    return fn(*args, lo, (batch.coarsen(factor) for factor in factors))
+    return fn(*args, lo, _rungs(grid, spec.noise_layout(), master_seed, range(lo, hi), factors))
 
 
 def map_blocks(fn, spec: SystemSpec, grid: TimeGrid, factors, n_paths: int, block: int,
@@ -110,19 +123,49 @@ def _mean_se(summaries):
     return mean, np.sqrt(m2 / (n * max(n - 1, 1)))
 
 
+def _slab_rows(n_components: int, n_steps: int) -> int:
+    """Paths per solve: the most whole blocks whose (n_components, rows,
+    n_steps) float64 array fits in ``_SLAB_BYTES``, and at least one block."""
+    block_bytes = 8 * n_components * n_steps * _BLOCK
+    return _BLOCK * max(1, _SLAB_BYTES // block_bytes)
+
+
+def _solve_slab(spec, cfg, batch):
+    """The slab's solve. On a non-finite state the error is the one the first
+    failing ``_BLOCK``-path block raises alone, as a block-by-block run reports."""
+    initial = spec.initial[:, None]
+    try:
+        return solve_batch(spec.components, spec.drifts, batch, cfg, initial=initial)
+    except NumericsError as exc:
+        if batch.n_paths <= _BLOCK:
+            raise
+        slab_error = exc
+    seed, paths = batch.lineages[0][0], [p for _seed, p in batch.lineages]
+    for lo in range(0, len(paths), _BLOCK):
+        block = make_batch(batch.grid, spec.noise_layout(), seed, paths[lo:lo + _BLOCK])
+        solve_batch(spec.components, spec.drifts, block, cfg, initial=initial)
+    raise slab_error
+
+
 def _ensemble_block(spec, cfg, section_idx, keep_paths, lo, rungs):
+    """One slab of paths, solved at once and reduced per ``_BLOCK``-path block."""
     (batch,) = rungs
-    result = solve_batch(spec.components, spec.drifts, batch, cfg,
-                         initial=spec.initial[:, None])
+    points = batch.grid.points
+    result = _solve_slab(spec, cfg, batch)
+    del batch  # the reductions do not need the noise
     vals = result.values  # (N, P, K+1)
-    integ = np.trapezoid(vals, x=batch.grid.points, axis=2)  # (N, P)
-    return {
+    moments = []
+    for b in range(0, vals.shape[1], _BLOCK):
+        block = vals[:, b:b + _BLOCK]
+        integ = np.trapezoid(block, x=points, axis=2)  # (N, B)
         # per path-axis statistic: the components, their average, the integrals
-        "moments": [_moments(vals.transpose(1, 0, 2)), _moments(vals.mean(axis=0)),
-                    _moments(integ.T)],
+        moments.append((_moments(block.transpose(1, 0, 2)), _moments(block.mean(axis=0)),
+                        _moments(integ.T)))
+    return {
+        "moments": moments,
         "sections": vals[:, :, section_idx].transpose(1, 0, 2),
         "warnings": result.warnings,
-        # a copy, so the block's full value array is not kept alive
+        # a copy, so the slab's full value array is not kept alive
         "values": vals[:, :max(0, keep_paths - lo)].copy(),
     }
 
@@ -131,23 +174,27 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
                  master_seed: int, jobs: int = 1, keep_paths: int = 0) -> EnsembleResult:
     """Simulate n_paths independent trajectories of the system.
 
-    Path p always uses the noise with lineage (master_seed, p); blocks are
-    merged in index order, so the output is byte-identical for any ``jobs``.
-    The values of paths ``0 .. keep_paths-1`` are kept in ``values``, and
-    every ``max(1, n_steps // 8)``-th grid point is a section time.
+    Path p always uses the noise with lineage (master_seed, p). Paths are
+    solved in slabs of whole ``_BLOCK``-path blocks, sized by the scenario
+    alone, and reduced per block, merged in block order, so the output is
+    byte-identical for any ``jobs``. The values of paths ``0 .. keep_paths-1``
+    are kept in ``values``, and every ``max(1, n_steps // 8)``-th grid point is
+    a section time.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
     section_idx = np.arange(0, grid.n_steps + 1, max(1, grid.n_steps // 8))
 
-    partials = map_blocks(_ensemble_block, spec, grid, [1], n_paths, _BLOCK, master_seed,
+    slab = _slab_rows(spec.n, grid.n_steps)
+    partials = map_blocks(_ensemble_block, spec, grid, [1], n_paths, slab, master_seed,
                           jobs, spec, cfg, section_idx, keep_paths)
+    blocks = [m for part in partials for m in part["moments"]]  # in block order
 
     warns = []
     for part in partials:  # fixed block order
         warns.extend(w for w in part["warnings"] if w not in warns)
     (mean, se), (avg_mean, avg_se), (integ_mean, integ_se) = (
-        _mean_se([part["moments"][i] for part in partials]) for i in range(3))
+        _mean_se([block[i] for block in blocks]) for i in range(3))
     return EnsembleResult(
         grid=grid, n_paths=n_paths, mean=mean, se=se,
         avg_mean=avg_mean, avg_se=avg_se,

@@ -266,6 +266,22 @@ class TestBundles:
         with pytest.raises(ValueError):
             batch.coarsen(5)
 
+    def test_factors_are_rows_of_one_array_and_coarsen_keeps_them(self):
+        # every factor of a kind is a row of one (F, rows, n_steps) draw, and
+        # coarsen aggregates that draw once, bit for bit as factor by factor
+        grid = unit_grid(16)
+        for branch in (None, ((1, 2), 3)):
+            batch = make_batch(grid, self.layout(), 2, [0, 3], branch=branch)
+            coarse = batch.coarsen(4)
+            for key in ("brownian", "stable"):
+                fine, agg = getattr(batch, key), getattr(coarse, key)
+                for views in (fine, agg):
+                    base = views[min(views)].base
+                    assert base.shape[0] == len(views)
+                    assert all(v.base is base for v in views.values())
+                for f in fine:
+                    assert np.array_equal(agg[f], fine[f].reshape(-1, 4, 4).sum(axis=2))
+
     def test_factor_draws_do_not_depend_on_layout(self):
         # streams are keyed by factor index, so adding factors leaves the
         # existing ones untouched

@@ -9,7 +9,7 @@ from mfjump import (CadlagPath, DriftSpec, EventArrays, NumericsError,
                     SchemeConfig, StaircasePath, TimeGrid, compare_ordered,
                     make_batch, preset_cir, preset_example21, solve_batch,
                     solve_onedim)
-from mfjump.coeffs import (CoefficientSet, CompensatedKernel, JumpKernel,
+from mfjump.coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, JumpKernel,
                            PowerDiffusion, PowerModulus, SqrtDiffusion,
                            ThinningKernel, ThinningMarkSampler, ZeroFn)
 from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout
@@ -482,3 +482,27 @@ class TestStackedGroups:
         # the common stable factor Z^0 is one array seen by every member
         common = parts[0].stable[0][2]
         assert np.shares_memory(common, batch.stable[0])
+
+    @pytest.mark.parametrize("a, copied", [(1.0, False), ([1.0, 2.0, 1.0], True)])
+    def test_consecutive_factors_are_a_slice_of_the_draw(self, a, copied):
+        # members 0..2 take Z^1..Z^3, consecutive rows of the batch's stable
+        # draw, so the group reads a slice; members 0 and 2 (Z^1, Z^3) get a copy
+        spec = preset_example21(3, a=a, sigma=0.4, sigma0=0.2, sigma_z=0.2,
+                                sigma_z0=0.1)
+        batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 5, range(2))
+        parts, _warns = _prepare_parts(spec.components, batch, SchemeConfig())
+        own = parts[0].stable[1][2]
+        members = parts[0].idx
+        assert np.array_equal(own, np.stack([batch.stable[i + 1] for i in members]))
+        assert np.shares_memory(own, batch.stable[1]) is not copied
+
+    def test_zero_loading_gives_a_positive_zero_increment(self):
+        # dw = 0 + sum of weight * B, as sum() adds: -0.0 becomes 0.0
+        comp = CoefficientSet(a=1.0, sigma=SqrtDiffusion(0.3),
+                              brownian=(BrownianTerm(factor=0, weight=-0.0),),
+                              rho=PowerModulus(1.0, 0.5))
+        batch = make_batch(TimeGrid.uniform(1.0, 8), NoiseLayout(brownian_factors=(0,)),
+                           0, range(4))
+        parts, _warns = _prepare_parts([comp], batch, SchemeConfig())
+        assert np.all(parts[0].dw == 0.0)
+        assert not np.signbit(parts[0].dw).any()

@@ -1,13 +1,22 @@
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import mfjump.system
-from mfjump import (DriftSpec, SchemeConfig, TimeGrid, make_batch, permute_system,
-                    preset_cir, preset_example21, run_ensemble, solve_batch,
-                    solve_onedim, solve_system)
+from mfjump import (DriftSpec, ExponentialMeasure, NumericsError, SchemeConfig, TimeGrid,
+                    make_batch, permute_system, preset_cir, preset_example21,
+                    run_ensemble, solve_batch, solve_onedim, solve_system,
+                    thinning_system)
+from mfjump.coeffs import CoefficientSet, PowerDiffusion, PowerModulus, SystemSpec
+
+
+def slab_bytes(blocks, n_components, n_steps):
+    """A slab budget of ``blocks`` 512-path blocks."""
+    return blocks * 8 * n_components * n_steps * 512
 
 
 def example_spec(n=2, **kw):
@@ -144,6 +153,7 @@ class TestEnsemble:
         assert np.array_equal(lone[:, 0], block[:, 2])
 
     def test_one_draw_per_block(self, monkeypatch):
+        # one draw per slab: a two-block budget solves 1,200 paths in two draws
         draws, draw = [], mfjump.system.make_batch
 
         def counting_draw(grid, layout, seed, paths):
@@ -151,9 +161,84 @@ class TestEnsemble:
             return draw(grid, layout, seed, paths)
 
         monkeypatch.setattr(mfjump.system, "make_batch", counting_draw)
+        monkeypatch.setattr(mfjump.system, "_SLAB_BYTES", slab_bytes(2, 1, 8))
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         run_ensemble(spec, SchemeConfig(), TimeGrid.uniform(1.0, 8), 1200, 0)
-        assert draws == [(0, 511), (512, 1023), (1024, 1199)]
+        assert draws == [(0, 1023), (1024, 1199)]
+
+    def test_block_can_drop_its_draw_on_the_last_rung(self, monkeypatch):
+        # the rungs generator lets go of the draw before its last rung, so a
+        # block that drops that rung frees the noise before it reduces
+        refs, draw = [], mfjump.system.make_batch
+
+        def recording_draw(grid, layout, seed, paths):
+            batch = draw(grid, layout, seed, paths)
+            refs.append(weakref.ref(batch))
+            return batch
+
+        def block(_lo, rungs):
+            steps = []
+            for batch in rungs:
+                steps.append(batch.grid.n_steps)
+                del batch
+            return steps, refs[-1]() is None
+
+        monkeypatch.setattr(mfjump.system, "make_batch", recording_draw)
+        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
+        out = mfjump.system.map_blocks(block, spec, TimeGrid.uniform(1.0, 8), [4, 1],
+                                       10, 512, 0, 1)
+        assert out == [([2, 8], True)]
+
+    def test_slab_width_is_set_by_the_scenario(self):
+        # 4 MiB of (N, rows, n_steps) float64, in whole 512-path blocks
+        assert mfjump.system._slab_rows(1, 512) == 1024  # thinned-jumps
+        assert mfjump.system._slab_rows(3, 256) == 512  # correlated-intensities
+        assert mfjump.system._slab_rows(1, 1024) == 512  # cir
+        assert mfjump.system._slab_rows(3, 4096) == 512  # never below one block
+
+    @pytest.mark.parametrize("spec", [
+        example_spec(a=20.0),  # a*dt = 1.25 > 1: every solve warns
+        thinning_system(ExponentialMeasure(mass=2.0, mean=0.4), v_max=4.0, sigma=0.3),
+    ], ids=["stable-warns", "thinned-jumps"])
+    def test_slab_width_does_not_change_results(self, monkeypatch, spec):
+        # 1,300 paths: two whole blocks and a partial third, solved one block
+        # per slab and then all three in one slab
+        grid = TimeGrid.uniform(1.0, 16)
+        results = []
+        for blocks in (1, 3):
+            monkeypatch.setattr(mfjump.system, "_SLAB_BYTES", slab_bytes(blocks, spec.n, 16))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                results.append(run_ensemble(spec, SchemeConfig(), grid, 1300, 4,
+                                            keep_paths=1100))
+        one, three = results
+        for name in ("mean", "se", "avg_mean", "avg_se", "integral_mean", "integral_se",
+                     "section_times", "section_values", "values"):
+            assert np.array_equal(getattr(one, name), getattr(three, name)), name
+        assert one.values.shape == (spec.n, 1100, 17)
+        assert one.warnings == three.warnings
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_slab_raises_the_first_failing_blocks_error(self, monkeypatch, jobs):
+        # path 858 (block 2) overflows at step 10, before path 321 (block 1)
+        # at step 14; a block-by-block run reports path 321
+        from mfjump.coeffs import BrownianTerm
+        comp = CoefficientSet(a=1.0, sigma=PowerDiffusion(50.0, 3.0),
+                              brownian=(BrownianTerm(factor=1, weight=1.0),),
+                              rho=PowerModulus(1.0, 0.5))
+        spec = SystemSpec(components=(comp,), drifts=(DriftSpec.constant(1.0),),
+                          initial=np.array([0.2]))
+        grid = TimeGrid.uniform(1.0, 64)
+        with pytest.raises(NumericsError) as slab_err:
+            solve_batch(spec.components, spec.drifts,
+                        make_batch(grid, spec.noise_layout(), 0, range(1024)),
+                        SchemeConfig(), spec.initial[:, None])
+        assert (slab_err.value.path_index, slab_err.value.step) == (858, 10)
+        monkeypatch.setattr(mfjump.system, "_SLAB_BYTES", slab_bytes(2, 1, 64))
+        with pytest.raises(NumericsError) as err:
+            run_ensemble(spec, SchemeConfig(), grid, 1536, 0, jobs=jobs)
+        assert (err.value.path_index, err.value.step) == (321, 14)
+        assert "path 321" in str(err.value)
 
     def test_rejects_empty_ensemble(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
