@@ -56,12 +56,12 @@ class CallableModulus:
 # measures (validation-side integrals; generation uses noise.MeasureSpec)
 
 
-# Every measure's ``integrate(fn, breakpoints)`` calls ``fn`` on an array of
-# marks, or on a tuple of equal-shape arrays for product marks, and ``fn``
-# must answer elementwise with an array of that shape (``np.minimum`` and
-# ``np.abs``, not ``min`` and ``abs``). This is the ``CompensatedKernel.fn``
-# contract of the solver. ``breakpoints`` are marks where ``fn`` may jump or
-# kink; each becomes a panel edge.
+# The one kernel contract: ``fn(x, marks)``, or ``fn(marks)`` for an integrand,
+# takes marks of shape (...), or (d, ...) for marks in R^d, with ``x``
+# broadcast against their trailing shape, and answers elementwise
+# (``np.minimum`` and ``np.abs``, not ``min`` and ``abs``). The solver, every
+# measure's ``integrate(fn, breakpoints)`` and the validators all call it so.
+# ``breakpoints`` are marks where ``fn`` may jump or kink; each is a panel edge.
 
 
 def _lobatto(n: int):
@@ -226,13 +226,14 @@ class AxisSumMeasure:
         return float(sum(m.total_mass for m, _a, _d in self.terms))
 
     def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
-        """Sum of the axis measures' integrals; ``fn`` gets a tuple of ``dim``
-        equal-shape arrays, zero off the term's axis."""
+        """Sum of the axis measures' integrals; ``fn`` gets marks of shape
+        (dim, ...), zero off the term's axis."""
         total = 0.0
         for measure, axis, dim in self.terms:
             def on_axis(u, axis=axis, dim=dim):
-                zero = np.zeros_like(u)
-                return fn(tuple(u if j == axis else zero for j in range(dim)))
+                marks = np.zeros((dim,) + np.shape(u))
+                marks[axis] = u
+                return fn(marks)
             total += measure.integrate(on_axis, breakpoints=breakpoints)
         return float(total)
 
@@ -254,8 +255,8 @@ class ThinningMarkMeasure:
         in zeta. ``breakpoints`` are v values where ``fn`` may jump, such as
         the states x at which the thinning indicator 1{v < x} switches;
         between them ``fn`` must be smooth in v (the rule is exact for
-        polynomials of degree 15). ``fn`` gets (v, zeta) as two arrays of
-        one shape."""
+        polynomials of degree 15). ``fn`` gets marks of shape (2, ...), the
+        rows v and zeta."""
         edges = np.array([0.0, *sorted(p for p in breakpoints if 0.0 < p < self.v_max),
                           self.v_max])
         nodes, weights = _GAUSS
@@ -264,9 +265,8 @@ class ThinningMarkMeasure:
         w = (half * weights).ravel()
 
         def over_v(zeta):
-            marks = np.broadcast_arrays(v[:, None], np.asarray(zeta, dtype=float)[None, :])
-            return w @ np.broadcast_to(np.asarray(fn(tuple(marks)), dtype=float),
-                                       marks[0].shape)
+            marks = np.array(np.broadcast_arrays(v[:, None], np.asarray(zeta, dtype=float)))
+            return w @ np.broadcast_to(np.asarray(fn(marks), dtype=float), marks.shape[1:])
         return self.levy.integrate(over_v)
 
 
@@ -309,11 +309,9 @@ class StablePowerKernel:
     alphas: tuple
 
     def __call__(self, x, mark):
-        x = max(float(x), 0.0) if np.isscalar(x) else np.maximum(x, 0.0)
-        total = 0.0
-        for coef, alpha, u in zip(self.coefs, self.alphas, mark):
-            total = total + coef * u * x ** (1.0 / alpha)
-        return total
+        x = np.maximum(x, 0.0)
+        return sum(coef * u * x ** (1.0 / alpha)
+                   for coef, alpha, u in zip(self.coefs, self.alphas, mark))
 
 
 @dataclass(frozen=True)
@@ -382,10 +380,10 @@ class StableTerm:
 class CompensatedKernel:
     """Finite-activity compensated jump part: events plus a compensator drift.
 
-    ``fn(x, marks)`` is the jump size, elementwise: the solver passes states
-    of shape (E,) with marks of shape (E,) or (d, E), a measure's
-    ``integrate`` a scalar state with arrays of marks, and the validators'
-    sampled checks scalars.
+    ``fn(x, marks)`` is the jump size under the one kernel contract (above
+    the measures): the solver passes states (E,) with marks (E,) or (d, E), a
+    measure's ``integrate`` one state with arrays of marks, and the
+    validators states (n,) with marks (M, 1) or (d, M, 1).
     """
 
     fn: Callable  # (x, marks) -> jump sizes
@@ -396,8 +394,8 @@ class CompensatedKernel:
 
 @dataclass(frozen=True)
 class JumpKernel:
-    """Uncompensated jump part g1 against a point-process measure; ``fn`` has
-    the elementwise ``fn(x, marks)`` contract of ``CompensatedKernel.fn``."""
+    """Uncompensated jump part g1 against a point-process measure; ``fn`` and
+    the ``dominator`` G(marks) follow the contract of ``CompensatedKernel.fn``."""
 
     fn: Callable
     measure: MeasureSpec

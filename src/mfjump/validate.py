@@ -2,7 +2,8 @@
 
 These are finite-budget falsifiers, not proofs: each condition is probed on
 sampled states/pairs/marks and reported pass, fail (with a witness), or
-unchecked (divergence conditions for non-power-law moduli).
+unchecked (divergence conditions for non-power-law moduli). Kernels are called
+on arrays (``coeffs.CompensatedKernel.fn``); a NaN, or an infinite kernel value, fails.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import (CoefficientSet, PowerModulus, SystemSpec, ThinningMarkMeasure,
-                     drift_values)
+from .coeffs import (AxisSumMeasure, CoefficientSet, PointMassMeasure, PowerModulus,
+                     SystemSpec, ThinningMarkMeasure, drift_values)
 
 PASS, FAIL, UNCHECKED = "pass", "fail", "unchecked"
 
@@ -67,19 +68,16 @@ class ValidationReport:
 
 
 def _sample_marks(mu, rng, n):
-    """Representative marks for sampled kernel checks, drawn from the measure
-    geometry rather than its (possibly infinite-mass) law."""
-    from .coeffs import (AxisSumMeasure, PointMassMeasure, ThinningMarkMeasure)
+    """Representative marks for sampled kernel checks, in the kernels' layout
+    (M,) or (d, M), drawn from the measure geometry rather than its (possibly
+    infinite-mass) law."""
     if isinstance(mu, PointMassMeasure):
-        return [u for u, _m in mu.atoms] * max(1, n // len(mu.atoms))
+        return np.array([u for u, _m in mu.atoms] * max(1, n // len(mu.atoms)), dtype=float)
     if isinstance(mu, AxisSumMeasure):
-        marks = []
         sizes = 10.0 ** rng.uniform(-2, 1, n)
-        for k, u in enumerate(sizes):
-            _measure, axis, dim = mu.terms[k % len(mu.terms)]
-            mark = [0.0] * dim
-            mark[axis] = float(u)
-            marks.append(tuple(mark))
+        marks = np.zeros((mu.terms[0][2], n))
+        axes = [mu.terms[k % len(mu.terms)][1] for k in range(n)]
+        marks[axes, np.arange(n)] = sizes
         return marks
     if isinstance(mu, ThinningMarkMeasure):
         v = rng.uniform(0.0, mu.v_max, n)
@@ -87,9 +85,9 @@ def _sample_marks(mu, rng, n):
             zetas = rng.choice([z for z, _m in mu.levy.atoms], size=n)
         else:
             zetas = 10.0 ** rng.uniform(-2, 1, n)
-        return list(zip(v.tolist(), np.asarray(zetas, dtype=float).tolist()))
+        return np.array((v, np.asarray(zetas, dtype=float)))
     # generic one-dimensional mark space
-    return (10.0 ** rng.uniform(-2, 1, n)).tolist()
+    return 10.0 ** rng.uniform(-2, 1, n)
 
 
 def _state_breakpoints(mu, *states) -> tuple:
@@ -117,27 +115,36 @@ def _divergence_status(modulus, which: str):
     return UNCHECKED, "non-power-law modulus without a divergence declaration"
 
 
+def _over_marks(fn, marks, states):
+    """Kernel values g[k, i] = fn(states[i], mark k) from one call, shape
+    (M,) + states.shape for marks of shape (M,) or (d, M)."""
+    shape = (marks.shape[-1],) + states.shape
+    g = fn(states.ravel(), marks[..., None])
+    return np.broadcast_to(np.asarray(g, dtype=float), (shape[0], states.size)).reshape(shape)
+
+
 def _witness(fn, marks, states, violates):
     """``(*state, u)`` for the first mark u and, under it, the first state
-    whose kernel values ``violates`` flags, or None. ``states`` is (n,), or
-    (n, 2) for a condition on ordered pairs; ``violates(states, g)`` gets the
-    values g = fn(x, u) in the same shape and returns one flag per state."""
-    for u in marks:
-        g = np.array([fn(x, u) for x in states.ravel()]).reshape(states.shape)
-        bad = np.flatnonzero(violates(states, g))
-        if bad.size:
-            return (*np.atleast_1d(states[bad[0]]).tolist(), u)
-    return None
+    that ``violates(states, g)`` flags (shape (M, n), g from ``_over_marks``),
+    or None. ``states`` is (n,), or (n, 2) for ordered pairs; the mark is a
+    float, or a tuple of floats for marks in R^d."""
+    bad = np.argwhere(violates(states, _over_marks(fn, marks, states)))
+    if not bad.size:
+        return None
+    k, i = bad[0]
+    u = marks[..., k].tolist()
+    return (*np.atleast_1d(states[i]).tolist(), tuple(u) if isinstance(u, list) else u)
 
 
 def _decreasing(_pairs, g):
-    """Ordered pairs x <= y at which g(x, u) > g(y, u) beyond slack."""
-    return g[:, 0] > g[:, 1] + _REL_SLACK * (1.0 + np.abs(g[:, 1]))
+    """Pairs x <= y with g(x, u) > g(y, u) beyond slack, or a non-finite g."""
+    return ((g[..., 0] > g[..., 1] + _REL_SLACK * (1.0 + np.abs(g[..., 1])))
+            | ~np.isfinite(g).all(axis=-1))
 
 
 def _below_minus_state(xs, g):
-    """States at which g(x, u) + x < 0 beyond slack."""
-    return g + xs < -_REL_SLACK
+    """States at which g(x, u) + x < 0 beyond slack, or g is not finite."""
+    return (g + xs < -_REL_SLACK) | ~np.isfinite(g)
 
 
 def _check_truncated_modulus(report, rng, kernel, modulus, name, power, distance):
@@ -156,7 +163,7 @@ def _check_truncated_modulus(report, rng, kernel, modulus, name, power, distance
             val = distance(x, y, m)
             bound = float(mod(abs(x - y))) ** power
             checked += 1
-            if val > bound * (1 + _QUAD_SLACK) + _QUAD_SLACK * _QUAD_SLACK:
+            if not val <= bound * (1 + _QUAD_SLACK) + _QUAD_SLACK * _QUAD_SLACK:
                 witness = (float(x), float(y), float(m), val, bound)
                 break
         if witness:
@@ -177,7 +184,7 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 
     # sigma vanishes on the non-positive half line
     xs_neg = np.concatenate([[0.0], -(10.0 ** rng.uniform(-3, 1, plan.budget))])
-    bad = np.flatnonzero(np.abs(c.sigma(xs_neg)) > 0)
+    bad = np.flatnonzero(np.asarray(c.sigma(xs_neg)) != 0.0)
     report.add("sigma vanishes for x <= 0", FAIL if bad.size else PASS,
                witness=None if not bad.size else float(xs_neg[bad[0]]))
 
@@ -187,7 +194,7 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
     lhs = np.abs(np.asarray(c.sigma(xs)) - np.asarray(c.sigma(ys)))
     rhs = np.asarray(c.rho(np.abs(xs - ys)))
     slack = _REL_SLACK * (1.0 + rhs)
-    bad = np.flatnonzero(lhs > rhs + slack)
+    bad = np.flatnonzero(~(lhs <= rhs + slack))
     report.add("sigma modulus |sigma(x)-sigma(y)| <= rho(|x-y|)",
                FAIL if bad.size else PASS,
                detail=f"{plan.budget} sampled pairs on [0, {_X_MAX}]",
@@ -200,15 +207,13 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
     if c.g0 is not None and c.mu0 is not None:
         marks = _sample_marks(c.mu0, rng, _N_MARKS)
         pairs = np.sort(rng.uniform(0.0, _X_MAX, (plan.budget // 4, 2)), axis=1)
-        witness = _witness(c.g0, marks, pairs, _decreasing)
-        report.add("g0 increasing in the state", FAIL if witness else PASS, witness=witness)
-
-        witness = _witness(c.g0, marks, pairs[:, 1], _below_minus_state)
-        report.add("g0(x,u) + x >= 0 for x >= 0", FAIL if witness else PASS, witness=witness)
-
-        witness = _witness(c.g0, marks, xs_neg[:: max(1, xs_neg.size // 32)],
-                           lambda _xs, g: np.abs(g) > 0)
-        report.add("g0(x,u) = 0 for x <= 0", FAIL if witness else PASS, witness=witness)
+        for name, states, violates in (
+                ("g0 increasing in the state", pairs, _decreasing),
+                ("g0(x,u) + x >= 0 for x >= 0", pairs[:, 1], _below_minus_state),
+                ("g0(x,u) = 0 for x <= 0", xs_neg[:: max(1, xs_neg.size // 32)],
+                 lambda _xs, g: g != 0.0)):
+            witness = _witness(c.g0, marks, states, violates)
+            report.add(name, FAIL if witness else PASS, witness=witness)
 
         # local boundedness of the (|g0| ^ |g0|^2)-integral
         states = np.linspace(0.0, _X_MAX, 9)[1:]
@@ -239,12 +244,10 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
         witness = _witness(c.g1.fn, marks, states, _below_minus_state)
         report.add("g1(x,u) + x >= 0", FAIL if witness else PASS, witness=witness)
 
-        growth = []
-        for x in np.linspace(0.0, _X_MAX, 9)[1:]:
-            growth.append((x, c.g1.mu.integrate(
-                lambda u: np.abs(c.g1.fn(x, u)),
-                breakpoints=_state_breakpoints(c.g1.mu, x))))
-        bad = [(x, v) for x, v in growth if v > c.growth_k * (1.0 + x) + _REL_SLACK]
+        growth = [(x, c.g1.mu.integrate(lambda u: np.abs(c.g1.fn(x, u)),
+                                        breakpoints=_state_breakpoints(c.g1.mu, x)))
+                  for x in np.linspace(0.0, _X_MAX, 9)[1:]]
+        bad = [(x, v) for x, v in growth if not v <= c.growth_k * (1.0 + x) + _REL_SLACK]
         report.add("integral |g1| d(mu1) <= K(1+x) (declared K)",
                    FAIL if bad else PASS,
                    detail=f"K = {c.growth_k} (declared)", witness=bad[0] if bad else None)
@@ -291,11 +294,8 @@ def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
     def left_cont_probe(fn, mu, name):
         marks = _sample_marks(mu, rng, _N_MARKS)
         states = rng.uniform(1e-3, _X_MAX, 16)
-        worst = 0.0
-        for u in marks[:8]:
-            for x in states:
-                gap = abs(fn(x - 1e-9, u) - fn(x, u))
-                worst = max(worst, gap)
+        g = _over_marks(fn, marks[..., :8], np.stack((states - 1e-9, states), axis=1))
+        worst = np.max(np.abs(g[..., 0] - g[..., 1]))
         report.add(name, PASS if worst <= 1e-6 else FAIL,
                    detail=f"max |g(x-1e-9,u) - g(x,u)| = {worst:.3g} over sampled points")
 
@@ -310,8 +310,9 @@ def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
         elif c.g1.dominator is not None:
             m1 = c.g1.mu.integrate(lambda u: np.abs(c.g1.dominator(u)))
             m2 = c.g1.mu.integrate(lambda u: c.g1.dominator(u) ** 2)
-            dominated = all(abs(c.g1.fn(x, u)) <= abs(c.g1.dominator(u)) + _REL_SLACK
-                            for u in marks for x in pairs[:, 1][:16])
+            dominated = bool(np.all(
+                np.abs(_over_marks(c.g1.fn, marks, pairs[:16, 1]))
+                <= np.abs(c.g1.dominator(marks[..., None])) + _REL_SLACK))
             ok = dominated and math.isfinite(m1) and math.isfinite(m2)
             report.add("g1 increasing or dominated", PASS if ok else FAIL,
                        f"domination branch: |G| moment {m1:.4g}, G^2 moment {m2:.4g}")
@@ -330,7 +331,7 @@ def validate_assum_uniq(rho, rho_m, x_m: float) -> ValidationReport:
                          np.linspace(x_m / _UNIQ_POINTS, x_m, _UNIQ_POINTS // 2)])
     lo = np.asarray(rho_m(xs), dtype=float)
     hi = np.asarray(rho(xs), dtype=float)
-    bad = np.flatnonzero(lo > hi * (1 + _REL_SLACK))
+    bad = np.flatnonzero(~(lo <= hi * (1 + _REL_SLACK)))
     report.add(f"rho_m <= rho on (0, {x_m}]", FAIL if bad.size else PASS,
                detail=f"{xs.size} sample points",
                witness=None if not bad.size else
@@ -366,13 +367,13 @@ def validate_drift(spec: SystemSpec, plan: SamplingPlan = SamplingPlan()) -> Val
                        "state-independent drift; mean-field conditions vacuous")
             continue
         vals, raised = next(evaluated)  # (time, row) and (time, row, bumped j)
-        neg = vals < -_REL_SLACK
+        neg = ~(vals >= -_REL_SLACK)
         report.add(f"component {i}: b_i non-negative", FAIL if neg.any() else PASS,
                    witness=None if not neg.any() else float(vals[neg][0]))
 
         # the first (time, row, bumped component) at which the value falls
         base = vals[:4, :len(rows), None]
-        drops = np.argwhere(raised < base - _REL_SLACK * (1 + np.abs(base)))
+        drops = np.argwhere(~(raised >= base - _REL_SLACK * (1 + np.abs(base))))
         witness = None
         if drops.size:
             ti, ri, j = drops[0]
@@ -381,7 +382,7 @@ def validate_drift(spec: SystemSpec, plan: SamplingPlan = SamplingPlan()) -> Val
                    witness=witness)
 
         bound = drift.growth_bound + drift.growth_slope * states.sum(axis=1)
-        over = vals > bound[None, :] + _REL_SLACK * (1.0 + np.abs(bound[None, :]))
+        over = ~(vals <= bound[None, :] + _REL_SLACK * (1.0 + np.abs(bound[None, :])))
         report.add(f"component {i}: b_i <= B + L*sum(x) "
                    f"(B={drift.growth_bound}, L={drift.growth_slope})",
                    FAIL if over.any() else PASS)

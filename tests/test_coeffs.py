@@ -10,8 +10,9 @@ from mfjump import (CadlagPath, DriftSpec, ExponentialMeasure, PointMassMeasure,
                     preset_cbi_thinning, preset_cir, preset_example21, thinning_system,
                     validate_assum1, validate_assum2, validate_assum_uniq,
                     validate_drift, validate_system, permute_system)
-from mfjump.coeffs import (CoefficientSet, JumpKernel, LinearInTime, SqrtDiffusion,
-                           StableJumpMeasure, drift_values, stable_levy_constant)
+from mfjump.coeffs import (AxisSumMeasure, CoefficientSet, JumpKernel, LinearInTime,
+                           SqrtDiffusion, StableJumpMeasure, SystemSpec, ThinningMarkMeasure,
+                           drift_values, stable_levy_constant)
 from mfjump.noise import MeasureSpec
 
 
@@ -38,7 +39,7 @@ class CappedLinearJump:
     """g1(x, u) = min(max(x,0), 1) * u: bounded in x, dominated by G(u)=u."""
 
     def __call__(self, x, u):
-        return min(max(x, 0.0), 1.0) * u
+        return np.clip(x, 0.0, 1.0) * u
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class WobblyBoundedJump:
     """Non-monotone in x but always within [0, u]."""
 
     def __call__(self, x, u):
-        return 0.5 * (1.0 + math.sin(3.0 * x)) * min(max(x, 0.0), 1.0) * u
+        return 0.5 * (1.0 + np.sin(3.0 * x)) * np.clip(x, 0.0, 1.0) * u
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class TestAssum1:
         # g0 is non-zero only below -5: the witness must be a state the
         # check evaluated, where g0 really is non-zero
         def g0(x, u):
-            return u * x if x < -5.0 else 0.0
+            return np.where(x < -5.0, u * x, 0.0)
         c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0), rho=PowerModulus(1.0, 0.5),
                            g0=g0, mu0=PointMassMeasure(atoms=((1.0, 1.0),)))
         cond = condition(validate_assum1(c, SamplingPlan(budget=400)),
@@ -170,6 +171,152 @@ class TestAssum2:
         c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0),
                            rho=PowerModulus(1.0, 0.5), g1=kernel, growth_k=1.0)
         assert not validate_assum2(c).passed
+
+
+@dataclass(frozen=True)
+class FallingJump:
+    """-2x where x * size > 8 and ``size`` where x * size < -8, else 0: it
+    breaks every sampled kernel check, at states that depend on the mark.
+    ``size`` is the sum of the mark ``rows``, or the mark itself for ()."""
+
+    rows: tuple = ()
+
+    def __call__(self, x, u):
+        size = sum(u[j] for j in self.rows) if self.rows else u
+        return np.where(x * size > 8.0, -2.0 * x, np.where(x * size < -8.0, size, 0.0))
+
+
+class SpyKernel:
+    """Calls ``fn`` and records the shapes of the state and the mark."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, x, u):
+        self.calls.append((np.shape(x), np.shape(u)))
+        return self.fn(x, u)
+
+    def sampled(self):
+        """The calls on an array of states, as the sampled checks make them
+        (a measure's ``integrate`` passes one state)."""
+        return [c for c in self.calls if c[0]]
+
+
+@dataclass(frozen=True)
+class NanAbove:
+    """0.1 * u * max(x, 0), NaN above ``level``."""
+
+    level: float
+
+    def __call__(self, x, u):
+        return np.where(x > self.level, np.nan, 0.1 * u * np.maximum(x, 0.0))
+
+
+@dataclass(frozen=True)
+class NanAverage:
+    """The component average, NaN where it exceeds 5."""
+
+    def __call__(self, t, states):
+        mean = np.mean(np.asarray(states, dtype=float), axis=0)
+        return np.where(mean > 5.0, np.nan, mean)
+
+
+def jump_set(g0=None, mu0=None, g1=None, mu1=None, dominator=None, **kw):
+    g1 = None if g1 is None else JumpKernel(fn=g1, measure=MeasureSpec("g1", 1.0, None),
+                                            mu=mu1, dominator=dominator)
+    return CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0), rho=PowerModulus(1.0, 0.5),
+                          g0=g0, mu0=mu0, g1=g1, **kw)
+
+
+KERNEL_WITNESSES = ("g0 increasing in the state", "g0(x,u) + x >= 0 for x >= 0",
+                    "g0(x,u) = 0 for x <= 0", "g1(x,u) + x >= 0")
+
+
+class TestKernelWitnesses:
+    """The first sampled violation, in (mark, state) order, with the mark as
+    a float or a tuple of floats, as ``validation.json`` prints it."""
+
+    @pytest.mark.parametrize("mu, rows, expected", [
+        (ExponentialMeasure(mass=2.0, mean=0.5), (), [
+            (6.950918695550627, 7.058208604199626, 1.2184304531753682),
+            (7.058208604199626, 1.2184304531753682),
+            (-6.7428068360650055, 1.2184304531753682),
+            (4.344264414439891, 5.709842760956762)]),
+        (AxisSumMeasure(terms=((StableJumpMeasure(1.5), 0, 2),
+                               (StableJumpMeasure(1.8), 1, 2))), (0, 1), [
+            (6.950918695550627, 7.058208604199626, (1.2184304531753682, 0.0)),
+            (7.058208604199626, (1.2184304531753682, 0.0)),
+            (-6.7428068360650055, (1.2184304531753682, 0.0)),
+            (4.344264414439891, (0.0, 5.709842760956762))]),
+        (ThinningMarkMeasure(levy=ExponentialMeasure(mass=2.0, mean=0.4), v_max=4.0), (1,), [
+            (1.5162966446065451, 7.944328371222266, (1.230066828868253, 1.3105771183955002)),
+            (7.944328371222266, (1.230066828868253, 1.3105771183955002)),
+            (-6.7428068360650055, (1.230066828868253, 1.3105771183955002)),
+            (9.232767482499822, (2.7231916494800434, 0.95102977121631))]),
+    ], ids=["scalar", "axis-sum", "thinning"])
+    def test_witnesses_are_pinned(self, mu, rows, expected):
+        c = jump_set(g0=FallingJump(rows), mu0=mu, g1=FallingJump(rows), mu1=mu)
+        report = validate_assum1(c, SamplingPlan(budget=400))
+        for name, witness in zip(KERNEL_WITNESSES, expected):
+            cond = condition(report, name)
+            assert cond.status == "fail"
+            assert cond.witness == witness and repr(cond.witness) == repr(witness)
+
+    def test_sampled_checks_make_one_array_call_each(self):
+        g0 = SpyKernel(lambda x, u: u * np.maximum(x, 0.0))
+        g1 = SpyKernel(WobblyBoundedJump())
+        c = jump_set(g0=g0, mu0=PointMassMeasure(atoms=((1.0, 1.0),)), g1=g1,
+                     mu1=ExponentialMeasure(mass=2.0, mean=0.5), dominator=Identity(),
+                     growth_k=1.0)
+        validate_assum1(c, SamplingPlan(budget=400))
+        # g0: increasing, g0 + x, vanishing; g1: g1 + x
+        assert [len(k.sampled()) for k in (g0, g1)] == [3, 1]
+        validate_assum2(c, SamplingPlan(budget=400))
+        # g0: left continuity; g1: left continuity, increasing, domination
+        assert [len(k.sampled()) for k in (g0, g1)] == [4, 4]
+        for kernel in (g0, g1):
+            assert all(x_shape or u_shape for x_shape, u_shape in kernel.calls)
+
+
+class TestNonFinite:
+    """A NaN never passes a sampled check."""
+
+    def test_nan_g0(self):
+        c = jump_set(g0=NanAbove(5.0), mu0=PointMassMeasure(atoms=((1.0, 1.0),)))
+        report = validate_assum1(c, SamplingPlan(budget=400))
+        for name in KERNEL_WITNESSES[:2]:
+            assert condition(report, name).status == "fail"
+        assert condition(report, "g0(x,u) = 0").status == "pass"
+        cond = condition(validate_assum2(c), "g0 left-continuous")
+        assert cond.status == "fail" and "nan" in cond.detail
+
+    def test_nan_g1(self):
+        c = jump_set(g1=NanAbove(0.5), mu1=PointMassMeasure(atoms=((1.0, 1.0),)),
+                     dominator=Identity(), growth_k=1.0,
+                     r_m=lambda m: PowerModulus(1.0, 1.0))
+        report = validate_assum1(c, SamplingPlan(budget=400))
+        for name in ("g1(x,u) + x", "integral |g1|", "g1 truncated L1"):
+            assert condition(report, name).status == "fail"
+        report = validate_assum2(c)
+        for name in ("g1 left-continuous", "g1 increasing or dominated"):
+            assert condition(report, name).status == "fail"
+
+    def test_nan_sigma(self):
+        c = CoefficientSet(a=1.0, rho=PowerModulus(1.0, 0.5),
+                           sigma=lambda x: np.where(x > 5.0, np.nan, np.sqrt(np.maximum(x, 0.0))))
+        assert condition(validate_assum1(c), "sigma modulus").status == "fail"
+
+    def test_nan_uniqueness_modulus(self):
+        assert not validate_assum_uniq(PowerModulus(1.0, 0.5),
+                                       lambda z: np.where(z > 0.5, np.nan, z), x_m=1.0).passed
+
+    def test_nan_drift(self):
+        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0))
+        drift = DriftSpec.mean_field(NanAverage(), growth_bound=0.0, growth_slope=0.5)
+        spec = SystemSpec(components=(c, c), drifts=(drift, drift), initial=[1.0, 1.0])
+        report = validate_drift(spec, SamplingPlan(budget=200))
+        for name in ("b_i non-negative", "b_i increasing", "b_i <= B"):
+            assert condition(report, f"0: {name}").status == "fail"
 
 
 class TestAssumUniq:

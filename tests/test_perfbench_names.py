@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import os
 
+from mfjump import coeffs
 from mfjump.noise import NoiseBatch
 from mfjump.solver import solve_batch
 
@@ -32,3 +33,17 @@ def test_solve_batch_keeps_the_parameters_the_solver_counts_bind():
 def test_noise_batch_keeps_coarsen_and_jump_events():
     assert callable(NoiseBatch.coarsen)
     assert isinstance(NoiseBatch.jump_events, property)
+
+
+def test_every_measure_defines_its_own_integrate():
+    """The tracer wraps ``integrate`` only where a class's own ``vars`` hold
+    it, so a measure that inherited it would drop out of
+    ``coeffs.integrate_calls``."""
+    measures = [cls for cls in vars(coeffs).values()
+                if isinstance(cls, type) and cls.__module__ == coeffs.__name__
+                and hasattr(cls, "integrate")]
+    assert {cls.__name__ for cls in measures} >= {
+        "PointMassMeasure", "ExponentialMeasure", "StableJumpMeasure", "AxisSumMeasure",
+        "ThinningMarkMeasure"}
+    for cls in measures:
+        assert "integrate" in vars(cls), cls.__name__
