@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation failure, 2 numeric failure, 3 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -129,11 +128,12 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _write_csv(out: str, name: str, header, rows) -> None:
+def _write_csv(out: str, name: str, header, lines) -> None:
+    """One comma-joined line per row; no field is quoted, as every one is a
+    number or a fixed label."""
     with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def cmd_simulate(args) -> int:
@@ -156,11 +156,10 @@ def cmd_simulate(args) -> int:
     curves = [*zip(map(str, range(spec.n)), result.mean, result.se),
               ("average", result.avg_mean, result.avg_se)]
     _write_csv(out, "aggregate.csv", ["time", "component", "mean", "se"], (
-        [t, label, repr(m), repr(s)]
-        for label, mean, se in curves
+        f"{t},{label},{m!r},{s!r}" for label, mean, se in curves
         for t, m, s in zip(times, mean.tolist(), se.tolist())))
     _write_csv(out, "paths.csv", ["path_id", "component", "time", "value"], (
-        [str(p), str(i), t, repr(v)]
+        f"{p},{i},{t},{v!r}"
         for p in range(result.values.shape[1]) for i in range(spec.n)
         for t, v in zip(times, result.values[i, p].tolist())))
 
@@ -192,7 +191,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
-    _require_count(args.budget, "--budget", 1)
+    _require_count(args.budget, "--budget", 4)
     out = _out_dir(args)
     plan = SamplingPlan(budget=args.budget)
     reports = validate_system(scenario.system, plan)
@@ -253,25 +252,22 @@ def cmd_approx(args) -> int:
 
     _write_csv(out, "level_gaps.csv",
                ["steps", "level_from", "level_to", "mean_sup_gap", "max_sup_gap"], (
-                   [str(grid.n_steps), str(li + 1), str(li + 2),
-                    repr(float(pair_gap.mean())), repr(float(pair_gap.max()))]
-                   for li, pair_gap in enumerate(hier.sup_gaps)))
+                   f"{grid.n_steps},{li + 1},{li + 2},{float(pair_gap.mean())!r},"
+                   f"{float(pair_gap.max())!r}" for li, pair_gap in enumerate(hier.sup_gaps)))
     _write_csv(out, "monotonicity.csv",
                ["steps", "level_from", "level_to", "max_violation", "violating_fraction"], (
-                   [str(grid.n_steps), str(row.level_from), str(row.level_to),
-                    repr(row.max_violation), repr(row.violating_fraction)]
+                   f"{grid.n_steps},{row.level_from},{row.level_to},"
+                   f"{row.max_violation!r},{row.violating_fraction!r}"
                    for row in hier.monotonicity))
     _write_csv(out, "refinements.csv",
                ["steps", "dt", "max_violation", "mean_sup_violation",
                 "violating_fraction", "cauchy_gap"], (
-                   [str(row.steps), repr(row.dt), repr(row.max_violation),
-                    repr(row.mean_sup_violation), repr(row.violating_fraction),
-                    repr(row.cauchy_gap)] for row in refinement_rows))
+                   f"{row.steps},{row.dt!r},{row.max_violation!r},"
+                   f"{row.mean_sup_violation!r},{row.violating_fraction!r},"
+                   f"{row.cauchy_gap!r}" for row in refinement_rows))
     _write_csv(out, "moment_bound.csv", ["time", "level", "sup_mean", "envelope"], (
-        [repr(float(t)), str(li + 1), repr(float(bound.sup_mean[li, j])),
-         repr(float(bound.envelope[j]))]
-        for li in range(bound.sup_mean.shape[0])
-        for j, t in enumerate(bound.curve_times)))
+        f"{t!r},{li + 1},{m!r},{e!r}" for li, sup_mean in enumerate(bound.sup_mean.tolist())
+        for t, m, e in zip(bound.curve_times.tolist(), sup_mean, bound.envelope.tolist())))
 
     report = {
         "mode_requested": args.mode,
@@ -353,11 +349,12 @@ def cmd_uniqueness(args) -> int:
     _write_csv(out, "divergence.csv",
                ["steps", "dt", "mean_sup_diff", "mean_sup_diff_se", "mean_abs_terminal"]
                + [f"phi_moment_k{k}" for k in phi_ks], (
-                   [str(row.steps_coarse), repr(row.dt_coarse), repr(row.mean_sup_diff),
-                    repr(row.mean_sup_diff_se), repr(row.mean_abs_terminal)]
-                   + [repr(row.phi_moments[k]) for k in phi_ks] for row in report.rows))
+                   f"{row.steps_coarse},{row.dt_coarse!r},{row.mean_sup_diff!r},"
+                   f"{row.mean_sup_diff_se!r},{row.mean_abs_terminal!r}"
+                   + "".join(f",{row.phi_moments[k]!r}" for k in phi_ks)
+                   for row in report.rows))
     _write_csv(out, "ak_table.csv", ["k", "a_k"],
-               ([str(k), repr(float(a))] for k, a in enumerate(report.a_seq)))
+               (f"{k},{a!r}" for k, a in enumerate(report.a_seq.tolist())))
 
     _write_json(os.path.join(out, "uniqueness_report.json"), {
         "seed": seed,

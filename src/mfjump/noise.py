@@ -15,6 +15,7 @@ in n consecutive rows per path.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -291,20 +292,35 @@ def _event_arrays(drawn: list) -> EventArrays:
                        marks=np.concatenate([m for _, m in hits], axis=-1))
 
 
-def _consecutive_rows(arrays: list):
-    """``base[i:i + len(arrays)]``, a view, when ``arrays`` are the rows i,
-    i + 1, ... of one array ``base`` in order; None otherwise."""
-    base = arrays[0].base
-    if not isinstance(base, np.ndarray) or base.ndim != arrays[0].ndim + 1 \
-            or base.strides[0] <= 0:
-        return None
-    start = (arrays[0].ctypes.data - base.ctypes.data) // base.strides[0]
-    rows = base[start:start + len(arrays)]
-    if len(rows) == len(arrays) and all(
-            x.base is base and x.ctypes.data == r.ctypes.data and x.shape == r.shape
-            and x.strides == r.strides for x, r in zip(arrays, rows)):
-        return rows
-    return None
+class FactorDraws(Mapping):
+    """The draws of one kind of factor: ``array`` is the (F, rows, n_steps)
+    draw, and ``draws[f]`` is a view of its row ``factors.index(f)``."""
+
+    def __init__(self, factors, array: np.ndarray):
+        self.factors, self.array = tuple(factors), array
+        self._row = {f: i for i, f in enumerate(self.factors)}
+
+    def __getitem__(self, f) -> np.ndarray:
+        return self.array[self._row[f]]
+
+    def __iter__(self):
+        return iter(self.factors)
+
+    def __len__(self) -> int:
+        return len(self.factors)
+
+    def rows(self, fs) -> np.ndarray:
+        """The draws of the factors ``fs``, one per leading index: one factor's
+        own array, a broadcast of one array every entry shares, a slice when
+        the factors are adjacent rows of ``array`` in order, or else a copy."""
+        if len(fs) == 1:
+            return self[fs[0]]
+        if all(f == fs[0] for f in fs):
+            return np.broadcast_to(self[fs[0]], (len(fs),) + self.array.shape[1:])
+        idx = [self._row[f] for f in fs]
+        if idx == list(range(idx[0], idx[0] + len(idx))):
+            return self.array[idx[0]:idx[0] + len(idx)]
+        return self.array[idx]
 
 
 @dataclass(frozen=True)
@@ -318,8 +334,8 @@ class NoiseBatch:
     """
 
     grid: TimeGrid
-    brownian: dict  # factor -> (n_paths, n_steps); from make_batch, rows of one array
-    stable: dict  # factor -> (n_paths, n_steps); likewise
+    brownian: FactorDraws  # factor -> (n_paths, n_steps)
+    stable: FactorDraws
     events: dict  # measure_id -> EventArrays over the rows
     lineages: tuple  # per row: (master_seed, path_index)
 
@@ -346,16 +362,11 @@ class NoiseBatch:
             raise ValueError("coarsening factor must divide the step count")
         if factor == 1:
             return self
-        agg = lambda a: a.reshape(*a.shape[:-1], -1, factor).sum(axis=-1)
-
-        def agg_views(views: dict) -> dict:
-            # the rows of one stacked draw are aggregated as one array
-            rows = _consecutive_rows(list(views.values())) if views else None
-            if rows is None:
-                return {f: agg(v) for f, v in views.items()}
-            return dict(zip(views, agg(rows)))
+        shape = (self.grid.n_steps // factor, factor)
+        agg = lambda d: FactorDraws(  # one sum over the stacked draw
+            d.factors, d.array.reshape(d.array.shape[:-1] + shape).sum(axis=-1))
         return NoiseBatch(grid=TimeGrid(self.grid.points[::factor]),
-                          brownian=agg_views(self.brownian), stable=agg_views(self.stable),
+                          brownian=agg(self.brownian), stable=agg(self.stable),
                           events=self.events, lineages=self.lineages)
 
 
@@ -382,15 +393,15 @@ def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
         raise ValueError("alpha must lie in (1, 2] (compensation needs alpha > 1)")
 
     def stacked(kind, factors, fill, scale):
-        """Every factor's scaled draws in one (F, rows, n_steps) array, returned
-        as its rows by factor; path p's draws fill its n rows of each."""
+        """Every factor's scaled draws in one (F, rows, n_steps) array; path
+        p's draws fill its n rows of each factor's."""
         out = np.empty((len(factors), len(paths) * n, grid.n_steps))
         for fac, arr in zip(factors, out):
             rows = iter(arr.reshape(len(paths), *shape))
             draw_rows(master_seed, paths, prefix + (kind, fac),
                       lambda rng: fill(rng, fac, next(rows)))
             arr *= scale(fac)
-        return dict(zip(factors, out))
+        return FactorDraws(factors, out)
 
     def fill_stable(rng, fac, row):
         row[...] = _stable_standard(alphas[fac], shape, rng)

@@ -137,9 +137,10 @@ def _build_levy(info: dict, path: str):
 
 
 def _build_system(preset: dict, drift_info, horizon: float, path: str = "preset"):
+    """The preset's system; an omitted optional field takes the preset's default."""
     kind = preset.get("kind")
     if kind == "example21":
-        got = _require(preset, path, {
+        fields = _require(preset, path, {
             "kind": _string,
             "n_components": _number(lo=1, integer=True),
             "a": _number_or_list(lo=0),
@@ -152,21 +153,10 @@ def _build_system(preset: dict, drift_info, horizon: float, path: str = "preset"
             "initial": _number_or_list(lo=0),
             "sigma_power": _number(lo=0),
         }, ("kind", "n_components", "a", "sigma", "initial"))
-        n = got["n_components"]
-        drift = None
-        if drift_info is not None:
-            drift = _build_drift(drift_info, "drift", n, horizon)
-        try:
-            return preset_example21(
-                n, a=got["a"], sigma=got["sigma"], sigma0=got.get("sigma0", 0.0),
-                sigma_z=got.get("sigma_z", 0.0), sigma_z0=got.get("sigma_z0", 0.0),
-                alpha=got.get("alpha", 1.8), alpha0=got.get("alpha0", 1.5),
-                initial=got["initial"], drift=drift,
-                sigma_power=got.get("sigma_power", 0.5))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
-    if kind == "cbi-thinning":
-        got = _require(preset, path, {
+        n = fields.pop("n_components")
+        build, first = preset_example21, n
+    elif kind == "cbi-thinning":
+        fields = _require(preset, path, {
             "kind": _string,
             "a": _number(lo=0),
             "sigma": _number(lo=0),
@@ -174,17 +164,16 @@ def _build_system(preset: dict, drift_info, horizon: float, path: str = "preset"
             "v_max": _number(lo=0),
             "levy": _passthrough,
         }, ("kind", "a", "initial", "v_max", "levy"))
-        levy = _build_levy(got["levy"], f"{path}.levy")
-        drift = None
-        if drift_info is not None:
-            drift = _build_drift(drift_info, "drift", 1, horizon)
-        try:
-            return thinning_system(levy, v_max=got["v_max"], a=got["a"],
-                                   sigma=got.get("sigma", 0.0),
-                                   initial=got["initial"], drift=drift)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
-    raise ScenarioError(f"{path}.kind: unknown preset kind {kind!r}")
+        n = 1
+        build, first = thinning_system, _build_levy(fields.pop("levy"), f"{path}.levy")
+    else:
+        raise ScenarioError(f"{path}.kind: unknown preset kind {kind!r}")
+    del fields["kind"]
+    drift = None if drift_info is None else _build_drift(drift_info, "drift", n, horizon)
+    try:
+        return build(first, drift=drift, **fields)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def parse_scenario(data: dict) -> Scenario:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSet, DriftSpec, drift_values
-from .noise import NoiseBatch, TimeGrid, _consecutive_rows
+from .noise import NoiseBatch, TimeGrid
 from .paths import CadlagPath, StaircasePath
 
 EXPLICIT = "explicit-euler-clipped"
@@ -98,18 +98,6 @@ class BatchResult:
         return [self.path(row, i) for i in range(self.values.shape[0])]
 
 
-def _stack(arrays):
-    """One noise array for a group: a singleton's own, a broadcast view of
-    one that every member shares, a slice of the batch's stacked draw when the
-    members' arrays are consecutive rows of it, or else the arrays stacked."""
-    if len(arrays) == 1:
-        return arrays[0]
-    if all(x is arrays[0] for x in arrays):
-        return np.broadcast_to(arrays[0], (len(arrays),) + arrays[0].shape)
-    rows = _consecutive_rows(arrays)
-    return np.stack(arrays) if rows is None else rows
-
-
 def _prepare_parts(components, batch: NoiseBatch, cfg: SchemeConfig):
     dts = batch.grid.dt
     groups, warns = {}, []  # coefficient key -> member indices
@@ -141,7 +129,7 @@ def _prepare_parts(components, batch: NoiseBatch, cfg: SchemeConfig):
                     row += t.weight * batch.brownian[t.factor]
             dw = dw[0] if len(comps) == 1 else dw
         factors = zip(*([t.factor for t in c.stable_terms if t.coef != 0.0] for c in comps))
-        dz = [(coef, 1.0 / alpha, _stack([batch.stable[f] for f in fs]))
+        dz = [(coef, 1.0 / alpha, batch.stable.rows(fs))
               for (coef, alpha), fs in zip(stable, factors)]
         parts.append(_Part(idx=members[0] if len(members) == 1 else members, c1=c1, c2=c2,
                            sigma=sigma, dw=dw, stable=dz, compensator=compensator))

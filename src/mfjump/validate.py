@@ -30,6 +30,10 @@ _UNIQ_POINTS = 512  # sample points of rho_m <= rho on (0, x_m]
 class SamplingPlan:
     budget: int = 400
 
+    def __post_init__(self):
+        if self.budget < 4:  # the pair checks sample budget // 4 pairs
+            raise ValueError("sample budget must be at least 4")
+
 
 @dataclass(frozen=True)
 class ConditionResult:
@@ -177,8 +181,6 @@ def _check_truncated_modulus(report, rng, kernel, modulus, name, power, distance
 
 def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> ValidationReport:
     """Regularity conditions on sigma, g0, g1 and their moduli."""
-    if plan.budget < 1:
-        raise ValueError("sample budget must be at least 1")
     rng = np.random.default_rng(_SEED)
     report = ValidationReport("assumption-set-1")
 
@@ -271,8 +273,6 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> ValidationReport:
     """Monotonicity/boundedness of sigma, left continuity of the kernels,
     monotonicity-or-domination of g1."""
-    if plan.budget < 1:
-        raise ValueError("sample budget must be at least 1")
     rng = np.random.default_rng(_SEED + 1)
     report = ValidationReport("assumption-set-2")
 

@@ -357,6 +357,45 @@ class TestUniqueness:
         assert_blowup_exits_two("uniqueness", tmp_path, capsys)
 
 
+def plain_field(field):
+    """A fixed label, an integer, or a float written as its own repr."""
+    if field == "average" or re.fullmatch(r"-?[0-9]+", field):
+        return True
+    try:
+        return repr(float(field)) == field
+    except ValueError:
+        return False
+
+
+class TestCsvFields:
+    def test_every_field_is_a_label_an_integer_or_a_float_repr(self, tmp_path):
+        # so the CSV writer can join fields with commas and never quote one
+        scen = write_scenario(tmp_path / "s.json", preset={
+            "kind": "example21", "n_components": 2, "a": 1.0, "sigma": 0.5,
+            "sigma_z": 0.2, "initial": [1.0, 1.5]})
+        common = ["--scenario", str(scen), "--seed", "3", "--jobs", "1"]
+        runs = {
+            "simulate": ["--paths", "20", "--dump-paths", "5"],
+            "approx": ["--paths", "20", "--levels", "3", "--refinements", "2"],
+            "uniqueness": ["--paths", "20", "--levels", "2", "--phi-k", "1", "2"],
+        }
+        names = set()
+        for command, argv in runs.items():
+            out = tmp_path / command
+            assert main([command] + common + argv + ["--out", str(out)]) == 0
+            for path in sorted(out.glob("*.csv")):
+                names.add(path.name)
+                header, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
+                assert '"' not in header and rows, path.name
+                for row in rows:
+                    fields = row.split(",")
+                    assert len(fields) == header.count(",") + 1, (path.name, row)
+                    assert all(plain_field(f) for f in fields), (path.name, row)
+        assert names == {"aggregate.csv", "paths.csv", "level_gaps.csv",
+                         "monotonicity.csv", "refinements.csv", "moment_bound.csv",
+                         "divergence.csv", "ak_table.csv"}
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["approx", "--paths", "0"],
@@ -366,6 +405,7 @@ class TestUsage:
         ["approx", "--refinements", "0"],
         ["approx", "--mode", "nested-mc", "--inner", "0"],
         ["validate", "--budget", "0"],
+        ["validate", "--budget", "3"],
         ["uniqueness", "--levels", "0"],
         ["uniqueness", "--phi-k", "0"],
         ["uniqueness", "--phi-k", "-1"],

@@ -56,6 +56,14 @@ class Identity:
         return u
 
 
+class TestSamplingPlan:
+    @pytest.mark.parametrize("budget", [3, 1, 0])
+    def test_budget_below_four_is_rejected(self, budget):
+        # the pair checks sample budget // 4 pairs, so 1-3 would check none
+        with pytest.raises(ValueError, match="at least 4"):
+            SamplingPlan(budget=budget)
+
+
 class TestAssum1:
     def test_sqrt_sigma_passes(self):
         c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0), rho=PowerModulus(1.0, 0.5))

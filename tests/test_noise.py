@@ -4,7 +4,7 @@ from scipy import stats
 
 from mfjump import (MeasureSpec, NoiseLayout, TimeGrid, gen_stable_increments,
                     make_batch)
-from mfjump.noise import draw_rows
+from mfjump.noise import FactorDraws, draw_rows
 
 
 def unit_grid(steps, horizon=1.0):
@@ -281,6 +281,17 @@ class TestBundles:
                     assert all(v.base is base for v in views.values())
                 for f in fine:
                     assert np.array_equal(agg[f], fine[f].reshape(-1, 4, 4).sum(axis=2))
+
+    def test_factor_draws_rows_of_a_group(self):
+        draws = FactorDraws((0, 2, 3, 5), np.arange(4 * 2 * 3.0).reshape(4, 2, 3))
+        assert list(draws) == [0, 2, 3, 5] and len(draws) == 4 and 1 not in draws
+        assert np.shares_memory(draws[3], draws.array)
+        assert draws.rows((3,)).shape == (2, 3)
+        for fs, view in (((2, 3, 5), True), ((5, 5), True), ((0, 3), False),
+                         ((3, 2), False)):
+            rows = draws.rows(fs)
+            assert np.array_equal(rows, np.stack([draws[f] for f in fs]))
+            assert np.shares_memory(rows, draws.array) is view
 
     def test_factor_draws_do_not_depend_on_layout(self):
         # streams are keyed by factor index, so adding factors leaves the

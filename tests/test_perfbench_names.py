@@ -5,8 +5,10 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
+
 from mfjump import coeffs
-from mfjump.noise import NoiseBatch
+from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout, TimeGrid, make_batch
 from mfjump.solver import solve_batch
 
 SPANS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
@@ -47,3 +49,21 @@ def test_every_measure_defines_its_own_integrate():
         "ThinningMarkMeasure"}
     for cls in measures:
         assert "integrate" in vars(cls), cls.__name__
+
+
+def test_noise_draws_count_one_array_per_factor():
+    """``_noise_counts`` sums the sizes of ``.brownian.values()`` and
+    ``.stable.values()`` as ``noise.draws``: one (rows, n_steps) array per
+    factor, in factor order."""
+    grid = TimeGrid.uniform(1.0, 8)
+    layout = NoiseLayout(brownian_factors=(0, 2), stable_alphas={3: 1.5, 1: 1.8},
+                         measures=(MeasureSpec("m", 2.0, lambda rng, n: rng.random(n)),))
+    batch = make_batch(grid, layout, 4, [0, 5, 9])
+    for draws, factors in ((batch.brownian, [0, 2]), (batch.stable, [1, 3])):
+        assert list(draws) == factors
+        values = list(draws.values())
+        assert [v.shape for v in values] == [(3, 8)] * len(factors)
+        assert all(np.array_equal(v, draws[f]) for v, f in zip(values, factors))
+    counts = load_spans()._noise_counts(batch, None)
+    assert counts["draws"] == 4 * 3 * 8
+    assert counts["events"] == batch.events["m"].times.size

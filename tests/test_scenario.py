@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from mfjump import ScenarioError, load_scenario, parse_scenario
+from mfjump import (ExponentialMeasure, ScenarioError, load_scenario, parse_scenario,
+                    preset_example21, thinning_system)
 from mfjump.coeffs import MeanFieldAverage
 
 
@@ -102,6 +103,22 @@ class TestParsing:
         sc = parse_scenario(data)
         layout = sc.system.noise_layout()
         assert layout.measures[0].rate == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("preset, reference", [
+        ({"kind": "example21", "n_components": 2, "a": 1.0, "sigma": 0.5,
+          "initial": [1.0, 2.0]},
+         lambda: preset_example21(2, a=1.0, sigma=0.5, initial=[1.0, 2.0])),
+        ({"kind": "cbi-thinning", "a": 1.0, "initial": 1.0, "v_max": 3.0,
+          "levy": {"kind": "exponential", "mass": 2.0, "mean": 0.4}},
+         lambda: thinning_system(ExponentialMeasure(mass=2.0, mean=0.4), v_max=3.0,
+                                 a=1.0, initial=1.0)),
+    ], ids=["example21", "cbi-thinning"])
+    def test_omitted_optional_fields_take_the_preset_defaults(self, preset, reference):
+        got = parse_scenario(base_scenario(preset=preset)).system
+        want = reference()
+        assert got.components == want.components
+        assert got.drifts == want.drifts
+        assert np.array_equal(got.initial, want.initial)
 
     def test_sigma_power_knob(self):
         data = base_scenario()

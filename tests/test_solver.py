@@ -496,6 +496,17 @@ class TestStackedGroups:
         assert np.array_equal(own, np.stack([batch.stable[i + 1] for i in members]))
         assert np.shares_memory(own, batch.stable[1]) is not copied
 
+    def test_pickled_batch_keeps_the_stacked_layout(self):
+        # a batch sent to a worker process still reads Z^1..Z^3 as one slice
+        spec = preset_example21(3, a=1.0, sigma=0.4, sigma0=0.2, sigma_z=0.2,
+                                sigma_z0=0.1)
+        batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 5, range(2))
+        back = pickle.loads(pickle.dumps(batch))
+        parts, _warns = _prepare_parts(spec.components, back, SchemeConfig())
+        own = parts[0].stable[1][2]
+        assert np.array_equal(own, np.stack([batch.stable[i + 1] for i in range(3)]))
+        assert np.shares_memory(own, back.stable[1])
+
     def test_zero_loading_gives_a_positive_zero_increment(self):
         # dw = 0 + sum of weight * B, as sum() adds: -0.0 becomes 0.0
         comp = CoefficientSet(a=1.0, sigma=SqrtDiffusion(0.3),
