@@ -432,18 +432,25 @@ class MeanFieldAverage:
     """b_i(s, x) = (x_1 + ... + x_N) / N, summed in sorted order so the value
     is exactly invariant under component permutations.
 
-    The rows are added one at a time. ``sum(axis=0)`` adds them pairwise when
-    the state has a single column (one path at one time), which rounds
-    differently for N >= 8 and made a path's value depend on the batch it
-    was solved in.
+    The rows are sorted by an odd-even transposition network, N rounds of
+    elementwise compare-swaps, then added one at a time. ``sum(axis=0)`` adds
+    them pairwise when the state has a single column (one path at one time),
+    which rounds differently for N >= 8 and made a path's value depend on the
+    batch it was solved in. A NaN in any row gives NaN.
     """
 
     n: int
 
     def __call__(self, t, states):
-        ordered = np.sort(np.asarray(states, dtype=float), axis=0)
-        total = ordered[0].copy()
-        for row in ordered[1:]:
+        rows = list(np.asarray(states, dtype=float))
+        for r in range(len(rows)):
+            for i in range(r % 2, len(rows) - 1, 2):
+                # minimum and maximum pick the same operand of an equal pair
+                # (0.0 and -0.0), so with swapped operands it keeps both values
+                a, b = rows[i], rows[i + 1]
+                rows[i], rows[i + 1] = np.minimum(b, a), np.maximum(a, b)
+        total = rows[0].copy()
+        for row in rows[1:]:
             total += row
         return total / self.n
 

@@ -22,10 +22,14 @@ class ScenarioError(ValueError):
     """Schema violation, with the JSON path of the offending field."""
 
 
-def _require(obj: dict, path: str, known: dict, required: tuple):
+def _object(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
-    for key in obj:
+    return obj
+
+
+def _require(obj: dict, path: str, known: dict, required: tuple):
+    for key in _object(obj, path):
         if key not in known:
             raise ScenarioError(f"{path}.{key}: unknown field")
     for key in required:
@@ -89,7 +93,7 @@ class Scenario:
 
 
 def _build_drift(info: dict, path: str, n: int, horizon: float):
-    kind = info.get("kind")
+    kind = _object(info, path).get("kind")
     if kind == "mean-field-average":
         _require(info, path, {"kind": _string}, ("kind",))
         return DriftSpec.mean_field_average(n)
@@ -120,7 +124,7 @@ def _build_drift(info: dict, path: str, n: int, horizon: float):
 
 
 def _build_levy(info: dict, path: str):
-    kind = info.get("kind")
+    kind = _object(info, path).get("kind")
     if kind == "point":
         got = _require(info, path, {"kind": _string, "atoms": _passthrough},
                        ("kind", "atoms"))
@@ -138,7 +142,7 @@ def _build_levy(info: dict, path: str):
 
 def _build_system(preset: dict, drift_info, horizon: float, path: str = "preset"):
     """The preset's system; an omitted optional field takes the preset's default."""
-    kind = preset.get("kind")
+    kind = _object(preset, path).get("kind")
     if kind == "example21":
         fields = _require(preset, path, {
             "kind": _string,

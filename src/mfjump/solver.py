@@ -8,6 +8,14 @@ checks rely on.
 
 Each step advances a group of equal-coefficient components as one (G, P)
 array, with the same operations on the same scalars per element: no bit moves.
+
+``solve_batch`` walks the grid in chunks of ``_CHUNK`` steps. Per chunk it
+gathers each group's operands (c2 * b for a fixed drift table, the combined
+Brownian increment, the stable increments) step-major, so that a step reads
+contiguous (G, P) rows and sums into the new state in place. The chunk's
+states go into ``values`` in one transposed assignment. Every element sees the
+same operations in the same order as in a one-step solve, so where the chunks
+end moves no bit.
 """
 from __future__ import annotations
 
@@ -22,6 +30,7 @@ from .paths import CadlagPath, StaircasePath
 
 EXPLICIT = "explicit-euler-clipped"
 IMPLICIT = "drift-implicit"
+_CHUNK = 64  # steps whose operands solve_batch gathers step-major at once
 
 
 class NumericsError(RuntimeError):
@@ -49,18 +58,52 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme '{self.scheme}'")
 
 
+def _step_major(a: np.ndarray) -> np.ndarray:
+    """A compact (..., C) array as a contiguous (C, ...) one. Transposing
+    straight out of a (..., K) draw would read rows K floats apart, a power
+    of two on the shipped grids, which thrashes the cache; so callers pass a
+    compact copy."""
+    return np.moveaxis(a, -1, 0).copy()
+
+
 @dataclass
 class _Part:
     """Prepared arrays for one group of equal-coefficient components. ``idx`` is a
-    singleton's index or a group's member list, the leading axis of its noise."""
+    singleton's index or a group's member list, the leading axis of its noise;
+    ``sel`` is ``idx`` as a slice when the members are consecutive, so that
+    indexing the state with it gives a view."""
 
     idx: object
+    sel: object
     c1: np.ndarray  # (n_steps,)
     c2: np.ndarray
     sigma: object = None
-    dw: np.ndarray = None  # ([G,] n_paths, n_steps) combined driving Brownian
+    brownian: list = None  # per member: ((weight, (n_paths, n_steps) draw), ...)
     stable: list = field(default_factory=list)  # (coef, exponent, ([G,] P, K) array)
     compensator: object = None
+
+    def chunk(self, k0: int, k1: int, table: np.ndarray = None) -> tuple:
+        """``(cb, dw, dz)``, the group's operands of steps [k0, k1) with the
+        step on the leading axis, so that each step reads contiguous rows.
+
+        ``cb`` is c2 * b for the (N, 1 or P, K) drift table ``table``, or None
+        without one; ``dw`` is the combined Brownian increment, (C, [G,] P),
+        or None; ``dz`` lists each stable term's increments.
+        """
+        cb = dw = None
+        if table is not None:
+            cb = _step_major(table[self.sel, :, k0:k1] * self.c2[k0:k1])
+        if self.brownian is not None:
+            sums = []
+            for (weight, draw), *rest in self.brownian:
+                row = weight * draw[:, k0:k1]
+                row += 0.0  # the sum starts at 0, which turns -0.0 into 0.0
+                for weight, draw in rest:
+                    row += weight * draw[:, k0:k1]
+                sums.append(row)
+            dw = _step_major(sums[0] if isinstance(self.idx, int) else np.stack(sums))
+        dz = [_step_major(draw[..., k0:k1].copy()) for _c, _e, draw in self.stable]
+        return cb, dw, dz
 
 
 @dataclass(frozen=True)
@@ -118,21 +161,21 @@ def _prepare_parts(components, batch: NoiseBatch, cfg: SchemeConfig):
             c1 = np.exp(-a * dts)
             c2 = 1.0 - c1
         comps = [components[i] for i in members]
-        dw = None
-        if sigma is not None:  # in place, one row per member
-            dw = np.empty((len(comps), batch.n_paths, batch.grid.n_steps))
-            for row, c in zip(dw, comps):
-                first, *rest = c.brownian
-                np.multiply(first.weight, batch.brownian[first.factor], out=row)
-                row += 0.0  # the sum starts at 0, which turns -0.0 into 0.0
-                for t in rest:
-                    row += t.weight * batch.brownian[t.factor]
-            dw = dw[0] if len(comps) == 1 else dw
+        brownian = None
+        if sigma is not None:
+            brownian = [[(t.weight, batch.brownian[t.factor]) for t in c.brownian]
+                        for c in comps]
         factors = zip(*([t.factor for t in c.stable_terms if t.coef != 0.0] for c in comps))
-        dz = [(coef, 1.0 / alpha, batch.stable.rows(fs))
+        # a common factor stays one (P, K) array, broadcast over the group
+        dz = [(coef, 1.0 / alpha, batch.stable.rows(fs if len(set(fs)) > 1 else fs[:1]))
               for (coef, alpha), fs in zip(stable, factors)]
-        parts.append(_Part(idx=members[0] if len(members) == 1 else members, c1=c1, c2=c2,
-                           sigma=sigma, dw=dw, stable=dz, compensator=compensator))
+        idx, sel = members, members
+        if len(members) == 1:
+            idx = sel = members[0]
+        elif members == list(range(members[0], members[-1] + 1)):
+            sel = slice(members[0], members[-1] + 1)
+        parts.append(_Part(idx=idx, sel=sel, c1=c1, c2=c2, sigma=sigma,
+                           brownian=brownian, stable=dz, compensator=compensator))
     return parts, warns
 
 
@@ -261,41 +304,55 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
     state = np.array(np.broadcast_to(np.asarray(initial, dtype=float),
                                      (n_comp, n_paths)), dtype=float)
     values[:, :, k_start] = state
+    tmps = [np.empty(state[part.sel].shape) for part in parts]  # one work array per group
 
     dts = grid.dt
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k in range(k_start, k_stop):
-            b = table[:, :, k]
-            if live:
-                b = np.broadcast_to(b, (n_comp, n_paths)).copy()
-                b[live] = drift_values(live_drifts, pts[k:k + 1],
-                                       state[:, :, None])[:, :, 0]
-            new = np.empty_like(state)
-            for part in parts:
-                y = state[part.idx]
-                acc = part.c1[k] * y + part.c2[k] * b[part.idx]
-                if part.dw is not None:
-                    acc = acc + part.sigma(y) * part.dw[..., k]
-                for coef, expo, dz in part.stable:
-                    acc = acc + coef * np.power(np.maximum(y, 0.0), expo) * dz[..., k]
-                if part.compensator is not None:
-                    acc = acc - dts[k] * part.compensator(y)
-                new[part.idx] = acc
-            for ci, fn, rows, marks, lo, hi in plan.steps[k - k_start]:
-                y = new[ci]
-                x = y[rows]
-                jump = fn(x, marks)
-                y[rows] = x + jump
-                left[lo:hi] = x
-                size[lo:hi] = jump
-            if not np.isfinite(new).all():
-                bad = np.argwhere(~np.isfinite(new))[0]
-                raise NumericsError(step=k + 1, time=float(pts[k + 1]),
-                                    component=int(bad[0]),
-                                    path_index=int(batch.lineages[bad[1]][1]))
-            np.maximum(new, 0.0, out=new)
-            state = new
-            values[:, :, k + 1] = state
+        for k0 in range(k_start, k_stop, _CHUNK):
+            k1 = min(k0 + _CHUNK, k_stop)
+            ops = [part.chunk(k0, k1, None if live else table) for part in parts]
+            chunk = np.empty((k1 - k0, n_comp, n_paths))  # the new states, step-major
+            for j, new in enumerate(chunk):
+                k = k0 + j
+                if live:
+                    b = np.broadcast_to(table[:, :, k], (n_comp, n_paths)).copy()
+                    b[live] = drift_values(live_drifts, pts[k:k + 1],
+                                           state[:, :, None])[:, :, 0]
+                for part, (cb, dw, dz), tmp in zip(parts, ops, tmps):
+                    # c1*y + c2*b + sigma(y)*dw + (coef*y^e)*dz - dt*comp(y),
+                    # summed in place in new unless the group is a fancy index
+                    y = state[part.sel]
+                    fancy = isinstance(part.sel, list)
+                    acc = np.multiply(y, part.c1[k], out=None if fancy else new[part.sel])
+                    acc += part.c2[k] * b[part.sel] if cb is None else cb[j]
+                    if dw is not None:
+                        acc += np.multiply(part.sigma(y), dw[j], out=tmp)
+                    for (coef, expo, _draw), inc in zip(part.stable, dz):
+                        # past the first step the state is already clipped
+                        np.power(np.maximum(y, 0.0, out=tmp) if k == k_start else y,
+                                 expo, out=tmp)
+                        tmp *= coef
+                        tmp *= inc[j]
+                        acc += tmp
+                    if part.compensator is not None:
+                        acc -= np.multiply(part.compensator(y), dts[k], out=tmp)
+                    if fancy:
+                        new[part.sel] = acc
+                for ci, fn, rows, marks, lo, hi in plan.steps[k - k_start]:
+                    y = new[ci]
+                    x = y[rows]
+                    jump = fn(x, marks)
+                    y[rows] = x + jump
+                    left[lo:hi] = x
+                    size[lo:hi] = jump
+                if not np.isfinite(new).all():
+                    bad = np.argwhere(~np.isfinite(new))[0]
+                    raise NumericsError(step=k + 1, time=float(pts[k + 1]),
+                                        component=int(bad[0]),
+                                        path_index=int(batch.lineages[bad[1]][1]))
+                np.maximum(new, 0.0, out=new)
+                state = new
+            values[:, :, k0 + 1:k1 + 1] = chunk.transpose(1, 2, 0)
 
     for warn in warns:
         warnings.warn(warn, RuntimeWarning, stacklevel=2)

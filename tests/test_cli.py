@@ -502,6 +502,15 @@ class TestUsage:
     def test_missing_scenario_flag(self):
         assert main(["simulate", "--paths", "5"]) == 3
 
+    @pytest.mark.parametrize("section", [{"preset": 5}, {"drift": [1]}],
+                             ids=["preset", "drift"])
+    def test_section_that_is_not_an_object_is_usage_error(self, section, tmp_path, capsys):
+        scen = write_scenario(tmp_path / "s.json", **section)
+        code = main(["validate", "--scenario", str(scen), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "expected an object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["approx", "--help"]) == 0
         assert "--refinements" in capsys.readouterr().out

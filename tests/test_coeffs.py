@@ -11,8 +11,8 @@ from mfjump import (CadlagPath, DriftSpec, ExponentialMeasure, PointMassMeasure,
                     validate_assum1, validate_assum2, validate_assum_uniq,
                     validate_drift, validate_system, permute_system)
 from mfjump.coeffs import (AxisSumMeasure, CoefficientSet, JumpKernel, LinearInTime,
-                           SqrtDiffusion, StableJumpMeasure, SystemSpec, ThinningMarkMeasure,
-                           drift_values, stable_levy_constant)
+                           MeanFieldAverage, SqrtDiffusion, StableJumpMeasure, SystemSpec,
+                           ThinningMarkMeasure, drift_values, stable_levy_constant)
 from mfjump.noise import MeasureSpec
 
 
@@ -614,3 +614,45 @@ class TestDriftValues:
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown drift kind"):
             drift_values([DriftSpec(kind="bogus")], np.zeros(2), np.zeros((1, 1, 2)))
+
+
+def sorted_sum_average(states):
+    """The mean over axis 0, summed row by row in ``np.sort`` order."""
+    ordered = np.sort(states, axis=0)
+    total = ordered[0].copy()
+    for row in ordered[1:]:
+        total += row
+    return total / len(states)
+
+
+class TestMeanFieldAverage:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_equals_the_sorted_sum_bit_for_bit(self, n):
+        # ties and both signed zeros are common, so the compare-swaps must
+        # keep every value of an equal pair: a -0.0 in place of a 0.0 would
+        # turn a zero mean negative
+        rng = np.random.default_rng(n)
+        pool = np.array([-0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, 1e-308, 2.0 ** 60])
+        states = np.where(rng.random((n, 64, 7)) < 0.5,
+                          rng.choice(pool, (n, 64, 7)), rng.standard_normal((n, 64, 7)))
+        states[:, 0, :2] = -0.0
+        states[n // 2, 0, 1] = 0.0
+        got = MeanFieldAverage(n)(0.0, states)
+        want = sorted_sum_average(states)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # the mean of -0.0s is -0.0, and one 0.0 among them makes it 0.0
+        assert np.signbit(got[0, :2]).tolist() == [True, False]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_a_nan_in_any_row_gives_nan(self, n):
+        rng = np.random.default_rng(100 + n)
+        states = rng.standard_normal((n, 3, 5))
+        for row in range(n):
+            bad = states.copy()
+            bad[row, 1, 2] = np.nan
+            got = MeanFieldAverage(n)(0.0, bad)
+            assert np.isnan(got[1, 2])
+            got[1, 2] = 0.0
+            want = sorted_sum_average(states)
+            want[1, 2] = 0.0
+            assert np.array_equal(got, want)

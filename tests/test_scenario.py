@@ -60,6 +60,16 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="preset.a"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("section, path", [
+        ({"preset": 5}, "preset"),
+        ({"drift": [1]}, "drift"),
+        ({"preset": {"kind": "cbi-thinning", "a": 1.0, "initial": 1.0, "v_max": 4.0,
+                     "levy": "point"}}, "preset.levy"),
+    ], ids=["preset", "drift", "preset.levy"])
+    def test_section_that_is_not_an_object(self, section, path):
+        with pytest.raises(ScenarioError, match=rf"^{path}: expected an object$"):
+            parse_scenario(base_scenario(**section))
+
     def test_drift_kinds(self):
         for drift, kind in [
             ({"kind": "constant", "value": 2.0}, "constant"),

@@ -1,14 +1,14 @@
 import math
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from mfjump import (CadlagPath, DriftSpec, EventArrays, NumericsError,
-                    SchemeConfig, StaircasePath, TimeGrid, compare_ordered,
-                    make_batch, preset_cir, preset_example21, solve_batch,
-                    solve_onedim)
+                    PointMassMeasure, SchemeConfig, StaircasePath, TimeGrid,
+                    compare_ordered, make_batch, preset_cbi_thinning, preset_cir,
+                    preset_example21, solve_batch, solve_onedim)
 from mfjump.coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, JumpKernel,
                            PowerDiffusion, PowerModulus, SqrtDiffusion,
                            ThinningKernel, ThinningMarkSampler, ZeroFn)
@@ -450,6 +450,62 @@ class TestSubRangeSolve:
         assert np.array_equal(chained, full.values)
 
 
+def jumping_example21(a):
+    """Three example 2.1 components (Brownian, common and own stable factors,
+    mean-field drift), each also thinned by one shared compensated kernel."""
+    spec = preset_example21(3, a=a, sigma=0.4, sigma0=0.2, sigma_z=0.2,
+                            sigma_z0=0.1, initial=[1.0, 1.5, 2.0])
+    thin = preset_cbi_thinning(PointMassMeasure(atoms=((0.4, 3.0),)), v_max=6.0)
+    comps = tuple(replace(c, g0_finite=thin.g0_finite) for c in spec.components)
+    return replace(spec, components=comps)
+
+
+class TestChunkedSteps:
+    """solve_batch gathers its operands a chunk of steps at a time; where the
+    chunks end must not show in any value or jump."""
+
+    @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]], ids=["slice", "fancy"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["mean-field", "forced"])
+    def test_one_solve_equals_single_steps(self, a, forced):
+        spec = jumping_example21(a)
+        n_steps = 200  # not a multiple of the chunk length
+        batch = make_batch(TimeGrid.uniform(1.0, n_steps), spec.noise_layout(), 3, range(16))
+        forcing = None
+        if forced:
+            forcing = np.random.default_rng(4).uniform(0.5, 2.0, (3, 16, n_steps))
+        cfg = SchemeConfig()
+        full = solve_batch(spec.components, spec.drifts, batch, cfg,
+                           spec.initial[:, None], forcing=forcing)
+        assert full.jumps.times.size > 100
+        state = np.broadcast_to(spec.initial[:, None], (3, 16))
+        values, logs = [state], []
+        for k in range(n_steps):
+            step = solve_batch(spec.components, spec.drifts, batch, cfg, state,
+                               forcing=forcing, k_start=k, k_stop=k + 1)
+            state = step.values[:, :, k + 1]
+            values.append(state)
+            logs.append(step.jumps)
+        assert np.array_equal(np.stack(values, axis=-1), full.values)
+        for name in ("rows", "components", "times", "left", "right"):
+            chained = np.concatenate([getattr(log, name) for log in logs])
+            assert np.array_equal(chained, getattr(full.jumps, name)), name
+
+    def test_blowup_past_the_first_chunk_names_its_step_and_path(self):
+        spec = jumping_example21(1.0)
+        grid = TimeGrid.uniform(1.0, 200)
+        batch = make_batch(grid, spec.noise_layout(), 3, range(40, 56))
+        forcing = np.ones((3, 16, 200))
+        forcing[2, 5, 100] = np.inf
+        forcing[1, 9, 100] = np.inf  # the first non-finite cell of step 100
+        forcing[0, 0, 150] = np.inf
+        with pytest.raises(NumericsError) as info:
+            solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+                        spec.initial[:, None], forcing=forcing)
+        err = info.value
+        assert (err.step, err.time, err.component, err.path_index) == \
+            (101, grid.points[101], 1, 49)
+
+
 class TestStackedGroups:
     @pytest.mark.parametrize("scheme", [EXPLICIT, IMPLICIT])
     @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]])
@@ -515,5 +571,7 @@ class TestStackedGroups:
         batch = make_batch(TimeGrid.uniform(1.0, 8), NoiseLayout(brownian_factors=(0,)),
                            0, range(4))
         parts, _warns = _prepare_parts([comp], batch, SchemeConfig())
-        assert np.all(parts[0].dw == 0.0)
-        assert not np.signbit(parts[0].dw).any()
+        _cb, dw, _dz = parts[0].chunk(0, 8)
+        assert dw.shape == (8, 4)
+        assert np.all(dw == 0.0)
+        assert not np.signbit(dw).any()
