@@ -9,8 +9,9 @@ Ensembles run in one pass over fixed path blocks. ``system.map_blocks`` draws
 a block's noise once, on the finest rung of a step ladder; the block solves
 the hierarchy on that draw coarsened onto every rung and returns only
 reductions: per-level path moments, per-pair ordering statistics and per-path
-sup gaps, which the parent merges in block order. A single grid is the
-one-rung ladder.
+sup gaps, which the parent merges in block order. A block reduces each level
+as soon as it is built and drops the one before, so it holds two levels at a
+time. A single grid is the one-rung ladder.
 """
 from __future__ import annotations
 
@@ -46,15 +47,6 @@ def _partition_indices(grid: TimeGrid, partition: TimeGrid) -> np.ndarray:
     return idx
 
 
-def _interval_min(drift_vals: np.ndarray, part_idx: np.ndarray) -> np.ndarray:
-    """Min over the closed index span of each partition interval: (N, P, n_int)."""
-    n_int = part_idx.size - 1
-    out = np.empty(drift_vals.shape[:2] + (n_int,))
-    for k in range(n_int):
-        out[:, :, k] = drift_vals[:, :, part_idx[k]:part_idx[k + 1] + 1].min(axis=2)
-    return out
-
-
 def infimum_drift(paths, drifts, partition: TimeGrid) -> np.ndarray:
     """Per-component, per-interval infimum drifts b^{i,n}_k of one trajectory.
 
@@ -65,7 +57,23 @@ def infimum_drift(paths, drifts, partition: TimeGrid) -> np.ndarray:
     grid = paths[0].grid
     values = np.stack([p.values for p in paths])[:, None, :]  # (N, 1, K+1)
     part_idx = _partition_indices(grid, partition)
-    return _interval_min(drift_values(drifts, grid.points, values), part_idx)[:, 0, :]
+    return _interval_infima(drifts, grid.points, values, part_idx)[:, 0, :]
+
+
+def _interval_infima(drifts, points, values: np.ndarray, part_idx: np.ndarray) -> np.ndarray:
+    """Min of every drift along the paths ``values`` (N, P, K+1) over the
+    closed index span of each partition interval: (N, P, n_int). Drifts that
+    share a mean-field fn share one evaluation and one set of minima."""
+    groups = {}  # evaluation key -> the drifts it gives
+    for i, drift in enumerate(drifts):
+        key = ("fn", id(drift.fn)) if drift.kind == "mean-field" else ("row", i)
+        groups.setdefault(key, []).append(i)
+    out = np.empty(values.shape[:2] + (part_idx.size - 1,))
+    for members in groups.values():
+        dv = drift_values([drifts[members[0]]], points, values)[0]  # (P, K+1)
+        for k in range(part_idx.size - 1):
+            out[members, :, k] = dv[:, part_idx[k]:part_idx[k + 1] + 1].min(axis=1)
+    return out
 
 
 @dataclass
@@ -77,7 +85,7 @@ class LevelBatch:
     part_idx: np.ndarray  # indices of partition points in the simulation grid
     inf_drifts: np.ndarray  # (N, P, 2^(n-1)) interval infima along this level's paths
     values: np.ndarray  # (N, P, K+1) level paths on the simulation grid
-    forcing: np.ndarray  # (N, P, K) drift forcing used to build this level
+    forcing: np.ndarray  # (N, P, K) drift forcing of this level; None once dropped
 
 
 def _forcing_from_intervals(per_interval: np.ndarray, grid: TimeGrid,
@@ -130,9 +138,9 @@ def _solve_level(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig, n: int,
                       initial=spec.initial[:, None], forcing=forcing)
     partition = dyadic_partition(n, grid.horizon)
     part_idx = _partition_indices(grid, partition)
-    dv = drift_values(spec.drifts, grid.points, res.values)
     return LevelBatch(n=n, partition=partition, part_idx=part_idx,
-                      inf_drifts=_interval_min(dv, part_idx),
+                      inf_drifts=_interval_infima(spec.drifts, grid.points,
+                                                  res.values, part_idx),
                       values=res.values, forcing=forcing)
 
 
@@ -170,16 +178,24 @@ class HierarchyBatch:
     levels: list
 
 
+def _iter_levels(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig, n_max: int,
+                 mode: str, n_inner: int):
+    """Levels 1 .. n_max of one hierarchy, each built from the one before. The
+    generator holds only the last level it yielded, so a consumer that drops a
+    level once the next arrives holds two at a time."""
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
+    level = build_level_one(spec, batch, cfg)
+    yield level
+    while level.n < n_max:
+        level = build_next_level(level, spec, batch, cfg, mode=mode, n_inner=n_inner)
+        yield level
+
+
 def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig,
                         n_max: int, mode: str = "realized",
                         n_inner: int = 8) -> HierarchyBatch:
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
-    levels = [build_level_one(spec, batch, cfg)]
-    while levels[-1].n < n_max:
-        levels.append(build_next_level(levels[-1], spec, batch, cfg,
-                                       mode=mode, n_inner=n_inner))
-    return HierarchyBatch(levels=levels)
+    return HierarchyBatch(levels=list(_iter_levels(spec, batch, cfg, n_max, mode, n_inner)))
 
 
 @dataclass(frozen=True)
@@ -195,8 +211,10 @@ def _pair_stats(a: LevelBatch, b: LevelBatch):
     (component, path), the sup violation (a - b)+ per path, and how many grid
     points violate, out of how many."""
     gap = a.values - b.values
-    return (np.abs(gap).max(axis=2), np.maximum(gap, 0.0).max(axis=(0, 2)),
-            int((gap > 0.0).sum()), gap.size)
+    count = int((gap > 0.0).sum())
+    sup_gap = np.abs(gap).max(axis=2)
+    np.maximum(gap, 0.0, out=gap)
+    return sup_gap, gap.max(axis=(0, 2)), count, gap.size
 
 
 def check_monotone(levels):
@@ -274,14 +292,22 @@ class HierarchyResult:
 
 def _ladder_block(spec, cfg, n_max, mode, n_inner, _lo, rungs):
     """One block of paths: one hierarchy per rung of the block's draw, each
-    reduced to its per-level path moments and its per-pair statistics."""
+    reduced to its per-level path moments and its per-pair statistics as its
+    levels are built. A level is dropped once the next is reduced, and a
+    ``realized`` level drops its forcing once solved (the next level needs
+    only its infima), so the block holds two levels at a time."""
     out = []
     for batch in rungs:
-        levels = run_hierarchy_batch(spec, batch, cfg, n_max, mode=mode,
-                                     n_inner=n_inner).levels
-        del batch  # the reductions do not need the rung's noise
-        out.append(([_moments(lv.values.transpose(1, 0, 2)) for lv in levels],
-                    [_pair_stats(a, b) for a, b in zip(levels, levels[1:])]))
+        moments, pairs, prev = [], [], None
+        for level in _iter_levels(spec, batch, cfg, n_max, mode, n_inner):
+            if mode == "realized":
+                level.forcing = None
+            moments.append(_moments(level.values.transpose(1, 0, 2)))
+            if prev is not None:
+                pairs.append(_pair_stats(prev, level))
+            prev = level
+        del batch, level, prev  # the next rung needs none of this one
+        out.append((moments, pairs))
     return out
 
 

@@ -311,12 +311,10 @@ class FactorDraws(Mapping):
 
     def rows(self, fs) -> np.ndarray:
         """The draws of the factors ``fs``, one per leading index: one factor's
-        own array, a broadcast of one array every entry shares, a slice when
-        the factors are adjacent rows of ``array`` in order, or else a copy."""
+        own array, a slice when the factors are adjacent rows of ``array`` in
+        order, or else a copy."""
         if len(fs) == 1:
             return self[fs[0]]
-        if all(f == fs[0] for f in fs):
-            return np.broadcast_to(self[fs[0]], (len(fs),) + self.array.shape[1:])
         idx = [self._row[f] for f in fs]
         if idx == list(range(idx[0], idx[0] + len(idx))):
             return self.array[idx[0]:idx[0] + len(idx)]

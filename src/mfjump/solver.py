@@ -300,7 +300,9 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
     left = np.empty(plan.rows.size)  # per event: state before it, and its size
     size = np.empty(plan.rows.size)
 
-    values = np.full((n_comp, n_paths, n_steps + 1), np.nan)
+    values = np.empty((n_comp, n_paths, n_steps + 1))  # the steps fill [k_start, k_stop]
+    values[:, :, :k_start] = np.nan
+    values[:, :, k_stop + 1:] = np.nan
     state = np.array(np.broadcast_to(np.asarray(initial, dtype=float),
                                      (n_comp, n_paths)), dtype=float)
     values[:, :, k_start] = state

@@ -106,7 +106,9 @@ def map_blocks(fn, spec: SystemSpec, grid: TimeGrid, factors, n_paths: int, bloc
 def _moments(x: np.ndarray):
     """(count, mean, M2) over the leading (path) axis, by two passes."""
     mean = x.mean(axis=0)
-    return x.shape[0], mean, ((x - mean) ** 2).sum(axis=0)
+    d = x - mean
+    d *= d
+    return x.shape[0], mean, d.sum(axis=0)
 
 
 def _chan_merge(a, b):

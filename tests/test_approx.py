@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mfjump import (CadlagPath, DriftSpec, SchemeConfig, TimeGrid, build_level_o
                     moment_bound_check, preset_example21, run_hierarchy_batch,
                     run_hierarchy_ensemble, solve_batch)
 from mfjump.cli import main
+from mfjump.coeffs import LinearInTime, drift_values
 
 
 def mean_field_spec(n=2, sigma=0.0, **kw):
@@ -70,6 +72,24 @@ class TestInfimumDrift:
         for k, s in enumerate(starts):
             expected = (paths[0].evaluate(float(s)) + paths[1].evaluate(float(s))) / 2
             assert inf[0, k] == expected
+
+    def test_mixed_drifts_equal_the_minima_of_drift_values(self):
+        # components 0 and 3 share one mean-field fn; 1 and 2 are not mean-field
+        grid = dyadic_partition(5, 1.0)
+        rng = np.random.default_rng(3)
+        paths = [CadlagPath(grid, rng.uniform(0.0, 2.0, grid.points.size))
+                 for _ in range(4)]
+        shared = DriftSpec.mean_field_average(4)
+        drifts = (shared, DriftSpec.constant(0.5),
+                  DriftSpec.time_function(LinearInTime(0.2, 0.5), growth_bound=0.7), shared)
+        partition = dyadic_partition(3, 1.0)
+        inf = infimum_drift(paths, drifts, partition)
+        dv = drift_values(drifts, grid.points, np.stack([p.values for p in paths])[:, None])
+        idx = np.searchsorted(grid.points, partition.points)
+        expected = np.stack([dv[:, 0, i:j + 1].min(axis=1) for i, j in zip(idx, idx[1:])],
+                            axis=1)
+        assert np.array_equal(inf, expected)
+        assert np.array_equal(inf[0], inf[3]) and np.array_equal(inf[1], np.full(4, 0.5))
 
     def test_partition_must_lie_on_grid(self):
         grid = TimeGrid.uniform(1.0, 3)
@@ -419,3 +439,58 @@ class TestApproxCommand:
         assert worst == base["max_violation"] > 0.0
         gaps = (out / "level_gaps.csv").read_text().splitlines()
         assert float(gaps[-1].split(",")[-1]) == report["cauchy_gap"]
+
+
+class TestStreamedBlock:
+    """A ladder block reduces each level as it is built. Its reductions equal
+    those of the list form, bit for bit, and it holds two levels at a time."""
+
+    @staticmethod
+    def spec():
+        return mean_field_spec(n=3, sigma=0.5, sigma_z=0.2, alpha=1.8)
+
+    @pytest.mark.parametrize("mode, steps, n_max, n_paths",
+                             [("realized", 64, 4, 40), ("nested-mc", 8, 3, 4)])
+    def test_streamed_reductions_equal_the_list_form(self, mode, steps, n_max, n_paths):
+        spec, cfg = self.spec(), SchemeConfig()
+        batch = make_batch(TimeGrid.uniform(1.0, steps), spec.noise_layout(), 6,
+                           range(n_paths))
+        rungs = [batch.coarsen(2), batch]
+        block = mfjump.approx._ladder_block(spec, cfg, n_max, mode, 2, 0, iter(rungs))
+        assert len(block) == len(rungs)
+        for (moments, pairs), rung in zip(block, rungs):
+            levels = run_hierarchy_batch(spec, rung, cfg, n_max, mode=mode,
+                                         n_inner=2).levels
+            assert len(moments) == n_max and len(pairs) == n_max - 1
+            for (count, mean, m2), lv in zip(moments, levels):
+                x = lv.values.transpose(1, 0, 2)
+                assert count == n_paths
+                assert np.array_equal(mean, x.mean(axis=0))
+                assert np.array_equal(m2, ((x - x.mean(axis=0)) ** 2).sum(axis=0))
+            for (sup_gap, sup_viol, count, total), a, b in zip(pairs, levels, levels[1:]):
+                gap = a.values - b.values
+                assert np.array_equal(sup_gap, np.abs(gap).max(axis=2))
+                assert np.array_equal(sup_viol, np.maximum(gap, 0.0).max(axis=(0, 2)))
+                assert (count, total) == (int((gap > 0.0).sum()), gap.size)
+
+    @pytest.mark.parametrize("mode", ["realized", "nested-mc"])
+    def test_a_block_holds_two_levels_at_a_time(self, monkeypatch, mode):
+        refs, alive = [], []
+
+        def tracked(build):
+            def wrapper(*args, **kwargs):
+                level = build(*args, **kwargs)
+                refs.append(weakref.ref(level))
+                held = [lv for lv in (ref() for ref in refs) if lv is not None]
+                alive.append(len(held))
+                if mode == "realized":  # a solved realized level keeps no forcing
+                    assert all(lv.forcing is None for lv in held if lv is not level)
+                return level
+            return wrapper
+
+        for name in ("build_level_one", "build_next_level"):
+            monkeypatch.setattr(mfjump.approx, name, tracked(getattr(mfjump.approx, name)))
+        spec = self.spec()
+        batch = make_batch(TimeGrid.uniform(1.0, 16), spec.noise_layout(), 2, range(3))
+        mfjump.approx._ladder_block(spec, SchemeConfig(), 4, mode, 2, 0, iter([batch]))
+        assert len(alive) == 4 and max(alive) <= 2

@@ -287,7 +287,7 @@ class TestBundles:
         assert list(draws) == [0, 2, 3, 5] and len(draws) == 4 and 1 not in draws
         assert np.shares_memory(draws[3], draws.array)
         assert draws.rows((3,)).shape == (2, 3)
-        for fs, view in (((2, 3, 5), True), ((5, 5), True), ((0, 3), False),
+        for fs, view in (((2, 3, 5), True), ((5, 5), False), ((0, 3), False),
                          ((3, 2), False)):
             rows = draws.rows(fs)
             assert np.array_equal(rows, np.stack([draws[f] for f in fs]))

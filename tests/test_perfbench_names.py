@@ -7,7 +7,8 @@ import os
 
 import numpy as np
 
-from mfjump import coeffs
+import mfjump.approx
+from mfjump import SchemeConfig, coeffs, hierarchy_refinement_study, preset_example21
 from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout, TimeGrid, make_batch
 from mfjump.solver import solve_batch
 
@@ -67,3 +68,29 @@ def test_noise_draws_count_one_array_per_factor():
     counts = load_spans()._noise_counts(batch, None)
     assert counts["draws"] == 4 * 3 * 8
     assert counts["events"] == batch.events["m"].times.size
+
+
+def test_every_level_of_every_block_and_rung_passes_the_level_builders(monkeypatch):
+    """``approx.levels_built`` counts the calls of ``build_level_one`` and
+    ``build_next_level`` by their module-global names: one hierarchy per
+    block and rung, and one call per level."""
+    calls = {"build_level_one": 0, "build_next_level": 0}
+
+    def counted(name):
+        build = getattr(mfjump.approx, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mfjump.approx, name, counted(name))
+    spec = preset_example21(2, sigma=0.3, a=1.0, initial=[1.0, 2.0])
+    n_paths, ladder, n_max = mfjump.approx._BLOCK + 20, (8, 16, 32), 4
+    results = hierarchy_refinement_study(spec, SchemeConfig(), 1.0, ladder, n_paths, 0,
+                                         n_max, jobs=1)
+    assert len(results) == len(ladder)
+    blocks_rungs = 2 * len(ladder)
+    assert calls == {"build_level_one": blocks_rungs,
+                     "build_next_level": blocks_rungs * (n_max - 1)}

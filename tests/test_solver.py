@@ -449,6 +449,19 @@ class TestSubRangeSolve:
         chained = np.concatenate(pieces, axis=2)
         assert np.array_equal(chained, full.values)
 
+    @pytest.mark.parametrize("k_start, k_stop", [(10, 140), (0, 160), (70, 70), (0, 3)])
+    def test_nan_sentinels_outside_the_solved_span_only(self, k_start, k_stop):
+        # the span crosses chunk ends; columns k_start .. k_stop hold states
+        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
+        grid = TimeGrid.uniform(1.0, 160)
+        batch = make_batch(grid, spec.noise_layout(), 4, range(3))
+        res = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+                          np.full((1, 3), 1.0), k_start=k_start, k_stop=k_stop)
+        inside = np.zeros(grid.n_steps + 1, dtype=bool)
+        inside[k_start:k_stop + 1] = True
+        assert np.isfinite(res.values[:, :, inside]).all()
+        assert np.isnan(res.values[:, :, ~inside]).all()
+
 
 def jumping_example21(a):
     """Three example 2.1 components (Brownian, common and own stable factors,
