@@ -6,14 +6,14 @@ from .noise import (EventArrays, JumpEvent, MeasureSpec, NoiseBatch, NoiseLayout
 from .paths import CadlagPath, StaircasePath, pointwise_max
 from .coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, DriftSpec,
                      ExponentialMeasure, JumpKernel, PointMassMeasure,
-                     PowerModulus, StableTerm, SystemSpec, permute_system)
+                     PowerModulus, StableTerm, SystemSpec)
 from .presets import (preset_cbi_thinning, preset_cir, preset_example21,
                       thinning_system)
 from .validate import (SamplingPlan, ValidationReport, validate_assum1,
                        validate_assum2, validate_assum_uniq, validate_drift,
                        validate_system)
 from .solver import (NumericsError, OrderingReport, SchemeConfig, compare_ordered,
-                     solve_batch, solve_onedim)
+                     solve_batch)
 from .system import EnsembleResult, run_ensemble, solve_system
 from .staircase import (envelope, grid_modulus, lower_staircase,
                         staircase_diagnostics, upper_staircase)

@@ -582,10 +582,3 @@ class SystemSpec:
         return NoiseLayout(brownian_factors=tuple(sorted(brownian)),
                            stable_alphas=alphas, measures=tuple(measures))
 
-
-def permute_system(spec: SystemSpec, perm: Sequence[int]) -> SystemSpec:
-    """Relabel components by ``perm`` (drifts and initials move along)."""
-    perm = list(perm)
-    return SystemSpec(components=tuple(spec.components[p] for p in perm),
-                      drifts=tuple(spec.drifts[p] for p in perm),
-                      initial=spec.initial[perm])

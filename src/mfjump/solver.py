@@ -1,5 +1,5 @@
-"""Euler-type schemes for the one-dimensional auxiliary SDE and the ordering
-harness.
+"""The clipped explicit Euler solve of a batch of paths of the coupled system,
+and the comparison-theorem check of a drift-ordered pair built on it.
 
 The stepping kernel is written so the drift update is c1*Y + c2*b with
 non-negative c1, c2 (for admissible steps): floating-point monotonicity in
@@ -29,7 +29,6 @@ from .noise import NoiseBatch, TimeGrid
 from .paths import CadlagPath, StaircasePath
 
 EXPLICIT = "explicit-euler-clipped"
-IMPLICIT = "drift-implicit"
 _CHUNK = 64  # steps whose operands solve_batch gathers step-major at once
 
 
@@ -54,7 +53,7 @@ class SchemeConfig:
     scheme: str = EXPLICIT
 
     def __post_init__(self):
-        if self.scheme not in (EXPLICIT, IMPLICIT):
+        if self.scheme != EXPLICIT:
             raise ValueError(f"unknown scheme '{self.scheme}'")
 
 
@@ -117,35 +116,21 @@ class JumpLog:
     left: np.ndarray  # state just before the jump
     right: np.ndarray  # state just after it
 
-    def of(self, row: int, component: int) -> tuple:
-        """``((time, left, right), ...)`` of one path, in time order."""
-        sel = (self.rows == row) & (self.components == component)
-        return tuple(zip(self.times[sel].tolist(), self.left[sel].tolist(),
-                         self.right[sel].tolist()))
-
 
 @dataclass
 class BatchResult:
     """Raw arrays from one batched solve."""
 
-    grid: TimeGrid
     values: np.ndarray  # (n_components, n_paths, n_points)
     jumps: JumpLog
     warnings: list
 
-    def path(self, row: int, component: int = 0) -> CadlagPath:
-        return CadlagPath(self.grid, self.values[component, row].copy(),
-                          self.jumps.of(row, component))
 
-    def component_paths(self, row: int):
-        return [self.path(row, i) for i in range(self.values.shape[0])]
-
-
-def _prepare_parts(components, batch: NoiseBatch, cfg: SchemeConfig):
+def _prepare_parts(components, batch: NoiseBatch):
     dts = batch.grid.dt
     groups, warns = {}, []  # coefficient key -> member indices
     for idx, comp in enumerate(components):
-        if cfg.scheme == EXPLICIT and np.any(comp.a * dts > 1.0):
+        if np.any(comp.a * dts > 1.0):
             warns.append(f"component {idx}: a*dt = {(comp.a * dts).max():.4g} > 1 breaks "
                          f"the monotonicity precondition of the explicit scheme")
         key = (comp.a, comp.sigma if comp.brownian else None,
@@ -154,12 +139,8 @@ def _prepare_parts(components, batch: NoiseBatch, cfg: SchemeConfig):
         groups.setdefault(key, []).append(idx)
     parts = []
     for (a, sigma, stable, compensator), members in groups.items():
-        if cfg.scheme == EXPLICIT:
-            c2 = a * dts
-            c1 = 1.0 - c2
-        else:
-            c1 = np.exp(-a * dts)
-            c2 = 1.0 - c1
+        c2 = a * dts
+        c1 = 1.0 - c2
         comps = [components[i] for i in members]
         brownian = None
         if sigma is not None:
@@ -276,7 +257,7 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
     n_comp, n_paths = len(components), batch.n_paths
 
     pts = grid.points
-    parts, warns = _prepare_parts(components, batch, cfg)
+    parts, warns = _prepare_parts(components, batch)
     live = []  # indices of mean-field drifts, evaluated per step on the state
     if forcing is not None:
         table = forcing  # (n_components, n_paths, n_steps) overrides drifts
@@ -362,40 +343,7 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
     jumps = JumpLog(rows=plan.rows[done], components=plan.components[done],
                     times=plan.times[done], left=left[done],
                     right=left[done] + size[done])
-    return BatchResult(grid=grid, values=values, jumps=jumps, warnings=warns)
-
-
-def _as_drift_spec(drift) -> DriftSpec:
-    if isinstance(drift, DriftSpec):
-        return drift
-    if isinstance(drift, (CadlagPath, StaircasePath)):
-        return DriftSpec.external(drift)
-    if np.isscalar(drift):
-        return DriftSpec.constant(float(drift))
-    raise TypeError("drift must be a DriftSpec, a path, or a constant")
-
-
-def _require_one_row(noise: NoiseBatch) -> None:
-    """Single-path solves take the one-row batch of that path."""
-    if noise.n_paths != 1:
-        raise ValueError("a single-path solve needs a one-row NoiseBatch, "
-                         f"got {noise.n_paths} rows")
-
-
-def solve_onedim(coeffs: CoefficientSet, drift, noise: NoiseBatch,
-                 cfg: SchemeConfig, initial: float) -> CadlagPath:
-    """Solve the scalar auxiliary SDE driven by a one-row noise batch.
-
-    ``drift`` is a DriftSpec (constant or deterministic-in-time), a cadlag or
-    staircase path, or a bare number.
-    """
-    _require_one_row(noise)
-    spec = _as_drift_spec(drift)
-    if spec.kind == "mean-field":
-        raise ValueError("mean-field drifts need the system solver")
-    result = solve_batch([coeffs], [spec], noise, cfg,
-                         initial=np.array([[float(initial)]]))
-    return result.path(0, 0)
+    return BatchResult(values=values, jumps=jumps, warnings=warns)
 
 
 @dataclass(frozen=True)
@@ -411,24 +359,25 @@ class OrderingReport:
         return self.max_violation == 0.0
 
 
-def compare_ordered(coeffs: CoefficientSet, drift_low, drift_high,
-                    noise: NoiseBatch, cfg: SchemeConfig,
+def compare_ordered(coeffs: CoefficientSet, drift_low: DriftSpec, drift_high: DriftSpec,
+                    batch: NoiseBatch, cfg: SchemeConfig,
                     initial_low: float, initial_high: float = None) -> OrderingReport:
-    """Solve the drift-ordered pair on a one-row noise batch and report
-    (Y_low - Y_high)+."""
+    """Solve the drift-ordered pair as one two-component system on every row
+    of ``batch`` and report (Y_low - Y_high)+ over all rows and grid points.
+    The pair has equal coefficients, so it steps as one group on the same
+    noise."""
     initial_high = initial_low if initial_high is None else initial_high
     if initial_low > initial_high:
         raise ValueError("initial_low must not exceed initial_high")
-    low_spec, high_spec = _as_drift_spec(drift_low), _as_drift_spec(drift_high)
-    if low_spec.deterministic and high_spec.deterministic:
-        steps = noise.grid.points[:-1]
-        low, high = drift_values((low_spec, high_spec), steps,
-                                 np.empty((0, 1, steps.size)))
-        if np.any(low > high):
-            raise ValueError("drift_low must be <= drift_high pointwise on the grid")
-    y_low = solve_onedim(coeffs, low_spec, noise, cfg, initial_low)
-    y_high = solve_onedim(coeffs, high_spec, noise, cfg, initial_high)
-    gap = y_low.values - y_high.values
+    if not (drift_low.deterministic and drift_high.deterministic):
+        raise ValueError("mean-field drifts need the system solver")
+    steps = batch.grid.points[:-1]
+    low, high = drift_values((drift_low, drift_high), steps, np.empty((0, 1, steps.size)))
+    if np.any(low > high):
+        raise ValueError("drift_low must be <= drift_high pointwise on the grid")
+    values = solve_batch([coeffs, coeffs], [drift_low, drift_high], batch, cfg,
+                         np.array([[initial_low], [initial_high]], dtype=float)).values
+    gap = values[0] - values[1]
     return OrderingReport(
         max_violation=float(np.maximum(gap, 0.0).max()),
         violating_fraction=float(np.mean(gap > 0.0)),

@@ -19,19 +19,16 @@ import numpy as np
 
 from .coeffs import SystemSpec
 from .noise import NoiseBatch, TimeGrid, make_batch
-from .solver import NumericsError, SchemeConfig, _require_one_row, solve_batch
+from .solver import BatchResult, NumericsError, SchemeConfig, solve_batch
 
 _BLOCK = 512  # fixed ensemble block size; independent of --jobs
 _SLAB_BYTES = 4 << 20  # value-array budget of one simulate solve (whole blocks)
 
 
-def solve_system(spec: SystemSpec, noise: NoiseBatch, cfg: SchemeConfig):
-    """Solve the N-dimensional system on a one-row noise batch, one path per
-    component."""
-    _require_one_row(noise)
-    result = solve_batch(spec.components, spec.drifts, noise, cfg,
-                         initial=spec.initial[:, None])
-    return result.component_paths(0)
+def solve_system(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig) -> BatchResult:
+    """Solve the system from its initial state on every row of ``batch``."""
+    return solve_batch(spec.components, spec.drifts, batch, cfg,
+                       initial=spec.initial[:, None])
 
 
 @dataclass
@@ -135,9 +132,8 @@ def _slab_rows(n_components: int, n_steps: int) -> int:
 def _solve_slab(spec, cfg, batch):
     """The slab's solve. On a non-finite state the error is the one the first
     failing ``_BLOCK``-path block raises alone, as a block-by-block run reports."""
-    initial = spec.initial[:, None]
     try:
-        return solve_batch(spec.components, spec.drifts, batch, cfg, initial=initial)
+        return solve_system(spec, batch, cfg)
     except NumericsError as exc:
         if batch.n_paths <= _BLOCK:
             raise
@@ -145,7 +141,7 @@ def _solve_slab(spec, cfg, batch):
     seed, paths = batch.lineages[0][0], [p for _seed, p in batch.lineages]
     for lo in range(0, len(paths), _BLOCK):
         block = make_batch(batch.grid, spec.noise_layout(), seed, paths[lo:lo + _BLOCK])
-        solve_batch(spec.components, spec.drifts, block, cfg, initial=initial)
+        solve_system(spec, block, cfg)
     raise slab_error
 
 

@@ -1,7 +1,7 @@
 """Shared test utilities."""
 import numpy as np
 
-from mfjump import CadlagPath
+from mfjump import CadlagPath, SystemSpec
 
 LATTICE = 2.0 ** -20  # dyadic value lattice: all staircase arithmetic is exact
 
@@ -20,3 +20,11 @@ def lattice_path(rng, grid, n_jumps=3):
             jumps.append((float(grid.points[j]), float(values[j] - size),
                           float(values[j])))
     return CadlagPath(grid, values, tuple(jumps))
+
+
+def permute_system(spec, perm):
+    """Relabel components by ``perm`` (drifts and initials move along)."""
+    perm = list(perm)
+    return SystemSpec(components=tuple(spec.components[p] for p in perm),
+                      drifts=tuple(spec.drifts[p] for p in perm),
+                      initial=spec.initial[perm])

@@ -1,4 +1,5 @@
 import json
+import sys
 import weakref
 
 import numpy as np
@@ -9,8 +10,9 @@ import mfjump.system
 from mfjump import (CadlagPath, DriftSpec, SchemeConfig, TimeGrid, build_level_one,
                     build_next_level, check_monotone, dyadic_partition,
                     hierarchy_refinement_study, infimum_drift, make_batch,
-                    moment_bound_check, preset_example21, run_hierarchy_batch,
-                    run_hierarchy_ensemble, solve_batch)
+                    moment_bound_check, preset_cir, preset_example21,
+                    refinement_study, run_hierarchy_batch, run_hierarchy_ensemble,
+                    solve_batch)
 from mfjump.cli import main
 from mfjump.coeffs import LinearInTime, drift_values
 
@@ -373,6 +375,26 @@ class TestRefinementStudy:
         spec = mean_field_spec()
         with pytest.raises(ValueError):
             hierarchy_refinement_study(spec, SchemeConfig(), 1.0, [12, 24], 4, 0, 3)
+
+    def test_ladders_solve_without_solve_system(self, monkeypatch):
+        # the benchmark's tracer reads approx.drift_points off the solves
+        # whose caller is approx; one routed through system.solve_system
+        # would be charged to system instead
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("solve_system called")
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mfjump") and hasattr(module, "solve_system"):
+                monkeypatch.setattr(module, "solve_system", refuse)
+        spec = mean_field_spec(n=2, sigma=1.0, a=2.0, initial=[0.4, 0.8])
+        rows = hierarchy_refinement_study(spec, SchemeConfig(), 1.0, [16, 32], 20, 3, 3)
+        assert len(rows) == 2
+        for mode in ("realized", "nested-mc"):
+            batch = make_batch(TimeGrid.uniform(1.0, 16), spec.noise_layout(), 3, range(4))
+            hier = run_hierarchy_batch(spec, batch, SchemeConfig(), 3, mode=mode)
+            assert len(hier.levels) == 3
+        report = refinement_study(preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0),
+                                  SchemeConfig(), 1.0, [16, 32], 20, 3)
+        assert len(report.rows) == 2
 
     def test_mean_sup_violation_typically_decreases(self):
         # the ensemble mean of per-path sup violations is the stable trend

@@ -9,11 +9,13 @@ from mfjump import (CadlagPath, DriftSpec, ExponentialMeasure, PointMassMeasure,
                     PowerModulus, SamplingPlan, StaircasePath, TimeGrid, make_batch,
                     preset_cbi_thinning, preset_cir, preset_example21, thinning_system,
                     validate_assum1, validate_assum2, validate_assum_uniq,
-                    validate_drift, validate_system, permute_system)
+                    validate_drift, validate_system)
 from mfjump.coeffs import (AxisSumMeasure, CoefficientSet, JumpKernel, LinearInTime,
                            MeanFieldAverage, SqrtDiffusion, StableJumpMeasure, SystemSpec,
                            ThinningMarkMeasure, drift_values, stable_levy_constant)
 from mfjump.noise import MeasureSpec
+
+from _helpers import permute_system
 
 
 def condition(report, fragment):

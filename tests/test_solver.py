@@ -8,12 +8,12 @@ import pytest
 from mfjump import (CadlagPath, DriftSpec, EventArrays, NumericsError,
                     PointMassMeasure, SchemeConfig, StaircasePath, TimeGrid,
                     compare_ordered, make_batch, preset_cbi_thinning, preset_cir,
-                    preset_example21, solve_batch, solve_onedim)
+                    preset_example21, solve_batch)
 from mfjump.coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, JumpKernel,
                            PowerDiffusion, PowerModulus, SqrtDiffusion,
                            ThinningKernel, ThinningMarkSampler, ZeroFn)
 from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout
-from mfjump.solver import EXPLICIT, IMPLICIT, _prepare_parts
+from mfjump.solver import EXPLICIT, _prepare_parts
 
 
 def deterministic_coeffs(a=1.0):
@@ -23,6 +23,19 @@ def deterministic_coeffs(a=1.0):
 def empty_batch(grid):
     return NoiseBatch(grid=grid, brownian={}, stable={}, events={},
                       lineages=((0, 0),))
+
+
+def solve_one(coeffs, drift, batch, initial):
+    """One component from ``initial`` on every row of ``batch``."""
+    return solve_batch([coeffs], [drift], batch, SchemeConfig(),
+                       np.full((1, batch.n_paths), float(initial)))
+
+
+def jumps_of(log, row, component):
+    """``((time, left, right), ...)`` of one path of a jump log, in time order."""
+    sel = (log.rows == row) & (log.components == component)
+    return tuple(zip(log.times[sel].tolist(), log.left[sel].tolist(),
+                     log.right[sel].tolist()))
 
 
 def event_arrays(*events):
@@ -41,20 +54,11 @@ class TestLinearDrift:
         errors = []
         for steps in (64, 128):
             grid = TimeGrid.uniform(1.0, steps)
-            path = solve_onedim(deterministic_coeffs(), DriftSpec.constant(2.0),
-                                empty_batch(grid), SchemeConfig(), initial=0.0)
-            errors.append(abs(path.values[-1] - target))
+            values = solve_one(deterministic_coeffs(), DriftSpec.constant(2.0),
+                               empty_batch(grid), initial=0.0).values[0, 0]
+            errors.append(abs(values[-1] - target))
         assert errors[0] < 0.02
         assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.1)
-
-    def test_drift_implicit_is_exact_for_linear_problem(self):
-        # the exponential integrator solves the mean-reversion ODE exactly
-        target = 2.0 + (0.5 - 2.0) * math.exp(-1.0)
-        grid = TimeGrid.uniform(1.0, 16)
-        path = solve_onedim(deterministic_coeffs(), DriftSpec.constant(2.0),
-                            empty_batch(grid),
-                            SchemeConfig(scheme="drift-implicit"), initial=0.5)
-        assert path.values[-1] == pytest.approx(target, abs=1e-12)
 
 
 class TestPureJumpBookkeeping:
@@ -71,14 +75,15 @@ class TestPureJumpBookkeeping:
                                 rho=PowerModulus(1.0, 0.5), g1=kernel)
         grid = TimeGrid.uniform(1.0, 8)
         tau, jump = 0.3, 0.75
-        path = solve_onedim(coeffs, DriftSpec.constant(0.0),
-                            self._single_event_batch(grid, tau, jump),
-                            SchemeConfig(), initial=2.0)
+        res = solve_one(coeffs, DriftSpec.constant(0.0),
+                        self._single_event_batch(grid, tau, jump), initial=2.0)
+        path = CadlagPath(grid, res.values[0, 0], jumps_of(res.jumps, 0, 0))
         assert np.all(path.values[grid.points < tau] == 2.0)
         assert np.all(path.values[grid.points >= tau] == 2.75)
         assert path.evaluate(tau) == 2.75
         assert path.left_limit(tau) == 2.0
-        assert path.jumps == ((tau, 2.0, 2.75),)
+        assert (res.jumps.times.tolist(), res.jumps.left.tolist(),
+                res.jumps.right.tolist()) == ([tau], [2.0], [2.75])
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ class TestVectorisedEvents:
         assert np.array_equal(res.values, values)
         for row in range(batch.n_paths):
             for ci in range(len(components)):
-                assert res.path(row, ci).jumps == tuple(jumps.get((row, ci), ()))
+                assert jumps_of(res.jumps, row, ci) == tuple(jumps.get((row, ci), ()))
         return res
 
     def test_hand_placed_events(self):
@@ -175,15 +180,15 @@ class TestVectorisedEvents:
         initial = np.array([1.0, 2.0, 1.0])
         res = self.check(self.components(), batch, initial)
         assert 0.0 not in res.jumps.times.tolist()
-        path = res.path(0, 0)
-        assert [t for t, _l, _r in path.jumps] == [0.1, 0.15, 0.2, 0.5, 1.0]
-        assert path.values[2] == path.jumps[3][2]  # the 0.5 event lands on t = 0.5
-        assert path.values[-1] == path.jumps[4][2]  # the horizon event is applied
+        values, jumps = res.values[0, 0], jumps_of(res.jumps, 0, 0)
+        assert [t for t, _l, _r in jumps] == [0.1, 0.15, 0.2, 0.5, 1.0]
+        assert values[2] == jumps[3][2]  # the 0.5 event lands on t = 0.5
+        assert values[-1] == jumps[4][2]  # the horizon event is applied
         # thinning: accepted at v < x only, two events in one step
-        assert [t for t, _l, _r in res.path(0, 2).jumps] == [0.1, 0.22]
-        assert res.path(1, 0).jumps == ((0.3, 1.0, 1.5), (0.3, 1.5, 2.5))
-        assert res.path(1, 1).jumps == ((0.3, 2.0, 3.0), (0.3, 3.0, 4.5))
-        assert res.path(2, 0).jumps == ()
+        assert [t for t, _l, _r in jumps_of(res.jumps, 0, 2)] == [0.1, 0.22]
+        assert jumps_of(res.jumps, 1, 0) == ((0.3, 1.0, 1.5), (0.3, 1.5, 2.5))
+        assert jumps_of(res.jumps, 1, 1) == ((0.3, 2.0, 3.0), (0.3, 3.0, 4.5))
+        assert jumps_of(res.jumps, 2, 0) == ()
 
     def test_dense_random_events(self):
         # about 7 events per path and measure in each of 4 steps, so most
@@ -229,10 +234,8 @@ class TestInvariants:
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 64)
         batch = make_batch(grid, spec.noise_layout(), 3, [0])
-        a = solve_onedim(spec.components[0], spec.drifts[0], batch,
-                         SchemeConfig(), initial=1.0)
-        b = solve_onedim(spec.components[0], spec.drifts[0], batch,
-                         SchemeConfig(), initial=1.0)
+        a = solve_one(spec.components[0], spec.drifts[0], batch, initial=1.0)
+        b = solve_one(spec.components[0], spec.drifts[0], batch, initial=1.0)
         assert np.array_equal(a.values, b.values)
 
     def test_clipping_keeps_paths_nonnegative(self):
@@ -252,8 +255,7 @@ class TestInvariants:
         grid = TimeGrid.uniform(1.0, 64)
         batch = make_batch(grid, NoiseLayout(brownian_factors=(1,)), 0, [0])
         with pytest.raises(NumericsError) as err:
-            solve_onedim(coeffs, DriftSpec.constant(1000.0), batch,
-                         SchemeConfig(), initial=5.0)
+            solve_one(coeffs, DriftSpec.constant(1000.0), batch, initial=5.0)
         assert err.value.step == 9
         assert "step 9" in str(err.value)
 
@@ -285,32 +287,21 @@ class TestInvariants:
     def test_explicit_step_precondition_warns(self):
         grid = TimeGrid.uniform(1.0, 2)  # dt = 0.5, a = 3 -> a*dt > 1
         with pytest.warns(RuntimeWarning, match="monotonicity precondition"):
-            solve_onedim(deterministic_coeffs(a=3.0), DriftSpec.constant(1.0),
-                         empty_batch(grid), SchemeConfig(), initial=0.0)
+            solve_one(deterministic_coeffs(a=3.0), DriftSpec.constant(1.0),
+                      empty_batch(grid), initial=0.0)
 
     def test_negative_drift_warns(self):
         grid = TimeGrid.uniform(1.0, 4)
         with pytest.warns(RuntimeWarning, match="negative"):
-            solve_onedim(deterministic_coeffs(), DriftSpec.constant(-1.0),
-                         empty_batch(grid), SchemeConfig(), initial=1.0)
-
-    def test_single_path_solves_take_one_row(self):
-        spec = preset_cir(a=1.0, b=1.0, sigma=0.5, initial=1.0)
-        grid = TimeGrid.uniform(1.0, 8)
-        two_rows = make_batch(grid, spec.noise_layout(), 0, range(2))
-        with pytest.raises(ValueError, match="one-row"):
-            solve_onedim(spec.components[0], DriftSpec.constant(1.0), two_rows,
-                         SchemeConfig(), initial=1.0)
-        with pytest.raises(ValueError, match="one-row"):
-            compare_ordered(spec.components[0], DriftSpec.constant(1.0),
-                            DriftSpec.constant(2.0), two_rows, SchemeConfig(),
-                            initial_low=1.0)
+            solve_one(deterministic_coeffs(), DriftSpec.constant(-1.0),
+                      empty_batch(grid), initial=1.0)
 
     def test_rejects_mean_field_drift(self):
         grid = TimeGrid.uniform(1.0, 4)
-        with pytest.raises(ValueError):
-            solve_onedim(deterministic_coeffs(), DriftSpec.mean_field_average(2),
-                         empty_batch(grid), SchemeConfig(), initial=1.0)
+        mean_field = DriftSpec.mean_field_average(2)
+        with pytest.raises(ValueError, match="system solver"):
+            compare_ordered(deterministic_coeffs(), mean_field, mean_field,
+                            empty_batch(grid), SchemeConfig(), initial_low=1.0)
 
 
 class TestThinnedJumps:
@@ -340,20 +331,20 @@ class TestStaircaseDrift:
         stair = StaircasePath(np.array([0.0, 0.3, 1.0]), np.array([1.0, 2.0]))
         grid = TimeGrid.uniform(1.0, 4)  # 0.3 off the grid
         with pytest.raises(ValueError, match="refine_with"):
-            solve_onedim(deterministic_coeffs(), stair, empty_batch(grid),
-                         SchemeConfig(), initial=1.0)
+            solve_one(deterministic_coeffs(), DriftSpec.external(stair),
+                      empty_batch(grid), initial=1.0)
         aligned = grid.refine_with(stair.breakpoints)
-        path = solve_onedim(deterministic_coeffs(), stair, empty_batch(aligned),
-                            SchemeConfig(), initial=1.0)
-        assert path.values.size == aligned.points.size
+        res = solve_one(deterministic_coeffs(), DriftSpec.external(stair),
+                        empty_batch(aligned), initial=1.0)
+        assert res.values[0, 0].size == aligned.points.size
 
     def test_cadlag_drift_on_same_grid(self):
         grid = TimeGrid.uniform(1.0, 8)
         forcing = CadlagPath.constant(grid, 2.0)
-        a = solve_onedim(deterministic_coeffs(), forcing, empty_batch(grid),
-                         SchemeConfig(), initial=0.0)
-        b = solve_onedim(deterministic_coeffs(), DriftSpec.constant(2.0),
-                         empty_batch(grid), SchemeConfig(), initial=0.0)
+        a = solve_one(deterministic_coeffs(), DriftSpec.external(forcing),
+                      empty_batch(grid), initial=0.0)
+        b = solve_one(deterministic_coeffs(), DriftSpec.constant(2.0),
+                      empty_batch(grid), initial=0.0)
         assert np.array_equal(a.values, b.values)
 
     def test_cadlag_drift_on_coarser_grid(self):
@@ -361,20 +352,24 @@ class TestStaircaseDrift:
         coarse = TimeGrid.uniform(1.0, 4)
         fine = TimeGrid.uniform(1.0, 8)
         forcing = CadlagPath(coarse, np.array([1.0, 2.0, 3.0, 4.0, 4.0]))
-        a = solve_onedim(deterministic_coeffs(), forcing, empty_batch(fine),
-                         SchemeConfig(), initial=0.0)
-        assert a.values.size == fine.points.size
+        a = solve_one(deterministic_coeffs(), DriftSpec.external(forcing),
+                      empty_batch(fine), initial=0.0)
+        assert a.values[0, 0].size == fine.points.size
 
     def test_horizon_mismatch_rejected(self):
         forcing = CadlagPath.constant(TimeGrid.uniform(2.0, 4), 1.0)
         with pytest.raises(ValueError, match="horizon"):
-            solve_onedim(deterministic_coeffs(), forcing,
-                         empty_batch(TimeGrid.uniform(1.0, 4)),
-                         SchemeConfig(), initial=0.0)
+            solve_one(deterministic_coeffs(), DriftSpec.external(forcing),
+                      empty_batch(TimeGrid.uniform(1.0, 4)), initial=0.0)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             SchemeConfig(scheme="milstein")
+
+    def test_explicit_is_the_only_scheme(self):
+        assert SchemeConfig().scheme == EXPLICIT
+        with pytest.raises(ValueError, match="unknown scheme"):
+            SchemeConfig(scheme="drift-implicit")
 
 
 class TestCompareOrdered:
@@ -420,12 +415,54 @@ class TestCompareOrdered:
         maxima = []
         for steps in (64, 128, 256):
             batch = batch_fine.coarsen(256 // steps)
-            lo = solve_batch([comp], [DriftSpec.constant(0.1)], batch,
-                             SchemeConfig(), np.array([[0.05]]))
-            hi = solve_batch([comp], [DriftSpec.constant(1.1)], batch,
-                             SchemeConfig(), np.array([[0.05]]))
-            maxima.append(float(np.maximum(lo.values - hi.values, 0.0).max()))
+            maxima.append(compare_ordered(comp, DriftSpec.constant(0.1),
+                                          DriftSpec.constant(1.1), batch, SchemeConfig(),
+                                          initial_low=0.05).max_violation)
         assert maxima[0] > maxima[1] > maxima[2] > 0.0
+
+    def test_pair_steps_as_one_group_and_equals_two_solves_alone(self):
+        # Brownian, stable and thinned jumps: the pair is one group on the
+        # same noise, and each member equals its one-component solve
+        spec = jumping_example21(1.0)
+        comp = spec.components[0]
+        batch = make_batch(TimeGrid.uniform(1.0, 200), spec.noise_layout(), 3, range(16))
+        parts, _warns = _prepare_parts([comp, comp], batch)
+        assert [part.idx for part in parts] == [[0, 1]]
+        low, high = DriftSpec.constant(0.5), DriftSpec.constant(1.5)
+        pair = solve_batch([comp, comp], [low, high], batch, SchemeConfig(),
+                           np.array([[1.0], [1.25]])).values
+        lo = solve_one(comp, low, batch, initial=1.0).values[0]
+        hi = solve_one(comp, high, batch, initial=1.25).values[0]
+        assert np.array_equal(pair, np.stack([lo, hi]))
+        report = compare_ordered(comp, low, high, batch, SchemeConfig(),
+                                 initial_low=1.0, initial_high=1.25)
+        gap = lo - hi
+        assert report.max_violation == float(np.maximum(gap, 0.0).max())
+        assert report.violating_fraction == float(np.mean(gap > 0.0))
+        assert report.n_points == gap.size == 16 * 201
+
+    def test_one_report_pools_every_row(self):
+        # one report over rows 0-199 is the max and the point-weighted mean
+        # of the 200 one-row reports
+        spec = preset_example21(1, a=1.0, sigma=2.0, initial=0.05,
+                                drift=DriftSpec.constant(0.1))
+        grid = TimeGrid.uniform(1.0, 128)
+        layout = spec.noise_layout()
+
+        def report(rows):
+            batch = make_batch(grid, layout, 0, rows)
+            return compare_ordered(spec.components[0], DriftSpec.constant(0.1),
+                                   DriftSpec.constant(1.1), batch, SchemeConfig(),
+                                   initial_low=0.05)
+
+        pooled = report(range(200))
+        alone = [report([p]) for p in range(200)]
+        assert pooled.n_points == sum(r.n_points for r in alone) == 25_800
+        assert pooled.max_violation == max(r.max_violation for r in alone)
+        violating = sum(round(r.violating_fraction * r.n_points) for r in alone)
+        assert pooled.violating_fraction == violating / pooled.n_points
+        assert (pooled.max_violation, pooled.violating_fraction) == \
+            (0.006256189356926702, 0.009263565891472867)
 
 
 class TestSubRangeSolve:
@@ -520,7 +557,7 @@ class TestChunkedSteps:
 
 
 class TestStackedGroups:
-    @pytest.mark.parametrize("scheme", [EXPLICIT, IMPLICIT])
+    @pytest.mark.parametrize("scheme", [EXPLICIT])
     @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]])
     def test_group_solve_equals_each_component_alone(self, scheme, a):
         # forcing decouples the components, so a grouped solve must equal
@@ -546,7 +583,7 @@ class TestStackedGroups:
         spec = preset_example21(3, a=a, sigma=0.4, sigma0=0.2, sigma_z=0.2,
                                 sigma_z0=0.1)
         batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 5, range(2))
-        parts, _warns = _prepare_parts(spec.components, batch, SchemeConfig())
+        parts, _warns = _prepare_parts(spec.components, batch)
         assert [part.idx for part in parts] == groups
         # the common stable factor Z^0 is one array seen by every member
         common = parts[0].stable[0][2]
@@ -559,7 +596,7 @@ class TestStackedGroups:
         spec = preset_example21(3, a=a, sigma=0.4, sigma0=0.2, sigma_z=0.2,
                                 sigma_z0=0.1)
         batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 5, range(2))
-        parts, _warns = _prepare_parts(spec.components, batch, SchemeConfig())
+        parts, _warns = _prepare_parts(spec.components, batch)
         own = parts[0].stable[1][2]
         members = parts[0].idx
         assert np.array_equal(own, np.stack([batch.stable[i + 1] for i in members]))
@@ -571,7 +608,7 @@ class TestStackedGroups:
                                 sigma_z0=0.1)
         batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 5, range(2))
         back = pickle.loads(pickle.dumps(batch))
-        parts, _warns = _prepare_parts(spec.components, back, SchemeConfig())
+        parts, _warns = _prepare_parts(spec.components, back)
         own = parts[0].stable[1][2]
         assert np.array_equal(own, np.stack([batch.stable[i + 1] for i in range(3)]))
         assert np.shares_memory(own, back.stable[1])
@@ -583,7 +620,7 @@ class TestStackedGroups:
                               rho=PowerModulus(1.0, 0.5))
         batch = make_batch(TimeGrid.uniform(1.0, 8), NoiseLayout(brownian_factors=(0,)),
                            0, range(4))
-        parts, _warns = _prepare_parts([comp], batch, SchemeConfig())
+        parts, _warns = _prepare_parts([comp], batch)
         _cb, dw, _dz = parts[0].chunk(0, 8)
         assert dw.shape == (8, 4)
         assert np.all(dw == 0.0)

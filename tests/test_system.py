@@ -8,10 +8,11 @@ from scipy import stats
 
 import mfjump.system
 from mfjump import (DriftSpec, ExponentialMeasure, NumericsError, SchemeConfig, TimeGrid,
-                    make_batch, permute_system, preset_cir, preset_example21,
-                    run_ensemble, solve_batch, solve_onedim, solve_system,
-                    thinning_system)
+                    make_batch, preset_cir, preset_example21, run_ensemble, solve_batch,
+                    solve_system, thinning_system)
 from mfjump.coeffs import CoefficientSet, PowerDiffusion, PowerModulus, SystemSpec
+
+from _helpers import permute_system
 
 
 def slab_bytes(blocks, n_components, n_steps):
@@ -32,16 +33,26 @@ class TestSolveSystem:
                                 initial=1.0, drift=DriftSpec.constant(2.0))
         grid = TimeGrid.uniform(1.0, 128)
         batch = make_batch(grid, spec.noise_layout(), 21, [0])
-        via_system = solve_system(spec, batch, SchemeConfig())[0]
-        via_onedim = solve_onedim(spec.components[0], spec.drifts[0], batch,
-                                  SchemeConfig(), initial=1.0)
+        via_system = solve_system(spec, batch, SchemeConfig())
+        via_onedim = solve_batch([spec.components[0]], [spec.drifts[0]], batch,
+                                 SchemeConfig(), np.array([[1.0]]))
         assert np.array_equal(via_system.values, via_onedim.values)
 
-    def test_rejects_multi_row_batch(self):
-        spec = example_spec()
-        batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 0, range(2))
-        with pytest.raises(ValueError, match="one-row"):
-            solve_system(spec, batch, SchemeConfig())
+    def test_solves_every_row_of_the_batch(self):
+        # the spec's solve over 600 rows, and row 599 of a 600-path ensemble
+        # replayed alone on its one-row batch
+        spec = example_spec(n=3, initial=[1.0, 1.5, 2.0])
+        grid = TimeGrid.uniform(1.0, 32)
+        batch = make_batch(grid, spec.noise_layout(), 3, range(600))
+        via_system = solve_system(spec, batch, SchemeConfig()).values
+        via_batch = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+                                spec.initial[:, None]).values
+        assert via_system.shape == (3, 600, 33)
+        assert np.array_equal(via_system, via_batch)
+        res = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=600)
+        lone = solve_system(spec, make_batch(grid, spec.noise_layout(), 3, [599]),
+                            SchemeConfig())
+        assert np.array_equal(res.values[:, 599], lone.values[:, 0])
 
     def test_nonnegative(self):
         spec = example_spec(sigma=1.5)
@@ -126,8 +137,8 @@ class TestEnsemble:
         grid = TimeGrid.uniform(1.0, 32)
         res = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=600)
         lone = solve_system(spec, make_batch(grid, spec.noise_layout(), 3, [599]),
-                            SchemeConfig())[0]
-        assert np.array_equal(res.values[0, 599], lone.values)
+                            SchemeConfig())
+        assert np.array_equal(res.values[0, 599], lone.values[0, 0])
 
     def test_keep_paths_keeps_the_leading_paths(self):
         # 520 kept paths end 8 rows into the second block
