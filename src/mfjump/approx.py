@@ -10,8 +10,11 @@ a block's noise once, on the finest rung of a step ladder; the block solves
 the hierarchy on that draw coarsened onto every rung and returns only
 reductions: per-level path moments, per-pair ordering statistics and per-path
 sup gaps, which the parent merges in block order. A block reduces each level
-as soon as it is built and drops the one before, so it holds two levels at a
-time. A single grid is the one-rung ladder.
+as soon as it is built and drops the one before. Of full-grid size it holds
+only its noise draw and two levels' values: a ``realized`` level's forcing is
+one row per partition interval, and the interval infima, the pair statistics
+and the moments are taken a column slice or a component at a time. A single
+grid is the one-rung ladder.
 """
 from __future__ import annotations
 
@@ -22,11 +25,12 @@ import numpy as np
 
 from .coeffs import SystemSpec, drift_values
 from .noise import NoiseBatch, TimeGrid, make_batch
-from .solver import SchemeConfig, solve_batch
+from .solver import Forcing, SchemeConfig, solve_batch
 from .system import _chan_merge, _mean_se, _moments, map_blocks
 
 MODES = ("realized", "nested-mc")
 _BLOCK = 256  # paths per hierarchy block; independent of --jobs
+_SLICE = 64  # grid columns per drift evaluation in _interval_infima
 
 
 def dyadic_partition(n: int, horizon: float) -> TimeGrid:
@@ -63,16 +67,24 @@ def infimum_drift(paths, drifts, partition: TimeGrid) -> np.ndarray:
 def _interval_infima(drifts, points, values: np.ndarray, part_idx: np.ndarray) -> np.ndarray:
     """Min of every drift along the paths ``values`` (N, P, K+1) over the
     closed index span of each partition interval: (N, P, n_int). Drifts that
-    share a mean-field fn share one evaluation and one set of minima."""
+    share a mean-field fn share one evaluation and one set of minima. A span
+    is evaluated ``_SLICE`` columns at a time and the slice minima folded, so
+    no (P, K+1) drift array is held; a min is exact, so the slices move no bit."""
     groups = {}  # evaluation key -> the drifts it gives
     for i, drift in enumerate(drifts):
         key = ("fn", id(drift.fn)) if drift.kind == "mean-field" else ("row", i)
         groups.setdefault(key, []).append(i)
     out = np.empty(values.shape[:2] + (part_idx.size - 1,))
     for members in groups.values():
-        dv = drift_values([drifts[members[0]]], points, values)[0]  # (P, K+1)
+        drift = [drifts[members[0]]]
         for k in range(part_idx.size - 1):
-            out[members, :, k] = dv[:, part_idx[k]:part_idx[k + 1] + 1].min(axis=1)
+            lo, hi = part_idx[k], part_idx[k + 1] + 1
+            low = None
+            for c0 in range(lo, hi, _SLICE):
+                c1 = min(c0 + _SLICE, hi)
+                dv = drift_values(drift, points[c0:c1], values[:, :, c0:c1])[0]
+                low = dv.min(axis=1) if low is None else np.minimum(low, dv.min(axis=1))
+            out[members, :, k] = low
     return out
 
 
@@ -85,15 +97,7 @@ class LevelBatch:
     part_idx: np.ndarray  # indices of partition points in the simulation grid
     inf_drifts: np.ndarray  # (N, P, 2^(n-1)) interval infima along this level's paths
     values: np.ndarray  # (N, P, K+1) level paths on the simulation grid
-    forcing: np.ndarray  # (N, P, K) drift forcing of this level; None once dropped
-
-
-def _forcing_from_intervals(per_interval: np.ndarray, grid: TimeGrid,
-                            part_idx: np.ndarray) -> np.ndarray:
-    """Expand per-interval values (N, P, n_int) to per-step forcing (N, P, K)."""
-    step_interval = np.searchsorted(grid.points[part_idx],
-                                    grid.points[:-1], side="right") - 1
-    return per_interval[:, :, step_interval]
+    forcing: object  # drift forcing of this level, read as (N, P, K); None once dropped
 
 
 def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int,
@@ -112,6 +116,7 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int
     layout = spec.noise_layout()
     (master,) = {seed for seed, _ in batch.lineages}  # a batch has one master seed
     paths = [p for _, p in batch.lineages]
+    prev_forcing = np.asarray(prev.forcing)  # (N, P, K), expanded once
     for k in range(prev.part_idx.size - 1):
         j0, j1 = prev.part_idx[k], prev.part_idx[k + 1]
         past_min = None
@@ -122,7 +127,7 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int
                                branch=((prev.n, k, j), n_inner))
             res = solve_batch(spec.components, spec.drifts, inner, cfg,
                               initial=np.repeat(prev.values[:, :, j], n_inner, axis=1),
-                              forcing=np.repeat(prev.forcing[:, :, j:j1], n_inner, axis=1))
+                              forcing=np.repeat(prev_forcing[:, :, j:j1], n_inner, axis=1))
             dv = drift_values(spec.drifts, pts[j:j1 + 1], res.values)
             future_min = dv.min(axis=2).reshape(n_comp, n_paths, n_inner)
             forcing[:, :, j] = np.minimum(past_min[:, :, None], future_min).mean(axis=2)
@@ -130,7 +135,7 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int
 
 
 def _solve_level(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig, n: int,
-                 forcing: np.ndarray) -> LevelBatch:
+                 forcing) -> LevelBatch:
     """Level n driven by ``forcing``: its paths and their interval-infimum
     drifts over the level-n partition."""
     grid = batch.grid
@@ -145,9 +150,10 @@ def _solve_level(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig, n: int,
 
 
 def build_level_one(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig) -> LevelBatch:
-    """Base level: zero drift target (pure decay plus noise)."""
+    """Base level: zero drift target (pure decay plus noise), one zero row."""
     return _solve_level(spec, batch, cfg, 1,
-                        np.zeros((spec.n, batch.n_paths, batch.grid.n_steps)))
+                        Forcing(np.zeros((1, spec.n, batch.n_paths)),
+                                np.zeros(batch.grid.n_steps, dtype=np.intp)))
 
 
 def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
@@ -166,8 +172,10 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
     if mode == "nested-mc":
         dv = drift_values(spec.drifts, grid.points, prev.values)
         forcing = _nested_forcing(spec, prev, batch, cfg, n_inner, dv)
-    else:
-        forcing = _forcing_from_intervals(prev.inf_drifts, grid, prev.part_idx)
+    else:  # one row per interval of the previous partition
+        forcing = Forcing(np.moveaxis(prev.inf_drifts, 2, 0).copy(),
+                          np.repeat(np.arange(prev.part_idx.size - 1),
+                                    np.diff(prev.part_idx)))
     return _solve_level(spec, batch, cfg, prev.n + 1, forcing)
 
 
@@ -209,12 +217,17 @@ class MonotonicityRow:
 def _pair_stats(a: LevelBatch, b: LevelBatch):
     """One consecutive level pair over a batch: the sup gap |b - a| per
     (component, path), the sup violation (a - b)+ per path, and how many grid
-    points violate, out of how many."""
-    gap = a.values - b.values
-    count = int((gap > 0.0).sum())
-    sup_gap = np.abs(gap).max(axis=2)
-    np.maximum(gap, 0.0, out=gap)
-    return sup_gap, gap.max(axis=(0, 2)), count, gap.size
+    points violate, out of how many. Taken one component at a time; the sup
+    gap is the larger of |max| and |min|, never a negated zero."""
+    sup_gap = np.empty(a.values.shape[:2])
+    sup_viol, count = np.zeros(a.values.shape[1]), 0
+    for i in range(a.values.shape[0]):
+        gap = a.values[i] - b.values[i]
+        count += int(np.count_nonzero(gap > 0.0))
+        high, low = gap.max(axis=1), gap.min(axis=1)
+        sup_gap[i] = np.maximum(np.abs(high), np.abs(low))
+        np.maximum(sup_viol, high, out=sup_viol)
+    return sup_gap, sup_viol, count, a.values.size
 
 
 def check_monotone(levels):
@@ -295,14 +308,16 @@ def _ladder_block(spec, cfg, n_max, mode, n_inner, _lo, rungs):
     reduced to its per-level path moments and its per-pair statistics as its
     levels are built. A level is dropped once the next is reduced, and a
     ``realized`` level drops its forcing once solved (the next level needs
-    only its infima), so the block holds two levels at a time."""
+    only its infima), so the block holds two levels at a time. The moments are
+    taken one component at a time."""
     out = []
     for batch in rungs:
         moments, pairs, prev = [], [], None
         for level in _iter_levels(spec, batch, cfg, n_max, mode, n_inner):
             if mode == "realized":
                 level.forcing = None
-            moments.append(_moments(level.values.transpose(1, 0, 2)))
+            counts, means, m2s = zip(*map(_moments, level.values))
+            moments.append((counts[0], np.stack(means), np.stack(m2s)))
             if prev is not None:
                 pairs.append(_pair_stats(prev, level))
             prev = level

@@ -109,7 +109,9 @@ def panel_quadrature(fn, lo: float, hi: float, points=()) -> float:
     edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL)) + 1)
     inner = [p for p in points if lo < p < hi]
     if inner:
-        edges = np.unique(np.concatenate((edges, inner)))
+        # np.unique would import numpy.ma on its first call, at run time
+        edges = np.sort(np.concatenate((edges, inner)))
+        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     left, right = edges[:-1], edges[1:]
     own, done = rule(left, right), 0.0
     for n_pass in range(2, _MAX_PASSES + 1):

@@ -16,6 +16,10 @@ contiguous (G, P) rows and sums into the new state in place. The chunk's
 states go into ``values`` in one transposed assignment. Every element sees the
 same operations in the same order as in a one-step solve, so where the chunks
 end moves no bit.
+
+Every drift table is read as a ``Forcing``: (N, P) rows and the row each step
+reads, so a forcing constant on the intervals of a partition holds one row per
+interval, not one per step.
 """
 from __future__ import annotations
 
@@ -65,6 +69,31 @@ def _step_major(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, -1, 0).copy()
 
 
+@dataclass(frozen=True, eq=False)
+class Forcing:
+    """A drift forcing held as rows: step k is forced by ``table[index[k]]``,
+    one (N, 1 or P) row of the (M, N, 1 or P) ``table``. A forcing constant on
+    each interval of a partition keeps one row per interval; an (N, P, K)
+    array is the case of K rows. It reads as its (N, P, K) array."""
+
+    table: np.ndarray  # (M, N, 1 or P)
+    index: np.ndarray  # (K,) the row of each step
+
+    @classmethod
+    def of(cls, forcing) -> "Forcing":
+        """``forcing`` itself, or an (N, P, K) array as its K step rows."""
+        if isinstance(forcing, cls):
+            return forcing
+        forcing = np.asarray(forcing)
+        return cls(_step_major(forcing), np.arange(forcing.shape[-1]))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(np.moveaxis(self.table[self.index], 0, -1), dtype=dtype)
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
+
+
 @dataclass
 class _Part:
     """Prepared arrays for one group of equal-coefficient components. ``idx`` is a
@@ -81,17 +110,18 @@ class _Part:
     stable: list = field(default_factory=list)  # (coef, exponent, ([G,] P, K) array)
     compensator: object = None
 
-    def chunk(self, k0: int, k1: int, table: np.ndarray = None) -> tuple:
+    def chunk(self, k0: int, k1: int, forcing: "Forcing" = None) -> tuple:
         """``(cb, dw, dz)``, the group's operands of steps [k0, k1) with the
         step on the leading axis, so that each step reads contiguous rows.
 
-        ``cb`` is c2 * b for the (N, 1 or P, K) drift table ``table``, or None
+        ``cb`` is c2 * b, (C, [G,] 1 or P), for the drift ``forcing``, or None
         without one; ``dw`` is the combined Brownian increment, (C, [G,] P),
         or None; ``dz`` lists each stable term's increments.
         """
         cb = dw = None
-        if table is not None:
-            cb = _step_major(table[self.sel, :, k0:k1] * self.c2[k0:k1])
+        if forcing is not None:
+            rows = forcing.table[forcing.index[k0:k1]][:, self.sel]
+            cb = rows * self.c2[k0:k1].reshape((-1,) + (1,) * (rows.ndim - 1))
         if self.brownian is not None:
             sums = []
             for (weight, draw), *rest in self.brownian:
@@ -241,12 +271,14 @@ def _check_drift_path(path, grid: TimeGrid) -> None:
 
 
 def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
-                initial: np.ndarray, forcing: np.ndarray = None,
+                initial: np.ndarray, forcing=None,
                 k_start: int = 0, k_stop: int = None) -> BatchResult:
     """Advance all paths of a batch jointly from step k_start to k_stop.
 
     ``initial`` has shape (n_components, n_paths) and seeds the state at
     ``k_start``; values outside the solved span are left as NaN sentinels.
+    ``forcing``, a ``Forcing`` or an (n_components, n_paths, n_steps) array,
+    replaces the drifts; the drifts' own table is read as a ``Forcing`` too.
     Jump kernels are called as ``fn(x, marks)`` on all the events of a step
     that touch distinct rows at once, so they must act elementwise: ``x`` has
     shape (E,) and ``marks`` (E,) or (d, E).
@@ -259,9 +291,10 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
     pts = grid.points
     parts, warns = _prepare_parts(components, batch)
     live = []  # indices of mean-field drifts, evaluated per step on the state
-    if forcing is not None:
-        table = forcing  # (n_components, n_paths, n_steps) overrides drifts
-        if np.min(forcing) < 0:
+    if forcing is not None:  # overrides drifts
+        forcing = Forcing.of(forcing)
+        # the min over the rows that some step reads, as over the (N, P, K) array
+        if forcing.table.min(axis=(1, 2))[forcing.index].min() < 0:
             warns.append("drift forcing takes negative values; the "
                          "existence theory assumes b >= 0")
     else:
@@ -276,6 +309,7 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
         if table.min() < 0:
             warns.append("drift target takes negative values; the "
                          "existence theory assumes b >= 0")
+        forcing = Forcing.of(table)
     live_drifts = [drifts[i] for i in live]
     plan = _bin_events(components, batch, k_start, k_stop)
     left = np.empty(plan.rows.size)  # per event: state before it, and its size
@@ -293,12 +327,13 @@ def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for k0 in range(k_start, k_stop, _CHUNK):
             k1 = min(k0 + _CHUNK, k_stop)
-            ops = [part.chunk(k0, k1, None if live else table) for part in parts]
+            ops = [part.chunk(k0, k1, None if live else forcing) for part in parts]
             chunk = np.empty((k1 - k0, n_comp, n_paths))  # the new states, step-major
             for j, new in enumerate(chunk):
                 k = k0 + j
                 if live:
-                    b = np.broadcast_to(table[:, :, k], (n_comp, n_paths)).copy()
+                    b = np.broadcast_to(forcing.table[forcing.index[k]],
+                                        (n_comp, n_paths)).copy()
                     b[live] = drift_values(live_drifts, pts[k:k + 1],
                                            state[:, :, None])[:, :, 0]
                 for part, (cb, dw, dz), tmp in zip(parts, ops, tmps):

@@ -1,5 +1,7 @@
 import json
+import os
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,8 +15,12 @@ from mfjump import (CadlagPath, DriftSpec, SchemeConfig, TimeGrid, build_level_o
                     moment_bound_check, preset_cir, preset_example21,
                     refinement_study, run_hierarchy_batch, run_hierarchy_ensemble,
                     solve_batch)
+from mfjump.approx import _SLICE, _interval_infima
 from mfjump.cli import main
 from mfjump.coeffs import LinearInTime, drift_values
+from mfjump.scenario import load_scenario
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def mean_field_spec(n=2, sigma=0.0, **kw):
@@ -92,6 +98,26 @@ class TestInfimumDrift:
                             axis=1)
         assert np.array_equal(inf, expected)
         assert np.array_equal(inf[0], inf[3]) and np.array_equal(inf[1], np.full(4, 0.5))
+
+    def test_sliced_spans_equal_the_minima_of_drift_values(self):
+        # spans of 71, 131 and 101 columns: several slices each, none ending
+        # on a slice edge; components 3 and 4 share one mean-field fn
+        grid = TimeGrid.uniform(1.0, 300)
+        part_idx = np.array([0, 70, 200, 300])
+        assert _SLICE < 70 and np.all((np.diff(part_idx) + 1) % _SLICE != 0)
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 2.0, (5, 7, grid.points.size))
+        shared = DriftSpec.mean_field_average(5)
+        drifts = (DriftSpec.constant(0.5),
+                  DriftSpec.time_function(LinearInTime(0.9, -0.5), growth_bound=0.9),
+                  DriftSpec.external(CadlagPath(grid, rng.uniform(0.0, 1.0, 301))),
+                  shared, shared)
+        inf = _interval_infima(drifts, grid.points, values, part_idx)
+        dv = drift_values(drifts, grid.points, values)
+        expected = np.stack([dv[:, :, i:j + 1].min(axis=2)
+                             for i, j in zip(part_idx, part_idx[1:])], axis=2)
+        assert inf.shape == (5, 7, 3)
+        assert np.array_equal(inf, expected)
 
     def test_partition_must_lie_on_grid(self):
         grid = TimeGrid.uniform(1.0, 3)
@@ -462,6 +488,28 @@ class TestApproxCommand:
         gaps = (out / "level_gaps.csv").read_text().splitlines()
         assert float(gaps[-1].split(",")[-1]) == report["cauchy_gap"]
 
+    def test_coinciding_levels_have_a_positive_zero_gap(self, tmp_path):
+        # a constant drift makes levels 2 and 3 equal: their sup gap is 0.0,
+        # never -0.0, in the report and in both CSVs
+        scenario = os.path.join(SCENARIOS, "cir.json")
+        out = tmp_path / "o"
+        assert main(["approx", "--scenario", scenario, "--paths", "20", "--levels", "3",
+                     "--refinements", "2", "--jobs", "1", "--out", str(out)]) == 0
+        report = json.loads((out / "approx_report.json").read_text())
+        cauchy = [report["cauchy_gap"]] + [r["cauchy_gap"] for r in report["refinements"]]
+        assert cauchy == [0.0] * 3 and not np.signbit(cauchy).any()
+        gaps = (out / "level_gaps.csv").read_text().splitlines()
+        assert gaps[-1].endswith(",2,3,0.0,0.0")
+        rows = (out / "refinements.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",0.0") for row in rows)
+        spec = load_scenario(scenario).system
+        for rung in hierarchy_refinement_study(spec, SchemeConfig(), 1.0, [64, 128],
+                                               20, 1, 3):
+            assert rung.sup_gaps[0].max() > 0.0
+            assert np.array_equal(rung.sup_gaps[1], np.zeros((1, 20)))
+            assert not np.signbit(rung.sup_gaps).any()
+            assert rung.cauchy_gap == 0.0 and not np.signbit(rung.cauchy_gap)
+
 
 class TestStreamedBlock:
     """A ladder block reduces each level as it is built. Its reductions equal
@@ -516,3 +564,23 @@ class TestStreamedBlock:
         batch = make_batch(TimeGrid.uniform(1.0, 16), spec.noise_layout(), 2, range(3))
         mfjump.approx._ladder_block(spec, SchemeConfig(), 4, mode, 2, 0, iter([batch]))
         assert len(alive) == 4 and max(alive) <= 2
+
+    def test_a_block_peaks_at_its_draws_and_two_levels(self):
+        # one 256-path block of the hier-refine ladder. At the middle rung it
+        # holds the finest draw and that draw coarsened by 2; beyond those
+        # and two levels' values it may take 4 MiB of work arrays
+        spec = load_scenario(os.path.join(SCENARIOS, "correlated-intensities.json")).system
+        draw = make_batch(TimeGrid.uniform(1.0, 1024), spec.noise_layout(), 0, range(256))
+        draw_bytes = sum(a.nbytes for kind in (draw.brownian, draw.stable)
+                         for a in kind.values())
+        level_bytes = spec.n * 256 * 1025 * 8
+        del draw
+        tracemalloc.start()
+        try:
+            hierarchy_refinement_study(spec, SchemeConfig(), 1.0, [256, 512, 1024],
+                                       256, 77, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draw_bytes == 16 << 20
+        assert peak < 1.5 * draw_bytes + 2 * level_bytes + (4 << 20)

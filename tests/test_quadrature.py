@@ -203,3 +203,22 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+
+def test_validate_imports_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 38 ms of run time
+    scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                            "correlated-intensities.json")
+    argv = ["validate", "--scenario", scenario, "--out", str(tmp_path / "o")]
+    script = f"""
+import sys
+import mfjump.cli
+assert mfjump.cli.main({argv!r}) == 0
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfjump.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from mfjump.coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, Jump
                            PowerDiffusion, PowerModulus, SqrtDiffusion,
                            ThinningKernel, ThinningMarkSampler, ZeroFn)
 from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout
-from mfjump.solver import EXPLICIT, _prepare_parts
+from mfjump.solver import EXPLICIT, Forcing, _prepare_parts
 
 
 def deterministic_coeffs(a=1.0):
@@ -554,6 +555,59 @@ class TestChunkedSteps:
         err = info.value
         assert (err.step, err.time, err.component, err.path_index) == \
             (101, grid.points[101], 1, 49)
+
+
+class TestRowForcing:
+    """A forcing held as rows and a step index solves to the same bits as its
+    (N, P, K) array."""
+
+    @staticmethod
+    def rows(n_steps=200):
+        # interval ends 37, 101, 150 cross no, one and two chunk edges
+        lengths = np.diff([0, 37, 101, 150, n_steps])
+        table = np.random.default_rng(8).uniform(0.5, 2.0, (lengths.size, 3, 16))
+        return Forcing(table, np.repeat(np.arange(lengths.size), lengths))
+
+    @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]], ids=["slice", "fancy"])
+    @pytest.mark.parametrize("k_start, k_stop", [(0, None), (10, 140), (63, 65)])
+    def test_rows_solve_as_the_full_table(self, a, k_start, k_stop):
+        # a = [1, 2, 1] makes a fancy group {0, 2} and a singleton {1}
+        spec = jumping_example21(a)
+        batch = make_batch(TimeGrid.uniform(1.0, 200), spec.noise_layout(), 3, range(16))
+        rows = self.rows()
+        full = rows.table[rows.index].transpose(1, 2, 0)
+        state = np.random.default_rng(1).uniform(0.5, 2.0, (3, 16))
+        by_rows, by_table = (
+            solve_batch(spec.components, spec.drifts, batch, SchemeConfig(), state,
+                        forcing=forcing, k_start=k_start, k_stop=k_stop)
+            for forcing in (rows, full))
+        assert np.array_equal(by_rows.values, by_table.values, equal_nan=True)
+        assert np.array_equal(by_rows.jumps.right, by_table.jumps.right)
+
+    def test_reads_as_its_full_table(self):
+        rows = self.rows()
+        full = rows.table[rows.index].transpose(1, 2, 0)
+        assert np.array_equal(np.asarray(rows), full)
+        assert np.array_equal(rows[:, :, 30:110], full[:, :, 30:110])
+        assert np.array_equal(rows[0, 2, :40], full[0, 2, :40])
+        assert np.array_equal(rows[1, :, 77], full[1, :, 77])
+
+    @pytest.mark.parametrize("bad_row, warns", [(1, True), (4, False)])
+    def test_negative_warning_reads_only_the_rows_steps_use(self, bad_row, warns):
+        # row 4 is no step's row: the full table holds no negative value
+        rows = self.rows()
+        table = np.concatenate([rows.table, np.ones((1, 3, 16))])
+        table[bad_row, 2, 5] = -0.5
+        spec = preset_example21(3, a=1.0, sigma=0.4)
+        batch = make_batch(TimeGrid.uniform(1.0, 200), spec.noise_layout(), 3, range(16))
+        for forcing in (Forcing(table, rows.index), table[rows.index].transpose(1, 2, 0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+                            spec.initial[:, None], forcing=forcing)
+            assert [str(w.message) for w in caught] == (
+                ["drift forcing takes negative values; the existence theory "
+                 "assumes b >= 0"] if warns else [])
 
 
 class TestStackedGroups:
