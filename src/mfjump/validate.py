@@ -4,6 +4,11 @@ These are finite-budget falsifiers, not proofs: each condition is probed on
 sampled states/pairs/marks and reported pass, fail (with a witness), or
 unchecked (divergence conditions for non-power-law moduli). Kernels are called
 on arrays (``coeffs.CompensatedKernel.fn``); a NaN, or an infinite kernel value, fails.
+
+``validate_system`` runs the two assumption validators once per distinct
+coefficient law, the fields in ``_LAW_FIELDS``: exchangeable components share
+one computation and each gets its own report. That holds only while each
+validator is a pure function of those fields and the plan, seeding its own rng.
 """
 from __future__ import annotations
 
@@ -24,6 +29,8 @@ _TRUNCATIONS = (1.0, 5.0)  # truncation levels m of the modulus checks
 _N_MARKS = 24  # marks per sampled kernel check
 _SEED = 0  # the validators' rng seeds are _SEED, _SEED + 1 and _SEED + 2
 _UNIQ_POINTS = 512  # sample points of rho_m <= rho on (0, x_m]
+# the CoefficientSet fields validate_assum1 and validate_assum2 read: a law
+_LAW_FIELDS = ("sigma", "rho", "g0", "mu0", "rho_m", "g1", "r_m", "growth_k")
 
 
 @dataclass(frozen=True)
@@ -390,13 +397,27 @@ def validate_drift(spec: SystemSpec, plan: SamplingPlan = SamplingPlan()) -> Val
 
 
 def validate_system(spec: SystemSpec, plan: SamplingPlan = SamplingPlan()):
-    """All assumption reports for every component plus the drift conditions."""
-    reports = []
+    """All assumption reports for every component plus the drift conditions.
+
+    The assumption reports are computed once per distinct law (see
+    ``_LAW_FIELDS``) and copied into each component's own report, so
+    ``validate_assum1`` and ``validate_assum2`` must stay pure functions of
+    those fields and the plan."""
+    laws, reports = {}, []
     for i, comp in enumerate(spec.components):
-        r1 = validate_assum1(comp, plan)
-        r1.subject = f"component {i}: {r1.subject}"
-        r2 = validate_assum2(comp, plan)
-        r2.subject = f"component {i}: {r2.subject}"
-        reports.extend([r1, r2])
+        # equal fields may still print differently in a detail (exponent 1
+        # against 1.0), so the key holds their repr as well
+        fields = tuple(getattr(comp, name) for name in _LAW_FIELDS)
+        try:
+            key = (fields, repr(fields))
+            shared = laws.get(key)
+        except Exception:  # an unhashable field, or an == that raises or is ambiguous
+            key = shared = None
+        if shared is None:
+            shared = (validate_assum1(comp, plan), validate_assum2(comp, plan))
+            if key is not None:
+                laws[key] = shared
+        reports.extend(ValidationReport(f"component {i}: {r.subject}", list(r.conditions))
+                       for r in shared)
     reports.append(validate_drift(spec, plan))
     return reports
