@@ -15,12 +15,10 @@ from .validate import (SamplingPlan, ValidationReport, validate_assum1,
 from .solver import (NumericsError, OrderingReport, SchemeConfig, compare_ordered,
                      solve_batch)
 from .system import EnsembleResult, run_ensemble, solve_system
-from .staircase import (envelope, grid_modulus, lower_staircase,
-                        staircase_diagnostics, upper_staircase)
+from .staircase import envelope, grid_modulus, lower_staircase, upper_staircase
 from .approx import (HierarchyResult, build_level_one, build_next_level,
                      check_monotone, dyadic_partition, hierarchy_refinement_study,
-                     infimum_drift, moment_bound_check, run_hierarchy_batch,
-                     run_hierarchy_ensemble)
+                     moment_bound_check, run_hierarchy_batch, run_hierarchy_ensemble)
 from .uniqueness import (DivergenceReport, PhiFunctions, TestFunctionFamily,
                          build_phi, refinement_study, yw_sequence)
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario

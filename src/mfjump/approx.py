@@ -51,19 +51,6 @@ def _partition_indices(grid: TimeGrid, partition: TimeGrid) -> np.ndarray:
     return idx
 
 
-def infimum_drift(paths, drifts, partition: TimeGrid) -> np.ndarray:
-    """Per-component, per-interval infimum drifts b^{i,n}_k of one trajectory.
-
-    ``paths`` holds the level's per-component CadlagPaths on a common grid
-    refining the partition; the infimum runs over all grid samples in each
-    closed interval.
-    """
-    grid = paths[0].grid
-    values = np.stack([p.values for p in paths])[:, None, :]  # (N, 1, K+1)
-    part_idx = _partition_indices(grid, partition)
-    return _interval_infima(drifts, grid.points, values, part_idx)[:, 0, :]
-
-
 def _interval_infima(drifts, points, values: np.ndarray, part_idx: np.ndarray) -> np.ndarray:
     """Min of every drift along the paths ``values`` (N, P, K+1) over the
     closed index span of each partition interval: (N, P, n_int). Drifts that
@@ -100,7 +87,7 @@ class LevelBatch:
     forcing: object  # drift forcing of this level, read as (N, P, K); None once dropped
 
 
-def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int,
+def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, n_inner: int,
                     drift_vals: np.ndarray) -> np.ndarray:
     """Adapted estimate of E[b^{i,n}_k | F_s] at every step s by branching
     n_inner fresh continuations of the level-n system at s. One solve per
@@ -125,7 +112,7 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int
             past_min = current if past_min is None else np.minimum(past_min, current)
             inner = make_batch(TimeGrid(pts[j:j1 + 1] - pts[j]), layout, master, paths,
                                branch=((prev.n, k, j), n_inner))
-            res = solve_batch(spec.components, spec.drifts, inner, cfg,
+            res = solve_batch(spec.components, spec.drifts, inner,
                               initial=np.repeat(prev.values[:, :, j], n_inner, axis=1),
                               forcing=np.repeat(prev_forcing[:, :, j:j1], n_inner, axis=1))
             dv = drift_values(spec.drifts, pts[j:j1 + 1], res.values)
@@ -134,12 +121,11 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, cfg, n_inner: int
     return forcing
 
 
-def _solve_level(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig, n: int,
-                 forcing) -> LevelBatch:
+def _solve_level(spec: SystemSpec, batch: NoiseBatch, n: int, forcing) -> LevelBatch:
     """Level n driven by ``forcing``: its paths and their interval-infimum
     drifts over the level-n partition."""
     grid = batch.grid
-    res = solve_batch(spec.components, spec.drifts, batch, cfg,
+    res = solve_batch(spec.components, spec.drifts, batch,
                       initial=spec.initial[:, None], forcing=forcing)
     partition = dyadic_partition(n, grid.horizon)
     part_idx = _partition_indices(grid, partition)
@@ -149,16 +135,15 @@ def _solve_level(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig, n: int,
                       values=res.values, forcing=forcing)
 
 
-def build_level_one(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig) -> LevelBatch:
+def build_level_one(spec: SystemSpec, batch: NoiseBatch) -> LevelBatch:
     """Base level: zero drift target (pure decay plus noise), one zero row."""
-    return _solve_level(spec, batch, cfg, 1,
+    return _solve_level(spec, batch, 1,
                         Forcing(np.zeros((1, spec.n, batch.n_paths)),
                                 np.zeros(batch.grid.n_steps, dtype=np.intp)))
 
 
 def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
-                     cfg: SchemeConfig, mode: str = "realized",
-                     n_inner: int = 8) -> LevelBatch:
+                     mode: str = "realized", n_inner: int = 8) -> LevelBatch:
     """Solve the next-level recursion on the shared noise realization.
 
     Modes realize the conditional expectation of the interval infimum as:
@@ -171,12 +156,12 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
     grid = batch.grid
     if mode == "nested-mc":
         dv = drift_values(spec.drifts, grid.points, prev.values)
-        forcing = _nested_forcing(spec, prev, batch, cfg, n_inner, dv)
+        forcing = _nested_forcing(spec, prev, batch, n_inner, dv)
     else:  # one row per interval of the previous partition
         forcing = Forcing(np.moveaxis(prev.inf_drifts, 2, 0).copy(),
                           np.repeat(np.arange(prev.part_idx.size - 1),
                                     np.diff(prev.part_idx)))
-    return _solve_level(spec, batch, cfg, prev.n + 1, forcing)
+    return _solve_level(spec, batch, prev.n + 1, forcing)
 
 
 @dataclass
@@ -186,24 +171,25 @@ class HierarchyBatch:
     levels: list
 
 
-def _iter_levels(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig, n_max: int,
-                 mode: str, n_inner: int):
+def _iter_levels(spec: SystemSpec, batch: NoiseBatch, n_max: int, mode: str, n_inner: int):
     """Levels 1 .. n_max of one hierarchy, each built from the one before. The
     generator holds only the last level it yielded, so a consumer that drops a
     level once the next arrives holds two at a time."""
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    level = build_level_one(spec, batch, cfg)
+    level = build_level_one(spec, batch)
     yield level
     while level.n < n_max:
-        level = build_next_level(level, spec, batch, cfg, mode=mode, n_inner=n_inner)
+        level = build_next_level(level, spec, batch, mode=mode, n_inner=n_inner)
         yield level
 
 
 def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig,
                         n_max: int, mode: str = "realized",
                         n_inner: int = 8) -> HierarchyBatch:
-    return HierarchyBatch(levels=list(_iter_levels(spec, batch, cfg, n_max, mode, n_inner)))
+    """Levels 1 .. n_max of one hierarchy over every row of ``batch``.
+    The ``SchemeConfig`` is accepted and not passed on: there is one scheme."""
+    return HierarchyBatch(levels=list(_iter_levels(spec, batch, n_max, mode, n_inner)))
 
 
 @dataclass(frozen=True)
@@ -303,7 +289,7 @@ class HierarchyResult:
     cauchy_gap: float  # sup gap between the two highest levels (not extrapolated)
 
 
-def _ladder_block(spec, cfg, n_max, mode, n_inner, _lo, rungs):
+def _ladder_block(spec, n_max, mode, n_inner, _lo, rungs):
     """One block of paths: one hierarchy per rung of the block's draw, each
     reduced to its per-level path moments and its per-pair statistics as its
     levels are built. A level is dropped once the next is reduced, and a
@@ -313,7 +299,7 @@ def _ladder_block(spec, cfg, n_max, mode, n_inner, _lo, rungs):
     out = []
     for batch in rungs:
         moments, pairs, prev = [], [], None
-        for level in _iter_levels(spec, batch, cfg, n_max, mode, n_inner):
+        for level in _iter_levels(spec, batch, n_max, mode, n_inner):
             if mode == "realized":
                 level.forcing = None
             counts, means, m2s = zip(*map(_moments, level.values))
@@ -347,12 +333,12 @@ def _merge_rung(blocks, steps: int, horizon: float) -> HierarchyResult:
         cauchy_gap=float(sup_gaps[-1].max()))
 
 
-def _hierarchy_ladder(spec, cfg, grid, factors, n_paths, master_seed, n_max, mode,
-                      n_inner, jobs) -> list:
+def _hierarchy_ladder(spec, grid, factors, n_paths, master_seed, n_max, mode, n_inner,
+                      jobs) -> list:
     """One HierarchyResult per coarsening factor of ``grid``, all from one pass
     over fixed path blocks, so the results do not depend on ``jobs``."""
     parts = map_blocks(_ladder_block, spec, grid, factors, n_paths, _BLOCK, master_seed,
-                       jobs, spec, cfg, n_max, mode, n_inner)
+                       jobs, spec, n_max, mode, n_inner)
     return [_merge_rung([p[r] for p in parts], grid.n_steps // factor, grid.horizon)
             for r, factor in enumerate(factors)]
 
@@ -366,12 +352,13 @@ def hierarchy_refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: flo
     Noise is generated once per path on the finest grid and aggregated onto
     the coarser rungs, so every rung sees the same realization; all ladder
     members must be powers of two dividing the finest.
+    The ``SchemeConfig`` is accepted and not passed on: there is one scheme.
     """
     ladder = sorted(int(s) for s in steps_ladder)
     for s in ladder:
         if s & (s - 1) or ladder[-1] % s:
             raise ValueError("ladder entries must be powers of two dividing the finest")
-    return _hierarchy_ladder(spec, cfg, TimeGrid.uniform(horizon, ladder[-1]),
+    return _hierarchy_ladder(spec, TimeGrid.uniform(horizon, ladder[-1]),
                              [ladder[-1] // s for s in ladder], n_paths, master_seed,
                              n_max, mode, n_inner, jobs)
 
@@ -381,6 +368,7 @@ def run_hierarchy_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid,
                            mode: str = "realized", n_inner: int = 8,
                            jobs: int = 1) -> HierarchyResult:
     """Hierarchies over an ensemble of shared-noise trajectories on ``grid``:
-    the one-rung case of ``hierarchy_refinement_study``."""
-    return _hierarchy_ladder(spec, cfg, grid, [1], n_paths, master_seed, n_max,
-                             mode, n_inner, jobs)[0]
+    the one-rung case of ``hierarchy_refinement_study``.
+    The ``SchemeConfig`` is accepted and not passed on: there is one scheme."""
+    return _hierarchy_ladder(spec, grid, [1], n_paths, master_seed, n_max, mode,
+                             n_inner, jobs)[0]

@@ -88,7 +88,11 @@ def _require_count(value: int, flag: str, low: int) -> None:
 
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("MFJUMP_OUT") or "mfjump-out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out {out}: cannot create the directory: "
+                            f"{exc.strerror}") from exc
     return out
 
 
@@ -144,10 +148,9 @@ def cmd_simulate(args) -> int:
     _require_breakpoints_on(grid, scenario)
     seed = _seed(scenario, args)
     out = _out_dir(args)
-    cfg = SchemeConfig()
     spec = scenario.system
 
-    result = run_ensemble(spec, cfg, grid, args.paths, seed, jobs=args.jobs,
+    result = run_ensemble(spec, SchemeConfig(), grid, args.paths, seed, jobs=args.jobs,
                           keep_paths=args.dump_paths)
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = result.quantiles(qs)
@@ -229,7 +232,6 @@ def cmd_approx(args) -> int:
                             f"on a {base_steps}-step grid")
     seed = _seed(scenario, args)
     out = _out_dir(args)
-    cfg = SchemeConfig()
     spec = scenario.system
 
     a_bar = max(c.a for c in spec.components)
@@ -241,7 +243,7 @@ def cmd_approx(args) -> int:
     # one pass: the base-grid report is rung 0 of the ladder's shared draw
     ladder = [base_steps * 2 ** r for r in range(args.refinements)]
     rungs = hierarchy_refinement_study(
-        spec, cfg, scenario.horizon, ladder, args.paths, seed, args.levels,
+        spec, SchemeConfig(), scenario.horizon, ladder, args.paths, seed, args.levels,
         mode=args.mode, n_inner=args.inner, jobs=args.jobs)
     hier = rungs[0]
     refinement_rows = rungs if args.refinements > 1 else []
@@ -340,10 +342,9 @@ def cmd_uniqueness(args) -> int:
     seed = _seed(scenario, args)
     family, phi_ks = _phi_family(scenario, args.phi_k)
     out = _out_dir(args)
-    cfg = SchemeConfig()
     spec = scenario.system
     ladder = [base_steps * 2 ** r for r in range(args.levels)]
-    report = refinement_study(spec, cfg, scenario.horizon, ladder, args.paths,
+    report = refinement_study(spec, SchemeConfig(), scenario.horizon, ladder, args.paths,
                               seed, family=family, phi_ks=phi_ks, jobs=args.jobs)
 
     _write_csv(out, "divergence.csv",

@@ -6,6 +6,7 @@ of the offending entry so runs stay reproducible from the file alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,12 @@ def _number(lo=None, hi=None, integer=False):
     def check(value, path):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"{path}: expected a number")
+        try:  # json reads NaN and Infinity as floats
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ScenarioError(f"{path}: must be finite")
         if integer and int(value) != value:
             raise ScenarioError(f"{path}: expected an integer")
         if lo is not None and value < lo:
@@ -132,7 +139,10 @@ def _build_levy(info: dict, path: str):
         if (not isinstance(atoms, list) or not atoms
                 or not all(isinstance(a, list) and len(a) == 2 for a in atoms)):
             raise ScenarioError(f"{path}.atoms: expected [[size, mass], ...]")
-        return PointMassMeasure(atoms=tuple((float(z), float(m)) for z, m in atoms))
+        size, mass = _number(), _number(lo=0)
+        return PointMassMeasure(atoms=tuple(
+            (size(z, f"{path}.atoms[{i}][0]"), mass(m, f"{path}.atoms[{i}][1]"))
+            for i, (z, m) in enumerate(atoms)))
     if kind == "exponential":
         got = _require(info, path, {"kind": _string, "mass": _number(lo=0),
                                     "mean": _number(lo=0)}, ("kind", "mass", "mean"))
@@ -193,8 +203,9 @@ def parse_scenario(data: dict) -> Scenario:
     }, ("schema_version", "horizon", "grid_steps", "preset"))
     if got["schema_version"] != SCHEMA_VERSION:
         raise ScenarioError(f"$.schema_version: expected {SCHEMA_VERSION}")
-    if got["horizon"] <= 0:
-        raise ScenarioError("$.horizon: must be positive")
+    for key in ("horizon", "x_m"):
+        if key in got and got[key] <= 0:
+            raise ScenarioError(f"$.{key}: must be positive")
     system = _build_system(got["preset"], got.get("drift"), got["horizon"])
     return Scenario(
         name=got.get("name", "scenario"),

@@ -54,6 +54,9 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
+    """The scheme of a solve. Its one legal value is the clipped explicit
+    Euler step, which every solve runs."""
+
     scheme: str = EXPLICIT
 
     def __post_init__(self):
@@ -270,9 +273,8 @@ def _check_drift_path(path, grid: TimeGrid) -> None:
             "TimeGrid.refine_with(breakpoints) so discontinuities land on steps")
 
 
-def solve_batch(components, drifts, batch: NoiseBatch, cfg: SchemeConfig,
-                initial: np.ndarray, forcing=None,
-                k_start: int = 0, k_stop: int = None) -> BatchResult:
+def solve_batch(components, drifts, batch: NoiseBatch, initial: np.ndarray,
+                forcing=None, k_start: int = 0, k_stop: int = None) -> BatchResult:
     """Advance all paths of a batch jointly from step k_start to k_stop.
 
     ``initial`` has shape (n_components, n_paths) and seeds the state at
@@ -395,8 +397,8 @@ class OrderingReport:
 
 
 def compare_ordered(coeffs: CoefficientSet, drift_low: DriftSpec, drift_high: DriftSpec,
-                    batch: NoiseBatch, cfg: SchemeConfig,
-                    initial_low: float, initial_high: float = None) -> OrderingReport:
+                    batch: NoiseBatch, initial_low: float,
+                    initial_high: float = None) -> OrderingReport:
     """Solve the drift-ordered pair as one two-component system on every row
     of ``batch`` and report (Y_low - Y_high)+ over all rows and grid points.
     The pair has equal coefficients, so it steps as one group on the same
@@ -410,7 +412,7 @@ def compare_ordered(coeffs: CoefficientSet, drift_low: DriftSpec, drift_high: Dr
     low, high = drift_values((drift_low, drift_high), steps, np.empty((0, 1, steps.size)))
     if np.any(low > high):
         raise ValueError("drift_low must be <= drift_high pointwise on the grid")
-    values = solve_batch([coeffs, coeffs], [drift_low, drift_high], batch, cfg,
+    values = solve_batch([coeffs, coeffs], [drift_low, drift_high], batch,
                          np.array([[initial_low], [initial_high]], dtype=float)).values
     gap = values[0] - values[1]
     return OrderingReport(

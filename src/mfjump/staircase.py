@@ -6,8 +6,6 @@ the 1/n cap keeps every interval shorter than 1/n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .paths import CadlagPath, StaircasePath, pointwise_max
@@ -57,16 +55,6 @@ def envelope(b: CadlagPath, n: int) -> StaircasePath:
     return pointwise_max([zero] + [lower_staircase(b, m) for m in range(1, n + 1)])
 
 
-@dataclass(frozen=True)
-class StaircaseDiagnostics:
-    level: int
-    breakpoint_count: int
-    max_overshoot: float  # max over grid of (envelope - b)+
-    max_gap: float  # max over jump-free grid points of b - envelope
-    gap_bound: float  # 1/n + grid modulus over jump-free windows of width 1/n
-    n_continuity_points: int
-
-
 def grid_modulus(b: CadlagPath, window: float, jump_free: bool = True):
     """Max |b(s) - b(s')| over grid pairs with |s - s'| <= window.
 
@@ -92,25 +80,3 @@ def grid_modulus(b: CadlagPath, window: float, jump_free: bool = True):
             osc = max(osc, float(np.abs(vals[i0:j + 1] - vals[j]).max()))
     return osc, mask
 
-
-def staircase_diagnostics(b: CadlagPath, n_max: int) -> list:
-    """Per-level finiteness and gap diagnostics of the envelope construction."""
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    out = []
-    for n in range(1, n_max + 1):
-        stair = lower_staircase(b, n)
-        env = envelope(b, n)
-        env_vals = env.evaluate(b.grid.points)
-        overshoot = float(np.maximum(env_vals - b.values, 0.0).max())
-        window = 1.0 / n
-        osc, mask = grid_modulus(b, window, jump_free=True)
-        gaps = b.values[mask] - env_vals[mask]
-        out.append(StaircaseDiagnostics(
-            level=n,
-            breakpoint_count=stair.breakpoints.size,
-            max_overshoot=overshoot,
-            max_gap=float(gaps.max()) if gaps.size else 0.0,
-            gap_bound=window + osc,
-            n_continuity_points=int(mask.sum())))
-    return out

@@ -25,10 +25,9 @@ _BLOCK = 512  # fixed ensemble block size; independent of --jobs
 _SLAB_BYTES = 4 << 20  # value-array budget of one simulate solve (whole blocks)
 
 
-def solve_system(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig) -> BatchResult:
+def solve_system(spec: SystemSpec, batch: NoiseBatch) -> BatchResult:
     """Solve the system from its initial state on every row of ``batch``."""
-    return solve_batch(spec.components, spec.drifts, batch, cfg,
-                       initial=spec.initial[:, None])
+    return solve_batch(spec.components, spec.drifts, batch, initial=spec.initial[:, None])
 
 
 @dataclass
@@ -129,11 +128,11 @@ def _slab_rows(n_components: int, n_steps: int) -> int:
     return _BLOCK * max(1, _SLAB_BYTES // block_bytes)
 
 
-def _solve_slab(spec, cfg, batch):
+def _solve_slab(spec, batch):
     """The slab's solve. On a non-finite state the error is the one the first
     failing ``_BLOCK``-path block raises alone, as a block-by-block run reports."""
     try:
-        return solve_system(spec, batch, cfg)
+        return solve_system(spec, batch)
     except NumericsError as exc:
         if batch.n_paths <= _BLOCK:
             raise
@@ -141,15 +140,15 @@ def _solve_slab(spec, cfg, batch):
     seed, paths = batch.lineages[0][0], [p for _seed, p in batch.lineages]
     for lo in range(0, len(paths), _BLOCK):
         block = make_batch(batch.grid, spec.noise_layout(), seed, paths[lo:lo + _BLOCK])
-        solve_system(spec, block, cfg)
+        solve_system(spec, block)
     raise slab_error
 
 
-def _ensemble_block(spec, cfg, section_idx, keep_paths, lo, rungs):
+def _ensemble_block(spec, section_idx, keep_paths, lo, rungs):
     """One slab of paths, solved at once and reduced per ``_BLOCK``-path block."""
     (batch,) = rungs
     points = batch.grid.points
-    result = _solve_slab(spec, cfg, batch)
+    result = _solve_slab(spec, batch)
     del batch  # the reductions do not need the noise
     vals = result.values  # (N, P, K+1)
     moments = []
@@ -178,6 +177,7 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
     byte-identical for any ``jobs``. The values of paths ``0 .. keep_paths-1``
     are kept in ``values``, and every ``max(1, n_steps // 8)``-th grid point is
     a section time.
+    The ``SchemeConfig`` is accepted and not passed on: there is one scheme.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -185,7 +185,7 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
 
     slab = _slab_rows(spec.n, grid.n_steps)
     partials = map_blocks(_ensemble_block, spec, grid, [1], n_paths, slab, master_seed,
-                          jobs, spec, cfg, section_idx, keep_paths)
+                          jobs, spec, section_idx, keep_paths)
     blocks = [m for part in partials for m in part["moments"]]  # in block order
 
     warns = []

@@ -237,7 +237,7 @@ class DivergenceReport:
         return bool(np.all(np.diff(d) < 0))
 
 
-def _divergence_block(spec, cfg, _lo, rungs):
+def _divergence_block(spec, _lo, rungs):
     """Per-path divergences of consecutive resolutions on one block of paths.
 
     ``rungs`` is the block's one draw on the finest grid, coarsened onto each
@@ -249,7 +249,7 @@ def _divergence_block(spec, cfg, _lo, rungs):
     """
     out, coarse = [], None  # coarse: the values of the previous resolution
     for batch in rungs:
-        values = solve_batch(spec.components, spec.drifts, batch, cfg,
+        values = solve_batch(spec.components, spec.drifts, batch,
                              initial=spec.initial[:, None]).values
         if coarse is not None:
             diff = coarse - values[:, :, ::2]
@@ -270,6 +270,7 @@ def refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
     and shared by all rungs; paths run in fixed blocks, so the report is the
     same for any ``jobs``. A rung's row comes from the per-path divergences
     of every block concatenated in path order.
+    The ``SchemeConfig`` is accepted and not passed on: there is one scheme.
     """
     ladder = [int(s) for s in steps_ladder]
     if any(fine != 2 * coarse for coarse, fine in zip(ladder, ladder[1:])):
@@ -279,7 +280,7 @@ def refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
     finest = 2 * ladder[-1]
     parts = map_blocks(_divergence_block, spec, TimeGrid.uniform(horizon, finest),
                        [finest // s for s in ladder + [finest]], n_paths, _BLOCK,
-                       master_seed, jobs, spec, cfg)
+                       master_seed, jobs, spec)
     rows = []
     for r, coarse in enumerate(ladder):
         sup = np.concatenate([part[r][0] for part in parts])

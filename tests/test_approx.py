@@ -11,11 +11,11 @@ import mfjump.approx
 import mfjump.system
 from mfjump import (CadlagPath, DriftSpec, SchemeConfig, TimeGrid, build_level_one,
                     build_next_level, check_monotone, dyadic_partition,
-                    hierarchy_refinement_study, infimum_drift, make_batch,
+                    hierarchy_refinement_study, make_batch,
                     moment_bound_check, preset_cir, preset_example21,
                     refinement_study, run_hierarchy_batch, run_hierarchy_ensemble,
                     solve_batch)
-from mfjump.approx import _SLICE, _interval_infima
+from mfjump.approx import _SLICE, _interval_infima, _partition_indices
 from mfjump.cli import main
 from mfjump.coeffs import LinearInTime, drift_values
 from mfjump.scenario import load_scenario
@@ -51,48 +51,51 @@ class TestDyadicPartition:
 
 
 class TestInfimumDrift:
+    """The interval-infimum drifts b^{i,n}_k of one trajectory: each drift's
+    minimum along the paths over the closed grid span of each interval."""
+
     def test_constant_paths_give_the_average(self):
         grid = dyadic_partition(4, 1.0)
-        paths = [CadlagPath.constant(grid, 1.0), CadlagPath.constant(grid, 3.0)]
+        values = np.array([[np.full(grid.points.size, 1.0)], [np.full(grid.points.size, 3.0)]])
         drifts = (DriftSpec.mean_field_average(2),) * 2
-        inf = infimum_drift(paths, drifts, dyadic_partition(2, 1.0))
-        assert np.array_equal(inf, np.full((2, 2), 2.0))
+        part_idx = _partition_indices(grid, dyadic_partition(2, 1.0))
+        inf = _interval_infima(drifts, grid.points, values, part_idx)
+        assert np.array_equal(inf, np.full((2, 1, 2), 2.0))
 
     def test_enumerated_two_component_example(self):
         # grid {0, .5, 1}: averages are (2, 2, 2); the infimum over [0, .5]
         # runs over both endpoints and equals 2
         grid = dyadic_partition(2, 1.0)
-        paths = [CadlagPath(grid, np.array([1.0, 2.0, 3.0])),
-                 CadlagPath(grid, np.array([3.0, 2.0, 1.0]))]
+        values = np.array([[[1.0, 2.0, 3.0]], [[3.0, 2.0, 1.0]]])
         drifts = (DriftSpec.mean_field_average(2),) * 2
-        inf = infimum_drift(paths, drifts, dyadic_partition(2, 1.0))
-        assert np.array_equal(inf, np.full((2, 2), 2.0))
+        part_idx = _partition_indices(grid, dyadic_partition(2, 1.0))
+        assert np.array_equal(part_idx, [0, 1, 2])
+        inf = _interval_infima(drifts, grid.points, values, part_idx)
+        assert np.array_equal(inf, np.full((2, 1, 2), 2.0))
 
     def test_increasing_paths_attain_infimum_at_left_endpoint(self):
         grid = dyadic_partition(5, 1.0)
-        paths = [CadlagPath(grid, 1.0 + grid.points),
-                 CadlagPath(grid, 2.0 + grid.points ** 2)]
+        values = np.stack([1.0 + grid.points, 2.0 + grid.points ** 2])[:, None]
         drifts = (DriftSpec.mean_field_average(2),) * 2
         partition = dyadic_partition(3, 1.0)
-        inf = infimum_drift(paths, drifts, partition)
-        starts = partition.points[:-1]
-        left_values = (paths[0].evaluate(0.0), )
-        for k, s in enumerate(starts):
-            expected = (paths[0].evaluate(float(s)) + paths[1].evaluate(float(s))) / 2
-            assert inf[0, k] == expected
+        inf = _interval_infima(drifts, grid.points, values,
+                               _partition_indices(grid, partition))
+        for k, s in enumerate(partition.points[:-1]):
+            expected = ((1.0 + s) + (2.0 + s ** 2)) / 2
+            assert inf[0, 0, k] == expected
 
     def test_mixed_drifts_equal_the_minima_of_drift_values(self):
         # components 0 and 3 share one mean-field fn; 1 and 2 are not mean-field
         grid = dyadic_partition(5, 1.0)
         rng = np.random.default_rng(3)
-        paths = [CadlagPath(grid, rng.uniform(0.0, 2.0, grid.points.size))
-                 for _ in range(4)]
+        values = np.stack([rng.uniform(0.0, 2.0, grid.points.size) for _ in range(4)])[:, None]
         shared = DriftSpec.mean_field_average(4)
         drifts = (shared, DriftSpec.constant(0.5),
                   DriftSpec.time_function(LinearInTime(0.2, 0.5), growth_bound=0.7), shared)
         partition = dyadic_partition(3, 1.0)
-        inf = infimum_drift(paths, drifts, partition)
-        dv = drift_values(drifts, grid.points, np.stack([p.values for p in paths])[:, None])
+        inf = _interval_infima(drifts, grid.points, values,
+                               _partition_indices(grid, partition))[:, 0]
+        dv = drift_values(drifts, grid.points, values)
         idx = np.searchsorted(grid.points, partition.points)
         expected = np.stack([dv[:, 0, i:j + 1].min(axis=1) for i, j in zip(idx, idx[1:])],
                             axis=1)
@@ -120,11 +123,11 @@ class TestInfimumDrift:
         assert np.array_equal(inf, expected)
 
     def test_partition_must_lie_on_grid(self):
-        grid = TimeGrid.uniform(1.0, 3)
-        paths = [CadlagPath.constant(grid, 1.0)]
-        with pytest.raises(ValueError):
-            infimum_drift(paths, (DriftSpec.mean_field_average(1),),
-                          dyadic_partition(2, 1.0))
+        # 1/2 is no point of the 3-step grid, nor is 1 of a grid that ends short
+        with pytest.raises(ValueError, match="partition points"):
+            _partition_indices(TimeGrid.uniform(1.0, 3), dyadic_partition(2, 1.0))
+        with pytest.raises(ValueError, match="partition points"):
+            _partition_indices(TimeGrid.uniform(0.5, 4), dyadic_partition(2, 1.0))
 
 
 class TestBuildLevels:
@@ -133,8 +136,8 @@ class TestBuildLevels:
                                drift=DriftSpec.constant(0.0))
         grid = dyadic_partition(7, 1.0)
         batch = make_batch(grid, spec.noise_layout(), 3, range(4))
-        lvl1 = build_level_one(spec, batch, SchemeConfig())
-        lvl2 = build_next_level(lvl1, spec, batch, SchemeConfig())
+        lvl1 = build_level_one(spec, batch)
+        lvl2 = build_next_level(lvl1, spec, batch)
         assert np.array_equal(lvl1.values, lvl2.values)
 
     def test_deterministic_mode_uses_exact_interval_infimum(self):
@@ -144,11 +147,9 @@ class TestBuildLevels:
         spec = mean_field_spec(n=1, sigma=0.0, drift=drift, initial=1.0)
         grid = dyadic_partition(7, 1.0)
         batch = make_batch(grid, spec.noise_layout(), 0, range(1))
-        lvl1 = build_level_one(spec, batch, SchemeConfig())
-        lvl2 = build_next_level(lvl1, spec, batch, SchemeConfig(),
-                                mode="realized")
-        lvl3 = build_next_level(lvl2, spec, batch, SchemeConfig(),
-                                mode="realized")
+        lvl1 = build_level_one(spec, batch)
+        lvl2 = build_next_level(lvl1, spec, batch, mode="realized")
+        lvl3 = build_next_level(lvl2, spec, batch, mode="realized")
         half = grid.n_steps // 2
         assert np.all(lvl3.forcing[0, 0, :half] == 0.0)
         assert np.all(lvl3.forcing[0, 0, half:] == 0.5)
@@ -161,11 +162,9 @@ class TestBuildLevels:
         spec = mean_field_spec(n=1, sigma=0.3, drift=drift, initial=1.0)
         grid = dyadic_partition(5, 1.0)
         batch = make_batch(grid, spec.noise_layout(), 1, range(2))
-        lvl1 = build_level_one(spec, batch, SchemeConfig())
-        nested = build_next_level(lvl1, spec, batch, SchemeConfig(),
-                                  mode="nested-mc", n_inner=2)
-        det = build_next_level(lvl1, spec, batch, SchemeConfig(),
-                               mode="realized")
+        lvl1 = build_level_one(spec, batch)
+        nested = build_next_level(lvl1, spec, batch, mode="nested-mc", n_inner=2)
+        det = build_next_level(lvl1, spec, batch, mode="realized")
         assert np.allclose(nested.forcing, det.forcing)
 
     def test_nested_mc_path_does_not_depend_on_its_block(self):
@@ -179,9 +178,9 @@ class TestBuildLevels:
             levels = []
             for paths in (range(3), range(1, 2)):
                 batch = make_batch(grid, spec.noise_layout(), 4, paths)
-                lvl1 = build_level_one(spec, batch, SchemeConfig())
-                levels.append(build_next_level(lvl1, spec, batch, SchemeConfig(),
-                                               mode="nested-mc", n_inner=3))
+                lvl1 = build_level_one(spec, batch)
+                levels.append(build_next_level(lvl1, spec, batch, mode="nested-mc",
+                                               n_inner=3))
             assert np.array_equal(levels[0].forcing[:, 1:2], levels[1].forcing)
             assert np.array_equal(levels[0].values[:, 1:2], levels[1].values)
 
@@ -224,10 +223,9 @@ class TestBuildLevels:
         spec = mean_field_spec(sigma=0.2)
         grid = dyadic_partition(4, 1.0)
         batch = make_batch(grid, spec.noise_layout(), 1, range(1))
-        lvl1 = build_level_one(spec, batch, SchemeConfig())
+        lvl1 = build_level_one(spec, batch)
         with pytest.raises(ValueError):
-            build_next_level(lvl1, spec, batch, SchemeConfig(),
-                             mode="nested-mc", n_inner=0)
+            build_next_level(lvl1, spec, batch, mode="nested-mc", n_inner=0)
 
     def test_partitions_refine(self):
         spec = mean_field_spec(sigma=0.3)
@@ -254,18 +252,16 @@ class TestReconstructionIdentity:
         spec = mean_field_spec(n=2, sigma=0.5, sigma_z=0.2, alpha=1.8)
         grid = dyadic_partition(6, 1.0)
         batch = make_batch(grid, spec.noise_layout(), 13, range(8))
-        lvl2 = build_next_level(build_level_one(spec, batch, SchemeConfig()),
-                                spec, batch, SchemeConfig())
-        lvl1 = build_level_one(spec, batch, SchemeConfig())
+        lvl2 = build_next_level(build_level_one(spec, batch), spec, batch)
+        lvl1 = build_level_one(spec, batch)
         forcing = lvl2.forcing
         state = np.broadcast_to(spec.initial[:, None], (2, 8)).copy()
         part_idx = lvl1.part_idx
         chunks = [state[:, :, None]]
         for k in range(part_idx.size - 1):
             k0, k1 = int(part_idx[k]), int(part_idx[k + 1])
-            piece = solve_batch(spec.components, spec.drifts, batch,
-                                SchemeConfig(), state, forcing=forcing,
-                                k_start=k0, k_stop=k1)
+            piece = solve_batch(spec.components, spec.drifts, batch, state,
+                                forcing=forcing, k_start=k0, k_stop=k1)
             state = piece.values[:, :, k1]
             chunks.append(piece.values[:, :, k0 + 1:k1 + 1])
         rebuilt = np.concatenate(chunks, axis=2)
@@ -309,8 +305,8 @@ class TestOrderingProperties:
         spec = mean_field_spec(sigma=0.4, drift=DriftSpec.constant(0.0))
         grid = dyadic_partition(6, 1.0)
         batch = make_batch(grid, spec.noise_layout(), 2, range(4))
-        lvl1 = build_level_one(spec, batch, SchemeConfig())
-        lvl2 = build_next_level(lvl1, spec, batch, SchemeConfig())
+        lvl1 = build_level_one(spec, batch)
+        lvl2 = build_next_level(lvl1, spec, batch)
         rows = check_monotone([lvl1, lvl2])
         assert rows[0].max_violation == 0.0
 
@@ -526,7 +522,7 @@ class TestStreamedBlock:
         batch = make_batch(TimeGrid.uniform(1.0, steps), spec.noise_layout(), 6,
                            range(n_paths))
         rungs = [batch.coarsen(2), batch]
-        block = mfjump.approx._ladder_block(spec, cfg, n_max, mode, 2, 0, iter(rungs))
+        block = mfjump.approx._ladder_block(spec, n_max, mode, 2, 0, iter(rungs))
         assert len(block) == len(rungs)
         for (moments, pairs), rung in zip(block, rungs):
             levels = run_hierarchy_batch(spec, rung, cfg, n_max, mode=mode,
@@ -562,7 +558,7 @@ class TestStreamedBlock:
             monkeypatch.setattr(mfjump.approx, name, tracked(getattr(mfjump.approx, name)))
         spec = self.spec()
         batch = make_batch(TimeGrid.uniform(1.0, 16), spec.noise_layout(), 2, range(3))
-        mfjump.approx._ladder_block(spec, SchemeConfig(), 4, mode, 2, 0, iter([batch]))
+        mfjump.approx._ladder_block(spec, 4, mode, 2, 0, iter([batch]))
         assert len(alive) == 4 and max(alive) <= 2
 
     def test_a_block_peaks_at_its_draws_and_two_levels(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mfjump
-from mfjump import SchemeConfig, load_scenario, make_batch, solve_batch
+from mfjump import load_scenario, make_batch, solve_batch
 from mfjump.cli import main
 
 
@@ -105,7 +105,7 @@ class TestSimulate:
         spec = scenario.system
         batch = make_batch(scenario.grid(scenario.grid_steps), spec.noise_layout(),
                            scenario.seed, [599])
-        lone = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+        lone = solve_batch(spec.components, spec.drifts, batch,
                            initial=spec.initial[:, None]).values[:, 0]
         rows = [line.split(",") for line in dumps[0].splitlines()[1:]]
         assert len(rows) == 600 * spec.n * lone.shape[1]
@@ -531,6 +531,49 @@ class TestUsage:
             assert ("drift.breakpoints: 0.3 is not a point of the 64-step grid"
                     in capsys.readouterr().err)
             assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["a file", "below a file"])
+    @pytest.mark.parametrize("command", ["simulate", "approx", "validate", "uniqueness"])
+    def test_out_that_cannot_be_created_is_usage_error(self, command, below, tmp_path,
+                                                        capsys):
+        # --out names an existing file, or a path below one
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "o" if below else taken
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
+        argv = [command, "--scenario", scen, "--out", str(out), "--jobs", "2"]
+        if command != "validate":
+            argv += ["--paths", "4"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: --out {out}: cannot create the directory")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "kept"
+
+    NEGATIVE_MASS = {"kind": "cbi-thinning", "a": 1.0, "initial": 1.0, "v_max": 4.0,
+                     "levy": {"kind": "point", "atoms": [[0.5, -1.0]]}}
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("simulate", {"horizon": float("nan")}, "$.horizon: must be finite"),
+        ("validate", {"horizon": float("nan")}, "$.horizon: must be finite"),
+        ("uniqueness", {"horizon": float("nan")}, "$.horizon: must be finite"),
+        ("uniqueness", {"x_m": 0}, "$.x_m: must be positive"),
+        ("uniqueness", {"x_m": float("nan")}, "$.x_m: must be finite"),
+        ("simulate", {"preset": NEGATIVE_MASS}, "preset.levy.atoms[0][1]: must be >= 0"),
+        ("validate", {"preset": NEGATIVE_MASS}, "preset.levy.atoms[0][1]: must be >= 0"),
+    ], ids=["simulate horizon NaN", "validate horizon NaN", "uniqueness horizon NaN",
+            "uniqueness x_m 0", "uniqueness x_m NaN", "simulate negative atom mass",
+            "validate negative atom mass"])
+    def test_malformed_scenario_number_is_usage_error(self, command, overrides, message,
+                                                      tmp_path, capsys):
+        scen = write_scenario(tmp_path / "s.json", **overrides)
+        out = tmp_path / "o"
+        argv = [command, "--scenario", str(scen), "--out", str(out), "--jobs", "1"]
+        if command != "validate":
+            argv += ["--paths", "4", "--seed", "0"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
+        assert not out.exists()
 
     def test_unreadable_scenario(self, tmp_path):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"),

@@ -95,6 +95,43 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="horizon"):
             parse_scenario(base_scenario(drift=drift))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("horizon", float("nan"), r"^\$\.horizon: must be finite$"),
+        ("horizon", float("inf"), r"^\$\.horizon: must be finite$"),
+        ("grid_steps", float("inf"), r"^\$\.grid_steps: must be finite$"),
+        ("grid_steps", 10 ** 400, r"^\$\.grid_steps: must be finite$"),
+        ("x_m", float("nan"), r"^\$\.x_m: must be finite$"),
+        ("x_m", 0, r"^\$\.x_m: must be positive$"),
+        ("x_m", -0.5, r"^\$\.x_m: must be >= 0$"),
+    ], ids=["horizon NaN", "horizon Infinity", "grid_steps Infinity",
+            "grid_steps 10^400", "x_m NaN", "x_m 0", "x_m -0.5"])
+    def test_top_level_numbers_must_be_finite_and_x_m_positive(self, field, value,
+                                                               message):
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(base_scenario(**{field: value}))
+
+    def test_preset_numbers_must_be_finite(self):
+        data = base_scenario()
+        data["preset"]["sigma"] = [0.5, float("-inf")]
+        with pytest.raises(ScenarioError, match=r"^preset\.sigma\[1\]: must be finite$"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize("atoms, message", [
+        ([["0.5", 3.0]], r"^preset\.levy\.atoms\[0\]\[0\]: expected a number$"),
+        ([[True, 3.0]], r"^preset\.levy\.atoms\[0\]\[0\]: expected a number$"),
+        ([[0.5, 3.0], [0.25, "1"]], r"^preset\.levy\.atoms\[1\]\[1\]: expected a number$"),
+        ([[float("nan"), 3.0]], r"^preset\.levy\.atoms\[0\]\[0\]: must be finite$"),
+        ([[0.5, float("inf")]], r"^preset\.levy\.atoms\[0\]\[1\]: must be finite$"),
+        ([[0.5, -1.0]], r"^preset\.levy\.atoms\[0\]\[1\]: must be >= 0$"),
+    ], ids=["string size", "bool size", "string mass", "NaN size", "Infinity mass",
+            "negative mass"])
+    def test_levy_atoms_are_checked_numbers(self, atoms, message):
+        data = base_scenario()
+        data["preset"] = {"kind": "cbi-thinning", "a": 1.0, "initial": 1.0, "v_max": 4.0,
+                          "levy": {"kind": "point", "atoms": atoms}}
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(data)
+
     def test_thinning_preset(self):
         data = base_scenario()
         data["preset"] = {

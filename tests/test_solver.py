@@ -28,8 +28,7 @@ def empty_batch(grid):
 
 def solve_one(coeffs, drift, batch, initial):
     """One component from ``initial`` on every row of ``batch``."""
-    return solve_batch([coeffs], [drift], batch, SchemeConfig(),
-                       np.full((1, batch.n_paths), float(initial)))
+    return solve_batch([coeffs], [drift], batch, np.full((1, batch.n_paths), float(initial)))
 
 
 def jumps_of(log, row, component):
@@ -153,7 +152,7 @@ class TestVectorisedEvents:
 
     def check(self, components, batch, initial):
         res = solve_batch(components, [DriftSpec.constant(0.0)] * len(components),
-                          batch, SchemeConfig(), initial[:, None])
+                          batch, initial[:, None])
         values, jumps = scalar_event_reference(components, batch, initial)
         assert np.array_equal(res.values, values)
         for row in range(batch.n_paths):
@@ -209,8 +208,7 @@ class TestCirMean:
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 256)
         batch = make_batch(grid, spec.noise_layout(), 42, range(4000))
-        res = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
-                          spec.initial[:, None])
+        res = solve_batch(spec.components, spec.drifts, batch, spec.initial[:, None])
         target = 2.0 + (1.0 - 2.0) * math.exp(-1.0)
         mean = res.values[0, :, -1].mean()
         se = res.values[0, :, -1].std(ddof=1) / math.sqrt(4000)
@@ -222,8 +220,7 @@ class TestCirMean:
                                 initial=1.0, drift=DriftSpec.constant(2.0))
         grid = TimeGrid.uniform(1.0, 256)
         batch = make_batch(grid, spec.noise_layout(), 7, range(4000))
-        res = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
-                          spec.initial[:, None])
+        res = solve_batch(spec.components, spec.drifts, batch, spec.initial[:, None])
         target = 2.0 + (1.0 - 2.0) * math.exp(-1.0)
         terminal = res.values[0, :, -1]
         se = terminal.std(ddof=1) / math.sqrt(terminal.size)
@@ -243,8 +240,7 @@ class TestInvariants:
         spec = preset_cir(a=1.0, b=0.05, sigma=2.0, initial=0.1)
         grid = TimeGrid.uniform(1.0, 128)
         batch = make_batch(grid, spec.noise_layout(), 11, range(200))
-        res = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
-                          spec.initial[:, None])
+        res = solve_batch(spec.components, spec.drifts, batch, spec.initial[:, None])
         assert res.values.min() >= 0.0
 
     def test_nan_blowup_raises_with_step_index(self):
@@ -271,7 +267,7 @@ class TestInvariants:
         for paths in (range(700, 704), range(700, 701)):
             with pytest.raises(NumericsError) as err:
                 solve_batch([coeffs], [DriftSpec.constant(1000.0)],
-                            make_batch(grid, layout, 0, paths), SchemeConfig(),
+                            make_batch(grid, layout, 0, paths),
                             initial=np.full((1, len(paths)), 5.0))
             errors.append(err.value)
         assert [e.path_index for e in errors] == [700, 700]
@@ -302,7 +298,7 @@ class TestInvariants:
         mean_field = DriftSpec.mean_field_average(2)
         with pytest.raises(ValueError, match="system solver"):
             compare_ordered(deterministic_coeffs(), mean_field, mean_field,
-                            empty_batch(grid), SchemeConfig(), initial_low=1.0)
+                            empty_batch(grid), initial_low=1.0)
 
 
 class TestThinnedJumps:
@@ -315,8 +311,7 @@ class TestThinnedJumps:
                                drift=DriftSpec.constant(1.0))
         grid = TimeGrid.uniform(1.0, 128)
         batch = make_batch(grid, spec.noise_layout(), 19, range(3000))
-        res = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
-                          spec.initial[:, None])
+        res = solve_batch(spec.components, spec.drifts, batch, spec.initial[:, None])
         terminal = res.values[0, :, -1]
         target = 1.0 + math.exp(-1.0)
         se = terminal.std(ddof=1) / math.sqrt(terminal.size)
@@ -379,8 +374,7 @@ class TestCompareOrdered:
         grid = TimeGrid.uniform(1.0, 64)
         batch = make_batch(grid, spec.noise_layout(), 2, [0])
         report = compare_ordered(spec.components[0], DriftSpec.constant(1.0),
-                                 DriftSpec.constant(1.0), batch, SchemeConfig(),
-                                 initial_low=1.0)
+                                 DriftSpec.constant(1.0), batch, initial_low=1.0)
         assert report.max_violation == 0.0
         assert report.violating_fraction == 0.0
 
@@ -390,7 +384,7 @@ class TestCompareOrdered:
         grid = TimeGrid.uniform(1.0, 64)
         report = compare_ordered(deterministic_coeffs(), DriftSpec.constant(1.0),
                                  DriftSpec.constant(2.0), empty_batch(grid),
-                                 SchemeConfig(), initial_low=1.0)
+                                 initial_low=1.0)
         assert report.max_violation == 0.0
 
     def test_rejects_unordered_inputs(self):
@@ -398,11 +392,11 @@ class TestCompareOrdered:
         with pytest.raises(ValueError):
             compare_ordered(deterministic_coeffs(), DriftSpec.constant(2.0),
                             DriftSpec.constant(1.0), empty_batch(grid),
-                            SchemeConfig(), initial_low=1.0)
+                            initial_low=1.0)
         with pytest.raises(ValueError):
             compare_ordered(deterministic_coeffs(), DriftSpec.constant(1.0),
                             DriftSpec.constant(1.0), empty_batch(grid),
-                            SchemeConfig(), initial_low=2.0, initial_high=1.0)
+                            initial_low=2.0, initial_high=1.0)
 
     def test_diffusive_violations_shrink_under_refinement(self):
         # boundary-hugging square-root diffusion: violations exist but their
@@ -417,7 +411,7 @@ class TestCompareOrdered:
         for steps in (64, 128, 256):
             batch = batch_fine.coarsen(256 // steps)
             maxima.append(compare_ordered(comp, DriftSpec.constant(0.1),
-                                          DriftSpec.constant(1.1), batch, SchemeConfig(),
+                                          DriftSpec.constant(1.1), batch,
                                           initial_low=0.05).max_violation)
         assert maxima[0] > maxima[1] > maxima[2] > 0.0
 
@@ -430,12 +424,11 @@ class TestCompareOrdered:
         parts, _warns = _prepare_parts([comp, comp], batch)
         assert [part.idx for part in parts] == [[0, 1]]
         low, high = DriftSpec.constant(0.5), DriftSpec.constant(1.5)
-        pair = solve_batch([comp, comp], [low, high], batch, SchemeConfig(),
-                           np.array([[1.0], [1.25]])).values
+        pair = solve_batch([comp, comp], [low, high], batch, np.array([[1.0], [1.25]])).values
         lo = solve_one(comp, low, batch, initial=1.0).values[0]
         hi = solve_one(comp, high, batch, initial=1.25).values[0]
         assert np.array_equal(pair, np.stack([lo, hi]))
-        report = compare_ordered(comp, low, high, batch, SchemeConfig(),
+        report = compare_ordered(comp, low, high, batch,
                                  initial_low=1.0, initial_high=1.25)
         gap = lo - hi
         assert report.max_violation == float(np.maximum(gap, 0.0).max())
@@ -453,8 +446,7 @@ class TestCompareOrdered:
         def report(rows):
             batch = make_batch(grid, layout, 0, rows)
             return compare_ordered(spec.components[0], DriftSpec.constant(0.1),
-                                   DriftSpec.constant(1.1), batch, SchemeConfig(),
-                                   initial_low=0.05)
+                                   DriftSpec.constant(1.1), batch, initial_low=0.05)
 
         pooled = report(range(200))
         alone = [report([p]) for p in range(200)]
@@ -475,12 +467,12 @@ class TestSubRangeSolve:
         grid = TimeGrid.uniform(1.0, 32)
         batch = make_batch(grid, spec.noise_layout(), 9, range(4))
         forcing = np.tile(np.repeat([0.5, 1.5, 1.0, 2.0], 8), (1, 4, 1))
-        full = solve_batch([comp], spec.drifts, batch, SchemeConfig(),
+        full = solve_batch([comp], spec.drifts, batch,
                            np.full((1, 4), 1.0), forcing=forcing)
         state = np.full((1, 4), 1.0)
         pieces = []
         for k0 in range(0, 32, 8):
-            part = solve_batch([comp], spec.drifts, batch, SchemeConfig(),
+            part = solve_batch([comp], spec.drifts, batch,
                                state, forcing=forcing, k_start=k0, k_stop=k0 + 8)
             state = part.values[:, :, k0 + 8]
             pieces.append(part.values[:, :, k0 + (0 if k0 == 0 else 1):k0 + 9])
@@ -493,7 +485,7 @@ class TestSubRangeSolve:
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 160)
         batch = make_batch(grid, spec.noise_layout(), 4, range(3))
-        res = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+        res = solve_batch(spec.components, spec.drifts, batch,
                           np.full((1, 3), 1.0), k_start=k_start, k_stop=k_stop)
         inside = np.zeros(grid.n_steps + 1, dtype=bool)
         inside[k_start:k_stop + 1] = True
@@ -524,14 +516,13 @@ class TestChunkedSteps:
         forcing = None
         if forced:
             forcing = np.random.default_rng(4).uniform(0.5, 2.0, (3, 16, n_steps))
-        cfg = SchemeConfig()
-        full = solve_batch(spec.components, spec.drifts, batch, cfg,
+        full = solve_batch(spec.components, spec.drifts, batch,
                            spec.initial[:, None], forcing=forcing)
         assert full.jumps.times.size > 100
         state = np.broadcast_to(spec.initial[:, None], (3, 16))
         values, logs = [state], []
         for k in range(n_steps):
-            step = solve_batch(spec.components, spec.drifts, batch, cfg, state,
+            step = solve_batch(spec.components, spec.drifts, batch, state,
                                forcing=forcing, k_start=k, k_stop=k + 1)
             state = step.values[:, :, k + 1]
             values.append(state)
@@ -550,7 +541,7 @@ class TestChunkedSteps:
         forcing[1, 9, 100] = np.inf  # the first non-finite cell of step 100
         forcing[0, 0, 150] = np.inf
         with pytest.raises(NumericsError) as info:
-            solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+            solve_batch(spec.components, spec.drifts, batch,
                         spec.initial[:, None], forcing=forcing)
         err = info.value
         assert (err.step, err.time, err.component, err.path_index) == \
@@ -578,7 +569,7 @@ class TestRowForcing:
         full = rows.table[rows.index].transpose(1, 2, 0)
         state = np.random.default_rng(1).uniform(0.5, 2.0, (3, 16))
         by_rows, by_table = (
-            solve_batch(spec.components, spec.drifts, batch, SchemeConfig(), state,
+            solve_batch(spec.components, spec.drifts, batch, state,
                         forcing=forcing, k_start=k_start, k_stop=k_stop)
             for forcing in (rows, full))
         assert np.array_equal(by_rows.values, by_table.values, equal_nan=True)
@@ -603,7 +594,7 @@ class TestRowForcing:
         for forcing in (Forcing(table, rows.index), table[rows.index].transpose(1, 2, 0)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+                solve_batch(spec.components, spec.drifts, batch,
                             spec.initial[:, None], forcing=forcing)
             assert [str(w.message) for w in caught] == (
                 ["drift forcing takes negative values; the existence theory "
@@ -611,9 +602,8 @@ class TestRowForcing:
 
 
 class TestStackedGroups:
-    @pytest.mark.parametrize("scheme", [EXPLICIT])
     @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]])
-    def test_group_solve_equals_each_component_alone(self, scheme, a):
+    def test_group_solve_equals_each_component_alone(self, a):
         # forcing decouples the components, so a grouped solve must equal
         # each component solved on its own, bit for bit
         spec = preset_example21(3, a=a, sigma=0.4, sigma0=0.2, sigma_z=0.2,
@@ -623,11 +613,10 @@ class TestStackedGroups:
         batch = make_batch(grid, spec.noise_layout(), 5, range(16))
         forcing = np.random.default_rng(3).uniform(0.5, 2.0, (3, 16, 64))
         initial = spec.initial[:, None]
-        cfg = SchemeConfig(scheme=scheme)
-        joint = solve_batch(spec.components, spec.drifts, batch, cfg, initial,
+        joint = solve_batch(spec.components, spec.drifts, batch, initial,
                             forcing=forcing).values
         for i in range(3):
-            alone = solve_batch([spec.components[i]], [spec.drifts[i]], batch, cfg,
+            alone = solve_batch([spec.components[i]], [spec.drifts[i]], batch,
                                 initial[i:i + 1], forcing=forcing[i:i + 1]).values
             assert np.array_equal(joint[i:i + 1], alone)
 

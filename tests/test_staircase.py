@@ -3,7 +3,7 @@ import pytest
 
 from _helpers import lattice_path
 from mfjump import (CadlagPath, TimeGrid, envelope, grid_modulus, lower_staircase,
-                    staircase_diagnostics, upper_staircase)
+                    upper_staircase)
 
 
 def dyadic_grid(steps=128, horizon=1.0):
@@ -116,21 +116,29 @@ class TestExactInequalities:
 
 
 class TestDiagnostics:
+    """Gap, overshoot and breakpoint-count properties of the envelope
+    construction, read off the staircases and the grid modulus."""
+
     def test_constant_gap_formula(self):
         # envelope of b = c is max(0, c - 1/n), so the gap is min(c, 1/n)
         g = dyadic_grid(64)
         for c, n in ((5.0, 2), (0.125, 4), (0.0625, 1)):
-            diags = staircase_diagnostics(CadlagPath.constant(g, c), n)
-            assert diags[-1].max_gap == min(c, 1.0 / n)
-            assert diags[-1].max_overshoot == 0.0
+            b = CadlagPath.constant(g, c)
+            env = envelope(b, n).evaluate(g.points)
+            _osc, mask = grid_modulus(b, 1.0 / n, jump_free=True)
+            assert (b.values[mask] - env[mask]).max() == min(c, 1.0 / n)
+            assert np.maximum(env - b.values, 0.0).max() == 0.0
 
     def test_continuous_path_gap_trend(self):
         # smooth path: the gap shrinks with the level, staying under the bound
         g = dyadic_grid(256)
         b = CadlagPath(g, 1.0 + 0.5 * np.sin(2 * np.pi * g.points))
-        diags = staircase_diagnostics(b, 8)
-        gaps = [d.max_gap for d in diags]
-        assert all(d.max_gap <= d.gap_bound for d in diags)
+        gaps = []
+        for n in range(1, 9):
+            env = envelope(b, n).evaluate(g.points)
+            osc, mask = grid_modulus(b, 1.0 / n, jump_free=True)
+            gaps.append((b.values[mask] - env[mask]).max())
+            assert gaps[-1] <= 1.0 / n + osc
         assert gaps[-1] <= gaps[0]
         assert all(np.diff(gaps) <= 1e-12)
 
@@ -139,6 +147,6 @@ class TestDiagnostics:
         g = dyadic_grid(128)
         for _ in range(10):
             b = lattice_path(rng, g)
-            for d in staircase_diagnostics(b, 6):
+            for n in range(1, 7):
                 # each interval advances by a grid step or by 1/n
-                assert d.breakpoint_count <= g.n_steps + d.level + 2
+                assert lower_staircase(b, n).breakpoints.size <= g.n_steps + n + 2

@@ -33,9 +33,9 @@ class TestSolveSystem:
                                 initial=1.0, drift=DriftSpec.constant(2.0))
         grid = TimeGrid.uniform(1.0, 128)
         batch = make_batch(grid, spec.noise_layout(), 21, [0])
-        via_system = solve_system(spec, batch, SchemeConfig())
+        via_system = solve_system(spec, batch)
         via_onedim = solve_batch([spec.components[0]], [spec.drifts[0]], batch,
-                                 SchemeConfig(), np.array([[1.0]]))
+                                 np.array([[1.0]]))
         assert np.array_equal(via_system.values, via_onedim.values)
 
     def test_solves_every_row_of_the_batch(self):
@@ -44,14 +44,13 @@ class TestSolveSystem:
         spec = example_spec(n=3, initial=[1.0, 1.5, 2.0])
         grid = TimeGrid.uniform(1.0, 32)
         batch = make_batch(grid, spec.noise_layout(), 3, range(600))
-        via_system = solve_system(spec, batch, SchemeConfig()).values
-        via_batch = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+        via_system = solve_system(spec, batch).values
+        via_batch = solve_batch(spec.components, spec.drifts, batch,
                                 spec.initial[:, None]).values
         assert via_system.shape == (3, 600, 33)
         assert np.array_equal(via_system, via_batch)
         res = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=600)
-        lone = solve_system(spec, make_batch(grid, spec.noise_layout(), 3, [599]),
-                            SchemeConfig())
+        lone = solve_system(spec, make_batch(grid, spec.noise_layout(), 3, [599]))
         assert np.array_equal(res.values[:, 599], lone.values[:, 0])
 
     def test_nonnegative(self):
@@ -59,7 +58,7 @@ class TestSolveSystem:
         grid = TimeGrid.uniform(1.0, 128)
         res = run_ensemble(spec, SchemeConfig(), grid, 100, 5)
         batch = make_batch(grid, spec.noise_layout(), 5, range(100))
-        vals = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+        vals = solve_batch(spec.components, spec.drifts, batch,
                            spec.initial[:, None]).values
         assert vals.min() >= 0.0
         assert res.mean.min() >= 0.0
@@ -88,12 +87,12 @@ class TestSolveSystem:
         grid = TimeGrid.uniform(1.0, 64)
         perm = [2, 0, 1]
         batch = make_batch(grid, spec.noise_layout(), 31, range(8))
-        base = solve_batch(spec.components, spec.drifts, batch, SchemeConfig(),
+        base = solve_batch(spec.components, spec.drifts, batch,
                            spec.initial[:, None]).values
         spec_p = permute_system(spec, perm)
         batch_p = make_batch(grid, spec_p.noise_layout(), 31, range(8))
         permuted = solve_batch(spec_p.components, spec_p.drifts, batch_p,
-                               SchemeConfig(), spec_p.initial[:, None]).values
+                               spec_p.initial[:, None]).values
         assert np.array_equal(permuted, base[perm])
 
     def test_permutation_equivariance_with_a_split_group(self):
@@ -104,12 +103,12 @@ class TestSolveSystem:
         grid = TimeGrid.uniform(1.0, 64)
         base = solve_batch(spec.components, spec.drifts,
                            make_batch(grid, spec.noise_layout(), 31, range(8)),
-                           SchemeConfig(), spec.initial[:, None]).values
+                           spec.initial[:, None]).values
         for perm in ([2, 0, 1], [1, 0, 2]):
             spec_p = permute_system(spec, perm)
             batch_p = make_batch(grid, spec_p.noise_layout(), 31, range(8))
             permuted = solve_batch(spec_p.components, spec_p.drifts, batch_p,
-                                   SchemeConfig(), spec_p.initial[:, None]).values
+                                   spec_p.initial[:, None]).values
             assert np.array_equal(permuted, base[perm])
 
     def test_monotone_coupling_at_drift_level(self):
@@ -136,8 +135,7 @@ class TestEnsemble:
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 32)
         res = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=600)
-        lone = solve_system(spec, make_batch(grid, spec.noise_layout(), 3, [599]),
-                            SchemeConfig())
+        lone = solve_system(spec, make_batch(grid, spec.noise_layout(), 3, [599]))
         assert np.array_equal(res.values[0, 599], lone.values[0, 0])
 
     def test_keep_paths_keeps_the_leading_paths(self):
@@ -157,10 +155,10 @@ class TestEnsemble:
         grid = TimeGrid.uniform(1.0, 64)
         block = solve_batch(spec.components, spec.drifts,
                             make_batch(grid, spec.noise_layout(), 8, range(3)),
-                            SchemeConfig(), spec.initial[:, None]).values
+                            spec.initial[:, None]).values
         lone = solve_batch(spec.components, spec.drifts,
                            make_batch(grid, spec.noise_layout(), 8, range(2, 3)),
-                           SchemeConfig(), spec.initial[:, None]).values
+                           spec.initial[:, None]).values
         assert np.array_equal(lone[:, 0], block[:, 2])
 
     def test_one_draw_per_block(self, monkeypatch):
@@ -243,7 +241,7 @@ class TestEnsemble:
         with pytest.raises(NumericsError) as slab_err:
             solve_batch(spec.components, spec.drifts,
                         make_batch(grid, spec.noise_layout(), 0, range(1024)),
-                        SchemeConfig(), spec.initial[:, None])
+                        spec.initial[:, None])
         assert (slab_err.value.path_index, slab_err.value.step) == (858, 10)
         monkeypatch.setattr(mfjump.system, "_SLAB_BYTES", slab_bytes(2, 1, 64))
         with pytest.raises(NumericsError) as err:
