@@ -108,6 +108,17 @@ def _steps(scenario: Scenario, args) -> int:
     return steps
 
 
+def _grid(scenario: Scenario, steps: int):
+    """The ``steps``-step grid of the scenario. A grid numpy cannot allocate
+    is a usage error, reported before any work: numpy refuses one too large
+    for memory with a MemoryError, and one past its size limit with a
+    ValueError or, near 2**63 points, an IndexError."""
+    try:
+        return scenario.grid(steps)
+    except (MemoryError, ValueError, IndexError) as exc:
+        raise ScenarioError(f"a grid of {steps} steps is too large to build") from exc
+
+
 def _require_breakpoints_on(grid, scenario: Scenario) -> None:
     """A staircase drift switches only at grid points, so a breakpoint off
     the simulation grid is a usage error, reported before any work."""
@@ -144,7 +155,7 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     _require_count(args.paths, "--paths", 1)
     _require_count(args.dump_paths, "--dump-paths", 0)
-    grid = scenario.grid(_steps(scenario, args))
+    grid = _grid(scenario, _steps(scenario, args))
     _require_breakpoints_on(grid, scenario)
     seed = _seed(scenario, args)
     out = _out_dir(args)
@@ -231,6 +242,8 @@ def cmd_approx(args) -> int:
         raise ScenarioError(f"--levels must be at most {base_steps.bit_length()} "
                             f"on a {base_steps}-step grid")
     seed = _seed(scenario, args)
+    ladder = [base_steps * 2 ** r for r in range(args.refinements)]
+    _grid(scenario, ladder[-1])  # the finest, on which the study draws
     out = _out_dir(args)
     spec = scenario.system
 
@@ -241,7 +254,6 @@ def cmd_approx(args) -> int:
 
     grid = scenario.grid(base_steps)
     # one pass: the base-grid report is rung 0 of the ladder's shared draw
-    ladder = [base_steps * 2 ** r for r in range(args.refinements)]
     rungs = hierarchy_refinement_study(
         spec, SchemeConfig(), scenario.horizon, ladder, args.paths, seed, args.levels,
         mode=args.mode, n_inner=args.inner, jobs=args.jobs)
@@ -338,12 +350,13 @@ def cmd_uniqueness(args) -> int:
     if args.phi_k:
         _require_count(min(args.phi_k), "--phi-k", 1)
     base_steps = _steps(scenario, args)
+    ladder = [base_steps * 2 ** r for r in range(args.levels)]
+    _grid(scenario, 2 * ladder[-1])  # the finest, on which the study draws
     _require_breakpoints_on(scenario.grid(base_steps), scenario)
     seed = _seed(scenario, args)
     family, phi_ks = _phi_family(scenario, args.phi_k)
     out = _out_dir(args)
     spec = scenario.system
-    ladder = [base_steps * 2 ** r for r in range(args.levels)]
     report = refinement_study(spec, SchemeConfig(), scenario.horizon, ladder, args.paths,
                               seed, family=family, phi_ks=phi_ks, jobs=args.jobs)
 

@@ -298,12 +298,6 @@ class PowerDiffusion:
 
 
 @dataclass(frozen=True)
-class ZeroFn:
-    def __call__(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
 class StablePowerKernel:
     """Validation form of g0 for stable drivers: sum_j coef_j * u_j * max(x,0)^(1/alpha_j)."""
 

@@ -161,10 +161,6 @@ class TimeGrid:
     def dt(self) -> np.ndarray:
         return np.diff(self.points)
 
-    @property
-    def mesh(self) -> float:
-        return float(self.dt.max())
-
     def index_of(self, t: float) -> int:
         """Index of the largest grid point <= t."""
         if t < 0 or t > self.horizon:

@@ -1,10 +1,9 @@
-"""The clipped explicit Euler solve of a batch of paths of the coupled system,
-and the comparison-theorem check of a drift-ordered pair built on it.
+"""The clipped explicit Euler solve of a batch of paths of the coupled system.
 
 The stepping kernel is written so the drift update is c1*Y + c2*b with
 non-negative c1, c2 (for admissible steps): floating-point monotonicity in
-both arguments then holds exactly, which the comparison and monotone-level
-checks rely on.
+both arguments then holds exactly, which the monotone-level check of
+``approx`` (``monotonicity.csv``) relies on.
 
 Each step advances a group of equal-coefficient components as one (G, P)
 array, with the same operations on the same scalars per element: no bit moves.
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoefficientSet, DriftSpec, drift_values
+from .coeffs import drift_values
 from .noise import NoiseBatch, TimeGrid
 from .paths import CadlagPath, StaircasePath
 
@@ -92,9 +91,6 @@ class Forcing:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(np.moveaxis(self.table[self.index], 0, -1), dtype=dtype)
-
-    def __getitem__(self, key):
-        return np.asarray(self)[key]
 
 
 @dataclass
@@ -382,40 +378,3 @@ def solve_batch(components, drifts, batch: NoiseBatch, initial: np.ndarray,
                     right=left[done] + size[done])
     return BatchResult(values=values, jumps=jumps, warnings=warns)
 
-
-@dataclass(frozen=True)
-class OrderingReport:
-    """Ordering violations of a drift-ordered pair solved on shared noise."""
-
-    max_violation: float
-    violating_fraction: float
-    n_points: int
-
-    @property
-    def ordered(self) -> bool:
-        return self.max_violation == 0.0
-
-
-def compare_ordered(coeffs: CoefficientSet, drift_low: DriftSpec, drift_high: DriftSpec,
-                    batch: NoiseBatch, initial_low: float,
-                    initial_high: float = None) -> OrderingReport:
-    """Solve the drift-ordered pair as one two-component system on every row
-    of ``batch`` and report (Y_low - Y_high)+ over all rows and grid points.
-    The pair has equal coefficients, so it steps as one group on the same
-    noise."""
-    initial_high = initial_low if initial_high is None else initial_high
-    if initial_low > initial_high:
-        raise ValueError("initial_low must not exceed initial_high")
-    if not (drift_low.deterministic and drift_high.deterministic):
-        raise ValueError("mean-field drifts need the system solver")
-    steps = batch.grid.points[:-1]
-    low, high = drift_values((drift_low, drift_high), steps, np.empty((0, 1, steps.size)))
-    if np.any(low > high):
-        raise ValueError("drift_low must be <= drift_high pointwise on the grid")
-    values = solve_batch([coeffs, coeffs], [drift_low, drift_high], batch,
-                         np.array([[initial_low], [initial_high]], dtype=float)).values
-    gap = values[0] - values[1]
-    return OrderingReport(
-        max_violation=float(np.maximum(gap, 0.0).max()),
-        violating_fraction=float(np.mean(gap > 0.0)),
-        n_points=gap.size)

@@ -229,12 +229,8 @@ class DivergenceReport:
     a_seq: np.ndarray
     n_paths: int
 
-    def sup_diffs(self) -> np.ndarray:
-        return np.array([r.mean_sup_diff for r in self.rows])
-
     def strictly_decreasing(self) -> bool:
-        d = self.sup_diffs()
-        return bool(np.all(np.diff(d) < 0))
+        return bool(np.all(np.diff([r.mean_sup_diff for r in self.rows]) < 0))
 
 
 def _divergence_block(spec, _lo, rungs):

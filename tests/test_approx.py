@@ -151,8 +151,8 @@ class TestBuildLevels:
         lvl2 = build_next_level(lvl1, spec, batch, mode="realized")
         lvl3 = build_next_level(lvl2, spec, batch, mode="realized")
         half = grid.n_steps // 2
-        assert np.all(lvl3.forcing[0, 0, :half] == 0.0)
-        assert np.all(lvl3.forcing[0, 0, half:] == 0.5)
+        assert np.all(np.asarray(lvl3.forcing)[0, 0, :half] == 0.0)
+        assert np.all(np.asarray(lvl3.forcing)[0, 0, half:] == 0.5)
 
     def test_nested_mc_equals_deterministic_for_time_drift(self):
         # with a state-independent drift the inner branches are irrelevant:

@@ -550,6 +550,42 @@ class TestUsage:
         assert err.count("\n") == 1
         assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "kept"
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command, flags, grid_steps, steps", [
+        ("simulate", ["--dt", "1e-15"], None, 10 ** 15),
+        ("simulate", [], 1e15, 10 ** 15),
+        ("uniqueness", [], 1e15, 8 * 10 ** 15),  # twice the last of three rungs
+        ("approx", ["--refinements", "34"], None, 2 ** 43),
+        ("approx", ["--refinements", "54"], None, 2 ** 63),
+        ("approx", ["--refinements", "60"], None, 2 ** 69),
+        ("uniqueness", ["--levels", "60"], None, 2 ** 70),
+    ], ids=["simulate --dt 1e-15", "simulate grid_steps 1e15",
+            "uniqueness grid_steps 1e15", "approx --refinements 34",
+            "approx --refinements 54", "approx --refinements 60",
+            "uniqueness --levels 60"])
+    def test_grid_too_large_to_build_is_usage_error(self, command, flags, grid_steps,
+                                                     steps, jobs, tmp_path, capsys):
+        # the finest grid of each run takes 64 TiB or more, which numpy
+        # refuses at once (MemoryError, or ValueError and IndexError past
+        # its size limit), so no case allocates anything large
+        if grid_steps is None:
+            scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
+        else:
+            scen = str(write_scenario(tmp_path / "s.json", grid_steps=grid_steps))
+        out = tmp_path / "o"
+        assert main([command, "--scenario", scen, "--out", str(out), "--jobs", jobs,
+                     "--paths", "4", "--seed", "0"] + flags) == 3
+        assert capsys.readouterr().err == \
+            f"scenario error: a grid of {steps} steps is too large to build\n"
+        assert not out.exists()
+
+    def test_validate_builds_no_grid(self, tmp_path):
+        scen = write_scenario(tmp_path / "s.json", grid_steps=1e15)
+        out = tmp_path / "o"
+        assert main(["validate", "--scenario", str(scen), "--out", str(out),
+                     "--jobs", "1"]) == 0
+        assert os.listdir(out) == ["validation.json"]
+
     NEGATIVE_MASS = {"kind": "cbi-thinning", "a": 1.0, "initial": 1.0, "v_max": 4.0,
                      "levy": {"kind": "point", "atoms": [[0.5, -1.0]]}}
 

@@ -16,7 +16,7 @@ class TestTimeGrid:
         g = unit_grid(4)
         assert g.horizon == 1.0
         assert g.n_steps == 4
-        assert g.mesh == pytest.approx(0.25)
+        assert float(g.dt.max()) == pytest.approx(0.25)
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):

@@ -51,9 +51,10 @@ class TestUpperStaircase:
         g = dyadic_grid(64)
         b = CadlagPath(g, 2.0 * g.points)
         st = upper_staircase(b)
-        assert 0.5 <= st.breakpoints[1] <= 0.5 + g.mesh
+        mesh = float(g.dt.max())
+        assert 0.5 <= st.breakpoints[1] <= 0.5 + mesh
         assert st.levels[0] == 1.0
-        assert abs(st.levels[1] - 2.0) <= 2.0 * g.mesh
+        assert abs(st.levels[1] - 2.0) <= 2.0 * mesh
 
     def test_dominates_path_on_grid(self):
         rng = np.random.default_rng(5)
