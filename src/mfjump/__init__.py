@@ -12,7 +12,7 @@ from .presets import (preset_cbi_thinning, preset_cir, preset_example21,
 from .validate import (SamplingPlan, ValidationReport, validate_assum1,
                        validate_assum2, validate_assum_uniq, validate_drift,
                        validate_system)
-from .solver import NumericsError, SchemeConfig, solve_batch
+from .solver import NumericsError, solve_batch
 from .system import EnsembleResult, run_ensemble, solve_system
 from .staircase import envelope, grid_modulus, lower_staircase, upper_staircase
 from .approx import (HierarchyResult, build_level_one, build_next_level,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeffs import SystemSpec, drift_values
 from .noise import NoiseBatch, TimeGrid, make_batch
-from .solver import Forcing, SchemeConfig, solve_batch
+from .solver import Forcing, solve_batch
 from .system import _chan_merge, _mean_se, _moments, map_blocks
 
 MODES = ("realized", "nested-mc")
@@ -184,11 +184,9 @@ def _iter_levels(spec: SystemSpec, batch: NoiseBatch, n_max: int, mode: str, n_i
         yield level
 
 
-def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, cfg: SchemeConfig,
-                        n_max: int, mode: str = "realized",
-                        n_inner: int = 8) -> HierarchyBatch:
-    """Levels 1 .. n_max of one hierarchy over every row of ``batch``.
-    The ``SchemeConfig`` is accepted and not passed on: there is one scheme."""
+def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, n_max: int,
+                        mode: str = "realized", n_inner: int = 8) -> HierarchyBatch:
+    """Levels 1 .. n_max of one hierarchy over every row of ``batch``."""
     return HierarchyBatch(levels=list(_iter_levels(spec, batch, n_max, mode, n_inner)))
 
 
@@ -343,16 +341,15 @@ def _hierarchy_ladder(spec, grid, factors, n_paths, master_seed, n_max, mode, n_
             for r, factor in enumerate(factors)]
 
 
-def hierarchy_refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
-                               steps_ladder, n_paths: int, master_seed: int,
-                               n_max: int, mode: str = "realized",
-                               n_inner: int = 8, jobs: int = 1) -> list:
+def hierarchy_refinement_study(spec: SystemSpec, horizon: float, steps_ladder,
+                               n_paths: int, master_seed: int, n_max: int,
+                               mode: str = "realized", n_inner: int = 8,
+                               jobs: int = 1) -> list:
     """One HierarchyResult per rung of a step ladder, coarsest first.
 
     Noise is generated once per path on the finest grid and aggregated onto
     the coarser rungs, so every rung sees the same realization; all ladder
     members must be powers of two dividing the finest.
-    The ``SchemeConfig`` is accepted and not passed on: there is one scheme.
     """
     ladder = sorted(int(s) for s in steps_ladder)
     for s in ladder:
@@ -363,12 +360,10 @@ def hierarchy_refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: flo
                              n_max, mode, n_inner, jobs)
 
 
-def run_hierarchy_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid,
-                           n_paths: int, master_seed: int, n_max: int,
-                           mode: str = "realized", n_inner: int = 8,
-                           jobs: int = 1) -> HierarchyResult:
+def run_hierarchy_ensemble(spec: SystemSpec, grid: TimeGrid, n_paths: int,
+                           master_seed: int, n_max: int, mode: str = "realized",
+                           n_inner: int = 8, jobs: int = 1) -> HierarchyResult:
     """Hierarchies over an ensemble of shared-noise trajectories on ``grid``:
-    the one-rung case of ``hierarchy_refinement_study``.
-    The ``SchemeConfig`` is accepted and not passed on: there is one scheme."""
+    the one-rung case of ``hierarchy_refinement_study``."""
     return _hierarchy_ladder(spec, grid, [1], n_paths, master_seed, n_max, mode,
                              n_inner, jobs)[0]

@@ -5,7 +5,8 @@ carry no timestamps, JSON keys are sorted, floats are written with repr, and
 ensemble reductions run in fixed path order, so reruns are byte-identical at
 any parallelism degree.
 
-Exit codes: 0 success, 1 validation failure, 2 numeric failure, 3 usage error.
+Exit codes: 0 success, 1 validation failure, 2 numeric failure, 3 usage error,
+4 internal error (any other exception).
 """
 from __future__ import annotations
 
@@ -19,12 +20,12 @@ import numpy as np
 
 from .approx import MODES, hierarchy_refinement_study, moment_bound_check
 from .scenario import Scenario, ScenarioError, load_scenario
-from .solver import NumericsError, SchemeConfig
+from .solver import NumericsError
 from .system import run_ensemble
 from .uniqueness import TestFunctionFamily, refinement_study
 from .validate import SamplingPlan, validate_system
 
-EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_USAGE = 0, 1, 2, 3
+EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,18 +138,27 @@ def _seed(scenario: Scenario, args) -> int:
     return scenario.seed if scenario.seed is not None else 0
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _write(out: str, name: str, head: str, lines=()) -> None:
+    """Writes ``head``, then one line per item of ``lines``, to the artifact
+    ``name`` in ``out``. One that cannot be written (a directory holds its
+    name, the disk is full) is a usage error naming ``--out`` and the file;
+    the artifacts written before it stay."""
+    try:
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(head)
+            fh.writelines(f"{line}\n" for line in lines)
+    except OSError as exc:
+        raise ScenarioError(f"--out {out}: cannot write {name}: {exc.strerror}") from exc
+
+
+def _write_json(out: str, name: str, payload) -> None:
+    _write(out, name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(out: str, name: str, header, lines) -> None:
     """One comma-joined line per row; no field is quoted, as every one is a
     number or a fixed label."""
-    with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(f"{line}\n" for line in lines)
+    _write(out, name, ",".join(header) + "\n", lines)
 
 
 def cmd_simulate(args) -> int:
@@ -161,7 +171,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     spec = scenario.system
 
-    result = run_ensemble(spec, SchemeConfig(), grid, args.paths, seed, jobs=args.jobs,
+    result = run_ensemble(spec, grid, args.paths, seed, jobs=args.jobs,
                           keep_paths=args.dump_paths)
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = result.quantiles(qs)
@@ -198,7 +208,7 @@ def cmd_simulate(args) -> int:
         "warnings": result.warnings,
         "scenario": scenario.raw,
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
+    _write_json(out, "summary.json", summary)
     print(f"simulate: {args.paths} paths, {grid.n_steps} steps -> {out}")
     return EXIT_OK
 
@@ -223,7 +233,7 @@ def cmd_validate(args) -> int:
         failed = failed or not report.passed
         for line in report.lines():
             print(line)
-    _write_json(os.path.join(out, "validation.json"), payload)
+    _write_json(out, "validation.json", payload)
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
@@ -255,7 +265,7 @@ def cmd_approx(args) -> int:
     grid = scenario.grid(base_steps)
     # one pass: the base-grid report is rung 0 of the ladder's shared draw
     rungs = hierarchy_refinement_study(
-        spec, SchemeConfig(), scenario.horizon, ladder, args.paths, seed, args.levels,
+        spec, scenario.horizon, ladder, args.paths, seed, args.levels,
         mode=args.mode, n_inner=args.inner, jobs=args.jobs)
     hier = rungs[0]
     refinement_rows = rungs if args.refinements > 1 else []
@@ -307,7 +317,7 @@ def cmd_approx(args) -> int:
             "violating_fraction": r.violating_fraction,
             "cauchy_gap": r.cauchy_gap} for r in refinement_rows],
     }
-    _write_json(os.path.join(out, "approx_report.json"), report)
+    _write_json(out, "approx_report.json", report)
     print(f"approx: mode={report['mode_used']} levels={args.levels} -> {out}")
     return EXIT_OK
 
@@ -357,8 +367,8 @@ def cmd_uniqueness(args) -> int:
     family, phi_ks = _phi_family(scenario, args.phi_k)
     out = _out_dir(args)
     spec = scenario.system
-    report = refinement_study(spec, SchemeConfig(), scenario.horizon, ladder, args.paths,
-                              seed, family=family, phi_ks=phi_ks, jobs=args.jobs)
+    report = refinement_study(spec, scenario.horizon, ladder, args.paths, seed,
+                              family=family, phi_ks=phi_ks, jobs=args.jobs)
 
     _write_csv(out, "divergence.csv",
                ["steps", "dt", "mean_sup_diff", "mean_sup_diff_se", "mean_abs_terminal"]
@@ -370,7 +380,7 @@ def cmd_uniqueness(args) -> int:
     _write_csv(out, "ak_table.csv", ["k", "a_k"],
                (f"{k},{a!r}" for k, a in enumerate(report.a_seq.tolist())))
 
-    _write_json(os.path.join(out, "uniqueness_report.json"), {
+    _write_json(out, "uniqueness_report.json", {
         "seed": seed,
         "paths": args.paths,
         "ladder_steps": ladder,
@@ -403,6 +413,9 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .coeffs import drift_values
 from .noise import NoiseBatch, TimeGrid
 from .paths import CadlagPath, StaircasePath
 
-EXPLICIT = "explicit-euler-clipped"
 _CHUNK = 64  # steps whose operands solve_batch gathers step-major at once
 
 
@@ -49,18 +48,6 @@ class NumericsError(RuntimeError):
     def __reduce__(self):
         # pool workers pickle the error back to the parent process
         return type(self), (self.step, self.time, self.component, self.path_index)
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """The scheme of a solve. Its one legal value is the clipped explicit
-    Euler step, which every solve runs."""
-
-    scheme: str = EXPLICIT
-
-    def __post_init__(self):
-        if self.scheme != EXPLICIT:
-            raise ValueError(f"unknown scheme '{self.scheme}'")
 
 
 def _step_major(a: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coeffs import SystemSpec
 from .noise import NoiseBatch, TimeGrid, make_batch
-from .solver import BatchResult, NumericsError, SchemeConfig, solve_batch
+from .solver import BatchResult, NumericsError, solve_batch
 
 _BLOCK = 512  # fixed ensemble block size; independent of --jobs
 _SLAB_BYTES = 4 << 20  # value-array budget of one simulate solve (whole blocks)
@@ -167,8 +167,8 @@ def _ensemble_block(spec, section_idx, keep_paths, lo, rungs):
     }
 
 
-def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: int,
-                 master_seed: int, jobs: int = 1, keep_paths: int = 0) -> EnsembleResult:
+def run_ensemble(spec: SystemSpec, grid: TimeGrid, n_paths: int, master_seed: int,
+                 jobs: int = 1, keep_paths: int = 0) -> EnsembleResult:
     """Simulate n_paths independent trajectories of the system.
 
     Path p always uses the noise with lineage (master_seed, p). Paths are
@@ -177,7 +177,6 @@ def run_ensemble(spec: SystemSpec, cfg: SchemeConfig, grid: TimeGrid, n_paths: i
     byte-identical for any ``jobs``. The values of paths ``0 .. keep_paths-1``
     are kept in ``values``, and every ``max(1, n_steps // 8)``-th grid point is
     a section time.
-    The ``SchemeConfig`` is accepted and not passed on: there is one scheme.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coeffs import PowerModulus, SystemSpec, panel_quadrature
 from .noise import TimeGrid
-from .solver import SchemeConfig, solve_batch
+from .solver import solve_batch
 from .system import _BLOCK, map_blocks
 
 _PHI_NODES = 4001  # log-spaced quadrature nodes on (a_k, a_{k-1})
@@ -255,10 +255,9 @@ def _divergence_block(spec, _lo, rungs):
     return out
 
 
-def refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
-                     steps_ladder, n_paths: int, master_seed: int,
-                     family: TestFunctionFamily = None, phi_ks=(2, 4),
-                     jobs: int = 1) -> DivergenceReport:
+def refinement_study(spec: SystemSpec, horizon: float, steps_ladder, n_paths: int,
+                     master_seed: int, family: TestFunctionFamily = None,
+                     phi_ks=(2, 4), jobs: int = 1) -> DivergenceReport:
     """Divergence rows for a doubling ladder of step counts, each against its
     refinement.
 
@@ -266,7 +265,6 @@ def refinement_study(spec: SystemSpec, cfg: SchemeConfig, horizon: float,
     and shared by all rungs; paths run in fixed blocks, so the report is the
     same for any ``jobs``. A rung's row comes from the per-path divergences
     of every block concatenated in path order.
-    The ``SchemeConfig`` is accepted and not passed on: there is one scheme.
     """
     ladder = [int(s) for s in steps_ladder]
     if any(fine != 2 * coarse for coarse, fine in zip(ladder, ladder[1:])):

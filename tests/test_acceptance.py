@@ -29,7 +29,7 @@ def test_criterion_01_cir_mean_oracle():
     start = time.monotonic()
     spec = mf.preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
     grid = mf.dyadic_partition(11, 1.0)  # dt = 2^-10
-    res = mf.run_ensemble(spec, mf.SchemeConfig(), grid, 10000, 2024)
+    res = mf.run_ensemble(spec, grid, 10000, 2024)
     # frozen oracle: 2 + (1 - 2) e^{-t}
     targets = {0.25: 1.2211992169285951, 0.5: 1.3934693402873666,
                1.0: 1.6321205588285577}
@@ -47,7 +47,7 @@ def test_criterion_02_mean_conservation():
                                sigma_z0=0.1, alpha=1.8, alpha0=1.5,
                                initial=[1.0, 1.5, 2.0])
     grid = mf.dyadic_partition(9, 1.0)
-    res = mf.run_ensemble(spec, mf.SchemeConfig(), grid, 10000, 77)
+    res = mf.run_ensemble(spec, grid, 10000, 77)
     ok = True
     for j in range(32, grid.points.size, 32):
         ok = ok and abs(res.avg_mean[j] - res.avg_mean[0]) <= 3.0 * res.avg_se[j]
@@ -106,7 +106,6 @@ def _ordered_paths_mask(prev, cur):
 
 def test_criterion_05_subset_infimum_ordering():
     start = time.monotonic()
-    cfg = mf.SchemeConfig()
     ok, coverage = True, 0
     # deterministic core: every path ordered, plus a diffusive ensemble
     runs = [
@@ -116,7 +115,7 @@ def test_criterion_05_subset_infimum_ordering():
     for spec, n_max, n_paths, seed in runs:
         grid = mf.dyadic_partition(8, 1.0)
         batch = mf.make_batch(grid, spec.noise_layout(), seed, range(n_paths))
-        hier = mf.run_hierarchy_batch(spec, batch, cfg, n_max)
+        hier = mf.run_hierarchy_batch(spec, batch, n_max)
         for prev, cur in zip(hier.levels, hier.levels[1:]):
             ordered = _ordered_paths_mask(prev, cur)
             if not ordered.any():
@@ -133,18 +132,17 @@ def test_criterion_05_subset_infimum_ordering():
 
 def test_criterion_06_monotone_levels():
     start = time.monotonic()
-    cfg = mf.SchemeConfig()
     # deterministic core: sigma = 0, jump-free, realized mode, n_max = 5
     spec_det = mf.preset_example21(2, a=1.0, sigma=0.0, initial=[1.0, 3.0])
     grid = mf.dyadic_partition(8, 1.0)
     batch = mf.make_batch(grid, spec_det.noise_layout(), 1, range(4))
-    hier = mf.run_hierarchy_batch(spec_det, batch, cfg, 5, mode="realized")
+    hier = mf.run_hierarchy_batch(spec_det, batch, 5, mode="realized")
     rows = mf.check_monotone(hier.levels)
     ok = all(r.max_violation == 0.0 for r in rows)
     # diffusive: ensemble-max ordering violation shrinks across the dt ladder
     # (shared noise, pinned seed; see the ledger note on this statistic's tail)
     spec_dif = mf.preset_example21(2, a=4.0, sigma=2.0, initial=[0.4, 0.8])
-    study = mf.hierarchy_refinement_study(spec_dif, cfg, 1.0, [64, 128, 256],
+    study = mf.hierarchy_refinement_study(spec_dif, 1.0, [64, 128, 256],
                                           1000, 0, 4)
     maxima = [r.max_violation for r in study]
     ok = ok and maxima[0] > maxima[1] > maxima[2]
@@ -158,7 +156,7 @@ def test_criterion_07_moment_bound_envelope():
     spec = mf.preset_example21(2, a=1.0, sigma=0.5, sigma_z=0.2, alpha=1.8,
                                initial=[1.0, 2.0])
     grid = mf.dyadic_partition(11, 1.0)  # 2^10 steps
-    hier = mf.run_hierarchy_ensemble(spec, mf.SchemeConfig(), grid, 1000, 7, 4)
+    hier = mf.run_hierarchy_ensemble(spec, grid, 1000, 7, 4)
     # average drift: B = 0, L = 1/N; the presets carry g1 = 0, so K = 0
     report = mf.moment_bound_check(hier.levels, grid, a_bar=1.0, growth_b=0.0,
                                    growth_l=0.5, k_const=0.0,
@@ -196,7 +194,7 @@ def test_criterion_08_test_function_suite():
 def test_criterion_09_uniqueness_diagnostic():
     start = time.monotonic()
     spec = mf.preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
-    report = mf.refinement_study(spec, mf.SchemeConfig(), 1.0, [64, 128, 256],
+    report = mf.refinement_study(spec, 1.0, [64, 128, 256],
                                  1000, 9)
     ok = report.strictly_decreasing()
     criterion(9, "shared-noise E[sup |difference|] strictly decreases along "

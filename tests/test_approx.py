@@ -9,7 +9,7 @@ import pytest
 
 import mfjump.approx
 import mfjump.system
-from mfjump import (CadlagPath, DriftSpec, SchemeConfig, TimeGrid, build_level_one,
+from mfjump import (CadlagPath, DriftSpec, TimeGrid, build_level_one,
                     build_next_level, check_monotone, dyadic_partition,
                     hierarchy_refinement_study, make_batch,
                     moment_bound_check, preset_cir, preset_example21,
@@ -231,7 +231,7 @@ class TestBuildLevels:
         spec = mean_field_spec(sigma=0.3)
         grid = dyadic_partition(6, 1.0)
         batch = make_batch(grid, spec.noise_layout(), 5, [0])
-        levels = run_hierarchy_batch(spec, batch, SchemeConfig(), 4).levels
+        levels = run_hierarchy_batch(spec, batch, 4).levels
         for prev, cur in zip(levels, levels[1:]):
             assert np.array_equal(cur.partition.points[::2], prev.partition.points)
             assert cur.partition.points.size == 2 ** (cur.n - 1) + 1
@@ -241,8 +241,7 @@ class TestBuildLevels:
         grid = dyadic_partition(4, 1.0)
         with pytest.raises(ValueError):
             run_hierarchy_batch(spec, make_batch(grid, spec.noise_layout(), 0,
-                                                 range(1)),
-                                SchemeConfig(), 1)
+                                                 range(1)), 1)
 
 
 class TestReconstructionIdentity:
@@ -275,7 +274,7 @@ class TestOrderingProperties:
         spec = mean_field_spec(n=2, sigma=0.9, a=2.0, initial=[0.5, 1.5])
         grid = dyadic_partition(7, 1.0)
         batch = make_batch(grid, spec.noise_layout(), 29, range(64))
-        hier = run_hierarchy_batch(spec, batch, SchemeConfig(), 4)
+        hier = run_hierarchy_batch(spec, batch, 4)
         checked = 0
         for prev, cur in zip(hier.levels, hier.levels[1:]):
             ordered = np.all(cur.values >= prev.values, axis=(0, 2))  # per path
@@ -292,7 +291,7 @@ class TestOrderingProperties:
         spec = mean_field_spec(n=2, sigma=0.0, initial=[1.0, 3.0])
         grid = dyadic_partition(7, 1.0)
         batch = make_batch(grid, spec.noise_layout(), 0, range(1))
-        hier = run_hierarchy_batch(spec, batch, SchemeConfig(), 5)
+        hier = run_hierarchy_batch(spec, batch, 5)
         for row in check_monotone(hier.levels):
             assert row.max_violation == 0.0
             assert row.violating_fraction == 0.0
@@ -314,7 +313,7 @@ class TestOrderingProperties:
         spec = mean_field_spec(n=2, sigma=0.0, initial=[1.0, 3.0])
         grid = dyadic_partition(8, 1.0)
         batch = make_batch(grid, spec.noise_layout(), 0, range(1))
-        hier = run_hierarchy_batch(spec, batch, SchemeConfig(), 6)
+        hier = run_hierarchy_batch(spec, batch, 6)
         # per-level sup distance to the top level shrinks monotonically
         top = hier.levels[-1].values
         dists = [np.abs(lv.values - top).max() for lv in hier.levels[:-1]]
@@ -326,7 +325,7 @@ class TestOrderingProperties:
         spec = mean_field_spec(n=2, sigma=0.5, sigma_z=0.2, alpha=1.8,
                                initial=[1.0, 2.0])
         grid = dyadic_partition(9, 1.0)
-        hier = run_hierarchy_ensemble(spec, SchemeConfig(), grid, 200, 0, 6)
+        hier = run_hierarchy_ensemble(spec, grid, 200, 0, 6)
         mean_gaps = [float(g.mean()) for g in hier.sup_gaps]
         assert all(np.diff(mean_gaps[1:]) <= 0)
         per_path = np.stack([g.max(axis=0) for g in hier.sup_gaps[1:]])
@@ -339,7 +338,7 @@ class TestMomentBound:
         spec = mean_field_spec(n=2, sigma=0.0, a=0.0, initial=[1.0, 2.0],
                                drift=DriftSpec.constant(0.0))
         grid = dyadic_partition(5, 1.0)
-        hier = run_hierarchy_ensemble(spec, SchemeConfig(), grid, 8, 1, 3)
+        hier = run_hierarchy_ensemble(spec, grid, 8, 1, 3)
         report = moment_bound_check(hier.levels, grid, a_bar=0.0, growth_b=0.0,
                                     growth_l=0.0, k_const=0.0)
         assert report.passed
@@ -349,7 +348,7 @@ class TestMomentBound:
         spec = mean_field_spec(n=2, sigma=0.5, sigma_z=0.2, alpha=1.8,
                                initial=[1.0, 2.0])
         grid = dyadic_partition(7, 1.0)
-        hier = run_hierarchy_ensemble(spec, SchemeConfig(), grid, 200, 7, 4)
+        hier = run_hierarchy_ensemble(spec, grid, 200, 7, 4)
         # average drift: B = 0, L = 1/N, K = 0, so L' = a_bar * L * N = 1
         report = moment_bound_check(hier.levels, grid, a_bar=1.0, growth_b=0.0,
                                     growth_l=0.5, k_const=0.0)
@@ -360,9 +359,9 @@ class TestMomentBound:
         # three blocks, merged in order, against one batch of all 600 paths
         spec = mean_field_spec(n=2, sigma=1.0, a=2.0, initial=[0.4, 0.8])
         grid = dyadic_partition(5, 1.0)
-        hier = run_hierarchy_ensemble(spec, SchemeConfig(), grid, 600, 3, 3)
+        hier = run_hierarchy_ensemble(spec, grid, 600, 3, 3)
         whole = run_hierarchy_batch(spec, make_batch(grid, spec.noise_layout(), 3,
-                                                     range(600)), SchemeConfig(), 3)
+                                                     range(600)), 3)
         for (n, mean, m2), lv in zip(hier.levels, whole.levels):
             assert n == 600
             np.testing.assert_allclose(mean, lv.values.mean(axis=1), rtol=1e-12)
@@ -377,7 +376,7 @@ class TestMomentBound:
     def test_larger_k_only_loosens_the_bound(self):
         spec = mean_field_spec(n=2, sigma=0.5, initial=[1.0, 2.0])
         grid = dyadic_partition(6, 1.0)
-        hier = run_hierarchy_ensemble(spec, SchemeConfig(), grid, 50, 3, 3)
+        hier = run_hierarchy_ensemble(spec, grid, 50, 3, 3)
         small = moment_bound_check(hier.levels, grid, 1.0, 0.0, 0.5, 0.0)
         large = moment_bound_check(hier.levels, grid, 1.0, 0.0, 0.5, 0.5)
         assert np.all(large.envelope >= small.envelope)
@@ -387,8 +386,7 @@ class TestMomentBound:
 class TestRefinementStudy:
     def test_rows_share_noise_and_report_statistics(self):
         spec = mean_field_spec(n=2, sigma=1.0, a=2.0, initial=[0.4, 0.8])
-        rows = hierarchy_refinement_study(spec, SchemeConfig(), 1.0,
-                                          [16, 32, 64], 50, 3, 3)
+        rows = hierarchy_refinement_study(spec, 1.0, [16, 32, 64], 50, 3, 3)
         assert [r.steps for r in rows] == [16, 32, 64]
         assert all(r.max_violation >= r.mean_sup_violation >= 0.0 for r in rows)
         assert all(0.0 <= r.violating_fraction <= 1.0 for r in rows)
@@ -396,7 +394,7 @@ class TestRefinementStudy:
     def test_rejects_non_dyadic_ladder(self):
         spec = mean_field_spec()
         with pytest.raises(ValueError):
-            hierarchy_refinement_study(spec, SchemeConfig(), 1.0, [12, 24], 4, 0, 3)
+            hierarchy_refinement_study(spec, 1.0, [12, 24], 4, 0, 3)
 
     def test_ladders_solve_without_solve_system(self, monkeypatch):
         # the benchmark's tracer reads approx.drift_points off the solves
@@ -408,22 +406,21 @@ class TestRefinementStudy:
             if name.startswith("mfjump") and hasattr(module, "solve_system"):
                 monkeypatch.setattr(module, "solve_system", refuse)
         spec = mean_field_spec(n=2, sigma=1.0, a=2.0, initial=[0.4, 0.8])
-        rows = hierarchy_refinement_study(spec, SchemeConfig(), 1.0, [16, 32], 20, 3, 3)
+        rows = hierarchy_refinement_study(spec, 1.0, [16, 32], 20, 3, 3)
         assert len(rows) == 2
         for mode in ("realized", "nested-mc"):
             batch = make_batch(TimeGrid.uniform(1.0, 16), spec.noise_layout(), 3, range(4))
-            hier = run_hierarchy_batch(spec, batch, SchemeConfig(), 3, mode=mode)
+            hier = run_hierarchy_batch(spec, batch, 3, mode=mode)
             assert len(hier.levels) == 3
         report = refinement_study(preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0),
-                                  SchemeConfig(), 1.0, [16, 32], 20, 3)
+                                  1.0, [16, 32], 20, 3)
         assert len(report.rows) == 2
 
     def test_mean_sup_violation_typically_decreases(self):
         # the ensemble mean of per-path sup violations is the stable trend
         # statistic (the max carries a step-size-insensitive excursion tail)
         spec = mean_field_spec(n=2, sigma=1.0, a=1.0, initial=[0.3, 0.8])
-        rows = hierarchy_refinement_study(spec, SchemeConfig(), 1.0,
-                                          [64, 128, 256], 400, 1, 5)
+        rows = hierarchy_refinement_study(spec, 1.0, [64, 128, 256], 400, 1, 5)
         means = [r.mean_sup_violation for r in rows]
         assert means[0] > means[-1]
 
@@ -499,8 +496,7 @@ class TestApproxCommand:
         rows = (out / "refinements.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 and all(row.endswith(",0.0") for row in rows)
         spec = load_scenario(scenario).system
-        for rung in hierarchy_refinement_study(spec, SchemeConfig(), 1.0, [64, 128],
-                                               20, 1, 3):
+        for rung in hierarchy_refinement_study(spec, 1.0, [64, 128], 20, 1, 3):
             assert rung.sup_gaps[0].max() > 0.0
             assert np.array_equal(rung.sup_gaps[1], np.zeros((1, 20)))
             assert not np.signbit(rung.sup_gaps).any()
@@ -518,14 +514,14 @@ class TestStreamedBlock:
     @pytest.mark.parametrize("mode, steps, n_max, n_paths",
                              [("realized", 64, 4, 40), ("nested-mc", 8, 3, 4)])
     def test_streamed_reductions_equal_the_list_form(self, mode, steps, n_max, n_paths):
-        spec, cfg = self.spec(), SchemeConfig()
+        spec = self.spec()
         batch = make_batch(TimeGrid.uniform(1.0, steps), spec.noise_layout(), 6,
                            range(n_paths))
         rungs = [batch.coarsen(2), batch]
         block = mfjump.approx._ladder_block(spec, n_max, mode, 2, 0, iter(rungs))
         assert len(block) == len(rungs)
         for (moments, pairs), rung in zip(block, rungs):
-            levels = run_hierarchy_batch(spec, rung, cfg, n_max, mode=mode,
+            levels = run_hierarchy_batch(spec, rung, n_max, mode=mode,
                                          n_inner=2).levels
             assert len(moments) == n_max and len(pairs) == n_max - 1
             for (count, mean, m2), lv in zip(moments, levels):
@@ -573,8 +569,7 @@ class TestStreamedBlock:
         del draw
         tracemalloc.start()
         try:
-            hierarchy_refinement_study(spec, SchemeConfig(), 1.0, [256, 512, 1024],
-                                       256, 77, 4)
+            hierarchy_refinement_study(spec, 1.0, [256, 512, 1024], 256, 77, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -551,6 +551,27 @@ class TestUsage:
         assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "kept"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command, artifact", [
+        ("simulate", "summary.json"), ("approx", "approx_report.json"),
+        ("validate", "validation.json"), ("uniqueness", "divergence.csv")])
+    def test_artifact_held_by_a_directory_is_usage_error(self, command, artifact, jobs,
+                                                         tmp_path, capsys):
+        # the artifact's name in --out is taken by a directory; the error
+        # comes after the work, when the command writes that artifact
+        out = tmp_path / "o"
+        (out / artifact).mkdir(parents=True)
+        (out / artifact / "kept").write_text("kept")
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
+        argv = [command, "--scenario", scen, "--out", str(out), "--jobs", jobs]
+        if command != "validate":
+            argv += ["--paths", "300"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"scenario error: --out {out}: cannot write {artifact}: Is a directory\n"
+        assert os.listdir(out / artifact) == ["kept"]
+        assert (out / artifact / "kept").read_text() == "kept"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("command, flags, grid_steps, steps", [
         ("simulate", ["--dt", "1e-15"], None, 10 ** 15),
         ("simulate", [], 1e15, 10 ** 15),
@@ -615,3 +636,31 @@ class TestUsage:
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--paths", "5", "--out", str(tmp_path / "o")])
         assert code == 3
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_budget_too_large_for_memory_is_exit_four(self, jobs, tmp_path, capsys):
+        # 10**12 samples take 7.28 TiB, which numpy refuses at once
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
+        out = tmp_path / "o"
+        assert main(["validate", "--scenario", scen, "--out", str(out), "--jobs", jobs,
+                     "--budget", str(10 ** 12)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and "MemoryError" in err
+        assert err.count("\n") == 1
+        assert not (out / "validation.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_error_raised_in_a_block_is_exit_four(self, jobs, tmp_path, capsys,
+                                                   monkeypatch):
+        # 300 paths make two blocks, so --jobs 2 raises it inside a pool worker
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver broke")
+        monkeypatch.setattr(mfjump.approx, "solve_batch", broken)
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
+        out = tmp_path / "o"
+        assert main(["approx", "--scenario", scen, "--out", str(out), "--jobs", jobs,
+                     "--paths", "300", "--levels", "2"]) == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: solver broke\n"
+        assert os.listdir(out) == []

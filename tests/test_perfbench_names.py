@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 import mfjump.approx
-from mfjump import SchemeConfig, coeffs, hierarchy_refinement_study, preset_example21
+from mfjump import coeffs, hierarchy_refinement_study, preset_example21
 from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout, TimeGrid, make_batch
 from mfjump.solver import solve_batch
 
@@ -88,8 +88,7 @@ def test_every_level_of_every_block_and_rung_passes_the_level_builders(monkeypat
         monkeypatch.setattr(mfjump.approx, name, counted(name))
     spec = preset_example21(2, sigma=0.3, a=1.0, initial=[1.0, 2.0])
     n_paths, ladder, n_max = mfjump.approx._BLOCK + 20, (8, 16, 32), 4
-    results = hierarchy_refinement_study(spec, SchemeConfig(), 1.0, ladder, n_paths, 0,
-                                         n_max, jobs=1)
+    results = hierarchy_refinement_study(spec, 1.0, ladder, n_paths, 0, n_max, jobs=1)
     assert len(results) == len(ladder)
     blocks_rungs = 2 * len(ladder)
     assert calls == {"build_level_one": blocks_rungs,

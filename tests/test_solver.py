@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from mfjump import (CadlagPath, DriftSpec, EventArrays, NumericsError,
-                    PointMassMeasure, SchemeConfig, StaircasePath, TimeGrid,
+                    PointMassMeasure, StaircasePath, TimeGrid,
                     make_batch, preset_cbi_thinning, preset_cir, preset_example21,
                     solve_batch)
 from mfjump.coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, JumpKernel,
                            PowerDiffusion, PowerModulus, SqrtDiffusion,
                            ThinningKernel, ThinningMarkSampler)
 from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout
-from mfjump.solver import EXPLICIT, Forcing, _prepare_parts
+from mfjump.solver import Forcing, _prepare_parts
 
 
 def deterministic_coeffs(a=1.0):
@@ -366,14 +366,6 @@ class TestStaircaseDrift:
         with pytest.raises(ValueError, match="horizon"):
             solve_one(deterministic_coeffs(), DriftSpec.external(forcing),
                       empty_batch(TimeGrid.uniform(1.0, 4)), initial=0.0)
-
-    def test_rejects_unknown_scheme(self):
-        for scheme in ("milstein", "drift-implicit"):
-            with pytest.raises(ValueError, match="unknown scheme"):
-                SchemeConfig(scheme=scheme)
-
-    def test_explicit_is_the_only_scheme(self):
-        assert SchemeConfig().scheme == EXPLICIT
 
 
 class TestCompareOrdered:

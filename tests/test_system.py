@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import mfjump.system
-from mfjump import (DriftSpec, ExponentialMeasure, NumericsError, SchemeConfig, TimeGrid,
+from mfjump import (DriftSpec, ExponentialMeasure, NumericsError, TimeGrid,
                     make_batch, preset_cir, preset_example21, run_ensemble, solve_batch,
                     solve_system, thinning_system)
 from mfjump.coeffs import CoefficientSet, PowerDiffusion, PowerModulus, SystemSpec
@@ -49,14 +49,14 @@ class TestSolveSystem:
                                 spec.initial[:, None]).values
         assert via_system.shape == (3, 600, 33)
         assert np.array_equal(via_system, via_batch)
-        res = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=600)
+        res = run_ensemble(spec, grid, 600, 3, keep_paths=600)
         lone = solve_system(spec, make_batch(grid, spec.noise_layout(), 3, [599]))
         assert np.array_equal(res.values[:, 599], lone.values[:, 0])
 
     def test_nonnegative(self):
         spec = example_spec(sigma=1.5)
         grid = TimeGrid.uniform(1.0, 128)
-        res = run_ensemble(spec, SchemeConfig(), grid, 100, 5)
+        res = run_ensemble(spec, grid, 100, 5)
         batch = make_batch(grid, spec.noise_layout(), 5, range(100))
         vals = solve_batch(spec.components, spec.drifts, batch,
                            spec.initial[:, None]).values
@@ -68,7 +68,7 @@ class TestSolveSystem:
         # average and all noise is compensated, so E[avg] is flat
         spec = example_spec(n=3, initial=[1.0, 1.5, 2.0])
         grid = TimeGrid.uniform(1.0, 256)
-        res = run_ensemble(spec, SchemeConfig(), grid, 2000, 17)
+        res = run_ensemble(spec, grid, 2000, 17)
         start = res.avg_mean[0]
         for j in range(0, grid.points.size, 64):
             se = max(res.avg_se[j], 1e-12)
@@ -77,7 +77,7 @@ class TestSolveSystem:
     def test_exchangeable_components_have_same_marginal(self):
         spec = example_spec(n=2, initial=[1.0, 1.0])
         grid = TimeGrid.uniform(1.0, 64)
-        res = run_ensemble(spec, SchemeConfig(), grid, 4000, 23, keep_paths=4000)
+        res = run_ensemble(spec, grid, 4000, 23, keep_paths=4000)
         terminal = res.values[:, :, -1]
         assert stats.ks_2samp(terminal[0], terminal[1]).pvalue > 0.01
 
@@ -124,8 +124,8 @@ class TestEnsemble:
     def test_jobs_do_not_change_results(self):
         spec = example_spec()
         grid = TimeGrid.uniform(1.0, 64)
-        a = run_ensemble(spec, SchemeConfig(), grid, 600, 3, jobs=1)
-        b = run_ensemble(spec, SchemeConfig(), grid, 600, 3, jobs=3)
+        a = run_ensemble(spec, grid, 600, 3, jobs=1)
+        b = run_ensemble(spec, grid, 600, 3, jobs=3)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.se, b.se)
         assert np.array_equal(a.section_values, b.section_values)
@@ -134,7 +134,7 @@ class TestEnsemble:
         # 600 paths spans two blocks; per-path streams make the split invisible
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 32)
-        res = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=600)
+        res = run_ensemble(spec, grid, 600, 3, keep_paths=600)
         lone = solve_system(spec, make_batch(grid, spec.noise_layout(), 3, [599]))
         assert np.array_equal(res.values[0, 599], lone.values[0, 0])
 
@@ -142,9 +142,9 @@ class TestEnsemble:
         # 520 kept paths end 8 rows into the second block
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 32)
-        full = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=600).values
-        part = run_ensemble(spec, SchemeConfig(), grid, 600, 3, keep_paths=520).values
-        none = run_ensemble(spec, SchemeConfig(), grid, 600, 3).values
+        full = run_ensemble(spec, grid, 600, 3, keep_paths=600).values
+        part = run_ensemble(spec, grid, 600, 3, keep_paths=520).values
+        none = run_ensemble(spec, grid, 600, 3).values
         assert np.array_equal(part, full[:, :520])
         assert none.shape == (1, 0, 33)
 
@@ -172,7 +172,7 @@ class TestEnsemble:
         monkeypatch.setattr(mfjump.system, "make_batch", counting_draw)
         monkeypatch.setattr(mfjump.system, "_SLAB_BYTES", slab_bytes(2, 1, 8))
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
-        run_ensemble(spec, SchemeConfig(), TimeGrid.uniform(1.0, 8), 1200, 0)
+        run_ensemble(spec, TimeGrid.uniform(1.0, 8), 1200, 0)
         assert draws == [(0, 1023), (1024, 1199)]
 
     def test_block_can_drop_its_draw_on_the_last_rung(self, monkeypatch):
@@ -218,7 +218,7 @@ class TestEnsemble:
             monkeypatch.setattr(mfjump.system, "_SLAB_BYTES", slab_bytes(blocks, spec.n, 16))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                results.append(run_ensemble(spec, SchemeConfig(), grid, 1300, 4,
+                results.append(run_ensemble(spec, grid, 1300, 4,
                                             keep_paths=1100))
         one, three = results
         for name in ("mean", "se", "avg_mean", "avg_se", "integral_mean", "integral_se",
@@ -245,14 +245,14 @@ class TestEnsemble:
         assert (slab_err.value.path_index, slab_err.value.step) == (858, 10)
         monkeypatch.setattr(mfjump.system, "_SLAB_BYTES", slab_bytes(2, 1, 64))
         with pytest.raises(NumericsError) as err:
-            run_ensemble(spec, SchemeConfig(), grid, 1536, 0, jobs=jobs)
+            run_ensemble(spec, grid, 1536, 0, jobs=jobs)
         assert (err.value.path_index, err.value.step) == (321, 14)
         assert "path 321" in str(err.value)
 
     def test_rejects_empty_ensemble(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         with pytest.raises(ValueError):
-            run_ensemble(spec, SchemeConfig(), TimeGrid.uniform(1.0, 8), 0, 0)
+            run_ensemble(spec, TimeGrid.uniform(1.0, 8), 0, 0)
 
 
 class TestRunEnsemble:
@@ -260,15 +260,15 @@ class TestRunEnsemble:
         # doubling the path count shrinks the SE by about 1/sqrt(2)
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 32)
-        small = run_ensemble(spec, SchemeConfig(), grid, 1500, 11)
-        large = run_ensemble(spec, SchemeConfig(), grid, 3000, 11)
+        small = run_ensemble(spec, grid, 1500, 11)
+        large = run_ensemble(spec, grid, 3000, 11)
         ratio = large.se[0, -1] / small.se[0, -1]
         assert 0.6 <= ratio <= 0.85
 
     def test_quantiles_are_ordered(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 32)
-        res = run_ensemble(spec, SchemeConfig(), grid, 400, 2)
+        res = run_ensemble(spec, grid, 400, 2)
         q = res.quantiles()
         assert np.all(np.diff(q, axis=0) >= 0)
 
@@ -276,7 +276,7 @@ class TestRunEnsemble:
         # E[int lambda dt] for the CIR mean curve: int_0^1 (2 - e^{-t}) dt
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         grid = TimeGrid.uniform(1.0, 256)
-        res = run_ensemble(spec, SchemeConfig(), grid, 4000, 13)
+        res = run_ensemble(spec, grid, 4000, 13)
         target = 2.0 - (1.0 - math.exp(-1.0))
         assert abs(res.integral_mean[0] - target) < 3 * res.integral_se[0] + 2e-3
 
@@ -286,7 +286,7 @@ class TestRunEnsemble:
         spec = preset_cir(a=1.0, b=1e8, sigma=0.5, initial=1e8)
         grid = TimeGrid.uniform(1.0, 16)
         n = 600  # two blocks
-        res = run_ensemble(spec, SchemeConfig(), grid, n, 0, keep_paths=n)
+        res = run_ensemble(spec, grid, n, 0, keep_paths=n)
         vals = res.values
         integ = np.trapezoid(vals, x=grid.points, axis=2)
         for mean, se, x, axis in ((res.mean, res.se, vals, 1),

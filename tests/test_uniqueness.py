@@ -5,7 +5,7 @@ import pytest
 
 import mfjump.system
 import mfjump.uniqueness
-from mfjump import (PowerModulus, SchemeConfig, TestFunctionFamily, build_phi,
+from mfjump import (PowerModulus, TestFunctionFamily, build_phi,
                     preset_cir, refinement_study, yw_sequence)
 from mfjump.coeffs import CallableModulus
 from mfjump.uniqueness import _inv_rho_sq_integral
@@ -153,14 +153,14 @@ class TestDivergenceDiagnostic:
     def test_refinement_ladder_strictly_decreases(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         family = TestFunctionFamily(rho=spec.components[0].rho, x_m=1.0, k_max=4)
-        report = refinement_study(spec, SchemeConfig(), 1.0, [64, 128, 256],
+        report = refinement_study(spec, 1.0, [64, 128, 256],
                                   300, 3, family=family, phi_ks=(2, 4))
         assert report.strictly_decreasing()
 
     def test_phi_moment_dominated_by_mean_abs(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.8, initial=1.0)
         family = TestFunctionFamily(rho=PowerModulus(1.0, 0.5), x_m=1.0, k_max=6)
-        row = refinement_study(spec, SchemeConfig(), 1.0, [32], 200, 7,
+        row = refinement_study(spec, 1.0, [32], 200, 7,
                                family=family, phi_ks=(2, 4, 6)).rows[0]
         for k, val in row.phi_moments.items():
             assert val <= row.mean_abs_terminal + 1e-15
@@ -181,7 +181,7 @@ class TestDivergenceDiagnostic:
         monkeypatch.setattr(mfjump.uniqueness, "solve_batch", counting_solve)
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         ladder = [8, 16, 32]
-        report = refinement_study(spec, SchemeConfig(), 1.0, ladder, 600, 3)
+        report = refinement_study(spec, 1.0, ladder, 600, 3)
         # two blocks, each drawn once on the finest grid (twice the last rung)
         assert calls["make_batch"] == [(64, 0, 511), (64, 512, 599)]
         assert calls["solve_batch"] == 2 * (len(ladder) + 1)
@@ -191,4 +191,4 @@ class TestDivergenceDiagnostic:
     def test_rejects_non_doubling_ladder(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         with pytest.raises(ValueError):
-            refinement_study(spec, SchemeConfig(), 1.0, [16, 64], 8, 0)
+            refinement_study(spec, 1.0, [16, 64], 8, 0)
