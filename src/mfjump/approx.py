@@ -80,20 +80,21 @@ class LevelBatch:
     """One approximation level over a whole path batch."""
 
     n: int
-    partition: TimeGrid
     part_idx: np.ndarray  # indices of partition points in the simulation grid
     inf_drifts: np.ndarray  # (N, P, 2^(n-1)) interval infima along this level's paths
     values: np.ndarray  # (N, P, K+1) level paths on the simulation grid
     forcing: object  # drift forcing of this level, read as (N, P, K); None once dropped
+    warnings: list  # the warnings of the solves that built this level
 
 
 def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, n_inner: int,
-                    drift_vals: np.ndarray) -> np.ndarray:
+                    drift_vals: np.ndarray) -> tuple:
     """Adapted estimate of E[b^{i,n}_k | F_s] at every step s by branching
     n_inner fresh continuations of the level-n system at s. One solve per
     step covers the branches of every path: inner row p * n_inner + m is
     branch m of path p, keyed under that path's lineage, so a path's branches
-    do not depend on the others."""
+    do not depend on the others. Returns the (N, P, K) forcing and the inner
+    solves' warnings."""
     if n_inner < 1:
         raise ValueError("nested-mc needs at least one inner branch")
     grid = batch.grid
@@ -104,6 +105,7 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, n_inner: int,
     (master,) = {seed for seed, _ in batch.lineages}  # a batch has one master seed
     paths = [p for _, p in batch.lineages]
     prev_forcing = np.asarray(prev.forcing)  # (N, P, K), expanded once
+    warns = []
     for k in range(prev.part_idx.size - 1):
         j0, j1 = prev.part_idx[k], prev.part_idx[k + 1]
         past_min = None
@@ -115,24 +117,27 @@ def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, n_inner: int,
             res = solve_batch(spec.components, spec.drifts, inner,
                               initial=np.repeat(prev.values[:, :, j], n_inner, axis=1),
                               forcing=np.repeat(prev_forcing[:, :, j:j1], n_inner, axis=1))
+            warns += res.warnings
             dv = drift_values(spec.drifts, pts[j:j1 + 1], res.values)
             future_min = dv.min(axis=2).reshape(n_comp, n_paths, n_inner)
             forcing[:, :, j] = np.minimum(past_min[:, :, None], future_min).mean(axis=2)
-    return forcing
+    return forcing, warns
 
 
-def _solve_level(spec: SystemSpec, batch: NoiseBatch, n: int, forcing) -> LevelBatch:
+def _solve_level(spec: SystemSpec, batch: NoiseBatch, n: int, forcing,
+                 warns=()) -> LevelBatch:
     """Level n driven by ``forcing``: its paths and their interval-infimum
-    drifts over the level-n partition."""
+    drifts over the level-n partition. ``warns`` are those of the solves that
+    built the forcing."""
     grid = batch.grid
     res = solve_batch(spec.components, spec.drifts, batch,
                       initial=spec.initial[:, None], forcing=forcing)
-    partition = dyadic_partition(n, grid.horizon)
-    part_idx = _partition_indices(grid, partition)
-    return LevelBatch(n=n, partition=partition, part_idx=part_idx,
+    part_idx = _partition_indices(grid, dyadic_partition(n, grid.horizon))
+    return LevelBatch(n=n, part_idx=part_idx,
                       inf_drifts=_interval_infima(spec.drifts, grid.points,
                                                   res.values, part_idx),
-                      values=res.values, forcing=forcing)
+                      values=res.values, forcing=forcing,
+                      warnings=[*warns, *res.warnings])
 
 
 def build_level_one(spec: SystemSpec, batch: NoiseBatch) -> LevelBatch:
@@ -153,15 +158,15 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    grid = batch.grid
+    grid, warns = batch.grid, ()
     if mode == "nested-mc":
         dv = drift_values(spec.drifts, grid.points, prev.values)
-        forcing = _nested_forcing(spec, prev, batch, n_inner, dv)
+        forcing, warns = _nested_forcing(spec, prev, batch, n_inner, dv)
     else:  # one row per interval of the previous partition
         forcing = Forcing(np.moveaxis(prev.inf_drifts, 2, 0).copy(),
                           np.repeat(np.arange(prev.part_idx.size - 1),
                                     np.diff(prev.part_idx)))
-    return _solve_level(spec, batch, prev.n + 1, forcing)
+    return _solve_level(spec, batch, prev.n + 1, forcing, warns)
 
 
 @dataclass
@@ -234,7 +239,6 @@ class MomentBoundReport:
     b_prime: float
     l_prime: float
     k_const: float
-    k_provenance: str
     max_violation: float  # worst (mean - 3se) - envelope over levels/times
     passed: bool  # CI-adjusted
     passed_raw: bool  # every mean within the envelope, no CI adjustment
@@ -244,8 +248,7 @@ class MomentBoundReport:
 
 
 def moment_bound_check(levels, grid: TimeGrid, a_bar: float, growth_b: float,
-                       growth_l: float, k_const: float,
-                       k_provenance: str = "declared") -> MomentBoundReport:
+                       growth_l: float, k_const: float) -> MomentBoundReport:
     """Check the empirical sup-component mean curves against M*exp(L't).
 
     ``levels`` holds each level's (count, mean, M2) summary over an ensemble,
@@ -266,7 +269,7 @@ def moment_bound_check(levels, grid: TimeGrid, a_bar: float, growth_b: float,
     violation = float((adjusted.max(axis=1) - envelope[None, :]).max())
     return MomentBoundReport(
         m_const=m_const, b_prime=b_prime, l_prime=l_prime, k_const=k_const,
-        k_provenance=k_provenance, max_violation=violation,
+        max_violation=violation,
         passed=violation <= 0.0, passed_raw=bool(np.all(sup_mean <= envelope[None, :])),
         curve_times=grid.points, sup_mean=sup_mean, envelope=envelope)
 
@@ -285,6 +288,7 @@ class HierarchyResult:
     mean_sup_violation: float  # ensemble mean of the per-path sup violation
     violating_fraction: float  # over all level pairs and grid points
     cauchy_gap: float  # sup gap between the two highest levels (not extrapolated)
+    warnings: list  # the solver's over the study's one pass; the same on every rung
 
 
 def _ladder_block(spec, n_max, mode, n_inner, _lo, rungs):
@@ -293,11 +297,12 @@ def _ladder_block(spec, n_max, mode, n_inner, _lo, rungs):
     levels are built. A level is dropped once the next is reduced, and a
     ``realized`` level drops its forcing once solved (the next level needs
     only its infima), so the block holds two levels at a time. The moments are
-    taken one component at a time."""
-    out = []
+    taken one component at a time. The block's solver warnings come second."""
+    out, warns = [], []
     for batch in rungs:
         moments, pairs, prev = [], [], None
         for level in _iter_levels(spec, batch, n_max, mode, n_inner):
+            warns += level.warnings
             if mode == "realized":
                 level.forcing = None
             counts, means, m2s = zip(*map(_moments, level.values))
@@ -307,10 +312,10 @@ def _ladder_block(spec, n_max, mode, n_inner, _lo, rungs):
             prev = level
         del batch, level, prev  # the next rung needs none of this one
         out.append((moments, pairs))
-    return out
+    return out, warns
 
 
-def _merge_rung(blocks, steps: int, horizon: float) -> HierarchyResult:
+def _merge_rung(blocks, steps: int, horizon: float, warns: list) -> HierarchyResult:
     """One rung's block statistics, merged in block order."""
     levels = [functools.reduce(_chan_merge, lv) for lv in zip(*(b[0] for b in blocks))]
     pairs = list(zip(*(b[1] for b in blocks)))  # per level pair, its blocks
@@ -328,16 +333,16 @@ def _merge_rung(blocks, steps: int, horizon: float) -> HierarchyResult:
         sup_gaps=sup_gaps, max_violation=float(sup_viol.max()),
         mean_sup_violation=float(sup_viol.max(axis=0).mean()),
         violating_fraction=sum(counts) / sum(totals),
-        cauchy_gap=float(sup_gaps[-1].max()))
+        cauchy_gap=float(sup_gaps[-1].max()), warnings=warns)
 
 
 def _hierarchy_ladder(spec, grid, factors, n_paths, master_seed, n_max, mode, n_inner,
                       jobs) -> list:
     """One HierarchyResult per coarsening factor of ``grid``, all from one pass
     over fixed path blocks, so the results do not depend on ``jobs``."""
-    parts = map_blocks(_ladder_block, spec, grid, factors, n_paths, _BLOCK, master_seed,
-                       jobs, spec, n_max, mode, n_inner)
-    return [_merge_rung([p[r] for p in parts], grid.n_steps // factor, grid.horizon)
+    parts, warns = map_blocks(_ladder_block, spec, grid, factors, n_paths, _BLOCK,
+                              master_seed, jobs, spec, n_max, mode, n_inner)
+    return [_merge_rung([p[r] for p in parts], grid.n_steps // factor, grid.horizon, warns)
             for r, factor in enumerate(factors)]
 
 

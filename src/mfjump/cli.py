@@ -138,6 +138,12 @@ def _seed(scenario: Scenario, args) -> int:
     return scenario.seed if scenario.seed is not None else 0
 
 
+def _warn(warnings) -> None:
+    """The solver's warnings, each once, as one stderr line apiece."""
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def _write(out: str, name: str, head: str, lines=()) -> None:
     """Writes ``head``, then one line per item of ``lines``, to the artifact
     ``name`` in ``out``. One that cannot be written (a directory holds its
@@ -173,8 +179,9 @@ def cmd_simulate(args) -> int:
 
     result = run_ensemble(spec, grid, args.paths, seed, jobs=args.jobs,
                           keep_paths=args.dump_paths)
+    _warn(result.warnings)
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-    quants = result.quantiles(qs)
+    quants = np.quantile(result.section_values, qs, axis=0)
 
     times = [repr(t) for t in grid.points.tolist()]
     curves = [*zip(map(str, range(spec.n)), result.mean, result.se),
@@ -268,6 +275,7 @@ def cmd_approx(args) -> int:
         spec, scenario.horizon, ladder, args.paths, seed, args.levels,
         mode=args.mode, n_inner=args.inner, jobs=args.jobs)
     hier = rungs[0]
+    _warn(hier.warnings)
     refinement_rows = rungs if args.refinements > 1 else []
     # realized forcing of time-only drifts is the exact interval infimum
     deterministic = args.mode == "realized" and all(d.deterministic for d in spec.drifts)
@@ -369,6 +377,7 @@ def cmd_uniqueness(args) -> int:
     spec = scenario.system
     report = refinement_study(spec, scenario.horizon, ladder, args.paths, seed,
                               family=family, phi_ks=phi_ks, jobs=args.jobs)
+    _warn(report.warnings)
 
     _write_csv(out, "divergence.csv",
                ["steps", "dt", "mean_sup_diff", "mean_sup_diff_se", "mean_abs_terminal"]

@@ -167,12 +167,6 @@ class TimeGrid:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
         return int(np.searchsorted(self.points, t, side="right")) - 1
 
-    def refine_with(self, extra: Sequence[float]) -> "TimeGrid":
-        """Grid augmented with extra sample times (e.g. staircase breakpoints)."""
-        merged = np.union1d(self.points, np.asarray(extra, dtype=float))
-        merged = merged[(merged >= 0.0) & (merged <= self.horizon)]
-        return TimeGrid(merged)
-
 
 @dataclass(frozen=True)
 class JumpEvent:
@@ -416,12 +410,10 @@ def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
                       lineages=tuple((master_seed, p) for p in paths for _ in range(n)))
 
 
-def gen_stable_increments(grid: TimeGrid, alpha: float, master_seed: int, path_index: int = 0,
-                          factor: int = 0) -> np.ndarray:
+def gen_stable_increments(grid: TimeGrid, alpha: float, master_seed: int) -> np.ndarray:
     """Spectrally positive compensated stable increments, scale dt^(1/alpha) per step.
 
     Standard S_alpha(scale, beta=1, 0) in the one-parametrization, so the law
     is centered for alpha in (1, 2] and reduces to N(0, 2*dt) at alpha = 2.
     """
-    layout = NoiseLayout(stable_alphas={factor: alpha})
-    return make_batch(grid, layout, master_seed, [path_index]).stable[factor][0]
+    return make_batch(grid, NoiseLayout(stable_alphas={0: alpha}), master_seed, [0]).stable[0][0]

@@ -13,7 +13,7 @@ class CadlagPath:
     """Right-continuous path sampled on a grid, with a registry of jump events.
 
     Between grid points the path is treated as constant on [t_k, t_{k+1})
-    (Euler semantics). ``jumps`` records (time, left_limit, right_value) for
+    (Euler semantics). ``jumps`` records (time, left limit, right value) for
     discontinuities, including ones that fall between grid points.
     """
 
@@ -37,18 +37,6 @@ class CadlagPath:
             if time == t:
                 return right
         return float(self.values[self.grid.index_of(t)])
-
-    def left_limit(self, t: float) -> float:
-        """Limit from the left at t on the grid (registry value at recorded jumps)."""
-        for time, left, _right in self.jumps:
-            if time == t:
-                return left
-        idx = int(np.searchsorted(self.grid.points, t, side="left"))
-        if t < 0 or t > self.horizon:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        if idx < self.grid.points.size and self.grid.points[idx] == t:
-            return float(self.values[max(idx - 1, 0)])
-        return float(self.values[idx - 1])
 
     @classmethod
     def constant(cls, grid: TimeGrid, value: float) -> "CadlagPath":

@@ -117,8 +117,9 @@ def _build_drift(info: dict, path: str, n: int, horizon: float):
         return DriftSpec.time_function(LinearInTime(got["intercept"], got["slope"]),
                                        growth_bound=bound)
     if kind == "staircase":
-        got = _require(info, path, {"kind": _string, "breakpoints": _passthrough,
-                                    "levels": _passthrough}, ("kind", "breakpoints", "levels"))
+        got = _require(info, path, {"kind": _string, "breakpoints": _number_or_list(),
+                                    "levels": _number_or_list(lo=0)},
+                       ("kind", "breakpoints", "levels"))
         try:
             stair = StaircasePath(np.asarray(got["breakpoints"], dtype=float),
                                   np.asarray(got["levels"], dtype=float))

@@ -22,7 +22,6 @@ interval, not one per step.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,15 +244,15 @@ def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> _Ev
 
 def _check_drift_path(path, grid: TimeGrid) -> None:
     """Drift paths must share the grid horizon, and staircase breakpoints must
-    land on grid points (refine the grid first if they do not)."""
+    land on grid points."""
     if not isinstance(path, (CadlagPath, StaircasePath)):
         raise TypeError("drift path must be a CadlagPath or StaircasePath")
     if path.horizon != grid.horizon:
         raise ValueError("drift path horizon differs from the grid horizon")
     if isinstance(path, StaircasePath) and not np.isin(path.breakpoints, grid.points).all():
         raise ValueError(
-            "staircase breakpoints off the grid; build the grid with "
-            "TimeGrid.refine_with(breakpoints) so discontinuities land on steps")
+            "staircase breakpoints off the grid; put them on grid points, e.g. "
+            "TimeGrid(np.union1d(grid.points, breakpoints))")
 
 
 def solve_batch(components, drifts, batch: NoiseBatch, initial: np.ndarray,
@@ -357,8 +356,6 @@ def solve_batch(components, drifts, batch: NoiseBatch, initial: np.ndarray,
                 state = new
             values[:, :, k0 + 1:k1 + 1] = chunk.transpose(1, 2, 0)
 
-    for warn in warns:
-        warnings.warn(warn, RuntimeWarning, stacklevel=2)
     done = np.flatnonzero(size != 0.0)
     jumps = JumpLog(rows=plan.rows[done], components=plan.components[done],
                     times=plan.times[done], left=left[done],

@@ -47,20 +47,6 @@ class EnsembleResult:
     values: np.ndarray  # (n_components, min(keep_paths, n_paths), n_points)
     warnings: list = field(default_factory=list)
 
-    def quantiles(self, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> np.ndarray:
-        """(len(qs), n_components, n_sections) quantiles at the section times."""
-        return np.quantile(self.section_values, qs, axis=0)
-
-
-def _pooled_block(task, bounds):
-    """A block's result, or the NumericsError it raised. ``Pool.map`` would
-    re-raise whichever error arrives first; returning it lets the parent
-    raise the first one in block order, as a serial run does."""
-    try:
-        return task(bounds), None
-    except NumericsError as exc:
-        return None, exc
-
 
 def _rungs(grid, layout, master_seed, paths, factors):
     """The draw on ``grid`` coarsened by each factor in turn. The generator
@@ -73,30 +59,42 @@ def _rungs(grid, layout, master_seed, paths, factors):
 
 
 def _drawn_block(fn, spec, grid, factors, master_seed, args, bounds):
-    """``fn(*args, lo, rungs)`` on block [lo, hi): its noise is drawn once on
-    ``grid``, and ``rungs`` yields that draw coarsened by each factor in turn."""
+    """``(fn(*args, lo, rungs), None)`` on block [lo, hi), or ``(None, error)``
+    if it raised a NumericsError: ``Pool.map`` would re-raise whichever error
+    arrives first, so ``map_blocks`` raises the first in block order itself.
+    The block's noise is drawn once on ``grid``, and ``rungs`` yields that
+    draw coarsened by each factor in turn."""
     lo, hi = bounds
-    return fn(*args, lo, _rungs(grid, spec.noise_layout(), master_seed, range(lo, hi), factors))
+    try:
+        return fn(*args, lo, _rungs(grid, spec.noise_layout(), master_seed,
+                                    range(lo, hi), factors)), None
+    except NumericsError as exc:
+        return None, exc
 
 
 def map_blocks(fn, spec: SystemSpec, grid: TimeGrid, factors, n_paths: int, block: int,
-               master_seed: int, jobs: int, *args) -> list:
-    """``fn(*args, lo, rungs)`` for every block [lo, hi) of path indices, in
-    block order. Each block draws its noise once, on the finest ``grid``, and
-    every rung reuses that draw, coarsened by its factor; path p's noise is
-    keyed by (master_seed, p) alone. With ``jobs > 1`` and several blocks the
-    calls run in a process pool of at most ``jobs`` workers; results and
-    errors are the same."""
+               master_seed: int, jobs: int, *args) -> tuple:
+    """``fn(*args, lo, rungs)``, which gives ``(result, warnings)``, for every
+    block [lo, hi) of path indices: the results in block order, and the
+    warnings of every block merged by first occurrence in block order. Each
+    block draws its noise once, on the finest ``grid``, and every rung reuses
+    that draw, coarsened by its factor; path p's noise is keyed by
+    (master_seed, p) alone. With ``jobs > 1`` and several blocks the calls run
+    in a process pool of at most ``jobs`` workers; results and errors are the
+    same."""
     task = functools.partial(_drawn_block, fn, spec, grid, tuple(factors), master_seed, args)
     bounds = [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
     if jobs < 2 or len(bounds) < 2:
-        return [task(b) for b in bounds]
-    with multiprocessing.Pool(min(jobs, len(bounds))) as pool:
-        outcomes = pool.map(functools.partial(_pooled_block, task), bounds)
-    for _result, exc in outcomes:
+        outcomes = map(task, bounds)  # lazy: a run stops at its first failing block
+    else:
+        with multiprocessing.Pool(min(jobs, len(bounds))) as pool:
+            outcomes = pool.map(task, bounds)
+    results = []
+    for result, exc in outcomes:
         if exc is not None:
             raise exc
-    return [result for result, _exc in outcomes]
+        results.append(result)
+    return [r for r, _w in results], list(dict.fromkeys(w for _r, ws in results for w in ws))
 
 
 def _moments(x: np.ndarray):
@@ -161,10 +159,9 @@ def _ensemble_block(spec, section_idx, keep_paths, lo, rungs):
     return {
         "moments": moments,
         "sections": vals[:, :, section_idx].transpose(1, 0, 2),
-        "warnings": result.warnings,
         # a copy, so the slab's full value array is not kept alive
         "values": vals[:, :max(0, keep_paths - lo)].copy(),
-    }
+    }, result.warnings
 
 
 def run_ensemble(spec: SystemSpec, grid: TimeGrid, n_paths: int, master_seed: int,
@@ -183,13 +180,9 @@ def run_ensemble(spec: SystemSpec, grid: TimeGrid, n_paths: int, master_seed: in
     section_idx = np.arange(0, grid.n_steps + 1, max(1, grid.n_steps // 8))
 
     slab = _slab_rows(spec.n, grid.n_steps)
-    partials = map_blocks(_ensemble_block, spec, grid, [1], n_paths, slab, master_seed,
-                          jobs, spec, section_idx, keep_paths)
+    partials, warns = map_blocks(_ensemble_block, spec, grid, [1], n_paths, slab,
+                                 master_seed, jobs, spec, section_idx, keep_paths)
     blocks = [m for part in partials for m in part["moments"]]  # in block order
-
-    warns = []
-    for part in partials:  # fixed block order
-        warns.extend(w for w in part["warnings"] if w not in warns)
     (mean, se), (avg_mean, avg_se), (integ_mean, integ_se) = (
         _mean_se([block[i] for block in blocks]) for i in range(3))
     return EnsembleResult(

@@ -102,7 +102,6 @@ class PhiFunctions:
     |x| - a_{k-1} <= phi(x) <= |x| (exact at the cached nodes by construction).
     """
 
-    k: int
     a_lo: float  # a_k, support lower edge of psi
     a_hi: float  # a_{k-1}
     offset: float  # phi(x) = |x| - offset for |x| >= a_hi
@@ -141,12 +140,11 @@ class TestFunctionFamily:
     rho: object
     x_m: float = 1.0
     k_max: int = 10
-    a_seq: np.ndarray = None
-    _members: dict = field(default_factory=dict)
+    a_seq: np.ndarray = field(init=False)
+    _members: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.a_seq is None:
-            self.a_seq = yw_sequence(self.rho, self.x_m, self.k_max)
+        self.a_seq = yw_sequence(self.rho, self.x_m, self.k_max)
 
     def phi(self, k: int) -> PhiFunctions:
         if k not in self._members:
@@ -204,7 +202,7 @@ def build_phi(family: TestFunctionFamily, k: int) -> PhiFunctions:
     phi_nodes = np.minimum(phi_nodes, nodes)  # phi <= |x| exactly at nodes
     phi_nodes = np.maximum(phi_nodes, nodes - a_hi)
 
-    return PhiFunctions(k=k, a_lo=a_lo, a_hi=a_hi,
+    return PhiFunctions(a_lo=a_lo, a_hi=a_hi,
                         offset=float(a_hi - phi_nodes[-1]),
                         nodes=nodes, psi_nodes=psi_nodes, prim_nodes=prim_nodes,
                         phi_nodes=phi_nodes, psi_sup_bound=sup_bound)
@@ -215,7 +213,6 @@ class DivergenceRow:
     """Shared-noise divergence between one grid and its refinement."""
 
     steps_coarse: int
-    steps_fine: int
     dt_coarse: float
     mean_sup_diff: float  # E[sup_t max_i |coarse - fine|]
     mean_sup_diff_se: float
@@ -227,7 +224,7 @@ class DivergenceRow:
 class DivergenceReport:
     rows: tuple
     a_seq: np.ndarray
-    n_paths: int
+    warnings: list  # the solver's, merged over every rung and block
 
     def strictly_decreasing(self) -> bool:
         return bool(np.all(np.diff([r.mean_sup_diff for r in self.rows]) < 0))
@@ -241,18 +238,18 @@ def _divergence_block(spec, _lo, rungs):
     Brownian/stable path and the same jump events, and each is solved once.
     Per consecutive pair this returns the sup over components and coarse grid
     points of |coarse - fine|, shape (P,), and the signed difference at T,
-    shape (N, P).
+    shape (N, P). The solves' warnings come second.
     """
-    out, coarse = [], None  # coarse: the values of the previous resolution
+    out, warns, coarse = [], [], None  # coarse: the values of the previous resolution
     for batch in rungs:
-        values = solve_batch(spec.components, spec.drifts, batch,
-                             initial=spec.initial[:, None]).values
+        res = solve_batch(spec.components, spec.drifts, batch, initial=spec.initial[:, None])
+        warns += res.warnings
         if coarse is not None:
-            diff = coarse - values[:, :, ::2]
+            diff = coarse - res.values[:, :, ::2]
             # a copy, so the full difference array is not kept alive
             out.append((np.abs(diff).max(axis=(0, 2)), diff[:, :, -1].copy()))
-        coarse = values
-    return out
+        coarse = res.values
+    return out, warns
 
 
 def refinement_study(spec: SystemSpec, horizon: float, steps_ladder, n_paths: int,
@@ -272,9 +269,9 @@ def refinement_study(spec: SystemSpec, horizon: float, steps_ladder, n_paths: in
     if n_paths < 2:
         raise ValueError("need at least two paths")
     finest = 2 * ladder[-1]
-    parts = map_blocks(_divergence_block, spec, TimeGrid.uniform(horizon, finest),
-                       [finest // s for s in ladder + [finest]], n_paths, _BLOCK,
-                       master_seed, jobs, spec)
+    parts, warns = map_blocks(_divergence_block, spec, TimeGrid.uniform(horizon, finest),
+                              [finest // s for s in ladder + [finest]], n_paths, _BLOCK,
+                              master_seed, jobs, spec)
     rows = []
     for r, coarse in enumerate(ladder):
         sup = np.concatenate([part[r][0] for part in parts])
@@ -282,10 +279,10 @@ def refinement_study(spec: SystemSpec, horizon: float, steps_ladder, n_paths: in
         phi_moments = {} if family is None else {
             k: float(np.mean(family.phi(k).phi(diff_t))) for k in phi_ks}
         rows.append(DivergenceRow(
-            steps_coarse=coarse, steps_fine=2 * coarse, dt_coarse=horizon / coarse,
+            steps_coarse=coarse, dt_coarse=horizon / coarse,
             mean_sup_diff=float(sup.mean()),
             mean_sup_diff_se=float(sup.std(ddof=1) / math.sqrt(n_paths)),
             mean_abs_terminal=float(np.abs(diff_t).max(axis=0).mean()),
             phi_moments=phi_moments))
     a_seq = family.a_seq if family is not None else np.array([])
-    return DivergenceReport(rows=tuple(rows), a_seq=a_seq, n_paths=n_paths)
+    return DivergenceReport(rows=tuple(rows), a_seq=a_seq, warnings=warns)

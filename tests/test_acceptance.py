@@ -159,8 +159,7 @@ def test_criterion_07_moment_bound_envelope():
     hier = mf.run_hierarchy_ensemble(spec, grid, 1000, 7, 4)
     # average drift: B = 0, L = 1/N; the presets carry g1 = 0, so K = 0
     report = mf.moment_bound_check(hier.levels, grid, a_bar=1.0, growth_b=0.0,
-                                   growth_l=0.5, k_const=0.0,
-                                   k_provenance="declared: presets have g1 = 0")
+                                   growth_l=0.5, k_const=0.0)
     ok = report.passed_raw and report.l_prime == 1.0 and report.b_prime == 0.0
     criterion(7, "empirical sup-component means stay below M e^{L't} "
                  f"(M={report.m_const:.3f}, L'={report.l_prime})",

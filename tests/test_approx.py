@@ -233,8 +233,8 @@ class TestBuildLevels:
         batch = make_batch(grid, spec.noise_layout(), 5, [0])
         levels = run_hierarchy_batch(spec, batch, 4).levels
         for prev, cur in zip(levels, levels[1:]):
-            assert np.array_equal(cur.partition.points[::2], prev.partition.points)
-            assert cur.partition.points.size == 2 ** (cur.n - 1) + 1
+            assert np.array_equal(grid.points[cur.part_idx[::2]], grid.points[prev.part_idx])
+            assert cur.part_idx.size == 2 ** (cur.n - 1) + 1
 
     def test_rejects_small_nmax(self):
         spec = mean_field_spec()
@@ -416,6 +416,17 @@ class TestRefinementStudy:
                                   1.0, [16, 32], 20, 3)
         assert len(report.rows) == 2
 
+    @pytest.mark.parametrize("mode", ["realized", "nested-mc"])
+    def test_solver_warnings_come_once_on_every_rung(self, mode):
+        # a*dt = 1.25 on the 16-step rung and 0.625 on the 32-step one; 300
+        # paths make two blocks, and every level of the coarse rung warns
+        spec = mean_field_spec(n=1, sigma=0.3, a=20.0)
+        rows = hierarchy_refinement_study(spec, 1.0, [16, 32], 300, 0, 3, mode=mode,
+                                          n_inner=2)
+        assert [r.warnings for r in rows] == [[
+            "component 0: a*dt = 1.25 > 1 breaks the monotonicity precondition "
+            "of the explicit scheme"]] * 2
+
     def test_mean_sup_violation_typically_decreases(self):
         # the ensemble mean of per-path sup violations is the stable trend
         # statistic (the max carries a step-size-insensitive excursion tail)
@@ -518,7 +529,7 @@ class TestStreamedBlock:
         batch = make_batch(TimeGrid.uniform(1.0, steps), spec.noise_layout(), 6,
                            range(n_paths))
         rungs = [batch.coarsen(2), batch]
-        block = mfjump.approx._ladder_block(spec, n_max, mode, 2, 0, iter(rungs))
+        block, _warnings = mfjump.approx._ladder_block(spec, n_max, mode, 2, 0, iter(rungs))
         assert len(block) == len(rungs)
         for (moments, pairs), rung in zip(block, rungs):
             levels = run_hierarchy_batch(spec, rung, n_max, mode=mode,

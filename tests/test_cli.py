@@ -632,10 +632,55 @@ class TestUsage:
         assert capsys.readouterr().err == f"scenario error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["simulate", "approx", "validate", "uniqueness"])
+    @pytest.mark.parametrize("level, message", [
+        (float("nan"), "must be finite"), (float("inf"), "must be finite"),
+        (True, "expected a number"), (-2.0, "must be >= 0")],
+        ids=["NaN", "Infinity", "true", "negative"])
+    def test_malformed_staircase_level_is_usage_error(self, level, message, command, jobs,
+                                                      tmp_path, capsys):
+        scen = write_scenario(tmp_path / "s.json", drift={
+            "kind": "staircase", "breakpoints": [0.0, 0.5, 1.0], "levels": [1.0, level]})
+        out = tmp_path / "o"
+        argv = [command, "--scenario", str(scen), "--out", str(out), "--jobs", jobs]
+        if command != "validate":
+            argv += ["--paths", "4", "--seed", "0"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"scenario error: drift.levels[1]: {message}\n"
+        assert not out.exists()
+
     def test_unreadable_scenario(self, tmp_path):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--paths", "5", "--out", str(tmp_path / "o")])
         assert code == 3
+
+
+class TestWarnings:
+    A_DT = ("warning: component 0: a*dt = 1.172 > 1 breaks the monotonicity "
+            "precondition of the explicit scheme\n")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--paths", "2500"]),  # two 2,048-path slabs
+        ("approx", ["--paths", "600", "--levels", "3"]),  # three 256-path blocks
+        ("uniqueness", ["--paths", "1200", "--levels", "2"]),  # three 512-path blocks
+    ])
+    def test_solver_warning_is_one_stderr_line_at_any_jobs(self, command, flags, tmp_path):
+        # a = 300 on 256 steps: a*dt = 1.17 > 1, so every solve of the base grid warns
+        scen = write_scenario(tmp_path / "s.json", grid_steps=256, preset={
+            "kind": "example21", "n_components": 1, "a": 300.0, "sigma": 0.5,
+            "initial": 1.0})
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfjump.__file__)))
+        errs = []
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mfjump.cli", command, "--scenario", str(scen),
+                 "--seed", "0", "--out", str(tmp_path / jobs), "--jobs", jobs] + flags,
+                capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1] == self.A_DT
+        assert read_tree(tmp_path / "1") == read_tree(tmp_path / "2")
 
 
 class TestInternalError:

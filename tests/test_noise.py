@@ -35,10 +35,6 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             g.index_of(1.5)
 
-    def test_refine_with(self):
-        g = unit_grid(2).refine_with([0.3])
-        assert np.array_equal(g.points, [0.0, 0.3, 0.5, 1.0])
-
 
 def brownian(grid, master_seed, paths=(0,), factors=(0,)):
     """Brownian increments of ``factors`` for ``paths``: factor -> (P, K)."""

@@ -19,14 +19,12 @@ class TestCadlagPath:
         g = grid(2)  # points 0, 0.5, 1
         p = CadlagPath(g, np.array([1.0, 3.0, 3.0]), jumps=((0.5, 1.0, 3.0),))
         assert p.evaluate(0.5) == 3.0
-        assert p.left_limit(0.5) == 1.0
         assert p.evaluate(0.49) == 1.0
 
     def test_off_grid_jump_registry(self):
         g = grid(2)
         p = CadlagPath(g, np.array([1.0, 4.0, 4.0]), jumps=((0.3, 1.0, 4.0),))
         assert p.evaluate(0.3) == 4.0
-        assert p.left_limit(0.3) == 1.0
         # between grid points the path is constant from the left grid point
         assert p.evaluate(0.2) == 1.0
 

@@ -1,9 +1,11 @@
-"""Every parameter of every function in the package is read in its body.
+"""Every parameter of every function in the package is read in its body,
+and every dataclass field is read somewhere.
 
 A parameter that selects nothing (accepted, documented, never read) is an
 API that promises a choice the code does not make. Exempt are ``self``,
 ``cls``, names starting with ``_``, and the protocol parameters below, which
 a caller passes because the protocol does and which these classes ignore.
+A stored value that nothing reads is the same promise made by a field.
 """
 import ast
 import glob
@@ -19,6 +21,18 @@ ALLOWED = {
     "scenario._passthrough(path)",  # a field parser that checks nothing
     "solver.Forcing.__array__(copy)",  # numpy's array protocol; always a copy
 }
+
+# "module.Class.field" of each dataclass field that only the unit tests read
+ALLOWED_FIELDS = {
+    "noise.JumpEvent.mark",  # the benchmark's per-path view of an event
+    "solver.JumpLog.left",  # the solve's record of left limits, in README
+    "solver.JumpLog.right",
+    "uniqueness.PhiFunctions.offset",  # construction invariants the tests check
+    "uniqueness.PhiFunctions.psi_sup_bound",
+}
+
+SRC = os.path.dirname(mfjump.__file__)
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def _params(args: ast.arguments) -> list:
@@ -55,14 +69,61 @@ def _unread(tree: ast.Module, module: str) -> list:
     return found
 
 
-def unread_parameters() -> list:
-    src = os.path.dirname(mfjump.__file__)
-    found = []
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+def _trees(paths) -> dict:
+    """Module name -> parsed source, for each file of ``paths``."""
+    trees = {}
+    for path in paths:
         with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += _unread(tree, os.path.splitext(os.path.basename(path))[0])
-    return found
+            trees[os.path.splitext(os.path.basename(path))[0]] = ast.parse(
+                fh.read(), filename=path)
+    return trees
+
+
+def _package() -> dict:
+    return _trees(sorted(glob.glob(os.path.join(SRC, "*.py"))))
+
+
+def unread_parameters() -> list:
+    return [found for module, tree in _package().items() for found in _unread(tree, module)]
+
+
+def _fields(tree: ast.Module, module: str) -> list:
+    """``module.Class.field`` for each annotated field of each ``@dataclass``."""
+    def is_dataclass(node):
+        return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                   for d in node.decorator_list)
+    return [f"{module}.{node.name}.{stmt.target.id}"
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and is_dataclass(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _attributes_read(tree: ast.Module) -> set:
+    """Each name the source reads as ``x.name`` or ``getattr(x, "name"...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+def unread_fields() -> list:
+    """Dataclass fields of the package that neither the package, the
+    acceptance criteria nor the benchmark read.
+
+    The check goes by name, not by class: a field counts as read if any
+    attribute of its name is, so it cannot see a field whose name another
+    class also has and that class's users read (``DivergenceReport.n_paths``
+    stayed unread while ``batch.n_paths`` was read everywhere)."""
+    package = _package()
+    others = _trees([os.path.join(ROOT, "tests", "test_acceptance.py")]
+                    + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))))
+    read = set().union(*map(_attributes_read, [*package.values(), *others.values()]))
+    return [found for module, tree in package.items()
+            for found in _fields(tree, module) if found.rsplit(".", 1)[1] not in read]
 
 
 def test_every_parameter_is_read():
@@ -81,3 +142,28 @@ def test_the_guard_sees_an_unread_parameter():
                      "        g = lambda x, y: x\n"
                      "        return used + g(1, 2)\n")
     assert _unread(tree, "m") == ["m.A.f(unused)", "m.A.f.<lambda>(y)"]
+
+
+def test_every_dataclass_field_is_read():
+    assert sorted(set(unread_fields()) - ALLOWED_FIELDS) == []
+
+
+def test_field_allow_list_is_not_stale():
+    # an allowed field that is now read, or gone, leaves the list
+    assert sorted(ALLOWED_FIELDS - set(unread_fields())) == []
+
+
+def test_the_guard_sees_an_unread_field():
+    tree = ast.parse("@dataclass(frozen=True)\n"
+                     "class A:\n"
+                     "    kept: int\n"
+                     "    stored: int\n"
+                     "    fetched: int\n"
+                     "    plain = 0\n"
+                     "class B:\n"
+                     "    ignored: int\n"
+                     "def f(a):\n"
+                     "    a.stored = 1\n"
+                     "    return a.kept + getattr(a, 'fetched')\n")
+    assert _fields(tree, "m") == ["m.A.kept", "m.A.stored", "m.A.fetched"]
+    assert _attributes_read(tree) == {"kept", "fetched"}

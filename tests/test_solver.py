@@ -91,7 +91,6 @@ class TestPureJumpBookkeeping:
         assert np.all(path.values[grid.points < tau] == 2.0)
         assert np.all(path.values[grid.points >= tau] == 2.75)
         assert path.evaluate(tau) == 2.75
-        assert path.left_limit(tau) == 2.0
         assert (res.jumps.times.tolist(), res.jumps.left.tolist(),
                 res.jumps.right.tolist()) == ([tau], [2.0], [2.75])
 
@@ -297,17 +296,24 @@ class TestInvariants:
         assert (back.step, back.time, back.component, back.path_index) == (3, 0.25, 1, 5000)
         assert str(back) == str(err)
 
+    # the result is a solve's one channel for its warnings: none is raised
     def test_explicit_step_precondition_warns(self):
         grid = TimeGrid.uniform(1.0, 2)  # dt = 0.5, a = 3 -> a*dt > 1
-        with pytest.warns(RuntimeWarning, match="monotonicity precondition"):
-            solve_one(deterministic_coeffs(a=3.0), DriftSpec.constant(1.0),
-                      empty_batch(grid), initial=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_one(deterministic_coeffs(a=3.0), DriftSpec.constant(1.0),
+                            empty_batch(grid), initial=0.0)
+        assert res.warnings == ["component 0: a*dt = 1.5 > 1 breaks the monotonicity "
+                                "precondition of the explicit scheme"]
 
     def test_negative_drift_warns(self):
         grid = TimeGrid.uniform(1.0, 4)
-        with pytest.warns(RuntimeWarning, match="negative"):
-            solve_one(deterministic_coeffs(), DriftSpec.constant(-1.0),
-                      empty_batch(grid), initial=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_one(deterministic_coeffs(), DriftSpec.constant(-1.0),
+                            empty_batch(grid), initial=1.0)
+        assert res.warnings == ["drift target takes negative values; the existence "
+                                "theory assumes b >= 0"]
 
 
 class TestThinnedJumps:
@@ -335,10 +341,11 @@ class TestStaircaseDrift:
     def test_breakpoints_must_land_on_grid(self):
         stair = StaircasePath(np.array([0.0, 0.3, 1.0]), np.array([1.0, 2.0]))
         grid = TimeGrid.uniform(1.0, 4)  # 0.3 off the grid
-        with pytest.raises(ValueError, match="refine_with"):
+        with pytest.raises(ValueError, match=r"put them on grid points, e\.g\. "
+                           r"TimeGrid\(np\.union1d\(grid\.points, breakpoints\)\)"):
             solve_one(deterministic_coeffs(), DriftSpec.external(stair),
                       empty_batch(grid), initial=1.0)
-        aligned = grid.refine_with(stair.breakpoints)
+        aligned = TimeGrid(np.union1d(grid.points, stair.breakpoints))
         res = solve_one(deterministic_coeffs(), DriftSpec.external(stair),
                         empty_batch(aligned), initial=1.0)
         assert res.values[0, 0].size == aligned.points.size
@@ -578,11 +585,9 @@ class TestRowForcing:
         spec = preset_example21(3, a=1.0, sigma=0.4)
         batch = make_batch(TimeGrid.uniform(1.0, 200), spec.noise_layout(), 3, range(16))
         for forcing in (Forcing(table, rows.index), table[rows.index].transpose(1, 2, 0)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                solve_batch(spec.components, spec.drifts, batch,
-                            spec.initial[:, None], forcing=forcing)
-            assert [str(w.message) for w in caught] == (
+            res = solve_batch(spec.components, spec.drifts, batch,
+                              spec.initial[:, None], forcing=forcing)
+            assert res.warnings == (
                 ["drift forcing takes negative values; the existence theory "
                  "assumes b >= 0"] if warns else [])
 

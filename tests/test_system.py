@@ -1,5 +1,4 @@
 import math
-import warnings
 import weakref
 
 import numpy as np
@@ -18,6 +17,13 @@ from _helpers import permute_system
 def slab_bytes(blocks, n_components, n_steps):
     """A slab budget of ``blocks`` 512-path blocks."""
     return blocks * 8 * n_components * n_steps * 512
+
+
+def warning_block(lo, rungs):
+    """A ``map_blocks`` block: its ``lo``, and a warning it repeats, one all
+    blocks share and one only even blocks give."""
+    warns = [f"block {lo}", "shared", f"block {lo}"]
+    return lo, warns + (["even"] if lo % 8 == 0 else [])
 
 
 def example_spec(n=2, **kw):
@@ -190,13 +196,21 @@ class TestEnsemble:
             for batch in rungs:
                 steps.append(batch.grid.n_steps)
                 del batch
-            return steps, refs[-1]() is None
+            return (steps, refs[-1]() is None), []
 
         monkeypatch.setattr(mfjump.system, "make_batch", recording_draw)
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
         out = mfjump.system.map_blocks(block, spec, TimeGrid.uniform(1.0, 8), [4, 1],
                                        10, 512, 0, 1)
-        assert out == [([2, 8], True)]
+        assert out == ([([2, 8], True)], [])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warnings_merge_by_first_occurrence_in_block_order(self, jobs):
+        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
+        out = mfjump.system.map_blocks(warning_block, spec, TimeGrid.uniform(1.0, 4), [1],
+                                       14, 4, 0, jobs)
+        assert out == ([0, 4, 8, 12], ["block 0", "shared", "even", "block 4",
+                                       "block 8", "block 12"])
 
     def test_slab_width_is_set_by_the_scenario(self):
         # 4 MiB of (N, rows, n_steps) float64, in whole 512-path blocks
@@ -216,10 +230,7 @@ class TestEnsemble:
         results = []
         for blocks in (1, 3):
             monkeypatch.setattr(mfjump.system, "_SLAB_BYTES", slab_bytes(blocks, spec.n, 16))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                results.append(run_ensemble(spec, grid, 1300, 4,
-                                            keep_paths=1100))
+            results.append(run_ensemble(spec, grid, 1300, 4, keep_paths=1100))
         one, three = results
         for name in ("mean", "se", "avg_mean", "avg_se", "integral_mean", "integral_se",
                      "section_times", "section_values", "values"):
@@ -264,13 +275,6 @@ class TestRunEnsemble:
         large = run_ensemble(spec, grid, 3000, 11)
         ratio = large.se[0, -1] / small.se[0, -1]
         assert 0.6 <= ratio <= 0.85
-
-    def test_quantiles_are_ordered(self):
-        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
-        grid = TimeGrid.uniform(1.0, 32)
-        res = run_ensemble(spec, grid, 400, 2)
-        q = res.quantiles()
-        assert np.all(np.diff(q, axis=0) >= 0)
 
     def test_integral_estimate_matches_mean_curve(self):
         # E[int lambda dt] for the CIR mean curve: int_0^1 (2 - e^{-t}) dt
