@@ -5,16 +5,20 @@ All levels of one hierarchy share a single noise realization; the infimum
 drifts are minima over grid samples, so the subset inequality between
 consecutive levels holds exactly whenever the level paths are ordered.
 
+A level's forcing is, by mode, the pathwise interval infimum (``realized``,
+which reads the interval's future) or the adapted stopping-time envelope of
+``staircase.envelope_rows`` (``staircase``), built from the level before.
+
 Ensembles run in one pass over fixed path blocks. ``system.map_blocks`` draws
 a block's noise once, on the finest rung of a step ladder; the block solves
 the hierarchy on that draw coarsened onto every rung and returns only
 reductions: per-level path moments, per-pair ordering statistics and per-path
 sup gaps, which the parent merges in block order. A block reduces each level
 as soon as it is built and drops the one before. Of full-grid size it holds
-only its noise draw and two levels' values: a ``realized`` level's forcing is
-one row per partition interval, and the interval infima, the pair statistics
-and the moments are taken a column slice or a component at a time. A single
-grid is the one-rung ladder.
+only its noise draw and two levels' values, plus a ``staircase`` level's
+forcing: a ``realized`` level's forcing is one row per partition interval,
+and the interval infima, the pair statistics and the moments are taken a
+column slice or a component at a time. A single grid is the one-rung ladder.
 """
 from __future__ import annotations
 
@@ -24,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import SystemSpec, drift_values
-from .noise import NoiseBatch, TimeGrid, make_batch
+from .noise import NoiseBatch, TimeGrid
 from .solver import Forcing, solve_batch
+from .staircase import envelope_rows
 from .system import _chan_merge, _mean_se, _moments, map_blocks
 
-MODES = ("realized", "nested-mc")
+MODES = ("realized", "staircase")
 _BLOCK = 256  # paths per hierarchy block; independent of --jobs
 _SLICE = 64  # grid columns per drift evaluation in _interval_infima
 
@@ -84,51 +89,12 @@ class LevelBatch:
     inf_drifts: np.ndarray  # (N, P, 2^(n-1)) interval infima along this level's paths
     values: np.ndarray  # (N, P, K+1) level paths on the simulation grid
     forcing: object  # drift forcing of this level, read as (N, P, K); None once dropped
-    warnings: list  # the warnings of the solves that built this level
+    warnings: list  # the warnings of the solve that built this level
 
 
-def _nested_forcing(spec, prev: LevelBatch, batch: NoiseBatch, n_inner: int,
-                    drift_vals: np.ndarray) -> tuple:
-    """Adapted estimate of E[b^{i,n}_k | F_s] at every step s by branching
-    n_inner fresh continuations of the level-n system at s. One solve per
-    step covers the branches of every path: inner row p * n_inner + m is
-    branch m of path p, keyed under that path's lineage, so a path's branches
-    do not depend on the others. Returns the (N, P, K) forcing and the inner
-    solves' warnings."""
-    if n_inner < 1:
-        raise ValueError("nested-mc needs at least one inner branch")
-    grid = batch.grid
-    pts = grid.points
-    n_comp, n_paths, _ = prev.values.shape
-    forcing = np.empty((n_comp, n_paths, grid.n_steps))
-    layout = spec.noise_layout()
-    (master,) = {seed for seed, _ in batch.lineages}  # a batch has one master seed
-    paths = [p for _, p in batch.lineages]
-    prev_forcing = np.asarray(prev.forcing)  # (N, P, K), expanded once
-    warns = []
-    for k in range(prev.part_idx.size - 1):
-        j0, j1 = prev.part_idx[k], prev.part_idx[k + 1]
-        past_min = None
-        for j in range(j0, j1):
-            current = drift_vals[:, :, j]
-            past_min = current if past_min is None else np.minimum(past_min, current)
-            inner = make_batch(TimeGrid(pts[j:j1 + 1] - pts[j]), layout, master, paths,
-                               branch=((prev.n, k, j), n_inner))
-            res = solve_batch(spec.components, spec.drifts, inner,
-                              initial=np.repeat(prev.values[:, :, j], n_inner, axis=1),
-                              forcing=np.repeat(prev_forcing[:, :, j:j1], n_inner, axis=1))
-            warns += res.warnings
-            dv = drift_values(spec.drifts, pts[j:j1 + 1], res.values)
-            future_min = dv.min(axis=2).reshape(n_comp, n_paths, n_inner)
-            forcing[:, :, j] = np.minimum(past_min[:, :, None], future_min).mean(axis=2)
-    return forcing, warns
-
-
-def _solve_level(spec: SystemSpec, batch: NoiseBatch, n: int, forcing,
-                 warns=()) -> LevelBatch:
+def _solve_level(spec: SystemSpec, batch: NoiseBatch, n: int, forcing) -> LevelBatch:
     """Level n driven by ``forcing``: its paths and their interval-infimum
-    drifts over the level-n partition. ``warns`` are those of the solves that
-    built the forcing."""
+    drifts over the level-n partition."""
     grid = batch.grid
     res = solve_batch(spec.components, spec.drifts, batch,
                       initial=spec.initial[:, None], forcing=forcing)
@@ -137,7 +103,7 @@ def _solve_level(spec: SystemSpec, batch: NoiseBatch, n: int, forcing,
                       inf_drifts=_interval_infima(spec.drifts, grid.points,
                                                   res.values, part_idx),
                       values=res.values, forcing=forcing,
-                      warnings=[*warns, *res.warnings])
+                      warnings=res.warnings)
 
 
 def build_level_one(spec: SystemSpec, batch: NoiseBatch) -> LevelBatch:
@@ -148,25 +114,27 @@ def build_level_one(spec: SystemSpec, batch: NoiseBatch) -> LevelBatch:
 
 
 def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
-                     mode: str = "realized", n_inner: int = 8) -> LevelBatch:
+                     mode: str = "realized") -> LevelBatch:
     """Solve the next-level recursion on the shared noise realization.
 
     Modes realize the conditional expectation of the interval infimum as:
     ``realized`` the pathwise infimum itself, which is exact when the drift
-    depends on time only, and ``nested-mc`` an adapted inner Monte Carlo
-    estimate.
+    depends on time only, and ``staircase`` the running max of the previous
+    forcing and the envelope of b along the previous level. The envelope at
+    t reads b only up to t and lies below it, and the running max orders the
+    levels.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    grid, warns = batch.grid, ()
-    if mode == "nested-mc":
-        dv = drift_values(spec.drifts, grid.points, prev.values)
-        forcing, warns = _nested_forcing(spec, prev, batch, n_inner, dv)
+    if mode == "staircase":
+        b = drift_values(spec.drifts, batch.grid.points, prev.values)
+        env = envelope_rows(b.reshape(-1, b.shape[-1]), batch.grid.points, prev.n)
+        forcing = np.maximum(np.asarray(prev.forcing), env.reshape(b.shape[:2] + (-1,)))
     else:  # one row per interval of the previous partition
         forcing = Forcing(np.moveaxis(prev.inf_drifts, 2, 0).copy(),
                           np.repeat(np.arange(prev.part_idx.size - 1),
                                     np.diff(prev.part_idx)))
-    return _solve_level(spec, batch, prev.n + 1, forcing, warns)
+    return _solve_level(spec, batch, prev.n + 1, forcing)
 
 
 @dataclass
@@ -176,7 +144,7 @@ class HierarchyBatch:
     levels: list
 
 
-def _iter_levels(spec: SystemSpec, batch: NoiseBatch, n_max: int, mode: str, n_inner: int):
+def _iter_levels(spec: SystemSpec, batch: NoiseBatch, n_max: int, mode: str):
     """Levels 1 .. n_max of one hierarchy, each built from the one before. The
     generator holds only the last level it yielded, so a consumer that drops a
     level once the next arrives holds two at a time."""
@@ -185,14 +153,14 @@ def _iter_levels(spec: SystemSpec, batch: NoiseBatch, n_max: int, mode: str, n_i
     level = build_level_one(spec, batch)
     yield level
     while level.n < n_max:
-        level = build_next_level(level, spec, batch, mode=mode, n_inner=n_inner)
+        level = build_next_level(level, spec, batch, mode=mode)
         yield level
 
 
 def run_hierarchy_batch(spec: SystemSpec, batch: NoiseBatch, n_max: int,
-                        mode: str = "realized", n_inner: int = 8) -> HierarchyBatch:
+                        mode: str = "realized") -> HierarchyBatch:
     """Levels 1 .. n_max of one hierarchy over every row of ``batch``."""
-    return HierarchyBatch(levels=list(_iter_levels(spec, batch, n_max, mode, n_inner)))
+    return HierarchyBatch(levels=list(_iter_levels(spec, batch, n_max, mode)))
 
 
 @dataclass(frozen=True)
@@ -291,17 +259,18 @@ class HierarchyResult:
     warnings: list  # the solver's over the study's one pass; the same on every rung
 
 
-def _ladder_block(spec, n_max, mode, n_inner, _lo, rungs):
+def _ladder_block(spec, n_max, mode, _lo, rungs):
     """One block of paths: one hierarchy per rung of the block's draw, each
     reduced to its per-level path moments and its per-pair statistics as its
     levels are built. A level is dropped once the next is reduced, and a
     ``realized`` level drops its forcing once solved (the next level needs
-    only its infima), so the block holds two levels at a time. The moments are
+    only its infima; a ``staircase`` level keeps it for the next level's
+    running max), so the block holds two levels at a time. The moments are
     taken one component at a time. The block's solver warnings come second."""
     out, warns = [], []
     for batch in rungs:
         moments, pairs, prev = [], [], None
-        for level in _iter_levels(spec, batch, n_max, mode, n_inner):
+        for level in _iter_levels(spec, batch, n_max, mode):
             warns += level.warnings
             if mode == "realized":
                 level.forcing = None
@@ -336,20 +305,18 @@ def _merge_rung(blocks, steps: int, horizon: float, warns: list) -> HierarchyRes
         cauchy_gap=float(sup_gaps[-1].max()), warnings=warns)
 
 
-def _hierarchy_ladder(spec, grid, factors, n_paths, master_seed, n_max, mode, n_inner,
-                      jobs) -> list:
+def _hierarchy_ladder(spec, grid, factors, n_paths, master_seed, n_max, mode, jobs) -> list:
     """One HierarchyResult per coarsening factor of ``grid``, all from one pass
     over fixed path blocks, so the results do not depend on ``jobs``."""
     parts, warns = map_blocks(_ladder_block, spec, grid, factors, n_paths, _BLOCK,
-                              master_seed, jobs, spec, n_max, mode, n_inner)
+                              master_seed, jobs, spec, n_max, mode)
     return [_merge_rung([p[r] for p in parts], grid.n_steps // factor, grid.horizon, warns)
             for r, factor in enumerate(factors)]
 
 
 def hierarchy_refinement_study(spec: SystemSpec, horizon: float, steps_ladder,
                                n_paths: int, master_seed: int, n_max: int,
-                               mode: str = "realized", n_inner: int = 8,
-                               jobs: int = 1) -> list:
+                               mode: str = "realized", jobs: int = 1) -> list:
     """One HierarchyResult per rung of a step ladder, coarsest first.
 
     Noise is generated once per path on the finest grid and aggregated onto
@@ -362,13 +329,12 @@ def hierarchy_refinement_study(spec: SystemSpec, horizon: float, steps_ladder,
             raise ValueError("ladder entries must be powers of two dividing the finest")
     return _hierarchy_ladder(spec, TimeGrid.uniform(horizon, ladder[-1]),
                              [ladder[-1] // s for s in ladder], n_paths, master_seed,
-                             n_max, mode, n_inner, jobs)
+                             n_max, mode, jobs)
 
 
 def run_hierarchy_ensemble(spec: SystemSpec, grid: TimeGrid, n_paths: int,
                            master_seed: int, n_max: int, mode: str = "realized",
-                           n_inner: int = 8, jobs: int = 1) -> HierarchyResult:
+                           jobs: int = 1) -> HierarchyResult:
     """Hierarchies over an ensemble of shared-noise trajectories on ``grid``:
     the one-rung case of ``hierarchy_refinement_study``."""
-    return _hierarchy_ladder(spec, grid, [1], n_paths, master_seed, n_max, mode,
-                             n_inner, jobs)[0]
+    return _hierarchy_ladder(spec, grid, [1], n_paths, master_seed, n_max, mode, jobs)[0]

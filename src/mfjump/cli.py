@@ -62,7 +62,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--levels", type=int, default=6, help="highest level n_max")
     p.add_argument("--mode", choices=MODES, default="realized")
-    p.add_argument("--inner", type=int, default=8, help="nested-mc branch count")
     p.add_argument("--refinements", type=int, default=1,
                    help="rungs in the step ladder, base included")
 
@@ -249,8 +248,6 @@ def cmd_approx(args) -> int:
     _require_count(args.paths, "--paths", 1)
     _require_count(args.levels, "--levels", 2)
     _require_count(args.refinements, "--refinements", 1)
-    if args.mode == "nested-mc":
-        _require_count(args.inner, "--inner", 1)
     base_steps = _steps(scenario, args)
     if base_steps & (base_steps - 1):
         raise ScenarioError("approx needs a power-of-two step count so dyadic "
@@ -261,6 +258,8 @@ def cmd_approx(args) -> int:
     seed = _seed(scenario, args)
     ladder = [base_steps * 2 ** r for r in range(args.refinements)]
     _grid(scenario, ladder[-1])  # the finest, on which the study draws
+    grid = scenario.grid(base_steps)  # every finer rung holds its points
+    _require_breakpoints_on(grid, scenario)
     out = _out_dir(args)
     spec = scenario.system
 
@@ -269,11 +268,10 @@ def cmd_approx(args) -> int:
     growth_l = max(d.growth_slope for d in spec.drifts)
     k_const = max(c.growth_k for c in spec.components)
 
-    grid = scenario.grid(base_steps)
     # one pass: the base-grid report is rung 0 of the ladder's shared draw
     rungs = hierarchy_refinement_study(
         spec, scenario.horizon, ladder, args.paths, seed, args.levels,
-        mode=args.mode, n_inner=args.inner, jobs=args.jobs)
+        mode=args.mode, jobs=args.jobs)
     hier = rungs[0]
     _warn(hier.warnings)
     refinement_rows = rungs if args.refinements > 1 else []
@@ -415,6 +413,7 @@ def main(argv=None) -> int:
     handlers = {"simulate": cmd_simulate, "approx": cmd_approx,
                 "validate": cmd_validate, "uniqueness": cmd_uniqueness}
     try:
+        _require_count(args.jobs, "--jobs", 1)
         return handlers[args.command](args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -6,11 +6,6 @@ kind, index)))`` PCG64 stream, so generation is replayable per path and
 independent of execution order. ``draw_rows`` seeds a whole block of paths at
 once: it hashes every path's spawn key in one vectorised pass and reseeds a
 single generator per row, with the same draws as per-path ``SeedSequence``s.
-
-Nested Monte Carlo branches (``make_batch(..., branch=(key, n))``) are keyed
-under the prefix ``(_KIND_NESTED,) + key`` of their path's spawn key, followed
-by the stream kind and index as above (events add the branch index), and sit
-in n consecutive rows per path.
 """
 from __future__ import annotations
 
@@ -25,7 +20,6 @@ import numpy as np
 _KIND_BROWNIAN = 1
 _KIND_STABLE = 2
 _KIND_EVENTS = 3
-_KIND_NESTED = 4
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's LCG
 _POOL_SIZE = 4
@@ -359,22 +353,13 @@ class NoiseBatch:
 
 
 def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
-               path_indices: Sequence[int], branch: tuple = None) -> NoiseBatch:
+               path_indices: Sequence[int]) -> NoiseBatch:
     """Noise for the paths ``path_indices``, drawn straight into block arrays;
     every stream is keyed by its path's lineage, so a row does not depend on
-    the other paths of the block.
-
-    ``branch=(key, n)`` draws n fresh branches per path for nested Monte
-    Carlo instead: row ``l * n + m`` is branch m of path l, and every stream
-    key gains the prefix ``(_KIND_NESTED,) + key``. A path's Brownian and
-    stable streams hold all n of its branches, as (n, n_steps) draws; branch m
-    draws events from its own stream ``(_KIND_EVENTS, idx, m)``.
-    """
+    the other paths of the block."""
     paths = list(path_indices)
     if not paths:
         raise ValueError("need at least one path")
-    prefix, n = ((), 1) if branch is None else ((_KIND_NESTED, *branch[0]), branch[1])
-    shape = (n, grid.n_steps)
 
     alphas = dict(sorted(layout.stable_alphas.items()))
     if not all(1.0 < alpha <= 2.0 for alpha in alphas.values()):
@@ -382,17 +367,16 @@ def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
 
     def stacked(kind, factors, fill, scale):
         """Every factor's scaled draws in one (F, rows, n_steps) array; path
-        p's draws fill its n rows of each factor's."""
-        out = np.empty((len(factors), len(paths) * n, grid.n_steps))
+        p's draws fill its row of each factor's."""
+        out = np.empty((len(factors), len(paths), grid.n_steps))
         for fac, arr in zip(factors, out):
-            rows = iter(arr.reshape(len(paths), *shape))
-            draw_rows(master_seed, paths, prefix + (kind, fac),
-                      lambda rng: fill(rng, fac, next(rows)))
+            rows = iter(arr)
+            draw_rows(master_seed, paths, (kind, fac), lambda rng: fill(rng, fac, next(rows)))
             arr *= scale(fac)
         return FactorDraws(factors, out)
 
     def fill_stable(rng, fac, row):
-        row[...] = _stable_standard(alphas[fac], shape, rng)
+        row[...] = _stable_standard(alphas[fac], grid.n_steps, rng)
 
     brownian = stacked(_KIND_BROWNIAN, layout.brownian_factors,
                        lambda rng, _fac, row: rng.standard_normal(out=row),
@@ -400,14 +384,12 @@ def make_batch(grid: TimeGrid, layout: NoiseLayout, master_seed: int,
     stable = stacked(_KIND_STABLE, list(alphas), fill_stable,
                      lambda fac: _stable_scale(alphas[fac], grid.dt))
     events = {}
-    subs = [()] if branch is None else [(m,) for m in range(n)]
     for idx, ms in enumerate(layout.measures):
         draw = _event_draw(ms.rate, ms.mark_sampler, grid.horizon)
-        per_sub = [draw_rows(master_seed, paths, prefix + (_KIND_EVENTS, idx) + sub, draw)
-                   for sub in subs]
-        events[ms.measure_id] = _event_arrays([d for row in zip(*per_sub) for d in row])
+        events[ms.measure_id] = _event_arrays(
+            draw_rows(master_seed, paths, (_KIND_EVENTS, idx), draw))
     return NoiseBatch(grid=grid, brownian=brownian, stable=stable, events=events,
-                      lineages=tuple((master_seed, p) for p in paths for _ in range(n)))
+                      lineages=tuple((master_seed, p) for p in paths))
 
 
 def gen_stable_increments(grid: TimeGrid, alpha: float, master_seed: int) -> np.ndarray:

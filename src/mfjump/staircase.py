@@ -55,6 +55,36 @@ def envelope(b: CadlagPath, n: int) -> StaircasePath:
     return pointwise_max([zero] + [lower_staircase(b, m) for m in range(1, n + 1)])
 
 
+def envelope_rows(b: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
+    """``envelope(CadlagPath(grid, row), n).evaluate(points[:-1])`` for every
+    row of the (rows, K+1) array ``b`` sampled on ``points``, bit for bit.
+
+    One pass over the grid moves the staircases of levels 1..n of all rows
+    together; each holds its anchor b(t_k) and its interval start t_k. At
+    point j a staircase advances while its level overshoots b(t_j) or its
+    1/m cap has come. The breakpoint is t_j, or the cap when that falls
+    before t_j: then the anchor is b(t_{j-1}), and the loop runs again, as a
+    cap can fall more than once inside one step."""
+    if n < 1:
+        raise ValueError("level must be at least 1")
+    step = 1.0 / np.arange(1, n + 1)[:, None]  # (n, 1)
+    anchor = np.repeat(b[None, :, 0], n, axis=0)  # (n, rows)
+    start = np.zeros_like(anchor)
+    out = np.empty((b.shape[0], points.size - 1))
+    for j in range(points.size - 1):
+        t = points[j]
+        while True:
+            cap = start + step
+            move = (anchor - step > b[:, j]) | (cap <= t)
+            if not move.any():
+                break
+            off = cap < t  # an off-grid cap precedes t_j
+            start = np.where(move, np.where(off, cap, t), start)
+            anchor = np.where(move, np.where(off, b[:, j - 1], b[:, j]), anchor)
+        out[:, j] = np.maximum(0.0, (anchor - step).max(axis=0))
+    return out
+
+
 def grid_modulus(b: CadlagPath, window: float, jump_free: bool = True):
     """Max |b(s) - b(s')| over grid pairs with |s - s'| <= window.
 

@@ -154,22 +154,9 @@ class TestBuildLevels:
         assert np.all(np.asarray(lvl3.forcing)[0, 0, :half] == 0.0)
         assert np.all(np.asarray(lvl3.forcing)[0, 0, half:] == 0.5)
 
-    def test_nested_mc_equals_deterministic_for_time_drift(self):
-        # with a state-independent drift the inner branches are irrelevant:
-        # the adapted estimate collapses to the deterministic infimum
-        from mfjump.coeffs import LinearInTime
-        drift = DriftSpec.time_function(LinearInTime(0.2, 0.5), growth_bound=0.7)
-        spec = mean_field_spec(n=1, sigma=0.3, drift=drift, initial=1.0)
-        grid = dyadic_partition(5, 1.0)
-        batch = make_batch(grid, spec.noise_layout(), 1, range(2))
-        lvl1 = build_level_one(spec, batch)
-        nested = build_next_level(lvl1, spec, batch, mode="nested-mc", n_inner=2)
-        det = build_next_level(lvl1, spec, batch, mode="realized")
-        assert np.allclose(nested.forcing, det.forcing)
-
-    def test_nested_mc_path_does_not_depend_on_its_block(self):
-        # the inner branches of all paths share one solve per step; each
-        # path's nested forcing equals that path's forcing solved alone
+    def test_staircase_path_does_not_depend_on_its_block(self):
+        # the staircase forcing of a path reads only that path's previous
+        # level: a path's forcing and level equal its own, solved alone
         from mfjump import PointMassMeasure, thinning_system
         for spec in (mean_field_spec(n=2, sigma=0.4, sigma_z=0.2, alpha=1.7),
                      thinning_system(PointMassMeasure(atoms=((0.4, 3.0),)), v_max=4.0,
@@ -178,54 +165,26 @@ class TestBuildLevels:
             levels = []
             for paths in (range(3), range(1, 2)):
                 batch = make_batch(grid, spec.noise_layout(), 4, paths)
-                lvl1 = build_level_one(spec, batch)
-                levels.append(build_next_level(lvl1, spec, batch, mode="nested-mc",
-                                               n_inner=3))
-            assert np.array_equal(levels[0].forcing[:, 1:2], levels[1].forcing)
-            assert np.array_equal(levels[0].values[:, 1:2], levels[1].values)
+                levels.append(run_hierarchy_batch(spec, batch, 4, mode="staircase").levels)
+            for block, alone in zip(*levels):
+                assert np.array_equal(np.asarray(block.forcing)[:, 1:2],
+                                      np.asarray(alone.forcing))
+                assert np.array_equal(block.values[:, 1:2], alone.values)
 
-    def test_branch_rows_are_lineage_major_numpy_streams(self):
-        # branch row l * n_inner + m is branch m of lineage l; its Brownian
-        # and stable streams are shared by the lineage's branches, its events
-        # stream is its own, and all are numpy's spawn-key streams
-        from mfjump.noise import MeasureSpec, NoiseLayout, _stable_standard
-        sampler = lambda rng, size: rng.exponential(1.0, size)
-        alpha = 1.6
-        layout = NoiseLayout(brownian_factors=(0,), stable_alphas={1: alpha},
-                             measures=(MeasureSpec("m0", 3.0, sampler),))
-        pts = dyadic_partition(4, 1.0).points
-        sub = TimeGrid(pts[4:] - pts[4])
-        lineages, n_inner, span = ((3, 7), (3, 2**32)), 3, 4
-        inner = make_batch(sub, layout, 3, [p for _, p in lineages],
-                           branch=((2, 1, 4), n_inner))
-        assert inner.grid.n_steps == span
-        assert inner.lineages == tuple(lin for lin in lineages for _ in range(n_inner))
-        ev = inner.events["m0"]
-        assert ev.times.size > 0
-        for l, (master, path) in enumerate(lineages):
-            oracle = lambda *stream: np.random.default_rng(np.random.SeedSequence(
-                master, spawn_key=(path, 4, 2, 1, 4) + stream))
-            normals = oracle(1, 0).standard_normal((n_inner, span))
-            stables = _stable_standard(alpha, (n_inner, span), oracle(2, 1))
-            for m in range(n_inner):
-                row = l * n_inner + m
-                assert np.array_equal(inner.brownian[0][row],
-                                      normals[m] * np.sqrt(inner.grid.dt))
-                assert np.array_equal(inner.stable[1][row],
-                                      stables[m] * inner.grid.dt ** (1.0 / alpha))
-                rng = oracle(3, 0, m)
-                count = rng.poisson(3.0 * inner.grid.horizon)
-                times = np.sort(rng.uniform(0.0, inner.grid.horizon, count))
-                assert np.array_equal(ev.times[ev.rows == row], times)
-                assert np.array_equal(ev.marks[ev.rows == row], sampler(rng, count))
-
-    def test_nested_mc_rejects_bad_branch_count(self):
-        spec = mean_field_spec(sigma=0.2)
-        grid = dyadic_partition(4, 1.0)
-        batch = make_batch(grid, spec.noise_layout(), 1, range(1))
-        lvl1 = build_level_one(spec, batch)
-        with pytest.raises(ValueError):
-            build_next_level(lvl1, spec, batch, mode="nested-mc", n_inner=0)
+    def test_staircase_levels_rise_below_the_solution(self):
+        # correlated-intensities, 256 paths and steps: the staircase levels
+        # are exactly ordered and exactly below the solve of the full system
+        # on the same draw, and their mean sup distance to it falls strictly
+        spec = load_scenario(os.path.join(SCENARIOS, "correlated-intensities.json")).system
+        batch = make_batch(TimeGrid.uniform(1.0, 256), spec.noise_layout(), 7, range(256))
+        levels = run_hierarchy_batch(spec, batch, 6, mode="staircase").levels
+        x = solve_batch(spec.components, spec.drifts, batch,
+                        initial=spec.initial[:, None]).values
+        for prev, cur in zip(levels, levels[1:]):
+            assert np.all(cur.values >= prev.values)
+        assert all(np.all(lv.values <= x) for lv in levels)
+        gaps = [float(np.abs(x - lv.values).max(axis=(0, 2)).mean()) for lv in levels]
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
 
     def test_partitions_refine(self):
         spec = mean_field_spec(sigma=0.3)
@@ -408,7 +367,7 @@ class TestRefinementStudy:
         spec = mean_field_spec(n=2, sigma=1.0, a=2.0, initial=[0.4, 0.8])
         rows = hierarchy_refinement_study(spec, 1.0, [16, 32], 20, 3, 3)
         assert len(rows) == 2
-        for mode in ("realized", "nested-mc"):
+        for mode in mfjump.approx.MODES:
             batch = make_batch(TimeGrid.uniform(1.0, 16), spec.noise_layout(), 3, range(4))
             hier = run_hierarchy_batch(spec, batch, 3, mode=mode)
             assert len(hier.levels) == 3
@@ -416,16 +375,31 @@ class TestRefinementStudy:
                                   1.0, [16, 32], 20, 3)
         assert len(report.rows) == 2
 
-    @pytest.mark.parametrize("mode", ["realized", "nested-mc"])
+    @pytest.mark.parametrize("mode", mfjump.approx.MODES)
     def test_solver_warnings_come_once_on_every_rung(self, mode):
         # a*dt = 1.25 on the 16-step rung and 0.625 on the 32-step one; 300
         # paths make two blocks, and every level of the coarse rung warns
         spec = mean_field_spec(n=1, sigma=0.3, a=20.0)
-        rows = hierarchy_refinement_study(spec, 1.0, [16, 32], 300, 0, 3, mode=mode,
-                                          n_inner=2)
+        rows = hierarchy_refinement_study(spec, 1.0, [16, 32], 300, 0, 3, mode=mode)
         assert [r.warnings for r in rows] == [[
             "component 0: a*dt = 1.25 > 1 breaks the monotonicity precondition "
             "of the explicit scheme"]] * 2
+
+    @pytest.mark.parametrize("mode", mfjump.approx.MODES)
+    def test_results_do_not_depend_on_jobs(self, mode):
+        # 300 paths make two blocks, which --jobs 2 solves in two workers
+        spec = mean_field_spec(n=2, sigma=0.6, a=1.0, initial=[1.0, 2.0])
+        serial, pooled = (hierarchy_refinement_study(spec, 1.0, [16, 32], 300, 5, 3,
+                                                     mode=mode, jobs=jobs)
+                          for jobs in (1, 2))
+        for a, b in zip(serial, pooled):
+            for lv_a, lv_b in zip(a.levels, b.levels):
+                assert all(np.array_equal(x, y) for x, y in zip(lv_a, lv_b))
+            assert np.array_equal(a.sup_gaps, b.sup_gaps)
+            assert (a.monotonicity, a.max_violation, a.mean_sup_violation,
+                    a.violating_fraction, a.cauchy_gap, a.warnings) == \
+                (b.monotonicity, b.max_violation, b.mean_sup_violation,
+                 b.violating_fraction, b.cauchy_gap, b.warnings)
 
     def test_mean_sup_violation_typically_decreases(self):
         # the ensemble mean of per-path sup violations is the stable trend
@@ -523,17 +497,16 @@ class TestStreamedBlock:
         return mean_field_spec(n=3, sigma=0.5, sigma_z=0.2, alpha=1.8)
 
     @pytest.mark.parametrize("mode, steps, n_max, n_paths",
-                             [("realized", 64, 4, 40), ("nested-mc", 8, 3, 4)])
+                             [("realized", 64, 4, 40), ("staircase", 64, 4, 40)])
     def test_streamed_reductions_equal_the_list_form(self, mode, steps, n_max, n_paths):
         spec = self.spec()
         batch = make_batch(TimeGrid.uniform(1.0, steps), spec.noise_layout(), 6,
                            range(n_paths))
         rungs = [batch.coarsen(2), batch]
-        block, _warnings = mfjump.approx._ladder_block(spec, n_max, mode, 2, 0, iter(rungs))
+        block, _warnings = mfjump.approx._ladder_block(spec, n_max, mode, 0, iter(rungs))
         assert len(block) == len(rungs)
         for (moments, pairs), rung in zip(block, rungs):
-            levels = run_hierarchy_batch(spec, rung, n_max, mode=mode,
-                                         n_inner=2).levels
+            levels = run_hierarchy_batch(spec, rung, n_max, mode=mode).levels
             assert len(moments) == n_max and len(pairs) == n_max - 1
             for (count, mean, m2), lv in zip(moments, levels):
                 x = lv.values.transpose(1, 0, 2)
@@ -546,7 +519,7 @@ class TestStreamedBlock:
                 assert np.array_equal(sup_viol, np.maximum(gap, 0.0).max(axis=(0, 2)))
                 assert (count, total) == (int((gap > 0.0).sum()), gap.size)
 
-    @pytest.mark.parametrize("mode", ["realized", "nested-mc"])
+    @pytest.mark.parametrize("mode", mfjump.approx.MODES)
     def test_a_block_holds_two_levels_at_a_time(self, monkeypatch, mode):
         refs, alive = [], []
 
@@ -565,7 +538,7 @@ class TestStreamedBlock:
             monkeypatch.setattr(mfjump.approx, name, tracked(getattr(mfjump.approx, name)))
         spec = self.spec()
         batch = make_batch(TimeGrid.uniform(1.0, 16), spec.noise_layout(), 2, range(3))
-        mfjump.approx._ladder_block(spec, 4, mode, 2, 0, iter([batch]))
+        mfjump.approx._ladder_block(spec, 4, mode, 0, iter([batch]))
         assert len(alive) == 4 and max(alive) <= 2
 
     def test_a_block_peaks_at_its_draws_and_two_levels(self):

@@ -276,19 +276,30 @@ class TestApprox:
         assert fracs[0] > fracs[-1]
         assert maxima[0] > maxima[1] > maxima[2]
 
-    def test_nested_mc_mode(self, tmp_path):
-        scen = write_scenario(tmp_path / "s.json", grid_steps=16,
-                              drift={"kind": "mean-field-average"},
-                              preset={"kind": "example21", "n_components": 2,
-                                      "a": 1.0, "sigma": 0.3,
-                                      "initial": [1.0, 2.0]})
-        out = tmp_path / "o"
-        code = main(["approx", "--scenario", str(scen), "--paths", "4",
-                     "--levels", "3", "--mode", "nested-mc", "--inner", "2",
-                     "--seed", "1", "--out", str(out), "--jobs", "1"])
-        assert code == 0
-        report = json.loads((out / "approx_report.json").read_text())
-        assert report["mode_used"] == "nested-mc"
+    def test_staircase_mode(self, tmp_path):
+        # the adapted hierarchy orders its levels exactly, and its artifacts
+        # do not depend on --jobs (300 paths make two blocks)
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                            "correlated-intensities.json")
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"o{jobs}"
+            assert main(["approx", "--scenario", scen, "--paths", "300", "--levels", "4",
+                         "--refinements", "2", "--mode", "staircase", "--seed", "1",
+                         "--out", str(out), "--jobs", jobs]) == 0
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1]
+        report = json.loads(trees[0]["approx_report.json"])
+        assert report["mode_used"] == "staircase"
+        rows = trees[0]["monotonicity.csv"].decode().splitlines()[1:]
+        assert len(rows) == 3 and all(row.split(",")[3] == "0.0" for row in rows)
+        assert [r["max_violation"] for r in report["refinements"]] == [0.0, 0.0]
+
+    def test_mode_choices_are_the_library_modes(self):
+        parser = mfjump.cli._build_parser()
+        command = next(a for a in parser._actions if a.dest == "command")
+        mode = next(a for a in command.choices["approx"]._actions if a.dest == "mode")
+        assert tuple(mode.choices) == mfjump.approx.MODES
 
     def test_non_power_of_two_grid_rejected(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json", grid_steps=48)
@@ -403,7 +414,6 @@ class TestUsage:
         ["uniqueness", "--paths", "1"],
         ["approx", "--levels", "1"],
         ["approx", "--refinements", "0"],
-        ["approx", "--mode", "nested-mc", "--inner", "0"],
         ["validate", "--budget", "0"],
         ["validate", "--budget", "3"],
         ["uniqueness", "--levels", "0"],
@@ -420,11 +430,17 @@ class TestUsage:
         ["simulate", "--paths", "5", "--seed", "-1"],
         ["approx", "--seed", "-1"],
         ["uniqueness", "--seed", "-1"],
+        ["simulate", "--paths", "5", "--jobs", "0"],
+        ["approx", "--jobs", "-3"],
+        ["validate", "--jobs", "0"],
+        ["uniqueness", "--jobs", "-3"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_count_is_usage_error(self, argv, tmp_path, capsys):
         scen = os.path.join(os.path.dirname(__file__), "..", "scenarios", "cir.json")
         out = tmp_path / "o"
-        code = main(argv + ["--scenario", scen, "--out", str(out), "--jobs", "1"])
+        # the flags under test come last, so a --jobs among them wins
+        code = main(argv[:1] + ["--scenario", scen, "--out", str(out), "--jobs", "1"]
+                    + argv[1:])
         assert code == 3
         flag = argv[-2]
         rule = "must be finite and positive" if flag == "--dt" else "must be at least"
@@ -439,13 +455,16 @@ class TestUsage:
         ("correlated-intensities", ["--mode", "deterministic"],
          "invalid choice: 'deterministic'"),
         ("cir", ["--mode", "deterministic"], "invalid choice: 'deterministic'"),
+        ("correlated-intensities", ["--mode", "nested-mc"], "invalid choice: 'nested-mc'"),
     ], ids=["cir --levels 12", "cir --levels 12 --refinements 2",
             "cir --dt 0.25 --levels 4", "correlated-intensities --levels 10",
-            "correlated-intensities --mode deterministic", "cir --mode deterministic"])
+            "correlated-intensities --mode deterministic", "cir --mode deterministic",
+            "correlated-intensities --mode nested-mc"])
     def test_approx_flag_the_scenario_cannot_take(self, scenario, argv, message,
                                                  tmp_path, capsys):
         # level L needs 2^(L-1) steps on the base grid; deterministic is
-        # the reported label of realized forcing, not a mode to ask for
+        # the reported label of realized forcing, not a mode to ask for;
+        # nested-mc is no mode either
         scen = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                             f"{scenario}.json")
         out = tmp_path / "o"
@@ -516,21 +535,22 @@ class TestUsage:
         assert "--refinements" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, code", [
-        ("simulate", 3), ("uniqueness", 3), ("approx", 0), ("validate", 0)])
+        ("simulate", 3), ("uniqueness", 3), ("approx", 3), ("validate", 0)])
     def test_staircase_breakpoint_off_the_grid(self, command, code, tmp_path, capsys):
         # 0.3 is no point of the 64-step grid: a staircase drift must switch
-        # on a step, approx and validate only sample the drift at grid points
+        # on a step; validate only samples the drift and accepts it
         scen = write_scenario(tmp_path / "s.json", drift={
             "kind": "staircase", "breakpoints": [0.0, 0.3, 1.0], "levels": [1.0, 2.0]})
-        out = tmp_path / "o"
-        argv = [command, "--scenario", str(scen), "--out", str(out), "--jobs", "1"]
-        if command != "validate":
-            argv += ["--paths", "4", "--seed", "0"]
-        assert main(argv) == code
-        if code:
-            assert ("drift.breakpoints: 0.3 is not a point of the 64-step grid"
-                    in capsys.readouterr().err)
-            assert not out.exists()
+        for jobs in ("1", "2"):
+            out = tmp_path / f"o{jobs}"
+            argv = [command, "--scenario", str(scen), "--out", str(out), "--jobs", jobs]
+            if command != "validate":
+                argv += ["--paths", "4", "--seed", "0"]
+            assert main(argv) == code
+            if code:
+                assert ("drift.breakpoints: 0.3 is not a point of the 64-step grid"
+                        in capsys.readouterr().err)
+                assert not out.exists()
 
     @pytest.mark.parametrize("below", [False, True], ids=["a file", "below a file"])
     @pytest.mark.parametrize("command", ["simulate", "approx", "validate", "uniqueness"])

@@ -265,18 +265,16 @@ class TestBundles:
     def test_factors_are_rows_of_one_array_and_coarsen_keeps_them(self):
         # every factor of a kind is a row of one (F, rows, n_steps) draw, and
         # coarsen aggregates that draw once, bit for bit as factor by factor
-        grid = unit_grid(16)
-        for branch in (None, ((1, 2), 3)):
-            batch = make_batch(grid, self.layout(), 2, [0, 3], branch=branch)
-            coarse = batch.coarsen(4)
-            for key in ("brownian", "stable"):
-                fine, agg = getattr(batch, key), getattr(coarse, key)
-                for views in (fine, agg):
-                    base = views[min(views)].base
-                    assert base.shape[0] == len(views)
-                    assert all(v.base is base for v in views.values())
-                for f in fine:
-                    assert np.array_equal(agg[f], fine[f].reshape(-1, 4, 4).sum(axis=2))
+        batch = make_batch(unit_grid(16), self.layout(), 2, [0, 3])
+        coarse = batch.coarsen(4)
+        for key in ("brownian", "stable"):
+            fine, agg = getattr(batch, key), getattr(coarse, key)
+            for views in (fine, agg):
+                base = views[min(views)].base
+                assert base.shape[0] == len(views)
+                assert all(v.base is base for v in views.values())
+            for f in fine:
+                assert np.array_equal(agg[f], fine[f].reshape(-1, 4, 4).sum(axis=2))
 
     def test_factor_draws_rows_of_a_group(self):
         draws = FactorDraws((0, 2, 3, 5), np.arange(4 * 2 * 3.0).reshape(4, 2, 3))
@@ -316,7 +314,7 @@ class TestBlockSeeding:
 
     MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3]
     PATHS = [0, 1, 511, 2**32 - 1, 2**32, 2**40]
-    # Brownian factor 0, events of measure 2, and a nested-mc events key
+    # Brownian factor 0, events of measure 2, and a long multi-word key
     STREAMS = [(1, 0), (3, 2), (4, 3, 2, 17, 3, 1, 5)]
 
     @pytest.mark.parametrize("stream", STREAMS)

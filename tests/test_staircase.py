@@ -4,6 +4,7 @@ import pytest
 from _helpers import lattice_path
 from mfjump import (CadlagPath, TimeGrid, envelope, grid_modulus, lower_staircase,
                     upper_staircase)
+from mfjump.staircase import envelope_rows
 
 
 def dyadic_grid(steps=128, horizon=1.0):
@@ -87,6 +88,48 @@ class TestEnvelope:
                 cur = envelope(b, n).evaluate(g.points)
                 assert np.all(cur >= prev)
                 prev = cur
+
+
+class TestEnvelopeRows:
+    """``envelope_rows`` moves the staircases of all rows in one pass over the
+    grid. It must equal ``envelope`` evaluated at the step starts, bit for bit."""
+
+    @staticmethod
+    def assert_rows_equal_envelope(grid, rows, levels):
+        for n in levels:
+            got = envelope_rows(rows, grid.points, n)
+            for row, env in zip(rows, got):
+                assert np.array_equal(
+                    env, envelope(CadlagPath(grid, row), n).evaluate(grid.points[:-1]))
+
+    def test_criterion_4_lattice_paths(self):
+        # the 100 paths of acceptance criterion 4, drawn the same way
+        rng = np.random.default_rng(4)
+        grid = TimeGrid.uniform(1.0, 128)
+        rows = np.stack([lattice_path(rng, grid, n_jumps=int(rng.integers(0, 5))).values
+                         for _ in range(100)])
+        self.assert_rows_equal_envelope(grid, rows, range(1, 9))
+
+    @pytest.mark.parametrize("horizon, steps", [(8.0, 16), (3.0, 8), (1.0, 64), (0.7, 32)])
+    def test_random_walks(self, horizon, steps):
+        grid = TimeGrid.uniform(horizon, steps)
+        rows = np.cumsum(np.random.default_rng(steps).standard_normal((30, steps + 1)),
+                         axis=1)
+        self.assert_rows_equal_envelope(grid, rows, (1, 3, 5, 7))
+
+    def test_caps_fall_inside_a_step(self):
+        # on 8 / 16 a 1/7 cap is shorter than the 0.5 step: a row falls more
+        # than once inside one step, and the rule still matches
+        grid = TimeGrid.uniform(8.0, 16)
+        rows = np.full((1, 17), 2.0)
+        bps = lower_staircase(CadlagPath(grid, rows[0]), 7).breakpoints
+        inside = np.searchsorted(grid.points, bps[~np.isin(bps, grid.points)])
+        assert np.bincount(inside).max() >= 2
+        self.assert_rows_equal_envelope(grid, rows, (7,))
+
+    def test_rejects_level_zero(self):
+        with pytest.raises(ValueError):
+            envelope_rows(np.zeros((1, 9)), dyadic_grid(8).points, 0)
 
 
 class TestExactInequalities:
