@@ -277,16 +277,6 @@ class ThinningMarkMeasure:
 
 
 @dataclass(frozen=True)
-class SqrtDiffusion:
-    """sigma(x) = coef * sqrt(max(x, 0))."""
-
-    coef: float
-
-    def __call__(self, x):
-        return self.coef * np.sqrt(np.maximum(x, 0.0))
-
-
-@dataclass(frozen=True)
 class PowerDiffusion:
     """sigma(x) = coef * max(x, 0)**power."""
 

@@ -9,10 +9,9 @@ import numpy as np
 
 from .coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, DriftSpec,
                      ExponentialMeasure, PointMassMeasure, PowerDiffusion,
-                     PowerModulus, SqrtDiffusion, StableJumpMeasure,
-                     StablePowerKernel, StableTerm, SystemSpec, AxisSumMeasure,
-                     ThinningCompensator, ThinningKernel, ThinningMarkMeasure,
-                     ThinningMarkSampler, stable_levy_constant)
+                     PowerModulus, StableJumpMeasure, StablePowerKernel, StableTerm,
+                     SystemSpec, AxisSumMeasure, ThinningCompensator, ThinningKernel,
+                     ThinningMarkMeasure, ThinningMarkSampler, stable_levy_constant)
 from .noise import MeasureSpec
 
 
@@ -121,13 +120,9 @@ def preset_example21(n: int, a=1.0, sigma=1.0, sigma0: float = 0.0, sigma_z=0.0,
         else:
             g0, mu0, rho_m = None, None, LipschitzModulus()
 
-        if sigma_power == 0.5:
-            sigma_fn = SqrtDiffusion(comb)
-        else:
-            sigma_fn = PowerDiffusion(comb, sigma_power)
         components.append(CoefficientSet(
             a=float(a[i]),
-            sigma=sigma_fn,
+            sigma=PowerDiffusion(comb, sigma_power),
             brownian=tuple(brownian),
             stable_terms=tuple(stable),
             g0=g0,
@@ -183,7 +178,7 @@ def preset_cbi_thinning(levy, v_max: float, a: float = 1.0, sigma: float = 0.0,
     )
     return CoefficientSet(
         a=float(a),
-        sigma=SqrtDiffusion(sigma),
+        sigma=PowerDiffusion(sigma, 0.5),
         brownian=(BrownianTerm(factor=1, weight=1.0),) if sigma > 0 else (),
         g0=ThinningKernel(),
         mu0=kernel.mu,

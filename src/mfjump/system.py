@@ -7,12 +7,15 @@ processed in fixed path-index blocks, each drawing its noise once in
 of the parallelism degree. ``run_ensemble`` solves a slab of consecutive
 ``_BLOCK``-path blocks at once, as wide as the scenario's value array allows,
 and still reduces each block on its own: the solve unit is the slab, the
-reduction unit the block, and every path is solved row by row the same.
+reduction unit the block, and every path is solved row by row the same. A
+slab that reaches a non-finite state raises its own solve's error, which
+names a path of the slab that fails the same way solved alone.
 """
 from __future__ import annotations
 
 import functools
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,14 +83,14 @@ def map_blocks(fn, spec: SystemSpec, grid: TimeGrid, factors, n_paths: int, bloc
     block draws its noise once, on the finest ``grid``, and every rung reuses
     that draw, coarsened by its factor; path p's noise is keyed by
     (master_seed, p) alone. With ``jobs > 1`` and several blocks the calls run
-    in a process pool of at most ``jobs`` workers; results and errors are the
-    same."""
+    in a process pool of at most ``jobs`` workers, and no more workers than
+    blocks or CPUs; results and errors are the same."""
     task = functools.partial(_drawn_block, fn, spec, grid, tuple(factors), master_seed, args)
     bounds = [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
     if jobs < 2 or len(bounds) < 2:
         outcomes = map(task, bounds)  # lazy: a run stops at its first failing block
     else:
-        with multiprocessing.Pool(min(jobs, len(bounds))) as pool:
+        with multiprocessing.Pool(min(jobs, len(bounds), os.cpu_count() or 1)) as pool:
             outcomes = pool.map(task, bounds)
     results = []
     for result, exc in outcomes:
@@ -126,27 +129,11 @@ def _slab_rows(n_components: int, n_steps: int) -> int:
     return _BLOCK * max(1, _SLAB_BYTES // block_bytes)
 
 
-def _solve_slab(spec, batch):
-    """The slab's solve. On a non-finite state the error is the one the first
-    failing ``_BLOCK``-path block raises alone, as a block-by-block run reports."""
-    try:
-        return solve_system(spec, batch)
-    except NumericsError as exc:
-        if batch.n_paths <= _BLOCK:
-            raise
-        slab_error = exc
-    seed, paths = batch.lineages[0][0], [p for _seed, p in batch.lineages]
-    for lo in range(0, len(paths), _BLOCK):
-        block = make_batch(batch.grid, spec.noise_layout(), seed, paths[lo:lo + _BLOCK])
-        solve_system(spec, block)
-    raise slab_error
-
-
 def _ensemble_block(spec, section_idx, keep_paths, lo, rungs):
     """One slab of paths, solved at once and reduced per ``_BLOCK``-path block."""
     (batch,) = rungs
     points = batch.grid.points
-    result = _solve_slab(spec, batch)
+    result = solve_system(spec, batch)
     del batch  # the reductions do not need the noise
     vals = result.values  # (N, P, K+1)
     moments = []

@@ -36,15 +36,15 @@ def read_tree(out_dir):
     return {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
 
 
-def assert_blowup_exits_two(command, tmp_path, capsys):
-    """``command`` on a blowing-up scenario exits 2 with the same error at
-    --jobs 1 and --jobs 2."""
+def assert_blowup_exits_two(command, tmp_path, capsys, *flags):
+    """``command`` (with ``flags``) on a blowing-up scenario exits 2 with the
+    same error at --jobs 1 and --jobs 2."""
     preset = {"kind": "example21", "n_components": 1, "a": 1.0,
               "sigma": 50.0, "sigma_power": 3.0, "initial": 5.0}
     scen = write_scenario(tmp_path / "s.json", preset=preset,
                           drift={"kind": "constant", "value": 1000.0})
-    # 1200 paths make three blocks, all with failing paths
-    argv = [command, "--scenario", str(scen), "--paths", "1200", "--seed", "0"]
+    # 1200 paths make several blocks, all with failing paths
+    argv = [command, "--scenario", str(scen), "--paths", "1200", "--seed", "0", *flags]
     code = main(argv + ["--out", str(tmp_path / "o"), "--jobs", "1"])
     assert code == 2
     serial = capsys.readouterr().err
@@ -275,6 +275,10 @@ class TestApprox:
         maxima = [float(r.split(",")[2]) for r in rows[1:]]
         assert fracs[0] > fracs[-1]
         assert maxima[0] > maxima[1] > maxima[2]
+
+    @pytest.mark.parametrize("mode", mfjump.approx.MODES)
+    def test_numeric_blowup_is_exit_two(self, tmp_path, capsys, mode):
+        assert_blowup_exits_two("approx", tmp_path, capsys, "--mode", mode)
 
     def test_staircase_mode(self, tmp_path):
         # the adapted hierarchy orders its levels exactly, and its artifacts

@@ -11,7 +11,7 @@ from mfjump import (CadlagPath, DriftSpec, ExponentialMeasure, PointMassMeasure,
                     validate_assum1, validate_assum2, validate_assum_uniq,
                     validate_drift, validate_system)
 from mfjump.coeffs import (AxisSumMeasure, CoefficientSet, JumpKernel, LinearInTime,
-                           MeanFieldAverage, SqrtDiffusion, StableJumpMeasure, SystemSpec,
+                           MeanFieldAverage, PowerDiffusion, StableJumpMeasure, SystemSpec,
                            ThinningMarkMeasure, drift_values, stable_levy_constant)
 from mfjump.noise import MeasureSpec
 
@@ -68,7 +68,7 @@ class TestSamplingPlan:
 
 class TestAssum1:
     def test_sqrt_sigma_passes(self):
-        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0), rho=PowerModulus(1.0, 0.5))
+        c = CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5), rho=PowerModulus(1.0, 0.5))
         report = validate_assum1(c, SamplingPlan(budget=2000))
         assert report.passed
 
@@ -93,7 +93,7 @@ class TestAssum1:
 
     def test_divergence_unchecked_for_undeclared_callable(self):
         from mfjump.coeffs import CallableModulus
-        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0),
+        c = CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5),
                            rho=CallableModulus(fn=lambda z: np.sqrt(z)))
         report = validate_assum1(c, SamplingPlan(budget=100))
         assert condition(report, "dz/rho^2").status == "unchecked"
@@ -101,7 +101,7 @@ class TestAssum1:
     def test_divergence_declaration_is_honored(self):
         from mfjump.coeffs import CallableModulus
         for declared, expected in ((True, "pass"), (False, "fail")):
-            c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0),
+            c = CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5),
                                rho=CallableModulus(fn=lambda z: np.sqrt(z),
                                                    sq_integral_diverges=declared))
             report = validate_assum1(c, SamplingPlan(budget=100))
@@ -114,7 +114,7 @@ class TestAssum1:
                                                 lambda rng, size: rng.exponential(0.5, size)),
                             mu=mu, dominator=lambda u: u)
         # integral |g1| d(mu) = min(x,1) * 1.0 <= 1 * (1 + x): declare K = 1
-        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0),
+        c = CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5),
                            rho=PowerModulus(1.0, 0.5), g1=kernel, growth_k=1.0,
                            r_m=lambda m: PowerModulus(mu.first_moment(), 1.0))
         report = validate_assum1(c, SamplingPlan(budget=400))
@@ -125,7 +125,7 @@ class TestAssum1:
         # check evaluated, where g0 really is non-zero
         def g0(x, u):
             return np.where(x < -5.0, u * x, 0.0)
-        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0), rho=PowerModulus(1.0, 0.5),
+        c = CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5), rho=PowerModulus(1.0, 0.5),
                            g0=g0, mu0=PointMassMeasure(atoms=((1.0, 1.0),)))
         cond = condition(validate_assum1(c, SamplingPlan(budget=400)),
                          "g0(x,u) = 0 for x <= 0")
@@ -136,7 +136,7 @@ class TestAssum1:
 
 class TestAssum2:
     def test_increasing_sigma(self):
-        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0), rho=PowerModulus(1.0, 0.5))
+        c = CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5), rho=PowerModulus(1.0, 0.5))
         report = validate_assum2(c)
         cond = condition(report, "bounded or increasing")
         assert cond.status == "pass" and "increasing" in cond.detail
@@ -153,7 +153,7 @@ class TestAssum2:
                             measure=MeasureSpec("g1", 2.0,
                                                 lambda rng, size: rng.exponential(0.5, size)),
                             mu=mu, dominator=lambda u: u)
-        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0),
+        c = CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5),
                            rho=PowerModulus(1.0, 0.5), g1=kernel, growth_k=1.0)
         report = validate_assum2(c)
         assert report.passed  # increasing branch already holds for this g1
@@ -166,7 +166,7 @@ class TestAssum2:
                             measure=MeasureSpec("g1", 2.0,
                                                 lambda rng, size: rng.exponential(0.5, size)),
                             mu=mu, dominator=Identity())
-        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0),
+        c = CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5),
                            rho=PowerModulus(1.0, 0.5), g1=kernel, growth_k=1.0)
         report = validate_assum2(c)
         cond = condition(report, "increasing or dominated")
@@ -178,7 +178,7 @@ class TestAssum2:
                             measure=MeasureSpec("g1", 2.0,
                                                 lambda rng, size: rng.exponential(0.5, size)),
                             mu=mu)
-        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0),
+        c = CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5),
                            rho=PowerModulus(1.0, 0.5), g1=kernel, growth_k=1.0)
         assert not validate_assum2(c).passed
 
@@ -234,7 +234,7 @@ class NanAverage:
 def jump_set(g0=None, mu0=None, g1=None, mu1=None, dominator=None, **kw):
     g1 = None if g1 is None else JumpKernel(fn=g1, measure=MeasureSpec("g1", 1.0, None),
                                             mu=mu1, dominator=dominator)
-    return CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0), rho=PowerModulus(1.0, 0.5),
+    return CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5), rho=PowerModulus(1.0, 0.5),
                           g0=g0, mu0=mu0, g1=g1, **kw)
 
 
@@ -321,7 +321,7 @@ class TestNonFinite:
                                        lambda z: np.where(z > 0.5, np.nan, z), x_m=1.0).passed
 
     def test_nan_drift(self):
-        c = CoefficientSet(a=1.0, sigma=SqrtDiffusion(1.0))
+        c = CoefficientSet(a=1.0, sigma=PowerDiffusion(1.0, 0.5))
         drift = DriftSpec.mean_field(NanAverage(), growth_bound=0.0, growth_slope=0.5)
         spec = SystemSpec(components=(c, c), drifts=(drift, drift), initial=[1.0, 1.0])
         report = validate_drift(spec, SamplingPlan(budget=200))

@@ -11,14 +11,14 @@ from mfjump import (CadlagPath, DriftSpec, EventArrays, NumericsError,
                     make_batch, preset_cbi_thinning, preset_cir, preset_example21,
                     solve_batch)
 from mfjump.coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, JumpKernel,
-                           PowerDiffusion, PowerModulus, SqrtDiffusion,
-                           ThinningKernel, ThinningMarkSampler)
+                           PowerDiffusion, PowerModulus, ThinningKernel,
+                           ThinningMarkSampler)
 from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout
 from mfjump.solver import Forcing, _prepare_parts
 
 
 def deterministic_coeffs(a=1.0):
-    return CoefficientSet(a=a, sigma=SqrtDiffusion(0.0), rho=PowerModulus(1.0, 0.5))
+    return CoefficientSet(a=a, sigma=PowerDiffusion(0.0, 0.5), rho=PowerModulus(1.0, 0.5))
 
 
 def empty_batch(grid):
@@ -81,7 +81,7 @@ class TestPureJumpBookkeeping:
         kernel = JumpKernel(fn=AddMark(),
                             measure=MeasureSpec("g1", 0.0, lambda rng, n: []),
                             mu=None)
-        coeffs = CoefficientSet(a=0.0, sigma=SqrtDiffusion(0.0),
+        coeffs = CoefficientSet(a=0.0, sigma=PowerDiffusion(0.0, 0.5),
                                 rho=PowerModulus(1.0, 0.5), g1=kernel)
         grid = TimeGrid.uniform(1.0, 8)
         tau, jump = 0.3, 0.75
@@ -119,7 +119,7 @@ def pure_jump_component(g0_fn, g0_measure, g1_fn=None, g1_measure=None):
     """a = 0, no diffusion, zero compensator: only the jumps move the state."""
     g0 = CompensatedKernel(fn=g0_fn, measure=g0_measure, mu=None, compensator=Zero())
     g1 = None if g1_fn is None else JumpKernel(fn=g1_fn, measure=g1_measure, mu=None)
-    return CoefficientSet(a=0.0, sigma=SqrtDiffusion(0.0), rho=PowerModulus(1.0, 0.5),
+    return CoefficientSet(a=0.0, sigma=PowerDiffusion(0.0, 0.5), rho=PowerModulus(1.0, 0.5),
                           g0_finite=g0, g1=g1)
 
 
@@ -649,7 +649,7 @@ class TestStackedGroups:
 
     def test_zero_loading_gives_a_positive_zero_increment(self):
         # dw = 0 + sum of weight * B, as sum() adds: -0.0 becomes 0.0
-        comp = CoefficientSet(a=1.0, sigma=SqrtDiffusion(0.3),
+        comp = CoefficientSet(a=1.0, sigma=PowerDiffusion(0.3, 0.5),
                               brownian=(BrownianTerm(factor=0, weight=-0.0),),
                               rho=PowerModulus(1.0, 0.5))
         batch = make_batch(TimeGrid.uniform(1.0, 8), NoiseLayout(brownian_factors=(0,)),

@@ -1,4 +1,5 @@
 import math
+import types
 import weakref
 
 import numpy as np
@@ -212,6 +213,36 @@ class TestEnsemble:
         assert out == ([0, 4, 8, 12], ["block 0", "shared", "even", "block 4",
                                        "block 8", "block 12"])
 
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (100000, 3, 3), (100000, 8, 4), (2, 8, 2), (100000, None, 1)])
+    def test_pool_has_no_more_workers_than_jobs_blocks_or_cpus(self, monkeypatch, jobs,
+                                                               cpus, workers):
+        # a stand-in pool records its size and maps serially, so no test
+        # starts a large pool
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)
+        grid = TimeGrid.uniform(1.0, 4)
+        serial = mfjump.system.map_blocks(warning_block, spec, grid, [1], 14, 4, 0, 1)
+        monkeypatch.setattr(mfjump.system, "multiprocessing",
+                            types.SimpleNamespace(Pool=SerialPool))
+        monkeypatch.setattr(mfjump.system, "os", types.SimpleNamespace(cpu_count=lambda: cpus))
+        assert mfjump.system.map_blocks(warning_block, spec, grid, [1], 14, 4, 0, jobs) == serial
+        assert sizes == [workers]
+
     def test_slab_width_is_set_by_the_scenario(self):
         # 4 MiB of (N, rows, n_steps) float64, in whole 512-path blocks
         assert mfjump.system._slab_rows(1, 512) == 1024  # thinned-jumps
@@ -239,9 +270,10 @@ class TestEnsemble:
         assert one.warnings == three.warnings
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_slab_raises_the_first_failing_blocks_error(self, monkeypatch, jobs):
+    def test_slab_error_names_a_path_that_fails_alone(self, monkeypatch, jobs):
         # path 858 (block 2) overflows at step 10, before path 321 (block 1)
-        # at step 14; a block-by-block run reports path 321
+        # at step 14; a two-block slab reports its own solve's error, and
+        # path 858 replayed alone fails at the same step and component
         from mfjump.coeffs import BrownianTerm
         comp = CoefficientSet(a=1.0, sigma=PowerDiffusion(50.0, 3.0),
                               brownian=(BrownianTerm(factor=1, weight=1.0),),
@@ -257,8 +289,12 @@ class TestEnsemble:
         monkeypatch.setattr(mfjump.system, "_SLAB_BYTES", slab_bytes(2, 1, 64))
         with pytest.raises(NumericsError) as err:
             run_ensemble(spec, grid, 1536, 0, jobs=jobs)
-        assert (err.value.path_index, err.value.step) == (321, 14)
-        assert "path 321" in str(err.value)
+        assert str(err.value) == str(slab_err.value)
+        path = err.value.path_index
+        with pytest.raises(NumericsError) as lone:
+            solve_system(spec, make_batch(grid, spec.noise_layout(), 0, [path]))
+        assert (lone.value.path_index, lone.value.step, lone.value.component) == (
+            path, err.value.step, err.value.component)
 
     def test_rejects_empty_ensemble(self):
         spec = preset_cir(a=1.0, b=2.0, sigma=0.5, initial=1.0)

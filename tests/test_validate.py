@@ -11,7 +11,7 @@ import pytest
 from mfjump import (CoefficientSet, DriftSpec, PointMassMeasure, PowerModulus,
                     SystemSpec, load_scenario, validate)
 from mfjump.cli import main
-from mfjump.coeffs import SqrtDiffusion
+from mfjump.coeffs import PowerDiffusion
 from mfjump.validate import SamplingPlan
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -138,7 +138,7 @@ class EqualityRaises:
 
 def two_components(**fields):
     """Two components that differ only in ``fields`` (name -> (first, second))."""
-    base = dict(a=1.0, sigma=SqrtDiffusion(0.5), rho=PowerModulus(0.5, 0.5))
+    base = dict(a=1.0, sigma=PowerDiffusion(0.5, 0.5), rho=PowerModulus(0.5, 0.5))
     comps = tuple(CoefficientSet(**{**base, **{k: v[i] for k, v in fields.items()}})
                   for i in (0, 1))
     return SystemSpec(components=comps, drifts=(DriftSpec.constant(1.0),) * 2,
