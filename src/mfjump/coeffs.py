@@ -194,14 +194,17 @@ class StableJumpMeasure:
 
         Near 0 an integrand with fn ~ u^2 decays like e^((2 - alpha) t), and
         far out one with fn ~ u like e^((1 - alpha) t). The rule covers
-        _LOG_SPAN of those decay lengths below the smallest breakpoint (or 1)
-        and above the largest, within |t| <= 300 where u^2 and u^-alpha are
-        normal floats, and adds the head and tail beyond in closed form for
-        those two laws. They are exact for the validators' stable-kernel
-        integrands, which are proportional to u^2 near 0 and to u, or 0, far
-        out."""
+        _LOG_SPAN of those decay lengths below the smaller of 1 and the
+        smallest breakpoint and above the larger of 1 and the largest, within
+        |t| <= 300 where u^2 and u^-alpha are normal floats, and adds the
+        head and tail beyond in closed form for those two laws. They are
+        exact for the validators' stable-kernel integrands, which are
+        proportional to u^2 near 0 and to u, or 0, far out, as long as their
+        kinks lie within |t| <= 300. The validators pass those kinks, a
+        stable power kernel's crossings of the truncation level, as
+        breakpoints."""
         alpha = self.alpha
-        logs = [math.log(p) for p in breakpoints if p > 0.0] or [0.0]
+        logs = [0.0] + [math.log(p) for p in breakpoints if p > 0.0]
         lo = max(min(logs) - _LOG_SPAN / (2.0 - alpha), -300.0)
         hi = min(max(logs) + _LOG_SPAN / (alpha - 1.0), 300.0)
 

@@ -107,15 +107,15 @@ def preset_example21(n: int, a=1.0, sigma=1.0, sigma0: float = 0.0, sigma_z=0.0,
         if sigma_z[i] > 0.0:
             stable.append(StableTerm(factor=i + 1, coef=sigma_z[i], alpha=alpha[i]))
 
-        # validation-side jump kernel: only alpha < 2 terms carry a Levy measure
-        jump_terms = [(t.coef, t.alpha, 0 if t.factor == 0 else 1)
-                      for t in stable if t.alpha < 2.0]
+        # validation-side jump kernel: only alpha < 2 terms carry a Levy
+        # measure, and term j's jumps lie on mark axis j, the row it reads
+        jump_terms = [t for t in stable if t.alpha < 2.0]
         if jump_terms:
-            coefs = tuple(c for c, _a, _ax in jump_terms)
-            alphas_v = tuple(al for _c, al, _ax in jump_terms)
+            coefs = tuple(t.coef for t in jump_terms)
+            alphas_v = tuple(t.alpha for t in jump_terms)
             g0 = StablePowerKernel(coefs=coefs, alphas=alphas_v)
             mu0 = AxisSumMeasure(terms=tuple(
-                (StableJumpMeasure(al), ax, 2) for _c, al, ax in jump_terms))
+                (StableJumpMeasure(al), j, len(alphas_v)) for j, al in enumerate(alphas_v)))
             rho_m = StableTruncModulus(coefs=coefs, alphas=alphas_v)
         else:
             g0, mu0, rho_m = None, None, LipschitzModulus()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import (AxisSumMeasure, CoefficientSet, PointMassMeasure, PowerModulus,
-                     SystemSpec, ThinningMarkMeasure, drift_values)
+                     StablePowerKernel, SystemSpec, ThinningMarkMeasure, drift_values)
 
 PASS, FAIL, UNCHECKED = "pass", "fail", "unchecked"
 
@@ -105,6 +105,19 @@ def _state_breakpoints(mu, *states) -> tuple:
     """Mark points where a kernel integrand over ``mu`` jumps with the state:
     under a thinning measure the indicator 1{v < x} switches at v = x."""
     return states if isinstance(mu, ThinningMarkMeasure) else ()
+
+
+def _crossings(kernel, level, *states) -> tuple:
+    """Marks where a stable power kernel's term j reaches ``level`` at each
+    state x > 0, u = level / (coef_j * x^(1/alpha_j)): there ``min(g, level)``
+    and ``min(|g|, g^2)`` (level 1) switch branch. Other kernels give ().
+    A crossing beyond the largest float is inf, which no quadrature reaches."""
+    if not isinstance(kernel, StablePowerKernel):
+        return ()
+    with np.errstate(over="ignore", divide="ignore"):
+        return tuple(level / (coef * np.float64(x) ** (1.0 / alpha))
+                     for coef, alpha in zip(kernel.coefs, kernel.alphas) if coef > 0.0
+                     for x in states if x > 0.0)
 
 
 def _divergence_status(modulus, which: str):
@@ -230,7 +243,8 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
         def small_or_square(g):
             return np.minimum(np.abs(g), g ** 2)
         vals = np.array([c.mu0.integrate(lambda u: small_or_square(c.g0(x, u)),
-                                         breakpoints=_state_breakpoints(c.mu0, x))
+                                         breakpoints=_state_breakpoints(c.mu0, x)
+                                         + _crossings(c.g0, 1.0, x))
                          for x in states])
         finite = np.all(np.isfinite(vals))
         report.add("integral |g0| ^ |g0|^2 d(mu0) locally bounded",
@@ -242,7 +256,7 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
             report, rng, "g0", c.rho_m, "rho_m", 2,
             lambda x, y, m: c.mu0.integrate(
                 lambda u: (np.minimum(c.g0(x, u), m) - np.minimum(c.g0(y, u), m)) ** 2,
-                breakpoints=_state_breakpoints(c.mu0, x, y)))
+                breakpoints=_state_breakpoints(c.mu0, x, y) + _crossings(c.g0, m, x, y)))
     else:
         report.add("g0 conditions", PASS, "vacuous: component has no compensated jump kernel")
 

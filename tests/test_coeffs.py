@@ -1,18 +1,20 @@
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from mfjump import (CadlagPath, DriftSpec, ExponentialMeasure, PointMassMeasure,
-                    PowerModulus, SamplingPlan, StaircasePath, TimeGrid, make_batch,
-                    preset_cbi_thinning, preset_cir, preset_example21, thinning_system,
-                    validate_assum1, validate_assum2, validate_assum_uniq,
-                    validate_drift, validate_system)
+                    PowerModulus, SamplingPlan, StaircasePath, TimeGrid, coeffs,
+                    load_scenario, make_batch, preset_cbi_thinning, preset_cir,
+                    preset_example21, thinning_system, validate_assum1, validate_assum2,
+                    validate_assum_uniq, validate_drift, validate_system)
 from mfjump.coeffs import (AxisSumMeasure, CoefficientSet, JumpKernel, LinearInTime,
                            MeanFieldAverage, PowerDiffusion, StableJumpMeasure, SystemSpec,
-                           ThinningMarkMeasure, drift_values, stable_levy_constant)
+                           ThinningMarkMeasure, drift_values, panel_quadrature,
+                           stable_levy_constant)
 from mfjump.noise import MeasureSpec
 
 from _helpers import permute_system
@@ -89,7 +91,45 @@ class TestAssum1:
         assert condition(report, "g0(x,u) + x >= 0").status == "pass"
         assert condition(report, "g0(x,u) = 0 for x <= 0").status == "pass"
         assert condition(report, "truncated L2").status == "pass"
+        assert condition(report, "locally bounded").detail != "max over sampled states: 0"
         assert report.passed
+
+    def test_own_and_common_stable_driver_validate_alike(self):
+        # kernel term j reads mark row j, where its measure puts the jumps: a
+        # component with only its own stable driver and one with only the
+        # common driver, of one law, get one report
+        own = preset_example21(1, sigma=0.5, sigma_z=0.3, alpha=1.5).components[0]
+        common = preset_example21(1, sigma=0.5, sigma_z0=0.3, alpha0=1.5).components[0]
+        own_report, common_report = (validate_assum1(c, SamplingPlan(budget=400))
+                                     for c in (own, common))
+        assert own_report.conditions == common_report.conditions
+        assert condition(own_report, "locally bounded").detail == "max over sampled states: 3.933"
+
+    @pytest.mark.parametrize("coef", [1e-320, 5e-324])
+    def test_a_crossing_beyond_every_float_warns_nothing(self, coef):
+        # level / (coef * x^(1/alpha)) overflows, or divides by an underflowed 0
+        comp = preset_example21(1, sigma=0.5, sigma_z=coef, alpha=1.5).components[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_assum1(comp, SamplingPlan(budget=100)).passed
+
+    def test_stable_kinks_are_panel_edges(self, monkeypatch):
+        # every kink of a stable power kernel's integrand is a panel edge, so
+        # each quadrature of a correlated-intensities law accepts on its
+        # second pass: 128 integrand calls over 64 quadratures, against 589
+        # when the rule has to find the kinks
+        calls = []
+
+        def counting(fn, lo, hi, points=()):
+            def counted(t):
+                calls.append(t.size)
+                return fn(t)
+            return panel_quadrature(counted, lo, hi, points)
+        monkeypatch.setattr(coeffs, "panel_quadrature", counting)
+        spec = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                                          "correlated-intensities.json")).system
+        assert validate_assum1(spec.components[0]).passed
+        assert len(calls) <= 200
 
     def test_divergence_unchecked_for_undeclared_callable(self):
         from mfjump.coeffs import CallableModulus

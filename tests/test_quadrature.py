@@ -1,6 +1,7 @@
 """Every measure's ``integrate`` against closed forms, and against scipy's
 ``quad`` where there is none. Integrands get arrays of marks and answer
-elementwise; several have a kink that is not passed as a breakpoint."""
+elementwise; several have a kink that is not passed as a breakpoint, and the
+stable-kernel cases also run with the validators' breakpoints."""
 import math
 import os
 import subprocess
@@ -11,12 +12,13 @@ import pytest
 from scipy import integrate
 
 import mfjump
-from mfjump import ExponentialMeasure, PointMassMeasure, preset_example21, yw_sequence
+from mfjump import (ExponentialMeasure, PointMassMeasure, coeffs, preset_example21,
+                    yw_sequence)
 from mfjump.coeffs import (CallableModulus, StableJumpMeasure, StablePowerKernel,
                            ThinningKernel, ThinningMarkMeasure, panel_quadrature,
                            stable_levy_constant)
 from mfjump.uniqueness import _inv_rho_sq_integral
-from mfjump.validate import _state_breakpoints
+from mfjump.validate import _crossings, _state_breakpoints
 
 ALPHAS = (1.2, 1.5, 1.8)
 
@@ -65,36 +67,85 @@ class TestPanelQuadrature:
 
 
 class TestStableJumpMeasure:
+    # each closed-form case runs twice: with no breakpoint (the default of
+    # ``crossings``), and with the validators' ``_crossings`` as breakpoints
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("x", [0.01, 0.5, 1.25, 3.0, 10.0])
-    def test_small_or_square_of_the_stable_kernel(self, alpha, x):
+    def test_small_or_square_of_the_stable_kernel(self, alpha, x, crossings=False):
         kernel = StablePowerKernel(coefs=(0.3,), alphas=(alpha,))
-        val = StableJumpMeasure(alpha).integrate(lambda u: small_or_square(kernel(x, (u,))))
+        val = StableJumpMeasure(alpha).integrate(
+            lambda u: small_or_square(kernel(x, (u,))),
+            breakpoints=_crossings(kernel, 1.0, x) if crossings else ())
         expected = stable_small_or_square(0.3 * x ** (1 / alpha), alpha)
         assert val == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("x", [0.01, 0.5, 1.25, 3.0, 10.0])
+    def test_small_or_square_at_the_crossings(self, alpha, x):
+        self.test_small_or_square_of_the_stable_kernel(alpha, x, crossings=True)
 
     @pytest.mark.parametrize("alpha", ALPHAS + (1.95,))
     @pytest.mark.parametrize("m", [1.0, 5.0])
     @pytest.mark.parametrize("fx, fy", [(0.01, 0.3), (0.1, 0.7), (0.4, 0.95), (0.7, 1.0)])
-    def test_truncated_l2_of_the_stable_kernel(self, alpha, m, fx, fy):
-        # the two kinks, at u = m/a and m/b, are not passed as breakpoints
+    def test_truncated_l2_of_the_stable_kernel(self, alpha, m, fx, fy, crossings=False):
+        # the two kinks, at u = m/a and m/b, are either not passed at all or
+        # passed as breakpoints, as the validator's _crossings(kernel, m, x, y)
         kernel = StablePowerKernel(coefs=(0.2,), alphas=(alpha,))
         x, y = fx * m, fy * m
         val = StableJumpMeasure(alpha).integrate(
-            lambda u: (np.minimum(kernel(x, (u,)), m) - np.minimum(kernel(y, (u,)), m)) ** 2)
+            lambda u: (np.minimum(kernel(x, (u,)), m) - np.minimum(kernel(y, (u,)), m)) ** 2,
+            breakpoints=_crossings(kernel, m, x, y) if crossings else ())
         a, b = 0.2 * x ** (1 / alpha), 0.2 * y ** (1 / alpha)
         assert val == pytest.approx(stable_truncated_l2(a, b, m, alpha), rel=1e-8)
 
-    def test_axis_sum_of_the_correlated_preset(self):
+    @pytest.mark.parametrize("alpha", ALPHAS + (1.95,))
+    @pytest.mark.parametrize("m", [1.0, 5.0])
+    @pytest.mark.parametrize("fx, fy", [(0.01, 0.3), (0.1, 0.7), (0.4, 0.95), (0.7, 1.0)])
+    def test_truncated_l2_at_the_crossings(self, alpha, m, fx, fy):
+        self.test_truncated_l2_of_the_stable_kernel(alpha, m, fx, fy, crossings=True)
+
+    def test_axis_sum_of_the_correlated_preset(self, crossings=False):
         # the measure and kernel the validators integrate for a component of
         # the correlated system: one stable term per axis
         comp = preset_example21(1, sigma=0.4, sigma0=0.2, sigma_z=0.2, sigma_z0=0.1,
                                 alpha=1.8, alpha0=1.5).components[0]
         for x in (0.3, 2.5, 10.0):
-            val = comp.mu0.integrate(lambda u: small_or_square(comp.g0(x, u)))
+            val = comp.mu0.integrate(lambda u: small_or_square(comp.g0(x, u)),
+                                     breakpoints=_crossings(comp.g0, 1.0, x) if crossings else ())
             expected = sum(stable_small_or_square(coef * x ** (1 / alpha), alpha)
                            for coef, alpha in zip(comp.g0.coefs, comp.g0.alphas))
             assert val == pytest.approx(expected, rel=1e-8)
+
+    def test_axis_sum_at_the_crossings(self):
+        self.test_axis_sum_of_the_correlated_preset(crossings=True)
+
+    def test_span_reaches_u_one_past_a_far_breakpoint(self):
+        # a breakpoint at 1e100 must not move the span off the integrand,
+        # whose mass lies around u = 1 / (0.3 * 2^(2/3))
+        kernel = StablePowerKernel(coefs=(0.3,), alphas=(1.5,))
+        measure = StableJumpMeasure(1.5)
+        plain = measure.integrate(lambda u: small_or_square(kernel(2.0, (u,))))
+        far = measure.integrate(lambda u: small_or_square(kernel(2.0, (u,))),
+                                breakpoints=(1e100,))
+        assert far == pytest.approx(plain, rel=1e-9)
+
+    def test_crossing_of_a_state_near_zero(self, monkeypatch):
+        # at x = 1e-250 the crossing lies beyond e^300, the rule's reach: the
+        # span must still run upwards, and it drops only mass beyond e^300
+        kernel = StablePowerKernel(coefs=(0.3,), alphas=(1.5,))
+        x = 1e-250
+        (crossing,) = _crossings(kernel, 1.0, x)
+        assert math.isfinite(crossing) and math.log(crossing) > 300.0
+        spans = []
+
+        def recording(fn, lo, hi, points=()):
+            spans.append((lo, hi))
+            return panel_quadrature(fn, lo, hi, points)
+        monkeypatch.setattr(coeffs, "panel_quadrature", recording)
+        val = StableJumpMeasure(1.5).integrate(lambda u: small_or_square(kernel(x, (u,))),
+                                               breakpoints=(crossing,))
+        assert [lo < hi for lo, hi in spans] == [True]
+        assert 0.0 <= val <= stable_small_or_square(0.3 * x ** (1 / 1.5), 1.5)
 
     def test_smooth_integrand_matches_quad(self):
         alpha = 1.5
