@@ -101,7 +101,11 @@ def _steps(scenario: Scenario, args) -> int:
         return scenario.grid_steps
     if not (math.isfinite(args.dt) and args.dt > 0):
         raise ScenarioError(f"--dt must be finite and positive, got {args.dt}")
-    steps = round(scenario.horizon / args.dt)
+    ratio = scenario.horizon / args.dt
+    if not math.isfinite(ratio):
+        raise ScenarioError(f"--dt is too small for the horizon {scenario.horizon}, "
+                            f"got {args.dt}")
+    steps = round(ratio)
     if steps < 1 or not np.isclose(steps * args.dt, scenario.horizon):
         raise ScenarioError(f"--dt {args.dt} does not tile the horizon "
                             f"{scenario.horizon}")

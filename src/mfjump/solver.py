@@ -120,24 +120,11 @@ class _Part:
         return cb, dw, dz
 
 
-@dataclass(frozen=True)
-class JumpLog:
-    """The non-zero jumps a solve applied, as arrays in application order,
-    which is time order for each (row, component)."""
-
-    rows: np.ndarray
-    components: np.ndarray
-    times: np.ndarray
-    left: np.ndarray  # state just before the jump
-    right: np.ndarray  # state just after it
-
-
 @dataclass
 class BatchResult:
-    """Raw arrays from one batched solve."""
+    """The states and warnings of one batched solve."""
 
     values: np.ndarray  # (n_components, n_paths, n_points)
-    jumps: JumpLog
     warnings: list
 
 
@@ -175,23 +162,7 @@ def _prepare_parts(components, batch: NoiseBatch):
     return parts, warns
 
 
-@dataclass
-class _EventPlan:
-    """The events a solve applies, flattened into application order.
-
-    ``steps[k - k_start]`` lists the segments of step k as ``(component, fn,
-    rows, marks, lo, hi)``: events ``lo:hi`` share one kernel and one step and
-    touch distinct rows, so one fancy-indexed call ``fn(x[rows], marks)``
-    applies them.
-    """
-
-    rows: np.ndarray
-    times: np.ndarray
-    components: np.ndarray
-    steps: list
-
-
-def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> _EventPlan:
+def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> list:
     """Bin every kernel's events into steps [k_start, k_stop) of the grid.
 
     An event at time t in (t_k, t_{k+1}] is applied at the end of step k;
@@ -199,6 +170,11 @@ def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> _Ev
     its events in (time, g0_finite before g1, event index) order, one round
     per event, so each sees the state its predecessor left; events of
     different cells commute.
+
+    Item ``k - k_start`` lists the segments of step k as ``(component, fn,
+    rows, marks)``: a segment's events share one kernel and one step and
+    touch distinct rows, so one fancy-indexed call ``fn(x[rows], marks)``
+    applies them.
     """
     points = batch.grid.points
     sources, cols = [], []
@@ -231,15 +207,15 @@ def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> _Ev
     # segments run in (step, round, kernel) order and hold distinct cells
     seg_key = (step * (rounds.max(initial=0) + 1) + rounds) * len(sources) + kern
     order = np.argsort(seg_key, kind="stable")
-    seg_key, step, rows, times, comp, mark_idx, kern = (
-        a[order] for a in (seg_key, step, rows, times, comp, mark_idx, kern))
+    seg_key, step, rows, mark_idx, kern = (
+        a[order] for a in (seg_key, step, rows, mark_idx, kern))
     starts = np.flatnonzero(np.diff(seg_key, prepend=-1) != 0)
     steps = [[] for _ in range(k_start, k_stop)]
     for k, g, lo, hi in zip((step[starts] - k_start).tolist(), kern[starts].tolist(),
                             starts.tolist(), starts[1:].tolist() + [step.size]):
         ci, fn, marks = sources[g]
-        steps[k].append((ci, fn, rows[lo:hi], marks[..., mark_idx[lo:hi]], lo, hi))
-    return _EventPlan(rows=rows, times=times, components=comp, steps=steps)
+        steps[k].append((ci, fn, rows[lo:hi], marks[..., mark_idx[lo:hi]]))
+    return steps
 
 
 def _check_drift_path(path, grid: TimeGrid) -> None:
@@ -295,9 +271,7 @@ def solve_batch(components, drifts, batch: NoiseBatch, initial: np.ndarray,
                          "existence theory assumes b >= 0")
         forcing = Forcing.of(table)
     live_drifts = [drifts[i] for i in live]
-    plan = _bin_events(components, batch, k_start, k_stop)
-    left = np.empty(plan.rows.size)  # per event: state before it, and its size
-    size = np.empty(plan.rows.size)
+    events = _bin_events(components, batch, k_start, k_stop)
 
     values = np.empty((n_comp, n_paths, n_steps + 1))  # the steps fill [k_start, k_stop]
     values[:, :, :k_start] = np.nan
@@ -340,13 +314,10 @@ def solve_batch(components, drifts, batch: NoiseBatch, initial: np.ndarray,
                         acc -= np.multiply(part.compensator(y), dts[k], out=tmp)
                     if fancy:
                         new[part.sel] = acc
-                for ci, fn, rows, marks, lo, hi in plan.steps[k - k_start]:
+                for ci, fn, rows, marks in events[k - k_start]:
                     y = new[ci]
                     x = y[rows]
-                    jump = fn(x, marks)
-                    y[rows] = x + jump
-                    left[lo:hi] = x
-                    size[lo:hi] = jump
+                    y[rows] = x + fn(x, marks)
                 if not np.isfinite(new).all():
                     bad = np.argwhere(~np.isfinite(new))[0]
                     raise NumericsError(step=k + 1, time=float(pts[k + 1]),
@@ -355,10 +326,5 @@ def solve_batch(components, drifts, batch: NoiseBatch, initial: np.ndarray,
                 np.maximum(new, 0.0, out=new)
                 state = new
             values[:, :, k0 + 1:k1 + 1] = chunk.transpose(1, 2, 0)
-
-    done = np.flatnonzero(size != 0.0)
-    jumps = JumpLog(rows=plan.rows[done], components=plan.components[done],
-                    times=plan.times[done], left=left[done],
-                    right=left[done] + size[done])
-    return BatchResult(values=values, jumps=jumps, warnings=warns)
+    return BatchResult(values=values, warnings=warns)
 

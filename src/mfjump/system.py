@@ -37,8 +37,6 @@ def solve_system(spec: SystemSpec, batch: NoiseBatch) -> BatchResult:
 class EnsembleResult:
     """Streaming Monte Carlo summary over an ensemble of trajectories."""
 
-    grid: TimeGrid
-    n_paths: int
     mean: np.ndarray  # (n_components, n_points)
     se: np.ndarray
     avg_mean: np.ndarray  # (n_points,) statistics of the component average
@@ -173,8 +171,7 @@ def run_ensemble(spec: SystemSpec, grid: TimeGrid, n_paths: int, master_seed: in
     (mean, se), (avg_mean, avg_se), (integ_mean, integ_se) = (
         _mean_se([block[i] for block in blocks]) for i in range(3))
     return EnsembleResult(
-        grid=grid, n_paths=n_paths, mean=mean, se=se,
-        avg_mean=avg_mean, avg_se=avg_se,
+        mean=mean, se=se, avg_mean=avg_mean, avg_se=avg_se,
         integral_mean=integ_mean, integral_se=integ_se,
         section_times=grid.points[section_idx],
         section_values=np.concatenate([part["sections"] for part in partials]),

@@ -427,10 +427,13 @@ class TestUsage:
         ["simulate", "--paths", "5", "--dt", "0"],
         ["simulate", "--paths", "5", "--dt", "-0.0"],
         ["simulate", "--paths", "5", "--dt", "nan"],
+        ["simulate", "--paths", "2", "--dt", "1e-320"],
         ["approx", "--dt", "0"],
         ["approx", "--dt", "-0.0"],
         ["approx", "--dt", "nan"],
+        ["approx", "--dt", "1e-320"],
         ["uniqueness", "--dt", "0"],
+        ["uniqueness", "--dt", "5e-324"],
         ["simulate", "--paths", "5", "--seed", "-1"],
         ["approx", "--seed", "-1"],
         ["uniqueness", "--seed", "-1"],
@@ -446,8 +449,13 @@ class TestUsage:
         code = main(argv[:1] + ["--scenario", scen, "--out", str(out), "--jobs", "1"]
                     + argv[1:])
         assert code == 3
-        flag = argv[-2]
-        rule = "must be finite and positive" if flag == "--dt" else "must be at least"
+        flag, value = argv[-2:]
+        if flag != "--dt":
+            rule = "must be at least"
+        elif float(value) > 0:  # horizon / dt overflows a float
+            rule = "is too small for the horizon"
+        else:
+            rule = "must be finite and positive"
         assert f"{flag} {rule}" in capsys.readouterr().err
         assert not out.exists()
 

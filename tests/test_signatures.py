@@ -25,8 +25,6 @@ ALLOWED = {
 # "module.Class.field" of each dataclass field that only the unit tests read
 ALLOWED_FIELDS = {
     "noise.JumpEvent.mark",  # the benchmark's per-path view of an event
-    "solver.JumpLog.left",  # the solve's record of left limits, in README
-    "solver.JumpLog.right",
     "uniqueness.PhiFunctions.offset",  # construction invariants the tests check
     "uniqueness.PhiFunctions.psi_sup_bound",
 }

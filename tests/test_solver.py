@@ -41,13 +41,6 @@ def pair_violations(coeffs, drift_low, drift_high, batch, initial_low, initial_h
     return np.maximum(lo - hi, 0.0)
 
 
-def jumps_of(log, row, component):
-    """``((time, left, right), ...)`` of one path of a jump log, in time order."""
-    sel = (log.rows == row) & (log.components == component)
-    return tuple(zip(log.times[sel].tolist(), log.left[sel].tolist(),
-                     log.right[sel].tolist()))
-
-
 def event_arrays(*events):
     """``EventArrays`` from ``(row, time, mark)`` triples in row, time order;
     tuple marks become the columns of a ``(d, E)`` array."""
@@ -87,12 +80,9 @@ class TestPureJumpBookkeeping:
         tau, jump = 0.3, 0.75
         res = solve_one(coeffs, DriftSpec.constant(0.0),
                         self._single_event_batch(grid, tau, jump), initial=2.0)
-        path = CadlagPath(grid, res.values[0, 0], jumps_of(res.jumps, 0, 0))
-        assert np.all(path.values[grid.points < tau] == 2.0)
-        assert np.all(path.values[grid.points >= tau] == 2.75)
-        assert path.evaluate(tau) == 2.75
-        assert (res.jumps.times.tolist(), res.jumps.left.tolist(),
-                res.jumps.right.tolist()) == ([tau], [2.0], [2.75])
+        values = res.values[0, 0]
+        assert np.all(values[grid.points < tau] == 2.0)
+        assert np.all(values[grid.points >= tau] == 2.75)
 
 
 @dataclass(frozen=True)
@@ -124,12 +114,13 @@ def pure_jump_component(g0_fn, g0_measure, g1_fn=None, g1_measure=None):
 
 
 def scalar_event_reference(components, batch, initial):
-    """Values and jump records of pure-jump components, one event at a time:
-    per (path, component) the events of g0_finite and g1 in (time, g0 before
-    g1, event order), each applied as left + fn(left, mark) on floats."""
+    """Values of pure-jump components, one event at a time, and the number of
+    non-zero jumps applied: per (path, component) the events of g0_finite and
+    g1 in (time, g0 before g1, event order), each applied as
+    left + fn(left, mark) on floats."""
     pts = batch.grid.points
     values = np.empty((len(components), batch.n_paths, pts.size))
-    jumps = {}
+    applied = 0
     for ci, comp in enumerate(components):
         for row, per_measure in enumerate(batch.jump_events):
             events = []
@@ -144,13 +135,12 @@ def scalar_event_reference(components, batch, initial):
             values[ci, row, 0] = y
             for k in range(pts.size - 1):
                 while events and events[0][0] <= pts[k + 1]:
-                    t, _slot, _j, mark, fn = events.pop(0)
+                    _t, _slot, _j, mark, fn = events.pop(0)
                     size = float(fn(y, mark))
-                    if size != 0.0:
-                        jumps.setdefault((row, ci), []).append((t, y, y + size))
+                    applied += size != 0.0
                     y = y + size
                 values[ci, row, k + 1] = y
-    return values, jumps
+    return values, applied
 
 
 class TestVectorisedEvents:
@@ -168,12 +158,9 @@ class TestVectorisedEvents:
     def check(self, components, batch, initial):
         res = solve_batch(components, [DriftSpec.constant(0.0)] * len(components),
                           batch, initial[:, None])
-        values, jumps = scalar_event_reference(components, batch, initial)
+        values, applied = scalar_event_reference(components, batch, initial)
         assert np.array_equal(res.values, values)
-        for row in range(batch.n_paths):
-            for ci in range(len(components)):
-                assert jumps_of(res.jumps, row, ci) == tuple(jumps.get((row, ci), ()))
-        return res
+        return res, applied
 
     def test_hand_placed_events(self):
         # grid 0, .25, .5, .75, 1. Row 0: two "a" events and a "b" event in
@@ -193,17 +180,17 @@ class TestVectorisedEvents:
         batch = NoiseBatch(grid=grid, brownian={}, stable={}, events=events,
                            lineages=((0, 0), (0, 1), (0, 2)))
         initial = np.array([1.0, 2.0, 1.0])
-        res = self.check(self.components(), batch, initial)
-        assert 0.0 not in res.jumps.times.tolist()
-        values, jumps = res.values[0, 0], jumps_of(res.jumps, 0, 0)
-        assert [t for t, _l, _r in jumps] == [0.1, 0.15, 0.2, 0.5, 1.0]
-        assert values[2] == jumps[3][2]  # the 0.5 event lands on t = 0.5
-        assert values[-1] == jumps[4][2]  # the horizon event is applied
+        values = self.check(self.components(), batch, initial)[0].values
+        # row 0, component 0: 1 * 1.5 + 1 + 2.5 * -0.25 in step 0, the 0.5
+        # event on t = 0.5, the horizon event at t = 1, the t = 0 event dropped
+        assert values[0, 0].tolist() == [1.0, 1.875, 2.109375, 2.109375, 2.859375]
         # thinning: accepted at v < x only, two events in one step
-        assert [t for t, _l, _r in jumps_of(res.jumps, 0, 2)] == [0.1, 0.22]
-        assert jumps_of(res.jumps, 1, 0) == ((0.3, 1.0, 1.5), (0.3, 1.5, 2.5))
-        assert jumps_of(res.jumps, 1, 1) == ((0.3, 2.0, 3.0), (0.3, 3.0, 4.5))
-        assert jumps_of(res.jumps, 2, 0) == ()
+        assert values[2, 0].tolist() == [1.0] + [1.0 + 0.4 + 0.2] * 4
+        # row 1 at t = 0.3: g0 before g1, where the reverse order gives 3.0
+        # and 4.0; the t = 0 "b" event is dropped
+        assert values[0, 1].tolist() == [1.0, 1.0, 2.5, 2.5, 2.5]
+        assert values[1, 1].tolist() == [2.0, 2.0, 4.5, 4.5, 4.5]
+        assert (values[:, 2] == initial[:, None]).all()
 
     def test_dense_random_events(self):
         # about 7 events per path and measure in each of 4 steps, so most
@@ -213,8 +200,8 @@ class TestVectorisedEvents:
             k.measure for k in (comps[0].g0_finite, comps[0].g1, comps[2].g0_finite)))
         grid = TimeGrid.uniform(1.0, 4)
         batch = make_batch(grid, layout, 5, range(40))
-        res = self.check(comps, batch, np.array([1.0, 2.0, 1.5]))
-        assert res.jumps.times.size > 1000
+        _res, applied = self.check(comps, batch, np.array([1.0, 2.0, 1.5]))
+        assert applied > 1000
 
 
 class TestCirMean:
@@ -331,10 +318,6 @@ class TestThinnedJumps:
         target = 1.0 + math.exp(-1.0)
         se = terminal.std(ddof=1) / math.sqrt(terminal.size)
         assert abs(terminal.mean() - target) < 3 * se
-        # accepted events were recorded with their left limits
-        n_jumps = res.jumps.times.size
-        assert n_jumps > 0
-        assert res.jumps.right - res.jumps.left == pytest.approx(np.full(n_jumps, 0.4))
 
 
 class TestStaircaseDrift:
@@ -501,7 +484,7 @@ def jumping_example21(a):
 
 class TestChunkedSteps:
     """solve_batch gathers its operands a chunk of steps at a time; where the
-    chunks end must not show in any value or jump."""
+    chunks end must not show in any value."""
 
     @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]], ids=["slice", "fancy"])
     @pytest.mark.parametrize("forced", [False, True], ids=["mean-field", "forced"])
@@ -514,19 +497,15 @@ class TestChunkedSteps:
             forcing = np.random.default_rng(4).uniform(0.5, 2.0, (3, 16, n_steps))
         full = solve_batch(spec.components, spec.drifts, batch,
                            spec.initial[:, None], forcing=forcing)
-        assert full.jumps.times.size > 100
+        assert sum(ev.times.size for ev in batch.events.values()) > 100
         state = np.broadcast_to(spec.initial[:, None], (3, 16))
-        values, logs = [state], []
+        values = [state]
         for k in range(n_steps):
             step = solve_batch(spec.components, spec.drifts, batch, state,
                                forcing=forcing, k_start=k, k_stop=k + 1)
             state = step.values[:, :, k + 1]
             values.append(state)
-            logs.append(step.jumps)
         assert np.array_equal(np.stack(values, axis=-1), full.values)
-        for name in ("rows", "components", "times", "left", "right"):
-            chained = np.concatenate([getattr(log, name) for log in logs])
-            assert np.array_equal(chained, getattr(full.jumps, name)), name
 
     def test_blowup_past_the_first_chunk_names_its_step_and_path(self):
         spec = jumping_example21(1.0)
@@ -569,7 +548,6 @@ class TestRowForcing:
                         forcing=forcing, k_start=k_start, k_stop=k_stop)
             for forcing in (rows, full))
         assert np.array_equal(by_rows.values, by_table.values, equal_nan=True)
-        assert np.array_equal(by_rows.jumps.right, by_table.jumps.right)
 
     def test_reads_as_its_full_table(self):
         rows = self.rows()
