@@ -14,8 +14,10 @@ a block's noise once, on the finest rung of a step ladder; the block solves
 the hierarchy on that draw coarsened onto every rung and returns only
 reductions: per-level path moments, per-pair ordering statistics and per-path
 sup gaps, which the parent merges in block order. A block reduces each level
-as soon as it is built and drops the one before. Of full-grid size it holds
-only its noise draw and two levels' values, plus a ``staircase`` level's
+as soon as it is built and drops the one before. It gathers each rung's draw
+once (``solver.gather``) for all of the rung's levels and drops the draw
+before the first level is solved. Of full-grid size it then holds only the
+gathered noise and two levels' values, plus a ``staircase`` level's
 forcing: a ``realized`` level's forcing is one row per partition interval,
 and the interval infima, the pair statistics and the moments are taken a
 column slice or a component at a time. A single grid is the one-rung ladder.
@@ -29,7 +31,7 @@ import numpy as np
 
 from .coeffs import SystemSpec, drift_values
 from .noise import NoiseBatch, TimeGrid
-from .solver import Forcing, solve_batch
+from .solver import Forcing, gather, solve_batch
 from .staircase import envelope_rows
 from .system import _chan_merge, _mean_se, _moments, map_blocks
 
@@ -147,9 +149,13 @@ class HierarchyBatch:
 def _iter_levels(spec: SystemSpec, batch: NoiseBatch, n_max: int, mode: str):
     """Levels 1 .. n_max of one hierarchy, each built from the one before. The
     generator holds only the last level it yielded, so a consumer that drops a
-    level once the next arrives holds two at a time."""
+    level once the next arrives holds two at a time. Every level is solved on
+    the one draw, so the generator gathers it once and keeps only that: a
+    caller that drops ``batch`` after the call frees the draw before the
+    first level is solved."""
     if n_max < 2:
         raise ValueError("need n_max >= 2")
+    batch = gather(spec.components, batch)
     level = build_level_one(spec, batch)
     yield level
     while level.n < n_max:
@@ -265,12 +271,15 @@ def _ladder_block(spec, n_max, mode, _lo, rungs):
     levels are built. A level is dropped once the next is reduced, and a
     ``realized`` level drops its forcing once solved (the next level needs
     only its infima; a ``staircase`` level keeps it for the next level's
-    running max), so the block holds two levels at a time. The moments are
-    taken one component at a time. The block's solver warnings come second."""
+    running max), so the block holds two levels at a time, and the rung's
+    gathered noise in place of its draw. The moments are taken one component
+    at a time. The block's solver warnings come second."""
     out, warns = [], []
     for batch in rungs:
         moments, pairs, prev = [], [], None
-        for level in _iter_levels(spec, batch, n_max, mode):
+        levels = _iter_levels(spec, batch, n_max, mode)
+        del batch  # the levels' gathered operands replace the draw
+        for level in levels:
             warns += level.warnings
             if mode == "realized":
                 level.forcing = None
@@ -279,7 +288,7 @@ def _ladder_block(spec, n_max, mode, _lo, rungs):
             if prev is not None:
                 pairs.append(_pair_stats(prev, level))
             prev = level
-        del batch, level, prev  # the next rung needs none of this one
+        del levels, level, prev  # the next rung needs none of this one
         out.append((moments, pairs))
     return out, warns
 

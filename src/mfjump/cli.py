@@ -112,6 +112,19 @@ def _steps(scenario: Scenario, args) -> int:
     return steps
 
 
+def _count(n: int) -> str:
+    """A positive count in full up to 24 digits, and past that as the lower
+    bound its first 4 digits give, such as ``at least 9.999e+299``. Neither a
+    float nor ``str`` takes every count: a float overflows past 1e308, and
+    ``str`` refuses an int of more than 4,300 digits."""
+    if n < 10 ** 24:
+        return str(n)
+    exp = int(math.log10(n))  # off by at most one near a power of ten
+    exp += (10 ** (exp + 1) <= n) - (10 ** exp > n)
+    lead = n // 10 ** (exp - 3)
+    return f"at least {lead // 1000}.{lead % 1000:03d}e+{exp}"
+
+
 def _grid(scenario: Scenario, steps: int):
     """The ``steps``-step grid of the scenario. A grid numpy cannot allocate
     is a usage error, reported before any work: numpy refuses one too large
@@ -120,7 +133,7 @@ def _grid(scenario: Scenario, steps: int):
     try:
         return scenario.grid(steps)
     except (MemoryError, ValueError, IndexError) as exc:
-        raise ScenarioError(f"a grid of {steps} steps is too large to build") from exc
+        raise ScenarioError(f"a grid of {_count(steps)} steps is too large to build") from exc
 
 
 def _require_breakpoints_on(grid, scenario: Scenario) -> None:

@@ -14,7 +14,9 @@ Brownian increment, the stable increments) step-major, so that a step reads
 contiguous (G, P) rows and sums into the new state in place. The chunk's
 states go into ``values`` in one transposed assignment. Every element sees the
 same operations in the same order as in a one-step solve, so where the chunks
-end moves no bit.
+end moves no bit. A ``GatheredBatch`` holds the Brownian and stable operands of
+every step, gathered once for several solves on one draw; a solve on it
+gathers only the drift terms.
 
 Every drift table is read as a ``Forcing``: (N, P) rows and the row each step
 reads, so a forcing constant on the intervals of a partition holds one row per
@@ -22,7 +24,7 @@ interval, not one per step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,30 +96,50 @@ class _Part:
     brownian: list = None  # per member: ((weight, (n_paths, n_steps) draw), ...)
     stable: list = field(default_factory=list)  # (coef, exponent, ([G,] P, K) array)
     compensator: object = None
+    ops: tuple = None  # (dw, dz) over every step, step-major, once gathered
 
     def chunk(self, k0: int, k1: int, forcing: "Forcing" = None) -> tuple:
         """``(cb, dw, dz)``, the group's operands of steps [k0, k1) with the
         step on the leading axis, so that each step reads contiguous rows.
 
         ``cb`` is c2 * b, (C, [G,] 1 or P), for the drift ``forcing``, or None
-        without one; ``dw`` is the combined Brownian increment, (C, [G,] P),
-        or None; ``dz`` lists each stable term's increments.
+        without one; ``(dw, dz)`` is ``noise(k0, k1)``.
         """
-        cb = dw = None
+        cb = None
         if forcing is not None:
             rows = forcing.table[forcing.index[k0:k1]][:, self.sel]
             cb = rows * self.c2[k0:k1].reshape((-1,) + (1,) * (rows.ndim - 1))
-        if self.brownian is not None:
-            sums = []
-            for (weight, draw), *rest in self.brownian:
-                row = weight * draw[:, k0:k1]
-                row += 0.0  # the sum starts at 0, which turns -0.0 into 0.0
-                for weight, draw in rest:
-                    row += weight * draw[:, k0:k1]
-                sums.append(row)
-            dw = _step_major(sums[0] if isinstance(self.idx, int) else np.stack(sums))
-        dz = [_step_major(draw[..., k0:k1].copy()) for _c, _e, draw in self.stable]
-        return cb, dw, dz
+        return (cb,) + self.noise(k0, k1)
+
+    def noise(self, k0: int, k1: int) -> tuple:
+        """``(dw, dz)`` of steps [k0, k1), step-major: ``dw`` the combined
+        Brownian increment, (C, [G,] P), or None, and ``dz`` each stable
+        term's increments. Slices of ``ops`` once gathered, or else gathered
+        ``_CHUNK`` steps at a time through compact copies (``_step_major``)."""
+        if self.ops is not None:
+            dw, dz = self.ops
+            return None if dw is None else dw[k0:k1], [inc[k0:k1] for inc in dz]
+        out = None
+        for c0 in range(k0, k1, _CHUNK):
+            c1 = min(c0 + _CHUNK, k1)
+            compact = [None]  # ([G,] P, c1 - c0) each
+            if self.brownian is not None:
+                sums = []
+                for (weight, draw), *rest in self.brownian:
+                    row = weight * draw[:, c0:c1]
+                    row += 0.0  # the sum starts at 0, which turns -0.0 into 0.0
+                    for weight, draw in rest:
+                        row += weight * draw[:, c0:c1]
+                    sums.append(row)
+                compact = [sums[0] if isinstance(self.idx, int) else np.stack(sums)]
+            compact += [draw[..., c0:c1].copy() for _c, _e, draw in self.stable]
+            if out is None:
+                out = [None if a is None else np.empty((k1 - k0,) + a.shape[:-1])
+                       for a in compact]
+            for arr, a in zip(out, compact):
+                if arr is not None:
+                    arr[c0 - k0:c1 - k0] = np.moveaxis(a, -1, 0)
+        return out[0], out[1:]
 
 
 @dataclass
@@ -160,6 +182,37 @@ def _prepare_parts(components, batch: NoiseBatch):
         parts.append(_Part(idx=idx, sel=sel, c1=c1, c2=c2, sigma=sigma,
                            brownian=brownian, stable=dz, compensator=compensator))
     return parts, warns
+
+
+@dataclass(frozen=True, eq=False)
+class GatheredBatch:
+    """A noise batch with its Brownian and stable operands gathered step-major
+    over every step, once, for the groups of ``components``. Each solve of
+    those components on it slices its operands, where every solve on a
+    ``NoiseBatch`` gathers them again a chunk at a time; the bits are the
+    same. It keeps the batch's grid, events and lineages but no draw, so it
+    pays where several solves read one draw, as the levels of a hierarchy do."""
+
+    grid: TimeGrid
+    events: dict
+    lineages: tuple
+    components: tuple  # the components whose groups ``parts`` hold
+    parts: list
+    warnings: list  # ``_prepare_parts``' warnings, which every solve repeats
+
+    n_paths = NoiseBatch.n_paths
+    jump_events = NoiseBatch.jump_events
+
+
+def gather(components, batch: NoiseBatch) -> GatheredBatch:
+    """``batch`` gathered for solves of ``components``."""
+    parts, warns = _prepare_parts(components, batch)
+    return GatheredBatch(grid=batch.grid, events=batch.events, lineages=batch.lineages,
+                         components=tuple(components), warnings=warns,
+                         parts=[replace(part, ops=part.noise(0, batch.grid.n_steps),
+                                        brownian=None,  # no reference left to the draw
+                                        stable=[(c, e, None) for c, e, _d in part.stable])
+                                for part in parts])
 
 
 def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> list:
@@ -231,9 +284,13 @@ def _check_drift_path(path, grid: TimeGrid) -> None:
             "TimeGrid(np.union1d(grid.points, breakpoints))")
 
 
-def solve_batch(components, drifts, batch: NoiseBatch, initial: np.ndarray,
-                forcing=None, k_start: int = 0, k_stop: int = None) -> BatchResult:
+def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
+                initial: np.ndarray, forcing=None, k_start: int = 0,
+                k_stop: int = None) -> BatchResult:
     """Advance all paths of a batch jointly from step k_start to k_stop.
+
+    ``batch`` is a ``NoiseBatch``, or a ``GatheredBatch`` gathered for these
+    ``components``.
 
     ``initial`` has shape (n_components, n_paths) and seeds the state at
     ``k_start``; values outside the solved span are left as NaN sentinels.
@@ -249,7 +306,12 @@ def solve_batch(components, drifts, batch: NoiseBatch, initial: np.ndarray,
     n_comp, n_paths = len(components), batch.n_paths
 
     pts = grid.points
-    parts, warns = _prepare_parts(components, batch)
+    if isinstance(batch, GatheredBatch):
+        if list(map(id, components)) != list(map(id, batch.components)):
+            raise ValueError("the batch was gathered for other components")
+        parts, warns = batch.parts, list(batch.warnings)
+    else:
+        parts, warns = _prepare_parts(components, batch)
     live = []  # indices of mean-field drifts, evaluated per step on the state
     if forcing is not None:  # overrides drifts
         forcing = Forcing.of(forcing)

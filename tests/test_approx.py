@@ -19,6 +19,7 @@ from mfjump.approx import _SLICE, _interval_infima, _partition_indices
 from mfjump.cli import main
 from mfjump.coeffs import LinearInTime, drift_values
 from mfjump.scenario import load_scenario
+from mfjump.solver import gather
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -540,6 +541,48 @@ class TestStreamedBlock:
         batch = make_batch(TimeGrid.uniform(1.0, 16), spec.noise_layout(), 2, range(3))
         mfjump.approx._ladder_block(spec, 4, mode, 0, iter([batch]))
         assert len(alive) == 4 and max(alive) <= 2
+
+    @pytest.mark.parametrize("mode", mfjump.approx.MODES)
+    def test_gathered_levels_equal_the_levels_of_the_draw(self, mode):
+        # 100 steps end in a part chunk of the solver's 64; the three
+        # components are one group, with Brownian and stable operands
+        spec = self.spec()
+        batch = make_batch(TimeGrid.uniform(1.0, 100), spec.noise_layout(), 4, range(30))
+        gathered = gather(spec.components, batch)
+        assert [part.ops[0].shape for part in gathered.parts] == [(100, 3, 30)]
+        assert gathered.n_paths == 30 and gathered.grid is batch.grid
+        drawn, held = build_level_one(spec, batch), build_level_one(spec, gathered)
+        for n in (2, 3):
+            for a, b in ((drawn.values, held.values), (drawn.inf_drifts, held.inf_drifts),
+                         (np.asarray(drawn.forcing), np.asarray(held.forcing))):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            assert drawn.warnings == held.warnings
+            drawn = build_next_level(drawn, spec, batch, mode=mode)
+            held = build_next_level(held, spec, gathered, mode=mode)
+            assert held.n == n
+        assert np.array_equal(drawn.values.view(np.int64), held.values.view(np.int64))
+        with pytest.raises(ValueError, match="other components"):
+            solve_batch(spec.components[:2], spec.drifts[:2], gathered,
+                        initial=spec.initial[:2, None])
+
+    @pytest.mark.parametrize("mode", mfjump.approx.MODES)
+    def test_a_rung_lets_go_of_its_draw_before_its_first_level(self, monkeypatch, mode):
+        spec, refs, dead = self.spec(), [], []
+        build = mfjump.approx.build_level_one
+
+        def checked(*args, **kwargs):
+            dead.append([ref() is None for ref in refs])
+            return build(*args, **kwargs)
+
+        def rungs():  # like system._rungs, holds no rung it has yielded
+            held = [make_batch(TimeGrid.uniform(1.0, 100), spec.noise_layout(), 2, range(5))]
+            refs.extend(weakref.ref(draws.array) for draws in (held[0].brownian,
+                                                               held[0].stable))
+            yield held.pop()
+
+        monkeypatch.setattr(mfjump.approx, "build_level_one", checked)
+        mfjump.approx._ladder_block(spec, 3, mode, 0, rungs())
+        assert dead == [[True, True]]
 
     def test_a_block_peaks_at_its_draws_and_two_levels(self):
         # one 256-path block of the hier-refine ladder. At the middle rung it

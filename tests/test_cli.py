@@ -612,10 +612,17 @@ class TestUsage:
         ("approx", ["--refinements", "54"], None, 2 ** 63),
         ("approx", ["--refinements", "60"], None, 2 ** 69),
         ("uniqueness", ["--levels", "60"], None, 2 ** 70),
+        # past 24 digits a count prints as a bound: 1.0 / 1e-300 rounds to
+        # 9.999999999999999e299, 1024 * 2^1099 = 2^1109 has 334 digits, and
+        # 1024 * 2^14999 is past any float and too long for str()
+        ("simulate", ["--dt", "1e-300"], None, "at least 9.999e+299"),
+        ("approx", ["--refinements", "1100"], None, "at least 6.954e+333"),
+        ("approx", ["--refinements", "15000"], None, "at least 1.442e+4518"),
     ], ids=["simulate --dt 1e-15", "simulate grid_steps 1e15",
             "uniqueness grid_steps 1e15", "approx --refinements 34",
             "approx --refinements 54", "approx --refinements 60",
-            "uniqueness --levels 60"])
+            "uniqueness --levels 60", "simulate --dt 1e-300",
+            "approx --refinements 1100", "approx --refinements 15000"])
     def test_grid_too_large_to_build_is_usage_error(self, command, flags, grid_steps,
                                                      steps, jobs, tmp_path, capsys):
         # the finest grid of each run takes 64 TiB or more, which numpy

@@ -4,7 +4,7 @@ from scipy import stats
 
 from mfjump import (MeasureSpec, NoiseLayout, TimeGrid, gen_stable_increments,
                     make_batch)
-from mfjump.noise import FactorDraws, draw_rows
+from mfjump.noise import FactorDraws, NoiseBatch, draw_rows
 
 
 def unit_grid(steps, horizon=1.0):
@@ -254,13 +254,36 @@ class TestBundles:
             fine, agg = getattr(batch, key), getattr(coarse, key)
             assert fine.keys() == agg.keys()
             for f in fine:
-                assert np.allclose(agg[f], fine[f].reshape(2, 4, 4).sum(axis=2))
+                want = fine[f].reshape(2, 4, 4).sum(axis=2)
+                assert np.array_equal(agg[f].view(np.int64), want.view(np.int64))
         for mid, ev in batch.events.items():
             for name in ("rows", "times", "marks"):
                 assert np.array_equal(getattr(coarse.events[mid], name), getattr(ev, name))
         assert coarse.lineages == batch.lineages
         with pytest.raises(ValueError):
             batch.coarsen(5)
+
+    @pytest.mark.parametrize("factor", list(range(2, 41)) + [64, 128, 129, 136, 256,
+                                                            512, 1000])
+    def test_coarsen_sums_bit_for_bit_as_numpy(self, factor):
+        # coarsen adds strided step columns in the order of numpy's pairwise
+        # sum; terms spread over 12 decades make any other order show, and
+        # numpy's sum of a window of -0.0 is +0.0
+        rng = np.random.default_rng(factor)
+        steps = 4 * factor
+        draw = rng.standard_normal((2, 3, steps)) * 10.0 ** rng.integers(-6, 7, (2, 3, steps))
+        draw[0, 0, :factor] = -0.0  # a window of -0.0
+        draw[0, 1, factor:2 * factor] = 0.0
+        draw[0, 1, factor + factor // 2] = -0.0  # a window of zeros, one of them -0.0
+        draw[1, 2, 2 * factor + 1] = -0.0  # a single -0.0 among other terms
+        batch = NoiseBatch(grid=unit_grid(steps), brownian=FactorDraws((0, 1), draw),
+                           stable=FactorDraws((3,), draw[1:] * -2.0), events={},
+                           lineages=((0, 0), (0, 1), (0, 2)))
+        coarse = batch.coarsen(factor)
+        for fine, agg in ((batch.brownian, coarse.brownian), (batch.stable, coarse.stable)):
+            want = fine.array.reshape(fine.array.shape[:-1] + (4, factor)).sum(-1)
+            assert np.array_equal(agg.array.view(np.int64), want.view(np.int64))
+        assert coarse.brownian[0][0, 0] == 0.0 and not np.signbit(coarse.brownian[0][0, 0])
 
     def test_factors_are_rows_of_one_array_and_coarsen_keeps_them(self):
         # every factor of a kind is a row of one (F, rows, n_steps) draw, and

@@ -10,7 +10,8 @@ import numpy as np
 import mfjump.approx
 from mfjump import coeffs, hierarchy_refinement_study, preset_example21
 from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout, TimeGrid, make_batch
-from mfjump.solver import solve_batch
+from mfjump.scenario import load_scenario
+from mfjump.solver import gather, solve_batch
 
 SPANS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
 
@@ -93,3 +94,18 @@ def test_every_level_of_every_block_and_rung_passes_the_level_builders(monkeypat
     blocks_rungs = 2 * len(ladder)
     assert calls == {"build_level_one": blocks_rungs,
                      "build_next_level": blocks_rungs * (n_max - 1)}
+
+
+def test_solver_counts_read_the_same_from_a_gathered_batch():
+    """``approx`` solves its levels on a ``GatheredBatch``; ``_solver_counts``
+    reads ``grid``, ``n_paths`` and ``jump_events`` off whichever batch the
+    solve takes, so both forms of one draw must count alike."""
+    scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                            "thinned-jumps.json")
+    spec = load_scenario(scenario).system
+    batch = make_batch(TimeGrid.uniform(2.0, 64), spec.noise_layout(), 3, range(40))
+    counts = [load_spans()._solver_counts(None, {"components": spec.components,
+                                                 "batch": b, "k_start": 5, "k_stop": 50})
+              for b in (gather(spec.components, batch), batch)]
+    assert counts[0] == counts[1]
+    assert counts[1]["rows"] == 40 and counts[1]["events"] > 0
