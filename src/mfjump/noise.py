@@ -309,35 +309,38 @@ def _window_sums(a: np.ndarray, factor: int) -> np.ndarray:
     """The sums of consecutive ``factor``-step windows of ``a`` (..., K), bit
     for bit ``a.reshape(..., K // factor, factor).sum(-1)``, as adds of whole
     strided step columns: a sum over a tiny last axis costs a numpy loop call
-    per window. The columns are added in the order of numpy's pairwise sum of
-    a contiguous run: term by term below 8 terms, 8 running sums joined as a
-    tree up to 128, and halves above; numpy's sum starts at +0.0, which turns
-    a -0.0 sum into +0.0."""
-    col = lambda j: a[..., j::factor]
-
-    def pairwise(lo, n):
-        if n < 8:
-            out = col(lo).copy()
-            for j in range(lo + 1, lo + n):
-                out += col(j)
-            return out
-        if n <= 128:
-            r = [col(lo + j).copy() for j in range(8)]
-            tail = lo + n - n % 8
-            for i in range(lo + 8, tail, 8):
-                for j in range(8):
-                    r[j] += col(i + j)
-            out = (r[0] + r[1]) + (r[2] + r[3])
-            out += (r[4] + r[5]) + (r[6] + r[7])
-            for j in range(tail, lo + n):
-                out += col(j)
-            return out
-        half = n // 2 - n // 2 % 8
-        return pairwise(lo, half) + pairwise(lo + half, n - half)
-
-    out = pairwise(0, factor)
+    per window. numpy's sum starts at +0.0, which turns a -0.0 sum into +0.0."""
+    out = _pairwise_columns(a, factor, 0, factor)
     out += 0.0
     return out
+
+
+def _pairwise_columns(a: np.ndarray, factor: int, lo: int, n: int) -> np.ndarray:
+    """The sum of the step columns ``a[..., j::factor]`` for j in [lo, lo + n),
+    added in the order of numpy's pairwise sum of a contiguous run: term by
+    term below 8 terms, 8 running sums joined as a tree up to 128, and halves
+    above. A module function, not a closure: a recursive closure is a
+    reference cycle, which would keep ``a`` alive until the cyclic collector
+    runs."""
+    if n < 8:
+        out = a[..., lo::factor].copy()
+        for j in range(lo + 1, lo + n):
+            out += a[..., j::factor]
+        return out
+    if n <= 128:
+        r = [a[..., lo + j::factor].copy() for j in range(8)]
+        tail = lo + n - n % 8
+        for i in range(lo + 8, tail, 8):
+            for j in range(8):
+                r[j] += a[..., i + j::factor]
+        out = (r[0] + r[1]) + (r[2] + r[3])
+        out += (r[4] + r[5]) + (r[6] + r[7])
+        for j in range(tail, lo + n):
+            out += a[..., j::factor]
+        return out
+    half = n // 2 - n // 2 % 8
+    return (_pairwise_columns(a, factor, lo, half)
+            + _pairwise_columns(a, factor, lo + half, n - half))
 
 
 @dataclass(frozen=True)

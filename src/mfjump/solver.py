@@ -14,9 +14,9 @@ Brownian increment, the stable increments) step-major, so that a step reads
 contiguous (G, P) rows and sums into the new state in place. The chunk's
 states go into ``values`` in one transposed assignment. Every element sees the
 same operations in the same order as in a one-step solve, so where the chunks
-end moves no bit. A ``GatheredBatch`` holds the Brownian and stable operands of
-every step, gathered once for several solves on one draw; a solve on it
-gathers only the drift terms.
+end moves no bit. A ``GatheredBatch`` holds the Brownian and stable operands and
+the binned jump events of every step, gathered once for several solves on one
+draw; a solve on it gathers only the drift terms.
 
 Every drift table is read as a ``Forcing``: (N, P) rows and the row each step
 reads, so a forcing constant on the intervals of a partition holds one row per
@@ -187,9 +187,11 @@ def _prepare_parts(components, batch: NoiseBatch):
 @dataclass(frozen=True, eq=False)
 class GatheredBatch:
     """A noise batch with its Brownian and stable operands gathered step-major
-    over every step, once, for the groups of ``components``. Each solve of
-    those components on it slices its operands, where every solve on a
-    ``NoiseBatch`` gathers them again a chunk at a time; the bits are the
+    over every step, once, for the groups of ``components``, and its jump
+    events binned into every step. Each solve of those components on it
+    slices its operands and reads its steps' events, where every solve on a
+    ``NoiseBatch`` gathers its operands again a chunk at a time and bins its
+    events again; the bits are the
     same. It keeps the batch's grid, events and lineages but no draw, so it
     pays where several solves read one draw, as the levels of a hierarchy do."""
 
@@ -198,6 +200,7 @@ class GatheredBatch:
     lineages: tuple
     components: tuple  # the components whose groups ``parts`` hold
     parts: list
+    segments: dict  # ``_bin_events`` over the whole grid: step k's segments
     warnings: list  # ``_prepare_parts``' warnings, which every solve repeats
 
     n_paths = NoiseBatch.n_paths
@@ -209,13 +212,14 @@ def gather(components, batch: NoiseBatch) -> GatheredBatch:
     parts, warns = _prepare_parts(components, batch)
     return GatheredBatch(grid=batch.grid, events=batch.events, lineages=batch.lineages,
                          components=tuple(components), warnings=warns,
+                         segments=_bin_events(components, batch, 0, batch.grid.n_steps),
                          parts=[replace(part, ops=part.noise(0, batch.grid.n_steps),
                                         brownian=None,  # no reference left to the draw
                                         stable=[(c, e, None) for c, e, _d in part.stable])
                                 for part in parts])
 
 
-def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> list:
+def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> dict:
     """Bin every kernel's events into steps [k_start, k_stop) of the grid.
 
     An event at time t in (t_k, t_{k+1}] is applied at the end of step k;
@@ -224,10 +228,11 @@ def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> lis
     per event, so each sees the state its predecessor left; events of
     different cells commute.
 
-    Item ``k - k_start`` lists the segments of step k as ``(component, fn,
-    rows, marks)``: a segment's events share one kernel and one step and
-    touch distinct rows, so one fancy-indexed call ``fn(x[rows], marks)``
-    applies them.
+    Returns step k's segments under key k, for the steps that have any,
+    each ``(component, fn, rows, marks)``: a segment's events share one
+    kernel and one step and touch distinct rows, so one fancy-indexed call
+    ``fn(x[rows], marks)`` applies them. A step without events has no key,
+    so binning a grid without events keeps nothing per step.
     """
     points = batch.grid.points
     sources, cols = [], []
@@ -242,7 +247,8 @@ def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> lis
             cols.append((step[idx], ev.times[idx], ev.rows[idx], idx,
                          np.full(idx.size, len(sources))))
             sources.append((ci, kernel.fn, ev.marks))
-    cols = cols or [(np.empty(0, dtype=np.intp),) * 5]
+    if not sources:
+        return {}
     step, times, rows, mark_idx, kern = (np.concatenate(c) for c in zip(*cols))
     comp = np.array([ci for ci, _fn, _marks in sources], dtype=np.intp)[kern]
     # sources are concatenated by (component, g0_finite before g1, event
@@ -263,11 +269,11 @@ def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> lis
     seg_key, step, rows, mark_idx, kern = (
         a[order] for a in (seg_key, step, rows, mark_idx, kern))
     starts = np.flatnonzero(np.diff(seg_key, prepend=-1) != 0)
-    steps = [[] for _ in range(k_start, k_stop)]
-    for k, g, lo, hi in zip((step[starts] - k_start).tolist(), kern[starts].tolist(),
+    steps = {}
+    for k, g, lo, hi in zip(step[starts].tolist(), kern[starts].tolist(),
                             starts.tolist(), starts[1:].tolist() + [step.size]):
         ci, fn, marks = sources[g]
-        steps[k].append((ci, fn, rows[lo:hi], marks[..., mark_idx[lo:hi]]))
+        steps.setdefault(k, []).append((ci, fn, rows[lo:hi], marks[..., mark_idx[lo:hi]]))
     return steps
 
 
@@ -310,8 +316,10 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
         if list(map(id, components)) != list(map(id, batch.components)):
             raise ValueError("the batch was gathered for other components")
         parts, warns = batch.parts, list(batch.warnings)
+        events = batch.segments
     else:
         parts, warns = _prepare_parts(components, batch)
+        events = _bin_events(components, batch, k_start, k_stop)
     live = []  # indices of mean-field drifts, evaluated per step on the state
     if forcing is not None:  # overrides drifts
         forcing = Forcing.of(forcing)
@@ -333,7 +341,6 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
                          "existence theory assumes b >= 0")
         forcing = Forcing.of(table)
     live_drifts = [drifts[i] for i in live]
-    events = _bin_events(components, batch, k_start, k_stop)
 
     values = np.empty((n_comp, n_paths, n_steps + 1))  # the steps fill [k_start, k_stop]
     values[:, :, :k_start] = np.nan
@@ -376,7 +383,7 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
                         acc -= np.multiply(part.compensator(y), dts[k], out=tmp)
                     if fancy:
                         new[part.sel] = acc
-                for ci, fn, rows, marks in events[k - k_start]:
+                for ci, fn, rows, marks in events.get(k, ()):
                     y = new[ci]
                     x = y[rows]
                     y[rows] = x + fn(x, marks)

@@ -8,7 +8,9 @@ on arrays (``coeffs.CompensatedKernel.fn``); a NaN, or an infinite kernel value,
 ``validate_system`` runs the two assumption validators once per distinct
 coefficient law, the fields in ``_LAW_FIELDS``: exchangeable components share
 one computation and each gets its own report. That holds only while each
-validator is a pure function of those fields and the plan, seeding its own rng.
+validator is a pure function of those fields and the plan. Each check samples
+the first points of a fixed low-discrepancy design (``_design``), so its sample
+depends on its own size alone, not on the checks run before it.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ _QUAD_SLACK = 1e-6  # checks whose sides come out of numeric quadrature
 _X_MAX = 10.0  # states are sampled on [0, _X_MAX]
 _TRUNCATIONS = (1.0, 5.0)  # truncation levels m of the modulus checks
 _N_MARKS = 24  # marks per sampled kernel check
-_SEED = 0  # the validators' rng seeds are _SEED, _SEED + 1 and _SEED + 2
 _UNIQ_POINTS = 512  # sample points of rho_m <= rho on (0, x_m]
 # the CoefficientSet fields validate_assum1 and validate_assum2 read: a law
 _LAW_FIELDS = ("sigma", "rho", "g0", "mu0", "rho_m", "g1", "r_m", "growth_k")
@@ -78,27 +79,47 @@ class ValidationReport:
         return out
 
 
-def _sample_marks(mu, rng, n):
+def _design(n: int, d: int = None) -> np.ndarray:
+    """The first n points of the d-dimensional R_d (Kronecker) low-discrepancy
+    sequence on [0, 1)^d, shape (n, d), or (n,) without ``d``: point i is
+    frac(1/2 + i * alpha) for i = 1 .. n, where alpha_j = phi^-j and phi > 1
+    solves phi^(d+1) = phi + 1 (the golden ratio for d = 1). A Kronecker
+    sequence covers the cube evenly at every prefix (Niederreiter 1992), and
+    no seed enters it."""
+    k = 1 if d is None else d
+    phi = 2.0
+    for _ in range(64):  # a contraction: converged well before the last pass
+        phi = (1.0 + phi) ** (1.0 / (k + 1))
+    points = (0.5 + np.arange(1, n + 1)[:, None] * phi ** -np.arange(1.0, k + 1)) % 1.0
+    return points[:, 0] if d is None else points
+
+
+def _log_marks(u):
+    """Points of [0, 1) spread log-uniformly over the mark decades [1e-2, 10)."""
+    return 10.0 ** (-2.0 + 3.0 * u)
+
+
+def _sample_marks(mu, n):
     """Representative marks for sampled kernel checks, in the kernels' layout
-    (M,) or (d, M), drawn from the measure geometry rather than its (possibly
-    infinite-mass) law."""
+    (M,) or (d, M), laid out over the measure geometry rather than drawn from
+    its (possibly infinite-mass) law; atoms are taken in turn."""
     if isinstance(mu, PointMassMeasure):
         return np.array([u for u, _m in mu.atoms] * max(1, n // len(mu.atoms)), dtype=float)
     if isinstance(mu, AxisSumMeasure):
-        sizes = 10.0 ** rng.uniform(-2, 1, n)
         marks = np.zeros((mu.terms[0][2], n))
         axes = [mu.terms[k % len(mu.terms)][1] for k in range(n)]
-        marks[axes, np.arange(n)] = sizes
+        marks[axes, np.arange(n)] = _log_marks(_design(n))
         return marks
     if isinstance(mu, ThinningMarkMeasure):
-        v = rng.uniform(0.0, mu.v_max, n)
+        u = _design(n, 2)
         if isinstance(mu.levy, PointMassMeasure):
-            zetas = rng.choice([z for z, _m in mu.levy.atoms], size=n)
+            atoms = [z for z, _m in mu.levy.atoms]
+            zetas = [atoms[k % len(atoms)] for k in range(n)]
         else:
-            zetas = 10.0 ** rng.uniform(-2, 1, n)
-        return np.array((v, np.asarray(zetas, dtype=float)))
+            zetas = _log_marks(u[:, 1])
+        return np.array((mu.v_max * u[:, 0], np.asarray(zetas, dtype=float)))
     # generic one-dimensional mark space
-    return 10.0 ** rng.uniform(-2, 1, n)
+    return _log_marks(_design(n))
 
 
 def _state_breakpoints(mu, *states) -> tuple:
@@ -171,7 +192,7 @@ def _below_minus_state(xs, g):
     return (g + xs < -_REL_SLACK) | ~np.isfinite(g)
 
 
-def _check_truncated_modulus(report, rng, kernel, modulus, name, power, distance):
+def _check_truncated_modulus(report, kernel, modulus, name, power, distance):
     """The truncated L^power modulus condition distance(x, y, m) <=
     modulus(m)(|x-y|)^power on 12 sampled (x, y) in [0, m]^2 per truncation m,
     stopping at the first witness, and the divergence of the integral of
@@ -183,7 +204,7 @@ def _check_truncated_modulus(report, rng, kernel, modulus, name, power, distance
     witness, checked = None, 0
     for m in _TRUNCATIONS:
         mod = modulus(m)
-        for x, y in rng.uniform(0.0, m, (12, 2)):
+        for x, y in m * _design(12, 2):
             val = distance(x, y, m)
             bound = float(mod(abs(x - y))) ** power
             checked += 1
@@ -201,18 +222,16 @@ def _check_truncated_modulus(report, rng, kernel, modulus, name, power, distance
 
 def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> ValidationReport:
     """Regularity conditions on sigma, g0, g1 and their moduli."""
-    rng = np.random.default_rng(_SEED)
     report = ValidationReport("assumption-set-1")
 
     # sigma vanishes on the non-positive half line
-    xs_neg = np.concatenate([[0.0], -(10.0 ** rng.uniform(-3, 1, plan.budget))])
+    xs_neg = np.concatenate([[0.0], -(10.0 ** (-3.0 + 4.0 * _design(plan.budget)))])
     bad = np.flatnonzero(np.asarray(c.sigma(xs_neg)) != 0.0)
     report.add("sigma vanishes for x <= 0", FAIL if bad.size else PASS,
                witness=None if not bad.size else float(xs_neg[bad[0]]))
 
     # |sigma(x) - sigma(y)| <= rho(|x - y|)
-    xs = rng.uniform(0.0, _X_MAX, plan.budget)
-    ys = rng.uniform(0.0, _X_MAX, plan.budget)
+    xs, ys = _X_MAX * _design(plan.budget, 2).T
     lhs = np.abs(np.asarray(c.sigma(xs)) - np.asarray(c.sigma(ys)))
     rhs = np.asarray(c.rho(np.abs(xs - ys)))
     slack = _REL_SLACK * (1.0 + rhs)
@@ -227,8 +246,8 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 
     # g0 block
     if c.g0 is not None and c.mu0 is not None:
-        marks = _sample_marks(c.mu0, rng, _N_MARKS)
-        pairs = np.sort(rng.uniform(0.0, _X_MAX, (plan.budget // 4, 2)), axis=1)
+        marks = _sample_marks(c.mu0, _N_MARKS)
+        pairs = np.sort(_X_MAX * _design(plan.budget // 4, 2), axis=1)
         for name, states, violates in (
                 ("g0 increasing in the state", pairs, _decreasing),
                 ("g0(x,u) + x >= 0 for x >= 0", pairs[:, 1], _below_minus_state),
@@ -253,7 +272,7 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
                    witness=None if finite else float(states[np.argmax(~np.isfinite(vals))]))
 
         _check_truncated_modulus(
-            report, rng, "g0", c.rho_m, "rho_m", 2,
+            report, "g0", c.rho_m, "rho_m", 2,
             lambda x, y, m: c.mu0.integrate(
                 lambda u: (np.minimum(c.g0(x, u), m) - np.minimum(c.g0(y, u), m)) ** 2,
                 breakpoints=_state_breakpoints(c.mu0, x, y) + _crossings(c.g0, m, x, y)))
@@ -262,8 +281,8 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 
     # g1 block
     if c.g1 is not None:
-        marks = _sample_marks(c.g1.mu, rng, _N_MARKS)
-        states = rng.uniform(0.0, _X_MAX, plan.budget // 4)
+        marks = _sample_marks(c.g1.mu, _N_MARKS)
+        states = _X_MAX * _design(plan.budget // 4)
         witness = _witness(c.g1.fn, marks, states, _below_minus_state)
         report.add("g1(x,u) + x >= 0", FAIL if witness else PASS, witness=witness)
 
@@ -280,7 +299,7 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
                    detail=f"mu1(U1 \\ U2) = {c.g1.remainder_mass}")
 
         _check_truncated_modulus(
-            report, rng, "g1", c.r_m, "r_m", 1,
+            report, "g1", c.r_m, "r_m", 1,
             lambda x, y, m: c.g1.mu.integrate(
                 lambda u: np.abs(np.minimum(c.g1.fn(x, u), m)
                                  - np.minimum(c.g1.fn(y, u), m)),
@@ -294,10 +313,9 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> ValidationReport:
     """Monotonicity/boundedness of sigma, left continuity of the kernels,
     monotonicity-or-domination of g1."""
-    rng = np.random.default_rng(_SEED + 1)
     report = ValidationReport("assumption-set-2")
 
-    xs = np.sort(rng.uniform(0.0, _X_MAX, plan.budget))
+    xs = np.sort(_X_MAX * _design(plan.budget))
     vals = np.asarray(c.sigma(xs), dtype=float)
     increasing = bool(np.all(np.diff(vals) >= -_REL_SLACK * (1.0 + np.abs(vals[:-1]))))
     if increasing:
@@ -313,8 +331,8 @@ def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
                    else "neither increasing on samples nor bounded on a wider probe")
 
     def left_cont_probe(fn, mu, name):
-        marks = _sample_marks(mu, rng, _N_MARKS)
-        states = rng.uniform(1e-3, _X_MAX, 16)
+        marks = _sample_marks(mu, _N_MARKS)
+        states = 1e-3 + (_X_MAX - 1e-3) * _design(16)
         g = _over_marks(fn, marks[..., :8], np.stack((states - 1e-9, states), axis=1))
         worst = np.max(np.abs(g[..., 0] - g[..., 1]))
         report.add(name, PASS if worst <= 1e-6 else FAIL,
@@ -324,8 +342,8 @@ def validate_assum2(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
         left_cont_probe(c.g0, c.mu0, "g0 left-continuous in x (probe)")
     if c.g1 is not None:
         left_cont_probe(c.g1.fn, c.g1.mu, "g1 left-continuous in x (probe)")
-        marks = _sample_marks(c.g1.mu, rng, _N_MARKS)
-        pairs = np.sort(rng.uniform(0.0, _X_MAX, (plan.budget // 4, 2)), axis=1)
+        marks = _sample_marks(c.g1.mu, _N_MARKS)
+        pairs = np.sort(_X_MAX * _design(plan.budget // 4, 2), axis=1)
         if _witness(c.g1.fn, marks, pairs, _decreasing) is None:
             report.add("g1 increasing or dominated", PASS, "increasing branch")
         elif c.g1.dominator is not None:
@@ -363,11 +381,10 @@ def validate_assum_uniq(rho, rho_m, x_m: float) -> ValidationReport:
 def validate_drift(spec: SystemSpec, plan: SamplingPlan = SamplingPlan()) -> ValidationReport:
     """Mean-field drift conditions: non-negative, increasing per argument,
     within the declared linear-growth envelope B + L * sum(states)."""
-    rng = np.random.default_rng(_SEED + 2)
     report = ValidationReport("mean-field-drift")
     n = spec.n
-    times = rng.uniform(0.0, 1.0, 8)
-    states = rng.uniform(0.0, _X_MAX, (plan.budget // 4, n))
+    times = _design(8)
+    states = _X_MAX * _design(plan.budget // 4, n)
     rows = states[:32]
     bumped = np.repeat(rows[:, None, :], n, axis=1)  # [r, j]: row r with x_j + 1
     bumped[:, range(n), range(n)] += 1.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mfjump.approx
+import mfjump.solver
 import mfjump.system
 from mfjump import (CadlagPath, DriftSpec, TimeGrid, build_level_one,
                     build_next_level, check_monotone, dyadic_partition,
@@ -564,6 +565,33 @@ class TestStreamedBlock:
         with pytest.raises(ValueError, match="other components"):
             solve_batch(spec.components[:2], spec.drifts[:2], gathered,
                         initial=spec.initial[:2, None])
+
+    def test_a_rung_bins_its_events_once(self, monkeypatch):
+        # thinned-jumps: the gathered draw bins every step's events once, and
+        # a solve on it, of the whole grid or of a span, equals a solve on
+        # the draw that bins them itself
+        spec = load_scenario(os.path.join(SCENARIOS, "thinned-jumps.json")).system
+        bins = mfjump.solver._bin_events
+        calls = []
+
+        def counting(components, batch, k_start, k_stop):
+            calls.append((batch.grid.n_steps, k_start, k_stop))
+            return bins(components, batch, k_start, k_stop)
+
+        monkeypatch.setattr(mfjump.solver, "_bin_events", counting)
+        hierarchy_refinement_study(spec, 2.0, [32, 64], 300, 5, 3)
+        # two blocks (256 + 44 paths), two rungs each, three levels per rung
+        assert calls == [(32, 0, 32), (64, 0, 64)] * 2
+
+        batch = make_batch(TimeGrid.uniform(2.0, 64), spec.noise_layout(), 3, range(40))
+        gathered = gather(spec.components, batch)
+        assert gathered.segments  # steps with events
+        for span in ((0, None), (5, 50)):
+            state = np.full((spec.n, 40), 0.7)
+            drawn, held = (solve_batch(spec.components, spec.drifts, b, state, None, *span)
+                           for b in (batch, gathered))
+            assert np.array_equal(drawn.values.view(np.int64), held.values.view(np.int64))
+            assert drawn.warnings == held.warnings
 
     @pytest.mark.parametrize("mode", mfjump.approx.MODES)
     def test_a_rung_lets_go_of_its_draw_before_its_first_level(self, monkeypatch, mode):

@@ -9,7 +9,7 @@ import pytest
 
 import mfjump
 from mfjump import load_scenario, make_batch, solve_batch
-from mfjump.cli import main
+from mfjump.cli import _quantiles, main
 
 
 def write_scenario(path, **overrides):
@@ -163,6 +163,18 @@ class TestSimulate:
                      "--dt", "0.03125"])
         assert code == 0
         assert json.loads((out / "summary.json").read_text())["grid_steps"] == 32
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 10000])
+    def test_section_quantiles_equal_numpy_bit_for_bit(self, n):
+        # values with ties, and values spread over many decades; no column
+        # mixes -0.0 and 0.0, where the two may pick different zeros
+        rng = np.random.default_rng(n)
+        qs = (0.05, 0.25, 0.5, 0.75, 0.95)
+        for values in (rng.integers(0, 4, (n, 3, 2)) * 0.5,
+                       rng.standard_normal((n, 2, 3)) * 10.0 ** rng.integers(-8, 8, (n, 2, 3))):
+            got, want = _quantiles(values, qs), np.quantile(values, qs, axis=0)
+            assert got.shape == want.shape == (5,) + values.shape[1:]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestValidate:

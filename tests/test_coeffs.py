@@ -237,19 +237,25 @@ class FallingJump:
 
 
 class SpyKernel:
-    """Calls ``fn`` and records the shapes of the state and the mark."""
+    """Calls ``fn`` and records the shapes of the state and the mark, and
+    copies of both."""
 
     def __init__(self, fn):
-        self.fn, self.calls = fn, []
+        self.fn, self.calls, self.args = fn, [], []
 
     def __call__(self, x, u):
         self.calls.append((np.shape(x), np.shape(u)))
+        self.args.append((np.array(x), np.array(u)))
         return self.fn(x, u)
 
     def sampled(self):
         """The calls on an array of states, as the sampled checks make them
         (a measure's ``integrate`` passes one state)."""
         return [c for c in self.calls if c[0]]
+
+    def sampled_args(self):
+        """The states and marks of the calls ``sampled`` lists."""
+        return [args for c, args in zip(self.calls, self.args) if c[0]]
 
 
 @dataclass(frozen=True)
@@ -288,21 +294,21 @@ class TestKernelWitnesses:
 
     @pytest.mark.parametrize("mu, rows, expected", [
         (ExponentialMeasure(mass=2.0, mean=0.5), (), [
-            (6.950918695550627, 7.058208604199626, 1.2184304531753682),
-            (7.058208604199626, 1.2184304531753682),
-            (-6.7428068360650055, 1.2184304531753682),
-            (4.344264414439891, 5.709842760956762)]),
+            (0.09755332493385449, 6.396805819961065, 1.6151167923037244),
+            (6.396805819961065, 1.6151167923037244),
+            (-9.857998777687838, 1.6151167923037244),
+            (7.360679774997896, 1.6151167923037244)]),
         (AxisSumMeasure(terms=((StableJumpMeasure(1.5), 0, 2),
                                (StableJumpMeasure(1.8), 1, 2))), (0, 1), [
-            (6.950918695550627, 7.058208604199626, (1.2184304531753682, 0.0)),
-            (7.058208604199626, (1.2184304531753682, 0.0)),
-            (-6.7428068360650055, (1.2184304531753682, 0.0)),
-            (4.344264414439891, (0.0, 5.709842760956762))]),
+            (0.09755332493385449, 6.396805819961065, (0.0, 1.6151167923037244)),
+            (6.396805819961065, (0.0, 1.6151167923037244)),
+            (-9.857998777687838, (0.0, 1.6151167923037244)),
+            (7.360679774997896, (0.0, 1.6151167923037244))]),
         (ThinningMarkMeasure(levy=ExponentialMeasure(mass=2.0, mean=0.4), v_max=4.0), (1,), [
-            (1.5162966446065451, 7.944328371222266, (1.230066828868253, 1.3105771183955002)),
-            (7.944328371222266, (1.230066828868253, 1.3105771183955002)),
-            (-6.7428068360650055, (1.230066828868253, 1.3105771183955002)),
-            (9.232767482499822, (2.7231916494800434, 0.95102977121631))]),
+            (2.8249367690850136, 9.792503135945552, (0.039021329973541796, 0.8299305396666097)),
+            (9.792503135945552, (0.039021329973541796, 0.8299305396666097)),
+            (-9.857998777687838, (0.039021329973541796, 0.8299305396666097)),
+            (9.721359549995793, (0.039021329973541796, 0.8299305396666097))]),
     ], ids=["scalar", "axis-sum", "thinning"])
     def test_witnesses_are_pinned(self, mu, rows, expected):
         c = jump_set(g0=FallingJump(rows), mu0=mu, g1=FallingJump(rows), mu1=mu)
@@ -311,6 +317,13 @@ class TestKernelWitnesses:
             cond = condition(report, name)
             assert cond.status == "fail"
             assert cond.witness == witness and repr(cond.witness) == repr(witness)
+        # each pinned witness breaks its inequality
+        g = FallingJump(rows)
+        (x, y, u), (x0, u0), (x_neg, u_neg), (x1, u1) = expected
+        assert x <= y and g(x, u) > g(y, u)
+        assert g(x0, u0) + x0 < 0.0
+        assert x_neg <= 0.0 and g(x_neg, u_neg) != 0.0
+        assert g(x1, u1) + x1 < 0.0
 
     def test_sampled_checks_make_one_array_call_each(self):
         g0 = SpyKernel(lambda x, u: u * np.maximum(x, 0.0))
@@ -326,6 +339,23 @@ class TestKernelWitnesses:
         assert [len(k.sampled()) for k in (g0, g1)] == [4, 4]
         for kernel in (g0, g1):
             assert all(x_shape or u_shape for x_shape, u_shape in kernel.calls)
+
+
+    @pytest.mark.parametrize("validator", [validate_assum1, validate_assum2])
+    def test_a_check_samples_alike_after_any_other(self, validator):
+        # a check's sample depends on its own size alone: the g1 checks read
+        # the same states and marks whether or not g0 checks ran before them
+        mu = ExponentialMeasure(mass=2.0, mean=0.5)
+        seen = []
+        for g0 in (None, FallingJump()):
+            g1 = SpyKernel(FallingJump())
+            validator(jump_set(g0=g0, mu0=None if g0 is None else mu, g1=g1, mu1=mu),
+                      SamplingPlan(budget=400))
+            seen.append(g1.sampled_args())
+        alone, after_g0 = seen
+        assert len(alone) == len(after_g0) > 0
+        for (x, u), (x_after, u_after) in zip(alone, after_g0):
+            assert np.array_equal(x, x_after) and np.array_equal(u, u_after)
 
 
 class TestNonFinite:
@@ -485,9 +515,9 @@ class KinkedDrift:
 class TestDriftWitnesses:
     """The first sampled violation, in (time, row, bumped component) order."""
 
-    FALLS = (0.2616121342493164, [8.912094095005791, 7.755639424726894], 1)
+    FALLS = (0.1180339887498949, [5.195106649867709, 7.793611639922129], 1)
 
-    @pytest.mark.parametrize("shift, negative", [(0.0, -0.0008083868915282899),
+    @pytest.mark.parametrize("shift, negative", [(0.0, -0.585541063975243),
                                                  (13.0, None)])
     def test_witnesses_are_pinned(self, shift, negative):
         drift = DriftSpec.mean_field(KinkedDrift(shift), growth_bound=13.0, growth_slope=1.0)
@@ -497,6 +527,12 @@ class TestDriftWitnesses:
             assert condition(report, f"{i}: b_i non-negative").witness == negative
             assert condition(report, f"{i}: b_i increasing").witness == self.FALLS
             assert condition(report, f"{i}: b_i <= B").status == "pass"
+        # the pinned witnesses break their inequalities
+        assert shift == 13.0 or negative < 0.0
+        t, row, j = self.FALLS
+        bumped = np.array(row)
+        bumped[j] += 1.0
+        assert KinkedDrift(shift)(t, bumped) < KinkedDrift(shift)(t, row)
 
 
 class TestThinningPreset:

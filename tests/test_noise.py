@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -284,6 +287,22 @@ class TestBundles:
             want = fine.array.reshape(fine.array.shape[:-1] + (4, factor)).sum(-1)
             assert np.array_equal(agg.array.view(np.int64), want.view(np.int64))
         assert coarse.brownian[0][0, 0] == 0.0 and not np.signbit(coarse.brownian[0][0, 0])
+
+    @pytest.mark.parametrize("factor", [4, 64, 256])
+    def test_coarsen_lets_go_of_the_fine_draw_without_the_collector(self, factor):
+        # the coarse batch alone must not keep the fine draw alive: a
+        # reference cycle would hold it until the cyclic collector runs, which
+        # an approx block's solves may not trigger for a whole rung
+        batch = make_batch(unit_grid(256), self.layout(), 2, [0, 3])
+        refs = [weakref.ref(draws.array) for draws in (batch.brownian, batch.stable)]
+        gc.disable()
+        try:
+            coarse = batch.coarsen(factor)
+            del batch
+            assert [ref() is None for ref in refs] == [True, True]
+        finally:
+            gc.enable()
+        assert coarse.grid.n_steps == 256 // factor
 
     def test_factors_are_rows_of_one_array_and_coarsen_keeps_them(self):
         # every factor of a kind is a row of one (F, rows, n_steps) draw, and

@@ -233,12 +233,12 @@ class TestInverseModulusIntegral:
             assert got == pytest.approx(k, rel=1e-9)
 
 
-def test_runtime_path_imports_no_scipy(tmp_path):
-    # scipy is a test dependency only: the validators and the threshold
-    # sequence of a non-power modulus must run without it
-    scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios",
-                            "correlated-intensities.json")
-    argv = ["validate", "--scenario", scenario, "--out", str(tmp_path / "o")]
+def _unwanted_imports(argv, unwanted, tmp_path):
+    # run one command in a fresh interpreter, then the threshold sequence of a
+    # non-power modulus, and list the loaded modules under the unwanted names
+    scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios", argv[2])
+    argv = [*argv[:2], scenario, *argv[3:], "--out", str(tmp_path / "o")]
+    prefixes = tuple(name + "." for name in unwanted)
     script = f"""
 import sys
 import numpy as np
@@ -247,29 +247,32 @@ from mfjump.coeffs import CallableModulus
 from mfjump.uniqueness import yw_sequence
 assert mfjump.cli.main({argv!r}) == 0
 yw_sequence(CallableModulus(fn=np.sqrt, sq_integral_diverges=True), x_m=1.0, k_max=3)
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if (m + ".").startswith({prefixes!r})))
 """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfjump.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
 
+
+VALIDATE = ["validate", "--scenario", "correlated-intensities.json"]
+
+
+def test_runtime_path_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only: the validators and the threshold
+    # sequence of a non-power modulus must run without it
+    assert _unwanted_imports(VALIDATE, ("scipy",), tmp_path) == "[]"
 
 
 def test_validate_imports_no_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma on its first call, about 38 ms of run time
-    scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios",
-                            "correlated-intensities.json")
-    argv = ["validate", "--scenario", scenario, "--out", str(tmp_path / "o")]
-    script = f"""
-import sys
-import mfjump.cli
-assert mfjump.cli.main({argv!r}) == 0
-print("numpy.ma" in sys.modules)
-"""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mfjump.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    # np.unique imports numpy.ma on its first call (about 38 ms of run time),
+    # and numpy.random brings secrets, hashlib and hmac (10-13 ms) although the
+    # validators draw nothing
+    assert _unwanted_imports(VALIDATE, ("numpy.ma", "numpy.random"), tmp_path) == "[]"
+
+
+def test_simulate_imports_no_scipy_or_numpy_ma(tmp_path):
+    # np.unique's numpy.ma import costs simulate about 15 ms
+    argv = ["simulate", "--scenario", "thinned-jumps.json", "--paths", "50"]
+    assert _unwanted_imports(argv, ("scipy", "numpy.ma"), tmp_path) == "[]"
