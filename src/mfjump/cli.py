@@ -161,10 +161,10 @@ def _warn(warnings) -> None:
 
 
 def _write(out: str, name: str, head: str, lines=()) -> None:
-    """Writes ``head``, then one line per item of ``lines``, to the artifact
-    ``name`` in ``out``. One that cannot be written (a directory holds its
-    name, the disk is full) is a usage error naming ``--out`` and the file;
-    the artifacts written before it stay."""
+    """Writes ``head``, then each item of ``lines`` ended by a newline, to
+    the artifact ``name`` in ``out``. One that cannot be written (a directory
+    holds its name, the disk is full) is a usage error naming ``--out`` and
+    the file; the artifacts written before it stay."""
     try:
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
             fh.write(head)
@@ -181,6 +181,19 @@ def _write_csv(out: str, name: str, header, lines) -> None:
     """One comma-joined line per row; no field is quoted, as every one is a
     number or a fixed label."""
     _write(out, name, ",".join(header) + "\n", lines)
+
+
+def _path_lines(values: np.ndarray, times: list):
+    """The ``paths.csv`` lines ``p,i,t,repr(v)`` of each kept path p and
+    component i, one string per (p, i). The repr of a row's list is its
+    values' reprs joined by ", ", and the row's lines are its "t,v" pairs
+    joined by a newline and the next line's "p,i,"."""
+    stamps = [f"{t}," for t in times]
+    for p in range(values.shape[1]):
+        for i in range(values.shape[0]):
+            head = f"\n{p},{i},"
+            reprs = repr(values[i, p].tolist())[1:-1].split(", ")
+            yield head[1:] + head.join(map(str.__add__, stamps, reprs))
 
 
 def _quantiles(values: np.ndarray, qs) -> np.ndarray:
@@ -227,10 +240,8 @@ def cmd_simulate(args) -> int:
     _write_csv(out, "aggregate.csv", ["time", "component", "mean", "se"], (
         f"{t},{label},{m!r},{s!r}" for label, mean, se in curves
         for t, m, s in zip(times, mean.tolist(), se.tolist())))
-    _write_csv(out, "paths.csv", ["path_id", "component", "time", "value"], (
-        f"{p},{i},{t},{v!r}"
-        for p in range(result.values.shape[1]) for i in range(spec.n)
-        for t, v in zip(times, result.values[i, p].tolist())))
+    _write_csv(out, "paths.csv", ["path_id", "component", "time", "value"],
+               _path_lines(result.values, times))
 
     summary = {
         "name": scenario.name,

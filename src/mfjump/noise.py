@@ -248,7 +248,10 @@ def _stable_scale(alpha: float, dt: np.ndarray) -> np.ndarray:
 def _event_draw(rate: float, mark_sampler, horizon: float):
     """The row draw of one measure, for ``draw_rows``: Poisson(rate * horizon)
     events with times uniform on [0, horizon) and sorted, marks i.i.d. from
-    the sampler. A row yields ``(times, marks)``, or None without events."""
+    the sampler. A row yields ``(times, marks)``, or None without events.
+    The times are ``horizon * u`` scaled and sorted in place, bit for bit
+    ``np.sort(rng.uniform(0.0, horizon, count))``, which computes
+    ``0.0 + horizon * u`` from the same stream words."""
     if not np.isfinite(rate) or rate < 0:
         raise ValueError("rate must be finite and non-negative")
 
@@ -256,7 +259,9 @@ def _event_draw(rate: float, mark_sampler, horizon: float):
         count = int(rng.poisson(rate * horizon))
         if not count:
             return None
-        times = np.sort(rng.uniform(0.0, horizon, count))
+        times = rng.random(count)
+        times *= horizon
+        times.sort()
         marks = np.asarray(mark_sampler(rng, count))
         if marks.ndim not in (1, 2) or marks.shape[-1] != count:
             raise ValueError("mark_sampler(rng, size) must return an array "

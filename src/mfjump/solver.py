@@ -24,6 +24,7 @@ interval, not one per step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -231,7 +232,8 @@ def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> dic
     Returns step k's segments under key k, for the steps that have any,
     each ``(component, fn, rows, marks)``: a segment's events share one
     kernel and one step and touch distinct rows, so one fancy-indexed call
-    ``fn(x[rows], marks)`` applies them. A step without events has no key,
+    ``fn(x[rows], marks)`` applies them. ``rows`` and ``marks`` are views
+    into arrays that every segment shares. A step without events has no key,
     so binning a grid without events keeps nothing per step.
     """
     points = batch.grid.points
@@ -269,12 +271,30 @@ def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> dic
     seg_key, step, rows, mark_idx, kern = (
         a[order] for a in (seg_key, step, rows, mark_idx, kern))
     starts = np.flatnonzero(np.diff(seg_key, prepend=-1) != 0)
+    # each source's marks gathered once in segment order, so that a segment's
+    # marks are a slice: ``at`` is an event's place among its source's events
+    gathered, at = [], np.empty_like(kern)
+    for g, (_ci, _fn, marks) in enumerate(sources):
+        mine = np.flatnonzero(kern == g)
+        at[mine] = np.arange(mine.size)
+        gathered.append(marks[..., mark_idx[mine]])
     steps = {}
-    for k, g, lo, hi in zip(step[starts].tolist(), kern[starts].tolist(),
-                            starts.tolist(), starts[1:].tolist() + [step.size]):
-        ci, fn, marks = sources[g]
-        steps.setdefault(k, []).append((ci, fn, rows[lo:hi], marks[..., mark_idx[lo:hi]]))
+    for k, g, lo, hi, m in zip(step[starts].tolist(), kern[starts].tolist(),
+                               starts.tolist(), starts[1:].tolist() + [step.size],
+                               at[starts].tolist()):
+        ci, fn, _marks = sources[g]
+        steps.setdefault(k, []).append((ci, fn, rows[lo:hi], gathered[g][..., m:m + hi - lo]))
     return steps
+
+
+def _evaluate(fn, y: np.ndarray, out: np.ndarray, clip: bool) -> np.ndarray:
+    """``fn(y)``: in ``out`` by ``fn.into`` where ``fn`` has one, on ``y``
+    clipped into ``out`` first when ``clip`` (the state is clipped past the
+    first step, and ``into`` skips the clip ``fn`` itself makes)."""
+    into = getattr(fn, "into", None)
+    if into is None:
+        return fn(y)
+    return into(np.maximum(y, 0.0, out=out) if clip else y, out)
 
 
 def _check_drift_path(path, grid: TimeGrid) -> None:
@@ -304,7 +324,10 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
     replaces the drifts; the drifts' own table is read as a ``Forcing`` too.
     Jump kernels are called as ``fn(x, marks)`` on all the events of a step
     that touch distinct rows at once, so they must act elementwise: ``x`` has
-    shape (E,) and ``marks`` (E,) or (d, E).
+    shape (E,) and ``marks`` (E,) or (d, E). ``marks`` may be a view of an
+    array that later steps and solves read, so a kernel must not write to it.
+    A diffusion or compensator with an ``into(x, out)`` method is evaluated
+    in place on the clipped state; any other is called as ``fn(x)``.
     """
     grid = batch.grid
     n_steps = grid.n_steps
@@ -370,28 +393,33 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
                     fancy = isinstance(part.sel, list)
                     acc = np.multiply(y, part.c1[k], out=None if fancy else new[part.sel])
                     acc += part.c2[k] * b[part.sel] if cb is None else cb[j]
+                    # past the first step the state is already clipped
+                    first = k == k_start
                     if dw is not None:
-                        acc += np.multiply(part.sigma(y), dw[j], out=tmp)
+                        acc += np.multiply(_evaluate(part.sigma, y, tmp, first), dw[j],
+                                           out=tmp)
                     for (coef, expo, _draw), inc in zip(part.stable, dz):
-                        # past the first step the state is already clipped
-                        np.power(np.maximum(y, 0.0, out=tmp) if k == k_start else y,
-                                 expo, out=tmp)
+                        np.power(np.maximum(y, 0.0, out=tmp) if first else y, expo, out=tmp)
                         tmp *= coef
                         tmp *= inc[j]
                         acc += tmp
                     if part.compensator is not None:
-                        acc -= np.multiply(part.compensator(y), dts[k], out=tmp)
+                        acc -= np.multiply(_evaluate(part.compensator, y, tmp, first),
+                                           dts[k], out=tmp)
                     if fancy:
                         new[part.sel] = acc
                 for ci, fn, rows, marks in events.get(k, ()):
                     y = new[ci]
                     x = y[rows]
                     y[rows] = x + fn(x, marks)
-                if not np.isfinite(new).all():
-                    bad = np.argwhere(~np.isfinite(new))[0]
-                    raise NumericsError(step=k + 1, time=float(pts[k + 1]),
-                                        component=int(bad[0]),
-                                        path_index=int(batch.lineages[bad[1]][1]))
+                # a finite sum has no inf or nan term; an overflowing one is
+                # told apart by the full scan
+                if not math.isfinite(np.add.reduce(new, axis=None)):
+                    bad = np.argwhere(~np.isfinite(new))
+                    if bad.size:
+                        raise NumericsError(step=k + 1, time=float(pts[k + 1]),
+                                            component=int(bad[0, 0]),
+                                            path_index=int(batch.lineages[bad[0, 1]][1]))
                 np.maximum(new, 0.0, out=new)
                 state = new
             values[:, :, k0 + 1:k1 + 1] = chunk.transpose(1, 2, 0)

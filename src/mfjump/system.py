@@ -134,10 +134,23 @@ def _ensemble_block(spec, section_idx, keep_paths, lo, rungs):
     result = solve_system(spec, batch)
     del batch  # the reductions do not need the noise
     vals = result.values  # (N, P, K+1)
-    moments = []
-    for b in range(0, vals.shape[1], _BLOCK):
+    starts = range(0, vals.shape[1], _BLOCK)
+    # each block's integrals, bit for bit np.trapezoid's (dt * (y[1:] +
+    # y[:-1]) / 2.0).sum(), their terms in one buffer freed before the moments
+    dt = np.diff(points)
+    terms = np.empty((vals.shape[0], min(_BLOCK, vals.shape[1]), dt.size))
+    integs = []
+    for b in starts:
         block = vals[:, b:b + _BLOCK]
-        integ = np.trapezoid(block, x=points, axis=2)  # (N, B)
+        buf = terms[:, :block.shape[1]]
+        np.add(block[:, :, 1:], block[:, :, :-1], out=buf)
+        buf *= dt
+        buf /= 2.0
+        integs.append(np.add.reduce(buf, axis=2))  # (N, B)
+    del terms, buf
+    moments = []
+    for b, integ in zip(starts, integs):
+        block = vals[:, b:b + _BLOCK]
         # per path-axis statistic: the components, their average, the integrals
         moments.append((_moments(block.transpose(1, 0, 2)), _moments(block.mean(axis=0)),
                         _moments(integ.T)))

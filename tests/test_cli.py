@@ -9,7 +9,8 @@ import pytest
 
 import mfjump
 from mfjump import load_scenario, make_batch, solve_batch
-from mfjump.cli import _quantiles, main
+from mfjump.cli import _path_lines, _quantiles, main
+from mfjump.system import run_ensemble
 
 
 def write_scenario(path, **overrides):
@@ -175,6 +176,49 @@ class TestSimulate:
             got, want = _quantiles(values, qs), np.quantile(values, qs, axis=0)
             assert got.shape == want.shape == (5,) + values.shape[1:]
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+
+def fstring_paths_csv(values, times):
+    """``paths.csv`` as one f-string per row, path-major: the reference the
+    joined rows must equal."""
+    lines = [f"{p},{i},{t},{v!r}\n"
+             for p in range(values.shape[1]) for i in range(values.shape[0])
+             for t, v in zip(times, values[i, p].tolist())]
+    return "path_id,component,time,value\n" + "".join(lines)
+
+
+class TestPathsCsv:
+    """``paths.csv`` rows built from one repr per (path, component) equal
+    one f-string per row, byte for byte."""
+
+    @pytest.mark.parametrize("dump", [0, 1, 3])
+    def test_dumped_paths_equal_the_fstring_rows(self, tmp_path, dump):
+        scen = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                            "correlated-intensities.json")
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", scen, "--paths", "5", "--out", str(out),
+                     "--dump-paths", str(dump)])
+        assert code == 0
+        scenario = load_scenario(scen)
+        assert scenario.system.n >= 2
+        grid = scenario.grid(scenario.grid_steps)
+        values = run_ensemble(scenario.system, grid, 5, scenario.seed,
+                              keep_paths=dump).values
+        assert values.shape[1] == dump
+        times = [repr(t) for t in grid.points.tolist()]
+        assert (out / "paths.csv").read_bytes() == \
+            fstring_paths_csv(values, times).encode()
+
+    def test_signed_zeros_and_extreme_values(self):
+        values = np.array([[[0.0, -0.0, 1e-300, 1e300], [5e-324, -1.5, 0.1, 2.0 ** 60]],
+                           [[1e300, 1e-300, -0.0, 0.0], [1.7976931348623157e308, 3.0,
+                                                         -2.5e-8, 1e16]]])
+        times = ["0.0", "0.25", "0.5", "1.0"]
+        got = "path_id,component,time,value\n" + "".join(
+            f"{block}\n" for block in _path_lines(values, times))
+        assert got == fstring_paths_csv(values, times)
+        assert "0,0,0.25,-0.0\n" in got and "1,1,0.0,1.7976931348623157e+308\n" in got
 
 
 class TestValidate:

@@ -1,13 +1,18 @@
 import gc
+import os
 import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mfjump import (MeasureSpec, NoiseLayout, TimeGrid, gen_stable_increments,
-                    make_batch)
-from mfjump.noise import FactorDraws, NoiseBatch, draw_rows
+from mfjump import (ExponentialMeasure, MeasureSpec, NoiseLayout, PointMassMeasure,
+                    TimeGrid, gen_stable_increments, load_scenario, make_batch,
+                    thinning_system)
+from mfjump.noise import (_KIND_EVENTS, FactorDraws, NoiseBatch, _event_arrays,
+                          draw_rows)
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def unit_grid(steps, horizon=1.0):
@@ -198,6 +203,53 @@ class TestFiniteActivityEvents:
         # size rows of d marks (the transpose) break the (d, size) contract
         with pytest.raises(ValueError, match="mark_sampler"):
             events(20.0, lambda rng, size: rng.uniform(size=(size, 3)), grid, 4)
+
+
+def reference_event_draw(rate, sampler, horizon):
+    """A row's event draw by numpy's scaled samplers: ``rng.uniform`` times,
+    sorted by ``np.sort``, and ``(v, zeta)`` marks from ``rng.uniform`` and
+    ``rng.exponential`` (or ``rng.choice`` over point-mass atoms)."""
+    def draw(rng):
+        count = int(rng.poisson(rate * horizon))
+        if not count:
+            return None
+        times = np.sort(rng.uniform(0.0, horizon, count))
+        v = rng.uniform(0.0, sampler.v_max, count)
+        if sampler.atoms:
+            zetas = np.array([z for z, _m in sampler.atoms])
+            probs = np.array([m for _z, m in sampler.atoms], dtype=float)
+            z = rng.choice(zetas, size=count, p=probs / probs.sum())
+        else:
+            z = rng.exponential(sampler.exp_mean, count)
+        return times, np.array((v, z))
+    return draw
+
+
+class TestEventDraws:
+    """Event times and thinning marks drawn as unit uniforms and scaled in
+    place equal numpy's scaled samplers bit for bit."""
+
+    @pytest.mark.parametrize("levy", [
+        ExponentialMeasure(mass=2.0, mean=0.4),
+        PointMassMeasure(atoms=((0.4, 3.0), (1.5, 0.5), (2.0, 1.0)))],
+        ids=["exponential", "point-mass"])
+    def test_events_equal_numpy_scaled_draws(self, levy):
+        spec = load_scenario(os.path.join(SCENARIOS, "thinned-jumps.json")).system
+        if not isinstance(levy, ExponentialMeasure):
+            spec = thinning_system(levy, v_max=4.0, a=1.0, sigma=0.3)
+        grid = TimeGrid.uniform(2.0, 512)
+        layout = spec.noise_layout()
+        (measure,) = layout.measures
+        got = make_batch(grid, layout, 11, range(2048)).events[measure.measure_id]
+        want = _event_arrays(draw_rows(
+            11, range(2048), (_KIND_EVENTS, 0),
+            reference_event_draw(measure.rate, measure.mark_sampler, grid.horizon)))
+        assert got.times.size > 30000
+        assert np.array_equal(got.rows, want.rows)
+        for name in ("times", "marks"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def assert_same_row(a, ra, b, rb):

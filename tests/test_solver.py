@@ -1,4 +1,5 @@
 import math
+import os
 import pickle
 import warnings
 from dataclasses import dataclass, replace
@@ -11,10 +12,13 @@ from mfjump import (CadlagPath, DriftSpec, EventArrays, NumericsError,
                     make_batch, preset_cbi_thinning, preset_cir, preset_example21,
                     solve_batch)
 from mfjump.coeffs import (BrownianTerm, CoefficientSet, CompensatedKernel, JumpKernel,
-                           PowerDiffusion, PowerModulus, ThinningKernel,
-                           ThinningMarkSampler)
+                           PowerDiffusion, PowerModulus, ThinningCompensator,
+                           ThinningKernel, ThinningMarkSampler)
 from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout
-from mfjump.solver import Forcing, _prepare_parts
+from mfjump.scenario import load_scenario
+from mfjump.solver import Forcing, _bin_events, _prepare_parts
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def deterministic_coeffs(a=1.0):
@@ -202,6 +206,70 @@ class TestVectorisedEvents:
         batch = make_batch(grid, layout, 5, range(40))
         _res, applied = self.check(comps, batch, np.array([1.0, 2.0, 1.5]))
         assert applied > 1000
+
+
+def segments_reference(components, batch):
+    """Step k's segments ``(component, fn, rows, marks)`` built event by
+    event: each (step, row, component) cell takes its events in (time,
+    g0_finite before g1, event index) order, one round per event; a segment
+    is one (step, round, kernel) and holds its events in time order."""
+    pts = batch.grid.points
+    sources = [(ci, kernel) for ci, comp in enumerate(components)
+               for kernel in (comp.g0_finite, comp.g1) if kernel is not None]
+    events = []
+    for g, (ci, kernel) in enumerate(sources):
+        ev = batch.events[kernel.measure.measure_id]
+        for j, (t, row) in enumerate(zip(ev.times.tolist(), ev.rows.tolist())):
+            if 0.0 < t <= pts[-1]:
+                step = int(np.searchsorted(pts, t, side="left")) - 1
+                events.append((t, g, j, step, row, ev.marks[..., j]))
+    events.sort(key=lambda e: e[:3])
+    rounds, segments = {}, {}
+    for _t, g, _j, step, row, mark in events:
+        ci, kernel = sources[g]
+        r = rounds[step, row, ci] = rounds.get((step, row, ci), -1) + 1
+        seg = segments.setdefault((step, r, g), (ci, kernel.fn, [], []))
+        seg[2].append(row)
+        seg[3].append(mark)
+    out = {}
+    for (step, _r, _g), (ci, fn, rows, marks) in sorted(segments.items()):
+        out.setdefault(step, []).append((ci, fn, np.array(rows), np.stack(marks, axis=-1)))
+    return out
+
+
+class TestBinning:
+    """Each step's events are binned into segments whose rows and marks are
+    slices of arrays every segment shares."""
+
+    def test_segments_equal_an_event_by_event_binning(self):
+        # g0_finite and g1 of two components on shared measures, with marks
+        # in R^2 and scalar marks; many cells get several events per step
+        a = MeasureSpec("a", 30.0, lambda rng, n: rng.uniform(-0.5, 0.5, n))
+        c = MeasureSpec("c", 40.0, ThinningMarkSampler(v_max=4.0, exp_mean=0.4))
+        comps = (pure_jump_component(ThinningKernel(), c, ScaleByMark(), a),
+                 pure_jump_component(ScaleByMark(), a, ThinningKernel(), c))
+        grid = TimeGrid.uniform(1.0, 8)
+        batch = make_batch(grid, NoiseLayout(measures=(a, c)), 5, range(30))
+        got = _bin_events(comps, batch, 0, grid.n_steps)
+        want = segments_reference(comps, batch)
+        assert sorted(got) == sorted(want) == list(range(8))
+        assert max(len(segs) for segs in got.values()) > 4  # several rounds
+        for k, segs in want.items():
+            assert len(got[k]) == len(segs)
+            for (ci, fn, rows, marks), (ci_ref, fn_ref, rows_ref, marks_ref) in zip(got[k], segs):
+                assert (ci, fn) == (ci_ref, fn_ref)
+                assert np.array_equal(rows, rows_ref)
+                assert marks.shape == marks_ref.shape
+                assert np.array_equal(marks.view(np.int64), marks_ref.view(np.int64))
+
+    def test_a_segments_marks_are_a_view(self):
+        spec = load_scenario(os.path.join(SCENARIOS, "thinned-jumps.json")).system
+        batch = make_batch(TimeGrid.uniform(2.0, 16), spec.noise_layout(), 11, range(64))
+        segs = [seg for segs in _bin_events(spec.components, batch, 0, 16).values()
+                for seg in segs]
+        assert len(segs) > 8
+        assert all(m.base is not None for _c, _f, _r, m in segs)
+        assert len({id(m.base) for _c, _f, _r, m in segs}) == 1
 
 
 class TestCirMean:
@@ -521,6 +589,85 @@ class TestChunkedSteps:
         err = info.value
         assert (err.step, err.time, err.component, err.path_index) == \
             (101, grid.points[101], 1, 49)
+
+
+    def test_negative_infinity_is_caught_before_the_clip(self):
+        # the clip would turn -inf into 0.0 and the run would pass silently
+        spec = jumping_example21(1.0)
+        grid = TimeGrid.uniform(1.0, 200)
+        batch = make_batch(grid, spec.noise_layout(), 3, range(40, 56))
+        forcing = np.ones((3, 16, 200))
+        forcing[1, 9, 100] = -np.inf
+        with pytest.raises(NumericsError) as info:
+            solve_batch(spec.components, spec.drifts, batch,
+                        spec.initial[:, None], forcing=forcing)
+        err = info.value
+        assert (err.step, err.time, err.component, err.path_index) == \
+            (101, grid.points[101], 1, 49)
+
+    def test_finite_states_whose_sum_overflows_solve(self):
+        # the one-reduction check reads inf here; the full scan finds no
+        # non-finite state, so the solve goes on
+        grid = TimeGrid.uniform(1.0, 4)
+        batch = NoiseBatch(grid=grid, brownian={}, stable={}, events={},
+                           lineages=((0, 0), (0, 1)))
+        res = solve_batch([deterministic_coeffs(a=0.0)], [DriftSpec.constant(0.0)],
+                          batch, np.full((1, 2), 1e308))
+        assert (res.values == 1e308).all()
+
+
+class CallDiffusion:
+    """A power diffusion with no ``into``, so the solver calls it."""
+
+    def __init__(self, coef, power):
+        self.coef, self.power = coef, power
+
+    def __call__(self, x):
+        return self.coef * np.maximum(x, 0.0) ** self.power
+
+
+class CallCompensator:
+    """A thinning compensator with no ``into``, so the solver calls it."""
+
+    def __init__(self, v_max, first_moment):
+        self.v_max, self.first_moment = v_max, first_moment
+
+    def __call__(self, x):
+        return np.minimum(np.maximum(x, 0.0), self.v_max) * self.first_moment
+
+
+class TestInPlaceTerms:
+    """The preset diffusion and compensator, evaluated in place on the
+    clipped state, solve to the same bits as plain calls of their formulas."""
+
+    @staticmethod
+    def solve(spec, plain, power):
+        comps = []
+        for comp in spec.components:
+            sigma = PowerDiffusion(comp.sigma.coef, power)
+            g0 = comp.g0_finite
+            if plain:
+                sigma = CallDiffusion(sigma.coef, sigma.power)
+                if g0 is not None:
+                    g0 = replace(g0, compensator=CallCompensator(
+                        g0.compensator.v_max, g0.compensator.first_moment))
+            comps.append(replace(comp, sigma=sigma, g0_finite=g0))
+        grid = TimeGrid.uniform(1.0, 100)
+        batch = make_batch(grid, spec.noise_layout(), 13, range(64))
+        # zeros of both signs, and states the first step drives below 0
+        initial = np.tile([0.0, -0.0, 0.5, 2.0, 1e-300, -1.0, 3.0, 7.0], (spec.n, 8))
+        return solve_batch(comps, spec.drifts, batch, initial).values
+
+    @pytest.mark.parametrize("power", [0.5, 0.75])
+    @pytest.mark.parametrize("name", ["thinned-jumps", "cir"])
+    def test_in_place_equals_the_call(self, name, power):
+        spec = load_scenario(os.path.join(SCENARIOS, f"{name}.json")).system
+        g0 = spec.components[0].g0_finite
+        assert g0 is None or isinstance(g0.compensator, ThinningCompensator)
+        fast = self.solve(spec, False, power)
+        plain = self.solve(spec, True, power)
+        assert np.isfinite(fast).all() and (fast[..., -1] > 0).any()
+        assert np.array_equal(fast.view(np.int64), plain.view(np.int64))
 
 
 class TestRowForcing:

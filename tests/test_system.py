@@ -335,3 +335,21 @@ class TestRunEnsemble:
             np.testing.assert_allclose(mean, x.mean(axis=axis), rtol=1e-12, atol=0)
             np.testing.assert_allclose(se, x.std(axis=axis, ddof=1) / math.sqrt(n),
                                        rtol=1e-9, atol=0)
+
+    def test_block_integrals_equal_trapezoid_bit_for_bit(self):
+        # a slab of a full block and a short one, on two components and a
+        # non-uniform grid: each block's integral moments are those of
+        # np.trapezoid over its paths
+        spec = example_spec(2)
+        grid = TimeGrid(np.cumsum(np.r_[0.0, np.linspace(0.01, 0.05, 24)]))
+        batch = make_batch(grid, spec.noise_layout(), 6, range(700))
+        part, _warns = mfjump.system._ensemble_block(spec, np.array([0, 24]), 0, 0,
+                                                     iter([batch]))
+        vals = solve_system(spec, batch).values
+        assert len(part["moments"]) == 2
+        for b, moments in zip((0, 512), part["moments"]):
+            integ = np.trapezoid(vals[:, b:b + 512], x=grid.points, axis=2)
+            want = mfjump.system._moments(integ.T)
+            assert moments[2][0] == want[0]
+            for got, ref in zip(moments[2][1:], want[1:]):
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
