@@ -90,7 +90,7 @@ class LevelBatch:
     part_idx: np.ndarray  # indices of partition points in the simulation grid
     inf_drifts: np.ndarray  # (N, P, 2^(n-1)) interval infima along this level's paths
     values: np.ndarray  # (N, P, K+1) level paths on the simulation grid
-    forcing: object  # drift forcing of this level, read as (N, P, K); None once dropped
+    forcing: Forcing  # drift forcing of this level; None once dropped
     warnings: list  # the warnings of the solve that built this level
 
 
@@ -131,7 +131,9 @@ def build_next_level(prev: LevelBatch, spec: SystemSpec, batch: NoiseBatch,
     if mode == "staircase":
         b = drift_values(spec.drifts, batch.grid.points, prev.values)
         env = envelope_rows(b.reshape(-1, b.shape[-1]), batch.grid.points, prev.n)
-        forcing = np.maximum(np.asarray(prev.forcing), env.reshape(b.shape[:2] + (-1,)))
+        rows = np.maximum(prev.forcing.table[prev.forcing.index],
+                          np.moveaxis(env.reshape(b.shape[:2] + (-1,)), -1, 0))
+        forcing = Forcing(rows, np.arange(rows.shape[0]))
     else:  # one row per interval of the previous partition
         forcing = Forcing(np.moveaxis(prev.inf_drifts, 2, 0).copy(),
                           np.repeat(np.arange(prev.part_idx.size - 1),

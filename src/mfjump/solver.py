@@ -5,8 +5,11 @@ non-negative c1, c2 (for admissible steps): floating-point monotonicity in
 both arguments then holds exactly, which the monotone-level check of
 ``approx`` (``monotonicity.csv``) relies on.
 
-Each step advances a group of equal-coefficient components as one (G, P)
-array, with the same operations on the same scalars per element: no bit moves.
+Each step advances a run of consecutive equal-coefficient components as one
+(G, P) slice of the state, with the same operations on the same scalars per
+element: no bit moves. The diffusion, stable and compensator terms read the
+clipped state; the initial state is clipped once for them, and every later
+state is clipped when it is made.
 
 ``solve_batch`` walks the grid in chunks of ``_CHUNK`` steps. Per chunk it
 gathers each group's operands (c2 * b for a fixed drift table, the combined
@@ -18,8 +21,8 @@ end moves no bit. A ``GatheredBatch`` holds the Brownian and stable operands and
 the binned jump events of every step, gathered once for several solves on one
 draw; a solve on it gathers only the drift terms.
 
-Every drift table is read as a ``Forcing``: (N, P) rows and the row each step
-reads, so a forcing constant on the intervals of a partition holds one row per
+Every drift table is a ``Forcing``: (N, P) rows and the row each step reads,
+so a forcing constant on the intervals of a partition holds one row per
 interval, not one per step.
 """
 from __future__ import annotations
@@ -52,45 +55,24 @@ class NumericsError(RuntimeError):
         return type(self), (self.step, self.time, self.component, self.path_index)
 
 
-def _step_major(a: np.ndarray) -> np.ndarray:
-    """A compact (..., C) array as a contiguous (C, ...) one. Transposing
-    straight out of a (..., K) draw would read rows K floats apart, a power
-    of two on the shipped grids, which thrashes the cache; so callers pass a
-    compact copy."""
-    return np.moveaxis(a, -1, 0).copy()
-
-
 @dataclass(frozen=True, eq=False)
 class Forcing:
     """A drift forcing held as rows: step k is forced by ``table[index[k]]``,
     one (N, 1 or P) row of the (M, N, 1 or P) ``table``. A forcing constant on
-    each interval of a partition keeps one row per interval; an (N, P, K)
-    array is the case of K rows. It reads as its (N, P, K) array."""
+    each interval of a partition keeps one row per interval; one that moves
+    every step holds K rows, read through ``arange(K)``."""
 
     table: np.ndarray  # (M, N, 1 or P)
     index: np.ndarray  # (K,) the row of each step
 
-    @classmethod
-    def of(cls, forcing) -> "Forcing":
-        """``forcing`` itself, or an (N, P, K) array as its K step rows."""
-        if isinstance(forcing, cls):
-            return forcing
-        forcing = np.asarray(forcing)
-        return cls(_step_major(forcing), np.arange(forcing.shape[-1]))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(np.moveaxis(self.table[self.index], 0, -1), dtype=dtype)
-
 
 @dataclass
 class _Part:
-    """Prepared arrays for one group of equal-coefficient components. ``idx`` is a
-    singleton's index or a group's member list, the leading axis of its noise;
-    ``sel`` is ``idx`` as a slice when the members are consecutive, so that
-    indexing the state with it gives a view."""
+    """Prepared arrays for one run of consecutive equal-coefficient components.
+    ``sel`` is the run as a slice, of the state and of the leading axis of its
+    noise, so that indexing the state with it gives a view."""
 
-    idx: object
-    sel: object
+    sel: slice
     c1: np.ndarray  # (n_steps,)
     c2: np.ndarray
     sigma: object = None
@@ -103,20 +85,22 @@ class _Part:
         """``(cb, dw, dz)``, the group's operands of steps [k0, k1) with the
         step on the leading axis, so that each step reads contiguous rows.
 
-        ``cb`` is c2 * b, (C, [G,] 1 or P), for the drift ``forcing``, or None
+        ``cb`` is c2 * b, (C, G, 1 or P), for the drift ``forcing``, or None
         without one; ``(dw, dz)`` is ``noise(k0, k1)``.
         """
         cb = None
         if forcing is not None:
-            rows = forcing.table[forcing.index[k0:k1]][:, self.sel]
-            cb = rows * self.c2[k0:k1].reshape((-1,) + (1,) * (rows.ndim - 1))
+            cb = forcing.table[forcing.index[k0:k1], self.sel] * self.c2[k0:k1, None, None]
         return (cb,) + self.noise(k0, k1)
 
     def noise(self, k0: int, k1: int) -> tuple:
         """``(dw, dz)`` of steps [k0, k1), step-major: ``dw`` the combined
-        Brownian increment, (C, [G,] P), or None, and ``dz`` each stable
-        term's increments. Slices of ``ops`` once gathered, or else gathered
-        ``_CHUNK`` steps at a time through compact copies (``_step_major``)."""
+        Brownian increment, (C, G, P), or None, and ``dz`` each stable
+        term's increments, (C, [G,] P). Slices of ``ops`` once gathered, or
+        else gathered ``_CHUNK`` steps at a time through compact (..., C)
+        copies: transposing straight out of a (..., K) draw would read rows
+        K floats apart, a power of two on the shipped grids, which thrashes
+        the cache."""
         if self.ops is not None:
             dw, dz = self.ops
             return None if dw is None else dw[k0:k1], [inc[k0:k1] for inc in dz]
@@ -125,14 +109,16 @@ class _Part:
             c1 = min(c0 + _CHUNK, k1)
             compact = [None]  # ([G,] P, c1 - c0) each
             if self.brownian is not None:
-                sums = []
-                for (weight, draw), *rest in self.brownian:
-                    row = weight * draw[:, c0:c1]
+                # each member sums into its row of one array: stacking separate
+                # sums costs a copy and an allocation per chunk (~6% of sim-jumps)
+                (_weight, draw), *_rest = self.brownian[0]
+                sums = np.empty((len(self.brownian), draw.shape[0], c1 - c0))
+                for row, ((weight, draw), *rest) in zip(sums, self.brownian):
+                    np.multiply(weight, draw[:, c0:c1], out=row)
                     row += 0.0  # the sum starts at 0, which turns -0.0 into 0.0
                     for weight, draw in rest:
                         row += weight * draw[:, c0:c1]
-                    sums.append(row)
-                compact = [sums[0] if isinstance(self.idx, int) else np.stack(sums)]
+                compact = [sums]
             compact += [draw[..., c0:c1].copy() for _c, _e, draw in self.stable]
             if out is None:
                 out = [None if a is None else np.empty((k1 - k0,) + a.shape[:-1])
@@ -153,7 +139,7 @@ class BatchResult:
 
 def _prepare_parts(components, batch: NoiseBatch):
     dts = batch.grid.dt
-    groups, warns = {}, []  # coefficient key -> member indices
+    runs, warns = [], []  # [coefficient key, first member, end]
     for idx, comp in enumerate(components):
         if np.any(comp.a * dts > 1.0):
             warns.append(f"component {idx}: a*dt = {(comp.a * dts).max():.4g} > 1 breaks "
@@ -161,12 +147,15 @@ def _prepare_parts(components, batch: NoiseBatch):
         key = (comp.a, comp.sigma if comp.brownian else None,
                tuple((t.coef, t.alpha) for t in comp.stable_terms if t.coef != 0.0),
                comp.g0_finite.compensator if comp.g0_finite is not None else None)
-        groups.setdefault(key, []).append(idx)
+        if runs and runs[-1][0] == key:
+            runs[-1][2] = idx + 1
+        else:
+            runs.append([key, idx, idx + 1])
     parts = []
-    for (a, sigma, stable, compensator), members in groups.items():
+    for (a, sigma, stable, compensator), lo, hi in runs:
         c2 = a * dts
         c1 = 1.0 - c2
-        comps = [components[i] for i in members]
+        comps = components[lo:hi]
         brownian = None
         if sigma is not None:
             brownian = [[(t.weight, batch.brownian[t.factor]) for t in c.brownian]
@@ -175,12 +164,7 @@ def _prepare_parts(components, batch: NoiseBatch):
         # a common factor stays one (P, K) array, broadcast over the group
         dz = [(coef, 1.0 / alpha, batch.stable.rows(fs if len(set(fs)) > 1 else fs[:1]))
               for (coef, alpha), fs in zip(stable, factors)]
-        idx, sel = members, members
-        if len(members) == 1:
-            idx = sel = members[0]
-        elif members == list(range(members[0], members[-1] + 1)):
-            sel = slice(members[0], members[-1] + 1)
-        parts.append(_Part(idx=idx, sel=sel, c1=c1, c2=c2, sigma=sigma,
+        parts.append(_Part(sel=slice(lo, hi), c1=c1, c2=c2, sigma=sigma,
                            brownian=brownian, stable=dz, compensator=compensator))
     return parts, warns
 
@@ -213,15 +197,15 @@ def gather(components, batch: NoiseBatch) -> GatheredBatch:
     parts, warns = _prepare_parts(components, batch)
     return GatheredBatch(grid=batch.grid, events=batch.events, lineages=batch.lineages,
                          components=tuple(components), warnings=warns,
-                         segments=_bin_events(components, batch, 0, batch.grid.n_steps),
+                         segments=_bin_events(components, batch),
                          parts=[replace(part, ops=part.noise(0, batch.grid.n_steps),
                                         brownian=None,  # no reference left to the draw
                                         stable=[(c, e, None) for c, e, _d in part.stable])
                                 for part in parts])
 
 
-def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> dict:
-    """Bin every kernel's events into steps [k_start, k_stop) of the grid.
+def _bin_events(components, batch: NoiseBatch) -> dict:
+    """Bin every kernel's events into the steps of the grid.
 
     An event at time t in (t_k, t_{k+1}] is applied at the end of step k;
     events outside (0, horizon] are dropped. Each (row, component) cell takes
@@ -244,8 +228,7 @@ def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> dic
             if ev is None:
                 continue
             step = np.searchsorted(points, ev.times, side="left") - 1
-            idx = np.flatnonzero((ev.times > 0.0) & (ev.times <= points[-1])
-                                 & (step >= k_start) & (step < k_stop))
+            idx = np.flatnonzero((ev.times > 0.0) & (ev.times <= points[-1]))
             cols.append((step[idx], ev.times[idx], ev.rows[idx], idx,
                          np.full(idx.size, len(sources))))
             sources.append((ci, kernel.fn, ev.marks))
@@ -287,14 +270,11 @@ def _bin_events(components, batch: NoiseBatch, k_start: int, k_stop: int) -> dic
     return steps
 
 
-def _evaluate(fn, y: np.ndarray, out: np.ndarray, clip: bool) -> np.ndarray:
-    """``fn(y)``: in ``out`` by ``fn.into`` where ``fn`` has one, on ``y``
-    clipped into ``out`` first when ``clip`` (the state is clipped past the
-    first step, and ``into`` skips the clip ``fn`` itself makes)."""
+def _evaluate(fn, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``fn(y)`` of the clipped state ``y``: in ``out`` by ``fn.into`` where
+    ``fn`` has one (``into`` skips the clip ``fn`` itself makes)."""
     into = getattr(fn, "into", None)
-    if into is None:
-        return fn(y)
-    return into(np.maximum(y, 0.0, out=out) if clip else y, out)
+    return fn(y) if into is None else into(y, out)
 
 
 def _check_drift_path(path, grid: TimeGrid) -> None:
@@ -320,14 +300,18 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
 
     ``initial`` has shape (n_components, n_paths) and seeds the state at
     ``k_start``; values outside the solved span are left as NaN sentinels.
-    ``forcing``, a ``Forcing`` or an (n_components, n_paths, n_steps) array,
-    replaces the drifts; the drifts' own table is read as a ``Forcing`` too.
+    ``forcing``, a ``Forcing``, replaces the drifts; the drifts' own table is
+    a ``Forcing`` too. Components are advanced in runs of consecutive equal
+    coefficients, each a slice of the state, and the jump events are binned
+    over the whole grid, of which the solve reads its own steps.
     Jump kernels are called as ``fn(x, marks)`` on all the events of a step
     that touch distinct rows at once, so they must act elementwise: ``x`` has
     shape (E,) and ``marks`` (E,) or (d, E). ``marks`` may be a view of an
     array that later steps and solves read, so a kernel must not write to it.
-    A diffusion or compensator with an ``into(x, out)`` method is evaluated
-    in place on the clipped state; any other is called as ``fn(x)``.
+    The diffusion, stable and compensator terms read the clipped state, the
+    initial one included; ``c1 * y`` reads the state as it is. A diffusion or
+    compensator with an ``into(x, out)`` method is evaluated in place; any
+    other is called as ``fn(x)``.
     """
     grid = batch.grid
     n_steps = grid.n_steps
@@ -342,11 +326,13 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
         events = batch.segments
     else:
         parts, warns = _prepare_parts(components, batch)
-        events = _bin_events(components, batch, k_start, k_stop)
+        events = _bin_events(components, batch)
     live = []  # indices of mean-field drifts, evaluated per step on the state
     if forcing is not None:  # overrides drifts
-        forcing = Forcing.of(forcing)
-        # the min over the rows that some step reads, as over the (N, P, K) array
+        if not isinstance(forcing, Forcing):
+            raise TypeError(f"forcing must be a solver.Forcing, "
+                            f"not {type(forcing).__name__}")
+        # the min over the rows that some step reads
         if forcing.table.min(axis=(1, 2))[forcing.index].min() < 0:
             warns.append("drift forcing takes negative values; the "
                          "existence theory assumes b >= 0")
@@ -356,13 +342,13 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
                 _check_drift_path(drift.path, grid)
         live = [i for i, d in enumerate(drifts) if not d.deterministic]
         fixed = [i for i, d in enumerate(drifts) if d.deterministic]
-        table = np.zeros((n_comp, 1, n_steps))
-        table[fixed] = drift_values([drifts[i] for i in fixed], pts[:-1],
-                                    np.empty((0, 1, n_steps)))
+        table = np.zeros((n_steps, n_comp, 1))
+        table[:, fixed] = np.moveaxis(drift_values([drifts[i] for i in fixed], pts[:-1],
+                                                   np.empty((0, 1, n_steps))), -1, 0)
         if table.min() < 0:
             warns.append("drift target takes negative values; the "
                          "existence theory assumes b >= 0")
-        forcing = Forcing.of(table)
+        forcing = Forcing(table, np.arange(n_steps))
     live_drifts = [drifts[i] for i in live]
 
     values = np.empty((n_comp, n_paths, n_steps + 1))  # the steps fill [k_start, k_stop]
@@ -371,6 +357,7 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
     state = np.array(np.broadcast_to(np.asarray(initial, dtype=float),
                                      (n_comp, n_paths)), dtype=float)
     values[:, :, k_start] = state
+    clipped = np.maximum(state, 0.0)  # what the terms read; later states are clipped
     tmps = [np.empty(state[part.sel].shape) for part in parts]  # one work array per group
 
     dts = grid.dt
@@ -387,27 +374,21 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
                     b[live] = drift_values(live_drifts, pts[k:k + 1],
                                            state[:, :, None])[:, :, 0]
                 for part, (cb, dw, dz), tmp in zip(parts, ops, tmps):
-                    # c1*y + c2*b + sigma(y)*dw + (coef*y^e)*dz - dt*comp(y),
-                    # summed in place in new unless the group is a fancy index
-                    y = state[part.sel]
-                    fancy = isinstance(part.sel, list)
-                    acc = np.multiply(y, part.c1[k], out=None if fancy else new[part.sel])
+                    # c1*y + c2*b + sigma(y+)*dw + (coef*y+^e)*dz - dt*comp(y+),
+                    # summed in place in new, where y+ is the clipped state
+                    y = clipped[part.sel]
+                    acc = np.multiply(state[part.sel], part.c1[k], out=new[part.sel])
                     acc += part.c2[k] * b[part.sel] if cb is None else cb[j]
-                    # past the first step the state is already clipped
-                    first = k == k_start
                     if dw is not None:
-                        acc += np.multiply(_evaluate(part.sigma, y, tmp, first), dw[j],
-                                           out=tmp)
+                        acc += np.multiply(_evaluate(part.sigma, y, tmp), dw[j], out=tmp)
                     for (coef, expo, _draw), inc in zip(part.stable, dz):
-                        np.power(np.maximum(y, 0.0, out=tmp) if first else y, expo, out=tmp)
+                        np.power(y, expo, out=tmp)
                         tmp *= coef
                         tmp *= inc[j]
                         acc += tmp
                     if part.compensator is not None:
-                        acc -= np.multiply(_evaluate(part.compensator, y, tmp, first),
-                                           dts[k], out=tmp)
-                    if fancy:
-                        new[part.sel] = acc
+                        acc -= np.multiply(_evaluate(part.compensator, y, tmp), dts[k],
+                                           out=tmp)
                 for ci, fn, rows, marks in events.get(k, ()):
                     y = new[ci]
                     x = y[rows]
@@ -421,7 +402,7 @@ def solve_batch(components, drifts, batch: NoiseBatch | GatheredBatch,
                                             component=int(bad[0, 0]),
                                             path_index=int(batch.lineages[bad[0, 1]][1]))
                 np.maximum(new, 0.0, out=new)
-                state = new
+                state = clipped = new
             values[:, :, k0 + 1:k1 + 1] = chunk.transpose(1, 2, 0)
     return BatchResult(values=values, warnings=warns)
 

@@ -2,6 +2,7 @@
 import numpy as np
 
 from mfjump import CadlagPath, SystemSpec
+from mfjump.solver import Forcing
 
 LATTICE = 2.0 ** -20  # dyadic value lattice: all staircase arithmetic is exact
 
@@ -20,6 +21,12 @@ def lattice_path(rng, grid, n_jumps=3):
             jumps.append((float(grid.points[j]), float(values[j] - size),
                           float(values[j])))
     return CadlagPath(grid, values, tuple(jumps))
+
+
+def step_forcing(forcing) -> Forcing:
+    """An (N, P, K) forcing array as the ``Forcing`` of its K step rows."""
+    forcing = np.asarray(forcing, dtype=float)
+    return Forcing(np.moveaxis(forcing, -1, 0).copy(), np.arange(forcing.shape[-1]))
 
 
 def permute_system(spec, perm):

@@ -20,7 +20,7 @@ from mfjump.approx import _SLICE, _interval_infima, _partition_indices
 from mfjump.cli import main
 from mfjump.coeffs import LinearInTime, drift_values
 from mfjump.scenario import load_scenario
-from mfjump.solver import gather
+from mfjump.solver import Forcing, gather
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -153,8 +153,9 @@ class TestBuildLevels:
         lvl2 = build_next_level(lvl1, spec, batch, mode="realized")
         lvl3 = build_next_level(lvl2, spec, batch, mode="realized")
         half = grid.n_steps // 2
-        assert np.all(np.asarray(lvl3.forcing)[0, 0, :half] == 0.0)
-        assert np.all(np.asarray(lvl3.forcing)[0, 0, half:] == 0.5)
+        rows = lvl3.forcing.table[lvl3.forcing.index]
+        assert np.all(rows[:half, 0, 0] == 0.0)
+        assert np.all(rows[half:, 0, 0] == 0.5)
 
     def test_staircase_path_does_not_depend_on_its_block(self):
         # the staircase forcing of a path reads only that path's previous
@@ -169,9 +170,18 @@ class TestBuildLevels:
                 batch = make_batch(grid, spec.noise_layout(), 4, paths)
                 levels.append(run_hierarchy_batch(spec, batch, 4, mode="staircase").levels)
             for block, alone in zip(*levels):
-                assert np.array_equal(np.asarray(block.forcing)[:, 1:2],
-                                      np.asarray(alone.forcing))
+                assert np.array_equal(block.forcing.table[block.forcing.index][:, :, 1:2],
+                                      alone.forcing.table[alone.forcing.index])
                 assert np.array_equal(block.values[:, 1:2], alone.values)
+
+    def test_staircase_forcing_is_one_row_per_step(self):
+        spec = mean_field_spec(n=2, sigma=0.4, sigma_z=0.2, alpha=1.7)
+        grid = dyadic_partition(5, 1.0)
+        batch = make_batch(grid, spec.noise_layout(), 4, range(3))
+        lvl2 = build_next_level(build_level_one(spec, batch), spec, batch, mode="staircase")
+        assert isinstance(lvl2.forcing, Forcing)
+        assert lvl2.forcing.table.shape == (grid.n_steps, 2, 3)
+        assert np.array_equal(lvl2.forcing.index, np.arange(grid.n_steps))
 
     def test_staircase_levels_rise_below_the_solution(self):
         # correlated-intensities, 256 paths and steps: the staircase levels
@@ -555,7 +565,8 @@ class TestStreamedBlock:
         drawn, held = build_level_one(spec, batch), build_level_one(spec, gathered)
         for n in (2, 3):
             for a, b in ((drawn.values, held.values), (drawn.inf_drifts, held.inf_drifts),
-                         (np.asarray(drawn.forcing), np.asarray(held.forcing))):
+                         (drawn.forcing.table[drawn.forcing.index],
+                          held.forcing.table[held.forcing.index])):
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
             assert drawn.warnings == held.warnings
             drawn = build_next_level(drawn, spec, batch, mode=mode)
@@ -574,14 +585,14 @@ class TestStreamedBlock:
         bins = mfjump.solver._bin_events
         calls = []
 
-        def counting(components, batch, k_start, k_stop):
-            calls.append((batch.grid.n_steps, k_start, k_stop))
-            return bins(components, batch, k_start, k_stop)
+        def counting(components, batch):
+            calls.append(batch.grid.n_steps)
+            return bins(components, batch)
 
         monkeypatch.setattr(mfjump.solver, "_bin_events", counting)
         hierarchy_refinement_study(spec, 2.0, [32, 64], 300, 5, 3)
         # two blocks (256 + 44 paths), two rungs each, three levels per rung
-        assert calls == [(32, 0, 32), (64, 0, 64)] * 2
+        assert calls == [32, 64] * 2
 
         batch = make_batch(TimeGrid.uniform(2.0, 64), spec.noise_layout(), 3, range(40))
         gathered = gather(spec.components, batch)

@@ -19,7 +19,6 @@ ALLOWED = {
     "coeffs.MeanFieldAverage.__call__(t)",  # the average of the state alone
     "presets.LipschitzModulus.__call__(m)",  # one modulus for every index
     "scenario._passthrough(path)",  # a field parser that checks nothing
-    "solver.Forcing.__array__(copy)",  # numpy's array protocol; always a copy
 }
 
 # "module.Class.field" of each dataclass field that only the unit tests read

@@ -18,6 +18,8 @@ from mfjump.noise import MeasureSpec, NoiseBatch, NoiseLayout
 from mfjump.scenario import load_scenario
 from mfjump.solver import Forcing, _bin_events, _prepare_parts
 
+from _helpers import step_forcing
+
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
@@ -250,7 +252,7 @@ class TestBinning:
                  pure_jump_component(ScaleByMark(), a, ThinningKernel(), c))
         grid = TimeGrid.uniform(1.0, 8)
         batch = make_batch(grid, NoiseLayout(measures=(a, c)), 5, range(30))
-        got = _bin_events(comps, batch, 0, grid.n_steps)
+        got = _bin_events(comps, batch)
         want = segments_reference(comps, batch)
         assert sorted(got) == sorted(want) == list(range(8))
         assert max(len(segs) for segs in got.values()) > 4  # several rounds
@@ -265,7 +267,7 @@ class TestBinning:
     def test_a_segments_marks_are_a_view(self):
         spec = load_scenario(os.path.join(SCENARIOS, "thinned-jumps.json")).system
         batch = make_batch(TimeGrid.uniform(2.0, 16), spec.noise_layout(), 11, range(64))
-        segs = [seg for segs in _bin_events(spec.components, batch, 0, 16).values()
+        segs = [seg for segs in _bin_events(spec.components, batch).values()
                 for seg in segs]
         assert len(segs) > 8
         assert all(m.base is not None for _c, _f, _r, m in segs)
@@ -472,7 +474,7 @@ class TestCompareOrdered:
         comp = spec.components[0]
         batch = make_batch(TimeGrid.uniform(1.0, 200), spec.noise_layout(), 3, range(16))
         parts, _warns = _prepare_parts([comp, comp], batch)
-        assert [part.idx for part in parts] == [[0, 1]]
+        assert [part.sel for part in parts] == [slice(0, 2)]
         low, high = DriftSpec.constant(0.5), DriftSpec.constant(1.5)
         pair = solve_batch([comp, comp], [low, high], batch, np.array([[1.0], [1.25]])).values
         lo = solve_one(comp, low, batch, initial=1.0).values[0]
@@ -513,7 +515,7 @@ class TestSubRangeSolve:
         comp = spec.components[0]
         grid = TimeGrid.uniform(1.0, 32)
         batch = make_batch(grid, spec.noise_layout(), 9, range(4))
-        forcing = np.tile(np.repeat([0.5, 1.5, 1.0, 2.0], 8), (1, 4, 1))
+        forcing = step_forcing(np.tile(np.repeat([0.5, 1.5, 1.0, 2.0], 8), (1, 4, 1)))
         full = solve_batch([comp], spec.drifts, batch,
                            np.full((1, 4), 1.0), forcing=forcing)
         state = np.full((1, 4), 1.0)
@@ -554,6 +556,7 @@ class TestChunkedSteps:
     """solve_batch gathers its operands a chunk of steps at a time; where the
     chunks end must not show in any value."""
 
+    # "fancy": a = [1, 2, 1] puts equal components apart, each its own group
     @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]], ids=["slice", "fancy"])
     @pytest.mark.parametrize("forced", [False, True], ids=["mean-field", "forced"])
     def test_one_solve_equals_single_steps(self, a, forced):
@@ -562,7 +565,8 @@ class TestChunkedSteps:
         batch = make_batch(TimeGrid.uniform(1.0, n_steps), spec.noise_layout(), 3, range(16))
         forcing = None
         if forced:
-            forcing = np.random.default_rng(4).uniform(0.5, 2.0, (3, 16, n_steps))
+            forcing = step_forcing(
+                np.random.default_rng(4).uniform(0.5, 2.0, (3, 16, n_steps)))
         full = solve_batch(spec.components, spec.drifts, batch,
                            spec.initial[:, None], forcing=forcing)
         assert sum(ev.times.size for ev in batch.events.values()) > 100
@@ -585,7 +589,7 @@ class TestChunkedSteps:
         forcing[0, 0, 150] = np.inf
         with pytest.raises(NumericsError) as info:
             solve_batch(spec.components, spec.drifts, batch,
-                        spec.initial[:, None], forcing=forcing)
+                        spec.initial[:, None], forcing=step_forcing(forcing))
         err = info.value
         assert (err.step, err.time, err.component, err.path_index) == \
             (101, grid.points[101], 1, 49)
@@ -600,7 +604,7 @@ class TestChunkedSteps:
         forcing[1, 9, 100] = -np.inf
         with pytest.raises(NumericsError) as info:
             solve_batch(spec.components, spec.drifts, batch,
-                        spec.initial[:, None], forcing=forcing)
+                        spec.initial[:, None], forcing=step_forcing(forcing))
         err = info.value
         assert (err.step, err.time, err.component, err.path_index) == \
             (101, grid.points[101], 1, 49)
@@ -669,10 +673,26 @@ class TestInPlaceTerms:
         assert np.isfinite(fast).all() and (fast[..., -1] > 0).any()
         assert np.array_equal(fast.view(np.int64), plain.view(np.int64))
 
+    def test_a_call_reads_the_clipped_initial_state(self):
+        # a coefficient without ``into`` sees no negative state, on the
+        # first step as on every later one
+        spec = load_scenario(os.path.join(SCENARIOS, "cir.json")).system
+        seen = []
+
+        class Spy(CallDiffusion):
+            def __call__(self, x):
+                seen.append(float(x.min()))
+                return super().__call__(x)
+
+        comp = replace(spec.components[0], sigma=Spy(spec.components[0].sigma.coef, 0.5))
+        batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 13, range(4))
+        solve_batch([comp], spec.drifts, batch, np.array([[-1.0, 0.5, -0.0, 2.0]]))
+        assert len(seen) == 8 and min(seen) >= 0.0
+
 
 class TestRowForcing:
     """A forcing held as rows and a step index solves to the same bits as its
-    (N, P, K) array."""
+    K step rows."""
 
     @staticmethod
     def rows(n_steps=200):
@@ -684,11 +704,11 @@ class TestRowForcing:
     @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]], ids=["slice", "fancy"])
     @pytest.mark.parametrize("k_start, k_stop", [(0, None), (10, 140), (63, 65)])
     def test_rows_solve_as_the_full_table(self, a, k_start, k_stop):
-        # a = [1, 2, 1] makes a fancy group {0, 2} and a singleton {1}
+        # a = [1, 2, 1] makes three one-component groups
         spec = jumping_example21(a)
         batch = make_batch(TimeGrid.uniform(1.0, 200), spec.noise_layout(), 3, range(16))
         rows = self.rows()
-        full = rows.table[rows.index].transpose(1, 2, 0)
+        full = Forcing(rows.table[rows.index], np.arange(200))
         state = np.random.default_rng(1).uniform(0.5, 2.0, (3, 16))
         by_rows, by_table = (
             solve_batch(spec.components, spec.drifts, batch, state,
@@ -696,10 +716,14 @@ class TestRowForcing:
             for forcing in (rows, full))
         assert np.array_equal(by_rows.values, by_table.values, equal_nan=True)
 
-    def test_reads_as_its_full_table(self):
+    def test_an_array_is_refused(self):
+        # an (N, P, K) array is not read as its K step rows
+        spec = preset_example21(3, a=1.0, sigma=0.4)
+        batch = make_batch(TimeGrid.uniform(1.0, 200), spec.noise_layout(), 3, range(16))
         rows = self.rows()
-        full = rows.table[rows.index].transpose(1, 2, 0)
-        assert np.array_equal(np.asarray(rows), full)
+        with pytest.raises(TypeError, match=r"solver\.Forcing"):
+            solve_batch(spec.components, spec.drifts, batch, spec.initial[:, None],
+                        forcing=rows.table[rows.index].transpose(1, 2, 0))
 
     @pytest.mark.parametrize("bad_row, warns", [(1, True), (4, False)])
     def test_negative_warning_reads_only_the_rows_steps_use(self, bad_row, warns):
@@ -709,7 +733,8 @@ class TestRowForcing:
         table[bad_row, 2, 5] = -0.5
         spec = preset_example21(3, a=1.0, sigma=0.4)
         batch = make_batch(TimeGrid.uniform(1.0, 200), spec.noise_layout(), 3, range(16))
-        for forcing in (Forcing(table, rows.index), table[rows.index].transpose(1, 2, 0)):
+        for forcing in (Forcing(table, rows.index),
+                        Forcing(table[rows.index], np.arange(200))):
             res = solve_batch(spec.components, spec.drifts, batch,
                               spec.initial[:, None], forcing=forcing)
             assert res.warnings == (
@@ -730,20 +755,23 @@ class TestStackedGroups:
         forcing = np.random.default_rng(3).uniform(0.5, 2.0, (3, 16, 64))
         initial = spec.initial[:, None]
         joint = solve_batch(spec.components, spec.drifts, batch, initial,
-                            forcing=forcing).values
+                            forcing=step_forcing(forcing)).values
         for i in range(3):
             alone = solve_batch([spec.components[i]], [spec.drifts[i]], batch,
-                                initial[i:i + 1], forcing=forcing[i:i + 1]).values
+                                initial[i:i + 1],
+                                forcing=step_forcing(forcing[i:i + 1])).values
             assert np.array_equal(joint[i:i + 1], alone)
 
-    @pytest.mark.parametrize("a, groups", [(1.0, [[0, 1, 2]]),
-                                           ([1.0, 2.0, 1.0], [[0, 2], 1])])
+    # a group is a run of neighbours: under a = [1, 2, 1] each component is one
+    @pytest.mark.parametrize("a, groups", [(1.0, [slice(0, 3)]),
+                                           ([1.0, 2.0, 1.0],
+                                            [slice(0, 1), slice(1, 2), slice(2, 3)])])
     def test_equal_coefficients_share_one_group(self, a, groups):
         spec = preset_example21(3, a=a, sigma=0.4, sigma0=0.2, sigma_z=0.2,
                                 sigma_z0=0.1)
         batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 5, range(2))
         parts, _warns = _prepare_parts(spec.components, batch)
-        assert [part.idx for part in parts] == groups
+        assert [part.sel for part in parts] == groups
         # the common stable factor Z^0 is one array seen by every member
         common = parts[0].stable[0][2]
         assert np.shares_memory(common, batch.stable[0])
@@ -751,13 +779,15 @@ class TestStackedGroups:
     @pytest.mark.parametrize("a, copied", [(1.0, False), ([1.0, 2.0, 1.0], True)])
     def test_consecutive_factors_are_a_slice_of_the_draw(self, a, copied):
         # members 0..2 take Z^1..Z^3, consecutive rows of the batch's stable
-        # draw, so the group reads a slice; members 0 and 2 (Z^1, Z^3) get a copy
+        # draw, so the group reads a slice. Under a = [1, 2, 1], components 0
+        # and 2 alone are one group whose members take Z^1 and Z^3: a copy
         spec = preset_example21(3, a=a, sigma=0.4, sigma0=0.2, sigma_z=0.2,
                                 sigma_z0=0.1)
         batch = make_batch(TimeGrid.uniform(1.0, 8), spec.noise_layout(), 5, range(2))
-        parts, _warns = _prepare_parts(spec.components, batch)
+        members = [0, 2] if copied else [0, 1, 2]
+        parts, _warns = _prepare_parts([spec.components[i] for i in members], batch)
+        assert [part.sel for part in parts] == [slice(0, len(members))]
         own = parts[0].stable[1][2]
-        members = parts[0].idx
         assert np.array_equal(own, np.stack([batch.stable[i + 1] for i in members]))
         assert np.shares_memory(own, batch.stable[1]) is not copied
 
@@ -781,6 +811,6 @@ class TestStackedGroups:
                            0, range(4))
         parts, _warns = _prepare_parts([comp], batch)
         _cb, dw, _dz = parts[0].chunk(0, 8)
-        assert dw.shape == (8, 4)
+        assert dw.shape == (8, 1, 4)
         assert np.all(dw == 0.0)
         assert not np.signbit(dw).any()
