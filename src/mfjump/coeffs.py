@@ -62,18 +62,33 @@ class CallableModulus:
 # (``np.minimum`` and ``np.abs``, not ``min`` and ``abs``). The solver, every
 # measure's ``integrate(fn, breakpoints)`` and the validators all call it so.
 # ``breakpoints`` are marks where ``fn`` may jump or kink; each is a panel edge.
+#
+# The batch axis: an integrand may answer a batch of integrands at once, values
+# of shape (..., n) for the n marks it was given (flat, (n,) or (d, n)), and
+# ``integrate`` then returns their integrals, shape (...). An integrand that
+# answers (n,) gets a float. A column of states x of shape (S, 1) broadcasts so
+# under every measure.
 
-
-def _lobatto(n: int):
-    """n-point Gauss-Lobatto nodes and weights on [-1, 1]: both edges plus the
-    roots of P'_{n-1}, exact for polynomials of degree 2n - 3."""
-    p = np.polynomial.legendre.Legendre.basis(n - 1)
-    nodes = np.concatenate(([-1.0], np.sort(p.deriv().roots().real), [1.0]))
-    return nodes, 2.0 / (n * (n - 1) * p(nodes) ** 2)
-
-
-_LOBATTO = _lobatto(10)  # the adaptive rule, per panel
-_GAUSS = np.polynomial.legendre.leggauss(8)  # the fixed rule over v, per piece
+# The 10-point Gauss-Lobatto rule on [-1, 1], the adaptive rule per panel: both
+# edges plus the roots of P'_9, exact for polynomials of degree 17. The
+# literals are the values numpy.polynomial computes, to the bit.
+_LOBATTO = (
+    np.array([-1.0, -0.9195339081664605, -0.7387738651055052, -0.4779249498104439,
+              -0.16527895766638742, 0.1652789576663872, 0.47792494981044475,
+              0.7387738651055051, 0.9195339081664591, 1.0]),
+    np.array([0.022222222222222185, 0.13330599085107028, 0.22488934206312652,
+              0.2920426836796838, 0.32753976118389744, 0.32753976118389744,
+              0.2920426836796838, 0.22488934206312663, 0.1333059908510702,
+              0.022222222222222185]))
+# The 8-point Gauss-Legendre rule on [-1, 1], the fixed rule over v per piece,
+# exact for polynomials of degree 15; numpy.polynomial's leggauss(8), to the bit.
+_GAUSS = (
+    np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+              -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+              0.7966664774136267, 0.9602898564975362]),
+    np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+              0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+              0.22238103445337443, 0.10122853629037706]))
 _SPLIT = 4  # children of a panel that fails its check
 _RTOL = 1e-11  # accepted: |children - panel| <= _RTOL * |running total|
 _MAX_PASSES = 40  # the last pass accepts every panel still open
@@ -83,19 +98,33 @@ _EXP_SPAN = 50.0  # the exponential rule covers (0, _EXP_SPAN * mean)
 _PANEL = 2.0  # widest first panel of panel_quadrature
 
 
-def panel_quadrature(fn, lo: float, hi: float, points=()) -> float:
+def _integral(total):
+    """A float for one integrand's integral, the array for a batch."""
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def _values(fn, marks, n: int) -> np.ndarray:
+    """``fn(marks)`` as floats of shape (..., n), for an ``fn`` that may
+    answer a constant."""
+    values = np.asarray(fn(marks), dtype=float)
+    return np.broadcast_to(values, values.shape[:-1] + (n,))
+
+
+def panel_quadrature(fn, lo: float, hi: float, points=()):
     """Integral of ``fn`` over [lo, hi] by adaptive composite Gauss-Lobatto
-    quadrature, in passes.
+    quadrature, in passes; a float, or an array for a batch of integrands
+    (``fn`` answers (..., n) on n nodes, the result has shape (...)).
 
     The first pass applies the rule to panels at most _PANEL wide, split at
     the ``points`` inside (lo, hi). Each later pass splits every open panel
     into _SPLIT children and accepts the panel, at its children's sum, when
-    that sum is within _RTOL of the running total from the panel's own value;
-    the children of the others stay open. A pass calls ``fn`` once, on the
-    nodes of all its panels. The panel edges are nodes: an open
-    (Gauss-Legendre) rule does not see a kink between a panel edge and its
-    outermost node, and neither do the children that share the edge, so that
-    check would agree to rounding on a wrong value.
+    for every integrand of the batch that sum is within _RTOL of the
+    integrand's own running total from the panel's own value; the children of
+    the others stay open. A pass calls ``fn`` once, on the nodes of all its
+    panels. The panel edges are nodes: an open (Gauss-Legendre) rule does not
+    see a kink between a panel edge and its outermost node, and neither do the
+    children that share the edge, so that check would agree to rounding on a
+    wrong value.
     """
     nodes, weights = _LOBATTO
     frac = np.arange(_SPLIT + 1) / _SPLIT
@@ -103,8 +132,8 @@ def panel_quadrature(fn, lo: float, hi: float, points=()) -> float:
     def rule(left, right):
         half = 0.5 * (right - left)
         x = (0.5 * (right + left))[:, None] + half[:, None] * nodes
-        values = np.broadcast_to(np.asarray(fn(x.ravel()), dtype=float), (x.size,))
-        return values.reshape(x.shape) @ weights * half
+        values = _values(fn, x.ravel(), x.size)
+        return values.reshape(values.shape[:-1] + x.shape) @ weights * half
 
     edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL)) + 1)
     inner = [p for p in points if lo < p < hi]
@@ -113,21 +142,23 @@ def panel_quadrature(fn, lo: float, hi: float, points=()) -> float:
         edges = np.sort(np.concatenate((edges, inner)))
         edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     left, right = edges[:-1], edges[1:]
-    own, done = rule(left, right), 0.0
+    own = rule(left, right)
+    done = np.zeros(own.shape[:-1])
     for n_pass in range(2, _MAX_PASSES + 1):
         if not left.size:
             break
         cuts = left[:, None] + (right - left)[:, None] * frac
         left, right = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
         children = rule(left, right)
-        fine = children.reshape(-1, _SPLIT).sum(axis=1)
-        ok = np.abs(fine - own) <= _RTOL * abs(done + fine.sum())
+        fine = children.reshape(children.shape[:-1] + (-1, _SPLIT)).sum(axis=-1)
+        close = np.abs(fine - own) <= _RTOL * np.abs(done + fine.sum(axis=-1))[..., None]
+        ok = close.reshape(-1, close.shape[-1]).all(axis=0)
         if n_pass == _MAX_PASSES or np.count_nonzero(~ok) * _SPLIT > _MAX_PANELS:
             ok[:] = True
-        done += fine[ok].sum()
+        done += fine[..., ok].sum(axis=-1)
         still = np.repeat(~ok, _SPLIT)
-        left, right, own = left[still], right[still], children[still]
-    return float(done)
+        left, right, own = left[still], right[still], children[..., still]
+    return _integral(done)
 
 
 @dataclass(frozen=True)
@@ -141,12 +172,13 @@ class PointMassMeasure:
     def first_moment(self) -> float:
         return float(sum(u * m for u, m in self.atoms))
 
-    def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
+    def integrate(self, fn, breakpoints: Sequence[float] = ()):
         """Sum over the atoms, from one call of ``fn`` on the array of their
-        marks; ``breakpoints`` only matter to quadrature."""
+        marks, over the last axis of its values (the batch axis above the
+        measures); ``breakpoints`` only matter to quadrature."""
         marks = np.array([u for u, _m in self.atoms], dtype=float)
         masses = np.array([m for _u, m in self.atoms], dtype=float)
-        return float(np.sum(np.asarray(fn(marks), dtype=float) * masses))
+        return _integral(np.sum(_values(fn, marks, marks.size) * masses, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -163,10 +195,10 @@ class ExponentialMeasure:
     def first_moment(self) -> float:
         return self.mass * self.mean
 
-    def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
+    def integrate(self, fn, breakpoints: Sequence[float] = ()):
         """Over s = u / mean on (0, _EXP_SPAN), with ``fn`` called on arrays
-        of marks u: the dropped tail is below e^-_EXP_SPAN of the integral
-        unless ``fn`` grows exponentially."""
+        of marks u, and batched as ``panel_quadrature``: the dropped tail is
+        below e^-_EXP_SPAN of the integral unless ``fn`` grows exponentially."""
         return self.mass * panel_quadrature(
             lambda s: fn(self.mean * s) * np.exp(-s), 0.0, _EXP_SPAN,
             [p / self.mean for p in breakpoints])
@@ -188,9 +220,10 @@ class StableJumpMeasure:
     def total_mass(self) -> float:
         return math.inf
 
-    def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
+    def integrate(self, fn, breakpoints: Sequence[float] = ()):
         """c * integral of fn(e^t) e^(-alpha t) dt over t = log u, with
-        ``fn`` called on arrays of marks u = e^t.
+        ``fn`` called on arrays of marks u = e^t, and batched as
+        ``panel_quadrature``: each integrand gets its own head and tail.
 
         Near 0 an integrand with fn ~ u^2 decays like e^((2 - alpha) t), and
         far out one with fn ~ u like e^((1 - alpha) t). The rule covers
@@ -210,10 +243,10 @@ class StableJumpMeasure:
 
         def in_log_space(t):
             return fn(np.exp(t)) * np.exp(-alpha * t)
-        head, tail = in_log_space(np.array([lo, hi]))
-        return stable_levy_constant(alpha) * (
-            head / (2.0 - alpha) + panel_quadrature(in_log_space, lo, hi, logs)
-            + tail / (alpha - 1.0))
+        ends = _values(in_log_space, np.array([lo, hi]), 2)
+        return _integral(stable_levy_constant(alpha) * (
+            ends[..., 0] / (2.0 - alpha) + panel_quadrature(in_log_space, lo, hi, logs)
+            + ends[..., 1] / (alpha - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -230,9 +263,9 @@ class AxisSumMeasure:
     def total_mass(self) -> float:
         return float(sum(m.total_mass for m, _a, _d in self.terms))
 
-    def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
-        """Sum of the axis measures' integrals; ``fn`` gets marks of shape
-        (dim, ...), zero off the term's axis."""
+    def integrate(self, fn, breakpoints: Sequence[float] = ()):
+        """Sum of the axis measures' integrals, batched as theirs; ``fn``
+        gets marks of shape (dim, ...), zero off the term's axis."""
         total = 0.0
         for measure, axis, dim in self.terms:
             def on_axis(u, axis=axis, dim=dim):
@@ -240,7 +273,7 @@ class AxisSumMeasure:
                 marks[axis] = u
                 return fn(marks)
             total += measure.integrate(on_axis, breakpoints=breakpoints)
-        return float(total)
+        return _integral(total)
 
 
 @dataclass(frozen=True)
@@ -254,14 +287,16 @@ class ThinningMarkMeasure:
     def total_mass(self) -> float:
         return self.v_max * self.levy.total_mass
 
-    def integrate(self, fn, breakpoints: Sequence[float] = ()) -> float:
+    def integrate(self, fn, breakpoints: Sequence[float] = ()):
         """Tensor-product rule: fixed Gauss-Legendre nodes in v on each piece
         of (0, v_max) between ``breakpoints``, times the levy measure's rule
         in zeta. ``breakpoints`` are v values where ``fn`` may jump, such as
         the states x at which the thinning indicator 1{v < x} switches;
         between them ``fn`` must be smooth in v (the rule is exact for
-        polynomials of degree 15). ``fn`` gets marks of shape (2, ...), the
-        rows v and zeta."""
+        polynomials of degree 15). ``fn`` gets marks flat, of shape (2, n), the
+        rows v and zeta, and its values (..., n) are reshaped to the (v, zeta)
+        grid afterwards: a batch of integrands integrates as under every
+        other measure."""
         edges = np.array([0.0, *sorted(p for p in breakpoints if 0.0 < p < self.v_max),
                           self.v_max])
         nodes, weights = _GAUSS
@@ -271,7 +306,8 @@ class ThinningMarkMeasure:
 
         def over_v(zeta):
             marks = np.array(np.broadcast_arrays(v[:, None], np.asarray(zeta, dtype=float)))
-            return w @ np.broadcast_to(np.asarray(fn(marks), dtype=float), marks.shape[1:])
+            values = _values(fn, marks.reshape(2, -1), marks[0].size)
+            return w @ values.reshape(values.shape[:-1] + marks.shape[1:])
         return self.levy.integrate(over_v)
 
 
@@ -388,9 +424,10 @@ class CompensatedKernel:
     """Finite-activity compensated jump part: events plus a compensator drift.
 
     ``fn(x, marks)`` is the jump size under the one kernel contract (above
-    the measures): the solver passes states (E,) with marks (E,) or (d, E), a
-    measure's ``integrate`` one state with arrays of marks, and the
-    validators states (n,) with marks (M, 1) or (d, M, 1).
+    the measures): the solver passes states (E,) with marks (E,) or (d, E),
+    the validators' integrals a column of states (S, 1) with marks (n,) or
+    (d, n), and their sampled checks states (n,) with marks (M, 1) or
+    (d, M, 1).
     """
 
     fn: Callable  # (x, marks) -> jump sizes

@@ -128,6 +128,16 @@ def _state_breakpoints(mu, *states) -> tuple:
     return states if isinstance(mu, ThinningMarkMeasure) else ()
 
 
+def _integrals(mu, integrand, *states, breakpoints=()):
+    """``mu.integrate(lambda u: integrand(u, *x))`` at each of S sampled
+    states, or state pairs, in one batched ``integrate`` call: each array of
+    ``states``, shape (S,), reaches ``integrand`` as a column (S, 1), and
+    ``breakpoints`` are the union of every state's. Shape (S,)."""
+    columns = [np.asarray(x, dtype=float)[:, None] for x in states]
+    vals = mu.integrate(lambda u: integrand(u, *columns), breakpoints=breakpoints)
+    return np.broadcast_to(np.asarray(vals, dtype=float), columns[0].shape[:1])
+
+
 def _crossings(kernel, level, *states) -> tuple:
     """Marks where a stable power kernel's term j reaches ``level`` at each
     state x > 0, u = level / (coef_j * x^(1/alpha_j)): there ``min(g, level)``
@@ -196,7 +206,8 @@ def _check_truncated_modulus(report, kernel, modulus, name, power, distance):
     """The truncated L^power modulus condition distance(x, y, m) <=
     modulus(m)(|x-y|)^power on 12 sampled (x, y) in [0, m]^2 per truncation m,
     stopping at the first witness, and the divergence of the integral of
-    dz / modulus(m)^power at 0."""
+    dz / modulus(m)^power at 0. ``distance(xs, ys, m)`` answers a level's
+    12 pairs at once, shape (12,)."""
     if modulus is None:
         report.add(f"{kernel} truncated L{power} modulus", UNCHECKED, f"no {name} supplied")
         return
@@ -204,12 +215,13 @@ def _check_truncated_modulus(report, kernel, modulus, name, power, distance):
     witness, checked = None, 0
     for m in _TRUNCATIONS:
         mod = modulus(m)
-        for x, y in m * _design(12, 2):
-            val = distance(x, y, m)
+        pairs = m * _design(12, 2)
+        # one batched integral per level, then walked in order
+        for (x, y), val in zip(pairs, distance(pairs[:, 0], pairs[:, 1], m)):
             bound = float(mod(abs(x - y))) ** power
             checked += 1
             if not val <= bound * (1 + _QUAD_SLACK) + _QUAD_SLACK * _QUAD_SLACK:
-                witness = (float(x), float(y), float(m), val, bound)
+                witness = (float(x), float(y), float(m), float(val), bound)
                 break
         if witness:
             break
@@ -261,10 +273,9 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 
         def small_or_square(g):
             return np.minimum(np.abs(g), g ** 2)
-        vals = np.array([c.mu0.integrate(lambda u: small_or_square(c.g0(x, u)),
-                                         breakpoints=_state_breakpoints(c.mu0, x)
-                                         + _crossings(c.g0, 1.0, x))
-                         for x in states])
+        vals = _integrals(c.mu0, lambda u, x: small_or_square(c.g0(x, u)), states,
+                          breakpoints=_state_breakpoints(c.mu0, *states)
+                          + _crossings(c.g0, 1.0, *states))
         finite = np.all(np.isfinite(vals))
         report.add("integral |g0| ^ |g0|^2 d(mu0) locally bounded",
                    PASS if finite else FAIL,
@@ -273,9 +284,11 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 
         _check_truncated_modulus(
             report, "g0", c.rho_m, "rho_m", 2,
-            lambda x, y, m: c.mu0.integrate(
-                lambda u: (np.minimum(c.g0(x, u), m) - np.minimum(c.g0(y, u), m)) ** 2,
-                breakpoints=_state_breakpoints(c.mu0, x, y) + _crossings(c.g0, m, x, y)))
+            lambda xs, ys, m: _integrals(
+                c.mu0, lambda u, x, y: (np.minimum(c.g0(x, u), m)
+                                        - np.minimum(c.g0(y, u), m)) ** 2, xs, ys,
+                breakpoints=_state_breakpoints(c.mu0, *xs, *ys)
+                + _crossings(c.g0, m, *xs, *ys)))
     else:
         report.add("g0 conditions", PASS, "vacuous: component has no compensated jump kernel")
 
@@ -286,10 +299,11 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
         witness = _witness(c.g1.fn, marks, states, _below_minus_state)
         report.add("g1(x,u) + x >= 0", FAIL if witness else PASS, witness=witness)
 
-        growth = [(x, c.g1.mu.integrate(lambda u: np.abs(c.g1.fn(x, u)),
-                                        breakpoints=_state_breakpoints(c.g1.mu, x)))
-                  for x in np.linspace(0.0, _X_MAX, 9)[1:]]
-        bad = [(x, v) for x, v in growth if not v <= c.growth_k * (1.0 + x) + _REL_SLACK]
+        states = np.linspace(0.0, _X_MAX, 9)[1:]
+        growth = _integrals(c.g1.mu, lambda u, x: np.abs(c.g1.fn(x, u)), states,
+                            breakpoints=_state_breakpoints(c.g1.mu, *states))
+        bad = [(x, float(v)) for x, v in zip(states, growth)
+               if not v <= c.growth_k * (1.0 + x) + _REL_SLACK]
         report.add("integral |g1| d(mu1) <= K(1+x) (declared K)",
                    FAIL if bad else PASS,
                    detail=f"K = {c.growth_k} (declared)", witness=bad[0] if bad else None)
@@ -300,10 +314,10 @@ def validate_assum1(c: CoefficientSet, plan: SamplingPlan = SamplingPlan()) -> V
 
         _check_truncated_modulus(
             report, "g1", c.r_m, "r_m", 1,
-            lambda x, y, m: c.g1.mu.integrate(
-                lambda u: np.abs(np.minimum(c.g1.fn(x, u), m)
-                                 - np.minimum(c.g1.fn(y, u), m)),
-                breakpoints=_state_breakpoints(c.g1.mu, x, y)))
+            lambda xs, ys, m: _integrals(
+                c.g1.mu, lambda u, x, y: np.abs(np.minimum(c.g1.fn(x, u), m)
+                                                - np.minimum(c.g1.fn(y, u), m)), xs, ys,
+                breakpoints=_state_breakpoints(c.g1.mu, *xs, *ys)))
     else:
         report.add("g1 conditions", PASS, "vacuous: component has no uncompensated jump kernel")
 

@@ -249,13 +249,13 @@ class SpyKernel:
         return self.fn(x, u)
 
     def sampled(self):
-        """The calls on an array of states, as the sampled checks make them
-        (a measure's ``integrate`` passes one state)."""
-        return [c for c in self.calls if c[0]]
+        """The calls on a flat array of states (n,), as the sampled checks
+        make them (a measure's ``integrate`` passes a column (S, 1))."""
+        return [c for c in self.calls if len(c[0]) == 1]
 
     def sampled_args(self):
         """The states and marks of the calls ``sampled`` lists."""
-        return [args for c, args in zip(self.calls, self.args) if c[0]]
+        return [args for c, args in zip(self.calls, self.args) if len(c[0]) == 1]
 
 
 @dataclass(frozen=True)
@@ -339,6 +339,9 @@ class TestKernelWitnesses:
         assert [len(k.sampled()) for k in (g0, g1)] == [4, 4]
         for kernel in (g0, g1):
             assert all(x_shape or u_shape for x_shape, u_shape in kernel.calls)
+            # every other call is an integration's column of states (S, 1)
+            assert all(len(x_shape) == 1 or x_shape[1:] == (1,)
+                       for x_shape, _u_shape in kernel.calls)
 
 
     @pytest.mark.parametrize("validator", [validate_assum1, validate_assum2])

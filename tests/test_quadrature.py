@@ -208,6 +208,110 @@ class TestThinningMarkMeasure:
             assert val == pytest.approx(min(x, 4.0) * (0.5 * 3.0 + 2.0 * 1.0), rel=1e-12)
 
 
+class TestRuleLiterals:
+    """The literal rules in ``coeffs`` are the ones numpy.polynomial computes."""
+
+    @staticmethod
+    def lobatto(n):
+        p = np.polynomial.legendre.Legendre.basis(n - 1)
+        nodes = np.concatenate(([-1.0], np.sort(p.deriv().roots().real), [1.0]))
+        return nodes, 2.0 / (n * (n - 1) * p(nodes) ** 2)
+
+    @pytest.mark.parametrize("rule, n, degree", [("lobatto", 10, 17), ("gauss", 8, 15)])
+    def test_literals_match_numpy_polynomial(self, rule, n, degree):
+        nodes, weights = coeffs._LOBATTO if rule == "lobatto" else coeffs._GAUSS
+        want = self.lobatto(n) if rule == "lobatto" else np.polynomial.legendre.leggauss(n)
+        assert nodes.shape == weights.shape == (n,)
+        assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
+        # exact for every monomial up to degree 2n - 3 (Lobatto) or 2n - 1
+        # (Gauss), and not for the next even one
+        for k in range(degree + 1):
+            assert weights @ nodes ** k == pytest.approx((1 + (-1) ** k) / (k + 1), abs=1e-14)
+        assert abs(weights @ nodes ** (degree + 1) - 2 / (degree + 2)) > 1e-6
+
+
+def stable_kernel_case():
+    kernel = StablePowerKernel(coefs=(0.3,), alphas=(1.5,))
+    xs = np.linspace(0.0, 10.0, 9)[1:]
+    return (StableJumpMeasure(1.5), lambda x, u: small_or_square(kernel(x, (u,))), xs,
+            _crossings(kernel, 1.0, *xs))
+
+
+def axis_sum_case():
+    # the truncated L2 integrand of the pairs (x, x + 1) at level m = 5
+    comp = preset_example21(1, sigma=0.4, sigma0=0.2, sigma_z=0.2, sigma_z0=0.1,
+                            alpha=1.8, alpha0=1.5).components[0]
+    xs = 5.0 * mfjump.validate._design(12)
+
+    def truncated_l2(x, u):
+        return (np.minimum(comp.g0(x, u), 5.0) - np.minimum(comp.g0(x + 1.0, u), 5.0)) ** 2
+    return comp.mu0, truncated_l2, xs, _crossings(comp.g0, 5.0, *xs, *(xs + 1.0))
+
+
+def exponential_case():
+    xs = np.array([0.2, 0.9, 2.5, 7.0])
+    return (ExponentialMeasure(mass=2.0, mean=0.4), lambda x, u: np.minimum(x * u, 1.0) ** 2,
+            xs, tuple(1.0 / xs))
+
+
+def point_mass_case():
+    return (PointMassMeasure(atoms=((0.5, 3.0), (2.0, 1.0), (3.5, 0.5))),
+            lambda x, u: np.minimum(x * u, 2.0) ** 2, np.array([0.1, 1.0, 3.0]), ())
+
+
+def thinning_case():
+    mu = ThinningMarkMeasure(levy=ExponentialMeasure(mass=2.0, mean=0.4), v_max=4.0)
+    xs = np.array([0.3, 1.25, 3.9, 5.0, 2.0])
+    return mu, lambda x, u: small_or_square(ThinningKernel()(x, u)), xs, _state_breakpoints(mu, *xs)
+
+
+class TestBatchedIntegrate:
+    """A column of states (S, 1) integrates in one call to the S integrals of
+    the one-integrand calls, which return floats."""
+
+    @pytest.mark.parametrize("case", [stable_kernel_case, axis_sum_case, exponential_case,
+                                      point_mass_case, thinning_case],
+                             ids=["stable", "axis-sum", "exponential", "point-mass",
+                                  "thinning"])
+    def test_a_batch_equals_its_stacked_integrals(self, case):
+        mu, kernel, xs, breakpoints = case()
+        calls = []
+
+        def integrand(x):
+            def fn(u):
+                calls.append(np.shape(u))
+                return kernel(x, u)
+            return fn
+        batch = mu.integrate(integrand(xs[:, None]), breakpoints=breakpoints)
+        n_batch = len(calls)
+        one = [mu.integrate(integrand(x), breakpoints=breakpoints) for x in xs]
+        assert all(type(v) is float for v in one)
+        assert isinstance(batch, np.ndarray) and batch.shape == xs.shape
+        np.testing.assert_allclose(batch, one, rtol=1e-13, atol=0.0)
+        assert n_batch < len(calls) - n_batch
+
+    def test_panel_quadrature_accepts_a_panel_for_every_integrand(self):
+        # the first integrand is smooth enough to pass the first check
+        # everywhere; the others are not
+        k = np.array([0.5, 2.0, 7.0, 15.0])
+
+        def wave(t, k):
+            return np.exp(np.sin(k * t))
+        batch = panel_quadrature(lambda t: wave(t, k[:, None]), 0.0, 10.0)
+        one = [panel_quadrature(lambda t: wave(t, kk), 0.0, 10.0) for kk in k]
+        assert all(type(v) is float for v in one)
+        assert batch.shape == k.shape
+        np.testing.assert_allclose(batch, one, rtol=1e-13, atol=0.0)
+        oracle = [integrate.quad(lambda t: math.exp(math.sin(kk * t)), 0.0, 10.0, limit=400,
+                                 epsabs=0.0, epsrel=1e-13)[0] for kk in k]
+        np.testing.assert_allclose(batch, oracle, rtol=1e-11, atol=0.0)
+
+    def test_a_constant_integrand_broadcasts(self):
+        assert panel_quadrature(lambda t: 2.0, 0.0, 3.0) == pytest.approx(6.0, rel=1e-15)
+        np.testing.assert_allclose(panel_quadrature(lambda t: np.array([[1.0], [2.0]]), 0.0, 3.0),
+                                   [3.0, 6.0], rtol=1e-15)
+
+
 class TestInverseModulusIntegral:
     @staticmethod
     def rho(z):
@@ -267,9 +371,11 @@ def test_runtime_path_imports_no_scipy(tmp_path):
 
 def test_validate_imports_no_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call (about 38 ms of run time),
-    # and numpy.random brings secrets, hashlib and hmac (10-13 ms) although the
-    # validators draw nothing
-    assert _unwanted_imports(VALIDATE, ("numpy.ma", "numpy.random"), tmp_path) == "[]"
+    # numpy.random brings secrets, hashlib and hmac (10-13 ms) although the
+    # validators draw nothing, and numpy.polynomial (about 5 ms) is not needed
+    # for quadrature rules written as literals
+    assert _unwanted_imports(VALIDATE, ("numpy.ma", "numpy.random", "numpy.polynomial"),
+                             tmp_path) == "[]"
 
 
 def test_simulate_imports_no_scipy_or_numpy_ma(tmp_path):

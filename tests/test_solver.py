@@ -556,8 +556,7 @@ class TestChunkedSteps:
     """solve_batch gathers its operands a chunk of steps at a time; where the
     chunks end must not show in any value."""
 
-    # "fancy": a = [1, 2, 1] puts equal components apart, each its own group
-    @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]], ids=["slice", "fancy"])
+    @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]], ids=["slice", "apart"])
     @pytest.mark.parametrize("forced", [False, True], ids=["mean-field", "forced"])
     def test_one_solve_equals_single_steps(self, a, forced):
         spec = jumping_example21(a)
@@ -701,7 +700,7 @@ class TestRowForcing:
         table = np.random.default_rng(8).uniform(0.5, 2.0, (lengths.size, 3, 16))
         return Forcing(table, np.repeat(np.arange(lengths.size), lengths))
 
-    @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]], ids=["slice", "fancy"])
+    @pytest.mark.parametrize("a", [1.0, [1.0, 2.0, 1.0]], ids=["slice", "apart"])
     @pytest.mark.parametrize("k_start, k_stop", [(0, None), (10, 140), (63, 65)])
     def test_rows_solve_as_the_full_table(self, a, k_start, k_stop):
         # a = [1, 2, 1] makes three one-component groups

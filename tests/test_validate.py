@@ -1,15 +1,17 @@
 """validate_system computes the assumption reports once per distinct
-coefficient law and gives every component its own report."""
+coefficient law and gives every component its own report; a batched check
+reports what its per-state reference does."""
 import io
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from mfjump import (CoefficientSet, DriftSpec, PointMassMeasure, PowerModulus,
-                    SystemSpec, load_scenario, validate)
+                    SystemSpec, load_scenario, preset_example21, validate)
 from mfjump.cli import main
 from mfjump.coeffs import PowerDiffusion
 from mfjump.validate import SamplingPlan
@@ -181,3 +183,34 @@ def test_shared_reports_are_independent_objects():
     reports[3].conditions.clear()
     assert [r.lines() for k, r in enumerate(reports) if k not in (0, 3)] == \
         [lines for k, lines in enumerate(before) if k not in (0, 3)]
+
+
+def per_triple_truncated_modulus(c):
+    """(witness, checked) of the g0 truncated L2 modulus check, one integral
+    per sampled (x, y, m) triple, each a one-integrand ``integrate``."""
+    checked = 0
+    for m in validate._TRUNCATIONS:
+        for x, y in m * validate._design(12, 2):
+            val = c.mu0.integrate(
+                lambda u: (np.minimum(c.g0(x, u), m) - np.minimum(c.g0(y, u), m)) ** 2,
+                breakpoints=validate._crossings(c.g0, m, x, y))
+            bound = float(c.rho_m(m)(abs(x - y))) ** 2
+            checked += 1
+            if not val <= bound * (1 + 1e-6) + 1e-12:
+                return (float(x), float(y), float(m), val, bound), checked
+    return None, checked
+
+
+def test_batched_truncated_modulus_walks_its_pairs_in_order():
+    # a declared rho_m(m) = sqrt(0.3 z), too small: every level-1 pair passes,
+    # and three level-5 pairs fail, the first at index 1
+    comp = preset_example21(1, sigma=0.5, sigma_z=0.3, alpha=1.5).components[0]
+    comp = replace(comp, rho_m=lambda m: PowerModulus(math.sqrt(0.3), 0.5))
+    witness, checked = per_triple_truncated_modulus(comp)
+    assert witness[2] == 5.0 and checked == 14
+    cond = next(c for c in validate.validate_assum1(comp).conditions
+                if c.name == "g0 truncated L2 modulus <= rho_m^2")
+    assert cond.status == "fail" and cond.detail == f"{checked} sampled (x, y, m) triples"
+    assert cond.witness[:3] == witness[:3] and cond.witness[4] == witness[4]
+    assert cond.witness[3] == pytest.approx(witness[3], rel=1e-13)
+    assert all(type(v) is float for v in cond.witness)

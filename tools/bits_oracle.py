@@ -8,10 +8,13 @@ checkout's ``src``). Each command of ``COMMANDS`` runs at ``--jobs`` 1 and 2
 for each tree, as ``python -m mfjump.cli`` with ``PYTHONPATH`` set to that
 tree, from a fresh directory that holds only a ``scenarios`` link and with
 the same relative ``--out``, so that nothing but the tree differs between
-the two runs. The linked directory holds this repository's scenarios and
-``apart.json``: ``correlated-intensities`` with a = [1, 2, 1], whose equal
-components are not neighbours. The runs are kept under ``--work`` (default:
-a new temporary directory).
+the two runs. The linked directory holds this repository's scenarios and two
+derived from ``correlated-intensities``: ``apart.json``, with a = [1, 2, 1],
+whose equal components are not neighbours, and ``laws.json``, with sigma_z =
+[0.1, 0.3, 0], alpha = [1.8, 1.3, 1.8] and sigma_power 1.02, whose components
+are three distinct laws, one without a stable factor of its own, and which
+``validate`` fails (exit 1). The runs are kept under ``--work`` (default: a
+new temporary directory).
 
 Prints one line per command and jobs pair and exits 0 when every pair is
 identical, 1 otherwise. Standard library only.
@@ -49,19 +52,29 @@ COMMANDS = [
     "approx --scenario scenarios/apart.json --paths 300 --levels 4 --refinements 2",
     "approx --scenario scenarios/apart.json --mode staircase --paths 300 --levels 4",
     "uniqueness --scenario scenarios/apart.json --paths 300 --levels 4",
+    "validate --scenario scenarios/laws.json",
 ]
 
 
+DERIVED = {
+    "apart": {"a": [1.0, 2.0, 1.0]},
+    "laws": {"sigma_z": [0.1, 0.3, 0.0], "alpha": [1.8, 1.3, 1.8], "sigma_power": 1.02},
+}  # name -> preset fields replaced in correlated-intensities
+
+
 def write_scenarios(where: str) -> None:
-    """Link the shipped scenarios into ``where`` and write ``apart.json`` there."""
+    """Link the shipped scenarios into ``where`` and write the ``DERIVED``
+    ones there."""
     os.makedirs(where)
     for name in os.listdir(SCENARIOS):
         os.symlink(os.path.join(SCENARIOS, name), os.path.join(where, name))
-    with open(os.path.join(SCENARIOS, "correlated-intensities.json")) as fh:
-        apart = json.load(fh)
-    apart["name"], apart["preset"]["a"] = "apart", [1.0, 2.0, 1.0]
-    with open(os.path.join(where, "apart.json"), "w") as fh:
-        json.dump(apart, fh, indent=2)
+    for name, fields in DERIVED.items():
+        with open(os.path.join(SCENARIOS, "correlated-intensities.json")) as fh:
+            scenario = json.load(fh)
+        scenario["name"] = name
+        scenario["preset"].update(fields)
+        with open(os.path.join(where, f"{name}.json"), "w") as fh:
+            json.dump(scenario, fh, indent=2)
 
 
 def run(src: str, scenarios: str, command: str, jobs: int, where: str) -> tuple:
